@@ -11,12 +11,13 @@
 /// dependencies render the execution ill-formed.
 ///
 /// The synthesis hot path derives millions of candidate executions; to keep
-/// that loop allocation-free in steady state, derivation comes in two
-/// forms: the convenience `derive()` returning a fresh DerivedRelations,
-/// and `derive_into()` which clears and reuses a caller-owned
-/// DerivedRelations plus a DeriveScratch holding every internal buffer
-/// (resolver state, coherence-class buckets, cycle-check adjacency). See
-/// docs/performance.md for the reuse contract.
+/// that loop's allocations down, derivation comes in two forms: the
+/// convenience `derive()` returning a fresh DerivedRelations, and
+/// `derive_into()` which clears and reuses a caller-owned DerivedRelations
+/// plus a DeriveScratch holding the resolver state, coherence-class buckets
+/// and cycle-check adjacency. derive_into still allocates about 5.5 times
+/// per call at bound 8; docs/performance.md has the reuse contract and the
+/// measurement.
 #pragma once
 
 #include <cstdint>

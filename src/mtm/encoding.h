@@ -16,7 +16,7 @@
 ///
 /// Enumeration is streaming: the solver produces one model at a time and
 /// the visitor decides whether to continue, so a caller looking for the
-/// first qualifying witness (synth::find_witness) stops the AllSAT loop
+/// first qualifying witness (synth::find_witnesses) stops the AllSAT loop
 /// right there instead of paying for the whole violating space up front.
 /// The vector-returning overload is a thin materializing wrapper kept for
 /// the cross-check tests and elt_check.

@@ -15,7 +15,9 @@
 namespace transform::synth {
 namespace {
 
-constexpr const char* kHeaderMagic = "transform-checkpoint v1";
+/// v2: records are per pass, with one counter/test section per target
+/// axiom. v1 journals (one suite per record) are refused as foreign.
+constexpr const char* kHeaderMagic = "transform-checkpoint v2";
 
 /// FNV-1a 64-bit over a byte string — the record payload checksum (and the
 /// base of checkpoint_task_id). Not cryptographic; it only has to catch
@@ -40,32 +42,93 @@ fnv1a_u64(std::uint64_t value, std::uint64_t h)
     return h;
 }
 
-/// Serializes one record's payload: the tests, each as a framed block of
-/// (ticket, size, canonical key, violated names, witness XML). The witness
-/// goes through the exact-round-trip XML form (elt/serialize.h), so a
-/// replayed test is byte-identical to the searched one.
+/// Serializes one record's payload: per target, a framed section header
+/// (counters, test count, axiom name) followed by its tests, each as a
+/// framed block of (ticket, size, canonical key, violated names, witness
+/// XML). The witness goes through the exact-round-trip XML form
+/// (elt/serialize.h), so a replayed test is byte-identical to the searched
+/// one.
 std::string
-serialize_tests(
-    const std::vector<std::pair<SynthesizedTest, std::uint64_t>>& tests)
+serialize_targets(
+    const std::vector<CheckpointJournal::TargetRecord>& targets)
 {
     std::ostringstream out;
-    for (const auto& [test, ticket] : tests) {
-        const std::string xml = elt::execution_to_xml(test.witness);
-        out << "test " << ticket << ' ' << test.size << ' '
-            << test.canonical_key.size() << ' ' << test.violated.size()
-            << ' ' << xml.size() << '\n';
-        out << test.canonical_key << '\n';
-        for (const std::string& name : test.violated) {
-            out << name << '\n';
+    for (const CheckpointJournal::TargetRecord& target : targets) {
+        out << "target " << target.programs << ' ' << target.executions
+            << ' ' << target.duplicates << ' ' << target.tests.size() << ' '
+            << target.axiom.size() << '\n'
+            << target.axiom << '\n';
+        for (const auto& [test, ticket] : target.tests) {
+            const std::string xml = elt::execution_to_xml(test.witness);
+            out << "test " << ticket << ' ' << test.size << ' '
+                << test.canonical_key.size() << ' ' << test.violated.size()
+                << ' ' << xml.size() << '\n';
+            out << test.canonical_key << '\n';
+            for (const std::string& name : test.violated) {
+                out << name << '\n';
+            }
+            out << xml;
         }
-        out << xml;
     }
     return out.str();
 }
 
+/// Parses one "test" block at \p pos, advancing it past the block.
 bool
-parse_tests(const std::string& payload,
-            std::vector<std::pair<SynthesizedTest, std::uint64_t>>* out)
+parse_test(const std::string& payload, std::size_t* pos,
+           std::vector<std::pair<SynthesizedTest, std::uint64_t>>* out)
+{
+    const std::size_t eol = payload.find('\n', *pos);
+    if (eol == std::string::npos) {
+        return false;
+    }
+    std::istringstream head(payload.substr(*pos, eol - *pos));
+    std::string tag;
+    std::uint64_t ticket = 0;
+    int size = 0;
+    std::size_t key_len = 0, n_violated = 0, xml_len = 0;
+    if (!(head >> tag >> ticket >> size >> key_len >> n_violated >>
+          xml_len) ||
+        tag != "test") {
+        return false;
+    }
+    std::size_t at = eol + 1;
+    if (at + key_len + 1 > payload.size()) {
+        return false;
+    }
+    SynthesizedTest test;
+    test.size = size;
+    test.canonical_key = payload.substr(at, key_len);
+    at += key_len;
+    if (payload[at] != '\n') {
+        return false;
+    }
+    ++at;
+    for (std::size_t i = 0; i < n_violated; ++i) {
+        const std::size_t name_end = payload.find('\n', at);
+        if (name_end == std::string::npos) {
+            return false;
+        }
+        test.violated.push_back(payload.substr(at, name_end - at));
+        at = name_end + 1;
+    }
+    if (at + xml_len > payload.size()) {
+        return false;
+    }
+    const std::optional<elt::Execution> witness =
+        elt::execution_from_xml(payload.substr(at, xml_len));
+    if (!witness.has_value()) {
+        return false;
+    }
+    test.witness = *witness;
+    *pos = at + xml_len;
+    out->emplace_back(std::move(test), ticket);
+    return true;
+}
+
+bool
+parse_targets(const std::string& payload,
+              std::vector<CheckpointJournal::TargetRecord>* out)
 {
     std::size_t pos = 0;
     while (pos < payload.size()) {
@@ -75,45 +138,26 @@ parse_tests(const std::string& payload,
         }
         std::istringstream head(payload.substr(pos, eol - pos));
         std::string tag;
-        std::uint64_t ticket = 0;
-        int size = 0;
-        std::size_t key_len = 0, n_violated = 0, xml_len = 0;
-        if (!(head >> tag >> ticket >> size >> key_len >> n_violated >>
-              xml_len) ||
-            tag != "test") {
+        CheckpointJournal::TargetRecord target;
+        std::size_t n_tests = 0, name_len = 0;
+        if (!(head >> tag >> target.programs >> target.executions >>
+              target.duplicates >> n_tests >> name_len) ||
+            tag != "target") {
             return false;
         }
         pos = eol + 1;
-        if (pos + key_len + 1 > payload.size()) {
+        if (pos + name_len + 1 > payload.size() ||
+            payload[pos + name_len] != '\n') {
             return false;
         }
-        SynthesizedTest test;
-        test.size = size;
-        test.canonical_key = payload.substr(pos, key_len);
-        pos += key_len;
-        if (payload[pos] != '\n') {
-            return false;
-        }
-        ++pos;
-        for (std::size_t i = 0; i < n_violated; ++i) {
-            const std::size_t name_end = payload.find('\n', pos);
-            if (name_end == std::string::npos) {
+        target.axiom = payload.substr(pos, name_len);
+        pos += name_len + 1;
+        for (std::size_t i = 0; i < n_tests; ++i) {
+            if (!parse_test(payload, &pos, &target.tests)) {
                 return false;
             }
-            test.violated.push_back(payload.substr(pos, name_end - pos));
-            pos = name_end + 1;
         }
-        if (pos + xml_len > payload.size()) {
-            return false;
-        }
-        const std::optional<elt::Execution> witness =
-            elt::execution_from_xml(payload.substr(pos, xml_len));
-        if (!witness.has_value()) {
-            return false;
-        }
-        test.witness = *witness;
-        pos += xml_len;
-        out->emplace_back(std::move(test), ticket);
+        out->push_back(std::move(target));
     }
     return true;
 }
@@ -268,9 +312,9 @@ CheckpointJournal::resume(const std::string& path,
         std::size_t payload_len = 0;
         std::uint64_t checksum = 0;
         int split = 0;
-        if (!(head >> tag >> rec.task_id >> rec.programs >> rec.executions >>
-              rec.duplicates >> split >> rec.visited >> rec.resume_decision >>
-              rec.resume_skip >> payload_len >> checksum) ||
+        if (!(head >> tag >> rec.task_id >> split >> rec.visited >>
+              rec.resume_decision >> rec.resume_skip >> payload_len >>
+              checksum) ||
             tag != "shard") {
             break;
         }
@@ -282,7 +326,8 @@ CheckpointJournal::resume(const std::string& path,
         if (fnv1a(payload, payload_len) != checksum) {
             break;
         }
-        if (!parse_tests(std::string(payload, payload_len), &rec.tests)) {
+        if (!parse_targets(std::string(payload, payload_len),
+                           &rec.targets)) {
             break;
         }
         pos = eol + 1 + payload_len;
@@ -315,11 +360,10 @@ CheckpointJournal::find(std::uint64_t task_id) const
 void
 CheckpointJournal::append(const ShardRecord& record)
 {
-    const std::string payload = serialize_tests(record.tests);
+    const std::string payload = serialize_targets(record.targets);
     std::ostringstream framed;
-    framed << "shard " << record.task_id << ' ' << record.programs << ' '
-           << record.executions << ' ' << record.duplicates << ' '
-           << (record.split ? 1 : 0) << ' ' << record.visited << ' '
+    framed << "shard " << record.task_id << ' ' << (record.split ? 1 : 0)
+           << ' ' << record.visited << ' '
            << record.resume_decision << ' ' << record.resume_skip << ' '
            << payload.size() << ' ' << fnv1a(payload.data(), payload.size())
            << '\n'
@@ -344,11 +388,11 @@ CheckpointJournal::loaded() const
 }
 
 std::uint64_t
-checkpoint_task_id(const std::string& axiom, const SkeletonShard& shard,
+checkpoint_task_id(const std::string& targets, const SkeletonShard& shard,
                    std::uint64_t ticket_base, std::uint64_t ticket_stride,
                    std::uint64_t skip)
 {
-    std::uint64_t h = fnv1a(axiom.data(), axiom.size());
+    std::uint64_t h = fnv1a(targets.data(), targets.size());
     h = fnv1a_u64(static_cast<std::uint64_t>(shard.options.num_events), h);
     h = fnv1a_u64(shard.prefix.size(), h);
     for (const int decision : shard.prefix) {

@@ -3,10 +3,10 @@
 /// "Checkpoint/resume").
 ///
 /// `elt_synth --checkpoint <path>` journals every *completed* shard-search
-/// task: its counters, its synthesized tests (witnesses serialized through
-/// the exact-round-trip XML form), and — when the task abandoned its
-/// search at the re-split threshold — the resume point its children were
-/// derived from. `--resume` replays journaled tasks instead of
+/// task: per target axiom of its pass, the suite counters and synthesized
+/// tests (witnesses serialized through the exact-round-trip XML form), and
+/// — when the task abandoned its search at the re-split threshold — the
+/// resume point its children were derived from. `--resume` replays journaled tasks instead of
 /// re-searching them; tasks missing from the journal (in flight when the
 /// process died, or quarantined) are searched normally. Because the shard
 /// task tree and the min-ticket merge are pure functions of the options,
@@ -33,23 +33,30 @@ namespace transform::synth {
 /// One run's append-only journal of completed shard tasks. Thread-safe:
 /// append() serializes under a mutex; find() reads the immutable
 /// load-time index (appends never touch it). One journal serves every
-/// suite of a run — the task id includes the axiom.
+/// pass of a run — the task id includes the pass's target set.
 class CheckpointJournal {
   public:
-    /// A completed shard-search task, exactly as the engine executed it.
-    struct ShardRecord {
-        std::uint64_t task_id = 0;
+    /// One target axiom's share of a completed task: its suite counters
+    /// and the accepted tests with their merge tickets.
+    struct TargetRecord {
+        std::string axiom;
         std::uint64_t programs = 0;
         std::uint64_t executions = 0;
         std::uint64_t duplicates = 0;
+        std::vector<std::pair<SynthesizedTest, std::uint64_t>> tests;
+    };
+
+    /// A completed shard-search task, exactly as the engine executed it.
+    struct ShardRecord {
+        std::uint64_t task_id = 0;
         /// True when the task abandoned its search at the re-split
         /// threshold; visited/resume_* reproduce the child submission.
         bool split = false;
         std::uint64_t visited = 0;
         int resume_decision = 0;
         std::uint64_t resume_skip = 0;
-        /// The task's accepted tests with their merge tickets.
-        std::vector<std::pair<SynthesizedTest, std::uint64_t>> tests;
+        /// One entry per target of the task's pass, in axiom order.
+        std::vector<TargetRecord> targets;
     };
 
     ~CheckpointJournal();
@@ -90,12 +97,13 @@ class CheckpointJournal {
     std::unique_ptr<Impl> impl_;
 };
 
-/// Stable identity of one shard task within a run: a hash of the axiom,
-/// the shard's event bound and prefix, and the task's ticket range and
-/// skip. Stable across processes and scheduling (the task tree is a pure
-/// function of the options), which is what lets --resume match journaled
-/// records to the tasks it re-creates.
-std::uint64_t checkpoint_task_id(const std::string& axiom,
+/// Stable identity of one shard task within a run: a hash of the pass's
+/// target set (its '+'-joined axiom names, in axiom order), the shard's
+/// event bound and prefix, and the task's ticket range and skip. Stable
+/// across processes and scheduling (the task tree is a pure function of
+/// the options), which is what lets --resume match journaled records to
+/// the tasks it re-creates.
+std::uint64_t checkpoint_task_id(const std::string& targets,
                                  const SkeletonShard& shard,
                                  std::uint64_t ticket_base,
                                  std::uint64_t ticket_stride,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -93,27 +94,133 @@ resolve_resplit_threshold(const SynthesisOptions& options,
     return std::uint64_t{1} << shift;
 }
 
-/// Static per-axiom pruning flags: structural features a violation of the
-/// axiom necessarily requires. Sound (never prunes a violating program) and
-/// a large win for the rarer axioms.
-void
-set_axiom_requirements(const std::string& axiom, SkeletonOptions* skeleton)
+/// Static per-axiom requirements: structural features a violation of the
+/// axiom necessarily requires. Sound (never drops a violating program) and
+/// a large win for the rarer axioms. A pass applies them in two places that
+/// must agree: the requirements every target shares prune the skeleton
+/// stream (engine_skeleton_options), and Eligibility checks each candidate
+/// against the rest.
+struct AxiomRequirements {
+    bool wpte = false;  ///< a PTE write
+    bool rmw = false;   ///< an rmw pair
+    /// A data access without a page-table walk: a TLB hit.
+    bool shared_walk = false;
+};
+
+AxiomRequirements
+axiom_requirements(const std::string& axiom)
 {
+    AxiomRequirements req;
     if (axiom == "invlpg") {
         // fr_va and remap edges both start/end at a PTE write.
-        skeleton->require_wpte = true;
+        req.wpte = true;
     } else if (axiom == "rmw_atomicity") {
-        skeleton->require_rmw = true;
+        req.rmw = true;
     } else if (axiom == "tlb_causality") {
         // ptw_source needs a walk with a second user: a TLB hit.
-        skeleton->require_shared_walk = true;
+        req.shared_walk = true;
     }
+    return req;
 }
+
+void
+set_axiom_requirements(const AxiomRequirements& req,
+                       SkeletonOptions* skeleton)
+{
+    skeleton->require_wpte = req.wpte;
+    skeleton->require_rmw = req.rmw;
+    skeleton->require_shared_walk = req.shared_walk;
+}
+
+/// The per-candidate form of the skeleton prunes: the axioms whose
+/// requirements a program meets. Each prune is a pure filter on a
+/// program-level feature (the skeleton checks the slots those features
+/// come from), so a pruned stream is the unpruned stream filtered by this
+/// predicate, and its features are invariant under the thread, VA and PA
+/// renamings canonical_key factors out.
+class Eligibility {
+  public:
+    explicit Eligibility(const mtm::Model& model)
+    {
+        for (std::size_t i = 0; i < model.axioms().size(); ++i) {
+            const mtm::AxiomMask bit = mtm::AxiomMask{1} << i;
+            const AxiomRequirements req =
+                axiom_requirements(model.axioms()[i].name);
+            all_ |= bit;
+            need_wpte_ |= req.wpte ? bit : 0;
+            need_rmw_ |= req.rmw ? bit : 0;
+            need_shared_walk_ |= req.shared_walk ? bit : 0;
+        }
+    }
+
+    mtm::AxiomMask
+    of(const Program& program) const
+    {
+        bool wpte = false;
+        int accesses = 0;
+        int walks = 0;
+        for (const elt::Event& event : program.events()) {
+            wpte = wpte || event.kind == elt::EventKind::kWpte;
+            accesses += event.kind == elt::EventKind::kRead ||
+                        event.kind == elt::EventKind::kWrite;
+            walks += event.kind == elt::EventKind::kRptw;
+        }
+        mtm::AxiomMask eligible = all_;
+        if (!wpte) {
+            eligible &= ~need_wpte_;
+        }
+        if (program.rmw_pairs().empty()) {
+            eligible &= ~need_rmw_;
+        }
+        // Every Rptw hangs off its own data access (Program::validate), so
+        // some access lacks a walk iff accesses outnumber walks.
+        if (accesses <= walks) {
+            eligible &= ~need_shared_walk_;
+        }
+        return eligible;
+    }
+
+  private:
+    mtm::AxiomMask all_ = 0;
+    mtm::AxiomMask need_wpte_ = 0;
+    mtm::AxiomMask need_rmw_ = 0;
+    mtm::AxiomMask need_shared_walk_ = 0;
+};
+
+/// The synthesis knobs of a skeleton search at event bound \p size, with
+/// no per-axiom prunes.
+SkeletonOptions
+base_skeleton_options(const mtm::Model& model,
+                      const SynthesisOptions& options, int size)
+{
+    SkeletonOptions skeleton;
+    skeleton.num_events = size;
+    skeleton.max_threads = options.max_threads;
+    skeleton.max_vas = options.max_vas;
+    skeleton.max_fresh_pas = options.max_fresh_pas;
+    skeleton.vm_enabled = model.vm_aware();
+    skeleton.allow_rmw = options.allow_rmw;
+    skeleton.allow_fences = options.allow_fences;
+    skeleton.allow_full_flush = options.allow_full_flush;
+    skeleton.dirty_bit_as_rmw = options.dirty_bit_as_rmw;
+    return skeleton;
+}
+
+/// A witness the fused search accepted for a candidate: the execution, the
+/// targets it settles (violated, eligible, and without a witness until
+/// it), its full violated mask, and how many executions the search had
+/// visited when it was found.
+struct AcceptedWitness {
+    mtm::AxiomMask targets = 0;
+    mtm::AxiomMask violated = 0;
+    std::uint64_t executions = 0;
+    Execution witness;
+};
 
 /// Per-worker reusable buffers for the candidate-evaluation hot path:
 /// derivation output + scratch, the judge's buffers, and the
-/// canonicalizer's tables. One per (suite, worker); a worker runs one job
-/// at a time, so jobs index into the suite's vector with their worker id.
+/// canonicalizer's tables. One per (pass, worker); a worker runs one job
+/// at a time, so jobs index into the pass's vector with their worker id.
 struct WorkerScratch {
     elt::DerivedRelations derived;
     elt::DeriveScratch derive;
@@ -121,9 +228,12 @@ struct WorkerScratch {
     CanonicalScratch canonical;
     mtm::EncodingScratch encoding;  ///< SAT backend: factory + solver reuse
     /// SAT backend with sat_incremental: the worker's live solver session
-    /// (configured per suite by launch_suite; idle otherwise).
+    /// (configured per pass by launch_pass; idle otherwise).
     mtm::IncrementalEncoding incremental;
-    /// Fault injection (docs/robustness.md): the suite's plan plus the
+    /// The current candidate's accepted witnesses (find_witnesses clears
+    /// it per candidate; only an acceptance copies an execution in).
+    std::vector<AcceptedWitness> accepted;
+    /// Fault injection (docs/robustness.md): the pass's plan plus the
     /// probe identity of the candidate under evaluation — set per job and
     /// per candidate by search_shard, so firing is a pure function of
     /// (seed, site, candidate ticket, attempt), never of scheduling. Null
@@ -134,27 +244,29 @@ struct WorkerScratch {
 };
 
 /// Searches \p program's execution space for the first violating,
-/// interesting, minimal witness of the axiom at \p axiom_index (any one
-/// witness suffices: minimality and dedup are program-level once a
-/// forbidden witness exists). Returns true and fills the out-params when
-/// one exists. All per-execution work runs through \p scratch; the only
-/// allocations on an accepted witness are the witness copy and its
-/// violated-axiom names.
-bool
-find_witness(const mtm::Model& model, const std::string& axiom_name,
-             int axiom_index, const SynthesisOptions& options,
-             const Program& program, const util::Deadline& deadline,
-             WorkerScratch* scratch, obs::MetricsRegistry* metrics,
-             int worker, Execution* witness,
-             std::vector<std::string>* witness_violated,
-             std::uint64_t* executions_considered, bool* timed_out,
-             bool* cancelled)
+/// interesting, minimal witness of every target in \p eligible (any one
+/// witness per target suffices: minimality and dedup are program-level
+/// once a forbidden witness exists). Each execution is derived and masked
+/// once. It is judged only when it violates a target that has no witness
+/// yet, reusing that derivation; minimality does not depend on the axiom,
+/// so a minimal execution is the witness of every target it violates that
+/// is still open. The search stops once every eligible target is settled.
+/// Accepted witnesses land in scratch->accepted, the search's only copies
+/// of an execution. Returns the executions visited; a target without a
+/// witness settled only when the search ended. \p sat_axiom names the
+/// (single) target under the SAT backend.
+std::uint64_t
+find_witnesses(const mtm::Model& model, mtm::AxiomMask eligible,
+               const std::string& sat_axiom, const SynthesisOptions& options,
+               const Program& program, const util::Deadline& deadline,
+               WorkerScratch* scratch, obs::MetricsRegistry* metrics,
+               int worker, bool* timed_out, bool* cancelled)
 {
+    scratch->accepted.clear();
     if (!contains_write(program)) {
-        return false;  // never interesting: skip the whole execution space
+        return 0;  // never interesting: skip the whole execution space
     }
-    const mtm::AxiomMask target = mtm::AxiomMask{1} << axiom_index;
-    bool accepted = false;
+    mtm::AxiomMask open = eligible;
     std::uint64_t considered = 0;
     auto consider = [&](const Execution& execution) {
         ++considered;
@@ -183,7 +295,8 @@ find_witness(const mtm::Model& model, const std::string& axiom_name,
             violated = model.violated_mask(program, scratch->derived,
                                            &scratch->derive.cycle);
         }
-        if ((violated & target) == 0) {
+        const mtm::AxiomMask settles = violated & open;
+        if (settles == 0) {
             return true;
         }
         if (options.require_minimal) {
@@ -195,16 +308,15 @@ find_witness(const mtm::Model& model, const std::string& axiom_name,
             // The judge attributes its own phases (kJudge for verdicts,
             // kRelax for relaxation rebuilds) via scratch->judge.metrics,
             // set per job in search_shard.
-            const MinimalityVerdict verdict =
-                judge(model, execution, &scratch->judge);
-            if (!verdict.minimal) {
+            if (!judge(model, execution, violated, &scratch->judge)
+                     .minimal) {
                 return true;
             }
         }
-        accepted = true;
-        *witness = execution;
-        *witness_violated = model.mask_names(violated);
-        return false;  // stop at the first qualifying witness
+        scratch->accepted.push_back({settles, violated, considered,
+                                     execution});
+        open &= ~settles;
+        return open != 0;  // stop once every target has its witness
     };
 
     // Streaming AllSAT: consider() returning false stops the solver at
@@ -233,17 +345,19 @@ find_witness(const mtm::Model& model, const std::string& axiom_name,
         }
         if (options.sat_incremental) {
             scratch->incremental.enumerate(program, consider);
-            if (!accepted || *timed_out) {
+            if (scratch->accepted.empty() || *timed_out) {
                 return;
             }
-            considered = 0;  // the replay recounts from scratch
-            accepted = false;
+            // The replay recounts from scratch.
+            considered = 0;
+            open = eligible;
+            scratch->accepted.clear();
             // Note the replay re-derives and re-judges the executions the
             // probe already visited: derive/judge phase totals honestly
             // include that duplicated work (~4% of candidates accept).
         }
         mtm::ProgramEncoding encoding(program, &model, &scratch->encoding);
-        encoding.enumerate(axiom_name, consider);
+        encoding.enumerate(sat_axiom, consider);
     };
 
     if (options.backend == Backend::kEnumerative) {
@@ -284,8 +398,7 @@ find_witness(const mtm::Model& model, const std::string& axiom_name,
         metrics->add(worker, obs::Phase::kSatEncode,
                      wall > solve + inner ? wall - solve - inner : 0);
     }
-    *executions_considered += considered;
-    return accepted;
+    return considered;
 }
 
 /// One unit of search: a skeleton shard plus the ticket sub-range its
@@ -311,34 +424,56 @@ struct ShardTask {
     std::uint64_t trace_flow = 0;
 };
 
-/// All in-flight state of one suite synthesis: the job closures reference
-/// it, so it outlives the group (launch_suite ... pool.wait ...
-/// finish_suite). One SuiteRun maps to one sched job group; several
-/// SuiteRuns can share one pool (synthesize_all_parallel).
-struct SuiteRun {
-    SuiteRun(const mtm::Model& source, std::string axiom_name,
-             const SynthesisOptions& opts)
+/// One target axiom of a pass: its suite's counters and pre-merge tests.
+struct PassTarget {
+    std::string axiom;
+    mtm::AxiomMask bit = 0;  ///< the axiom's bit in the model's masks
+    std::atomic<std::uint64_t> programs{0};
+    std::atomic<std::uint64_t> executions{0};
+    std::atomic<std::uint64_t> duplicates{0};
+    /// Accepted tests with their merge tickets (guarded by PassRun::mu).
+    std::vector<std::pair<SynthesizedTest, std::uint64_t>> merged;
+};
+
+/// All in-flight state of one pass: the job closures reference it, so it
+/// outlives the group (launch_pass ... pool.wait ... finish_pass). One
+/// PassRun maps to one sched job group; several PassRuns can share one
+/// pool (the SAT backend's per-axiom passes).
+struct PassRun {
+    PassRun(const mtm::Model& source, mtm::AxiomMask target_mask,
+            const SynthesisOptions& opts)
         : model(source.name(), source.vm_aware(), source.axioms()),
-          axiom(std::move(axiom_name)), options(opts),
+          targets(static_cast<std::size_t>(std::popcount(target_mask))),
+          mask(target_mask), eligibility(model), options(opts),
           deadline(opts.time_budget_seconds)
     {
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < model.axioms().size(); ++i) {
+            const mtm::AxiomMask bit = mtm::AxiomMask{1} << i;
+            if ((mask & bit) == 0) {
+                continue;
+            }
+            targets[k].axiom = model.axioms()[i].name;
+            targets[k].bit = bit;
+            name += (k == 0 ? "" : "+") + targets[k].axiom;
+            ++k;
+        }
     }
 
-    /// The per-suite time budget starts ticking when the suite's FIRST
-    /// shard job actually runs, not at submission: on a shared pool
-    /// (synthesize_all_parallel) a later axiom's jobs queue behind earlier
-    /// axioms', and charging that queue wait against the budget would
-    /// starve late suites that v1's per-axiom threads served immediately.
-    /// (Once running, the budget is still wall time and may overlap other
-    /// suites' shards — the budget bounds latency, not dedicated compute.)
+    /// The per-pass time budget starts ticking when the pass's FIRST
+    /// shard job actually runs, not at submission: on a shared pool (the
+    /// SAT backend's per-axiom passes) a later pass's jobs queue behind
+    /// earlier passes', and charging that queue wait against the budget
+    /// would starve late passes. (Once running, the budget is still wall
+    /// time and may overlap other passes' shards — the budget bounds
+    /// latency, not dedicated compute.)
     ///
     /// SuiteResult::seconds follows the same clock: the watch restarts
-    /// here, so a queued suite reports its search time, not search + queue
-    /// wait (which previously made `seconds >> budget` with `complete =
-    /// true` look contradictory); the wait is reported separately as
+    /// here, so a queued pass reports its search time, not search + queue
+    /// wait; the wait is reported separately as
     /// SchedulerStats::queue_wait_seconds. Safe despite running on a
     /// worker thread: call_once orders it against every other job, and
-    /// finish_suite reads the watch only after pool.wait() on the group.
+    /// finish_pass reads the watch only after pool.wait() on the group.
     const util::Deadline&
     armed_deadline()
     {
@@ -351,13 +486,17 @@ struct SuiteRun {
         return deadline;
     }
 
-    /// One private copy per suite; every shard job of the suite shares it
-    /// by const reference — the axiom closures are stateless, so concurrent
-    /// evaluation through one Model is safe and the per-job deep copies
-    /// (std::function closures included) PR 3 paid are gone.
+    /// One private copy per pass; every shard job of the pass shares it by
+    /// const reference — the axiom closures are stateless, so concurrent
+    /// evaluation through one Model is safe without per-job deep copies.
     const mtm::Model model;
-    const std::string axiom;
-    int axiom_index = 0;  ///< bit position of axiom in model's masks
+    /// The target axioms, in axiom order; one suite each.
+    std::vector<PassTarget> targets;
+    const mtm::AxiomMask mask;  ///< the targets' bits
+    /// The targets' names '+'-joined: the pass's identity in task ids,
+    /// traces and quarantine records (the axiom itself for one target).
+    std::string name;
+    const Eligibility eligibility;
     const SynthesisOptions options;
     /// Per-worker evaluation scratch, indexed by the pool worker id a job
     /// runs on (sized workers() at launch; a worker runs one job at a time).
@@ -371,9 +510,9 @@ struct SuiteRun {
     sched::ShardedKeyIndex index;
     sched::WorkStealingPool::GroupHandle group;
 
-    std::atomic<std::uint64_t> programs{0};
-    std::atomic<std::uint64_t> executions{0};
-    std::atomic<std::uint64_t> duplicates{0};
+    /// Candidates visited, eligible for a target or not (the progress
+    /// heartbeat's count; suites count their eligible ones).
+    std::atomic<std::uint64_t> candidates{0};
     std::atomic<std::uint64_t> lazy_resplits{0};
     std::atomic<std::uint64_t> closed_prefix_splits{0};
     std::atomic<std::uint64_t> skip_enumerations{0};
@@ -445,10 +584,10 @@ struct SuiteRun {
     }
 
     /// Every shard job calls this on completion, so search_seconds ends up
-    /// holding arm-to-last-job wall time — finish_suite cannot read the
-    /// watch itself, because on a shared pool (synthesize_all_parallel) it
-    /// only runs after EVERY suite's group drained, which would charge an
-    /// early suite for the later suites' tail.
+    /// holding arm-to-last-job wall time — finish_pass cannot read the
+    /// watch itself, because on a shared pool it only runs after EVERY
+    /// pass's group drained, which would charge an early pass for the later
+    /// passes' tail.
     void
     note_job_finished()
     {
@@ -460,12 +599,11 @@ struct SuiteRun {
         }
     }
 
-    std::mutex mu;  ///< guards merged + failures (one lock per event)
-    std::vector<std::pair<SynthesizedTest, std::uint64_t>> merged;
+    std::mutex mu;  ///< guards the targets' merged tests + failures
     std::vector<ShardFailure> failures;  ///< quarantined shards
 
     /// Builds the job for a ShardTask; recursive through re-splitting, so
-    /// it lives here rather than on the launch_suite stack.
+    /// it lives here rather than on the launch_pass stack.
     std::function<sched::WorkStealingPool::Job(ShardTask)> make_job;
 };
 
@@ -478,8 +616,16 @@ struct SuiteRun {
 /// rather than corrupting the deterministic merge. A non-zero \p limit
 /// makes the search abandonable: it stops after `limit` candidates and the
 /// returned stop tells the caller where the unsearched remainder begins.
+///
+/// Every candidate of the pass's stream takes a ticket; one eligible for
+/// no target is skipped without canonicalization. An eligible one counts
+/// toward each eligible target's suite, claims its key in the pass's one
+/// dedup index (eligibility is invariant under canonical_key's symmetries,
+/// so every candidate sharing a key is eligible for the same targets, and
+/// the key's minimum ticket is also the minimum of every eligible target's
+/// subsequence), and runs one fused witness search for all its targets.
 ShardSearchStop
-search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
+search_shard(PassRun* run, const ShardTask& task, std::uint64_t limit,
              int worker, CheckpointJournal::ShardRecord* record_out)
 {
     const mtm::Model& model = run->model;
@@ -491,10 +637,9 @@ search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
     scratch.fault_attempt = task.attempt;
     const SynthesisOptions& options = run->options;
     const util::Deadline& deadline = run->armed_deadline();
-    std::vector<std::pair<SynthesizedTest, std::uint64_t>> tests;
-    std::uint64_t programs = 0;
-    std::uint64_t executions = 0;
-    std::uint64_t duplicates = 0;
+    // This job's share of each target's suite, in run->targets order.
+    std::vector<CheckpointJournal::TargetRecord> found(run->targets.size());
+    std::uint64_t candidates = 0;
     bool timed_out = false;
     bool cancelled = false;
     std::uint64_t next_ticket = task.ticket_base;
@@ -530,7 +675,15 @@ search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
                      << "unsplittable shard); rerun with --shard-depth N "
                      << "(fixed sharding) or a larger bound split");
         }
-        ++programs;
+        ++candidates;
+        const mtm::AxiomMask eligible =
+            run->eligibility.of(program) & run->mask;
+        if (eligible == 0) {
+            return true;  // no target can be violated by this program
+        }
+        for (std::size_t k = 0; k < found.size(); ++k) {
+            found[k].programs += (eligible & run->targets[k].bit) != 0;
+        }
         std::string key;
         if (options.dedup) {
             // Claim the key. Only the holder of the minimum ticket
@@ -551,38 +704,65 @@ search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
                 is_min = run->index.record(key, ticket).is_min;
             }
             if (!is_min) {
-                ++duplicates;
+                for (std::size_t k = 0; k < found.size(); ++k) {
+                    found[k].duplicates +=
+                        (eligible & run->targets[k].bit) != 0;
+                }
                 return true;
             }
         }
-        Execution witness = Execution::empty_for(program);
-        std::vector<std::string> violated;
         scratch.fault_key = ticket;
-        const bool accepted =
-            find_witness(model, run->axiom, run->axiom_index, options,
-                         program, deadline, &scratch, metrics, worker,
-                         &witness, &violated, &executions, &timed_out,
-                         &cancelled);
+        const std::uint64_t considered = find_witnesses(
+            model, eligible, run->targets.front().axiom, options, program,
+            deadline, &scratch, metrics, worker, &timed_out, &cancelled);
+        // Each eligible target counts the executions visited until it
+        // settled: at its witness, or at the end of the search.
+        for (std::size_t k = 0; k < found.size(); ++k) {
+            const mtm::AxiomMask bit = run->targets[k].bit;
+            if ((eligible & bit) == 0) {
+                continue;
+            }
+            std::uint64_t executions = considered;
+            for (const AcceptedWitness& accepted : scratch.accepted) {
+                if ((accepted.targets & bit) != 0) {
+                    executions = accepted.executions;
+                }
+            }
+            found[k].executions += executions;
+        }
         if (timed_out || cancelled) {
             return false;
         }
-        if (accepted) {
+        for (const AcceptedWitness& accepted : scratch.accepted) {
             const obs::ScopedAllocSite site(
                 obs::AllocSite::kSiteSuiteGrowth);
             SynthesizedTest test;
-            test.witness = witness;
+            test.witness = accepted.witness;
             test.canonical_key =
                 options.dedup ? key : canonical_key(program,
                                                     &scratch.canonical);
             test.size = program.num_events();
-            test.violated = violated;
-            tests.emplace_back(std::move(test), ticket);
+            test.violated = model.mask_names(accepted.violated);
+            for (std::size_t k = 0; k < found.size(); ++k) {
+                if ((accepted.targets & run->targets[k].bit) != 0) {
+                    found[k].tests.emplace_back(test, ticket);
+                }
+            }
         }
         return true;
     }, deadline_interrupt);
-    run->programs.fetch_add(programs, std::memory_order_relaxed);
-    run->executions.fetch_add(executions, std::memory_order_relaxed);
-    run->duplicates.fetch_add(duplicates, std::memory_order_relaxed);
+    run->candidates.fetch_add(candidates, std::memory_order_relaxed);
+    std::uint64_t tests_found = 0;
+    for (std::size_t k = 0; k < found.size(); ++k) {
+        PassTarget& target = run->targets[k];
+        target.programs.fetch_add(found[k].programs,
+                                  std::memory_order_relaxed);
+        target.executions.fetch_add(found[k].executions,
+                                    std::memory_order_relaxed);
+        target.duplicates.fetch_add(found[k].duplicates,
+                                    std::memory_order_relaxed);
+        tests_found += found[k].tests.size();
+    }
     if (stop.skipped > 0) {
         // The candidates enumerated past on resume are this design's only
         // repeated work; recorded as measured (a deadline abort can stop
@@ -600,18 +780,19 @@ search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
         // The task completed its pass (drained or split cleanly): journal
         // its counters and tests. An aborted pass is never journaled — the
         // resumed run re-searches it.
-        record_out->programs = programs;
-        record_out->executions = executions;
-        record_out->duplicates = duplicates;
-        record_out->tests = tests;
+        for (std::size_t k = 0; k < found.size(); ++k) {
+            found[k].axiom = run->targets[k].axiom;
+        }
+        record_out->targets = found;
     }
-    if (!tests.empty()) {
-        run->tests_found.fetch_add(tests.size(),
-                                   std::memory_order_relaxed);
+    if (tests_found > 0) {
+        run->tests_found.fetch_add(tests_found, std::memory_order_relaxed);
         const obs::ScopedAllocSite site(obs::AllocSite::kSiteSuiteGrowth);
         std::lock_guard<std::mutex> lock(run->mu);
-        for (auto& entry : tests) {
-            run->merged.push_back(std::move(entry));
+        for (std::size_t k = 0; k < found.size(); ++k) {
+            for (auto& entry : found[k].tests) {
+                run->targets[k].merged.push_back(std::move(entry));
+            }
         }
     }
     return stop;
@@ -619,10 +800,10 @@ search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
 
 /// Human-readable identity of a shard task for a quarantine record.
 std::string
-describe_task(const SuiteRun& run, const ShardTask& task)
+describe_task(const PassRun& run, const ShardTask& task)
 {
     std::ostringstream out;
-    out << run.axiom << " events=" << task.shard.options.num_events
+    out << run.name << " events=" << task.shard.options.num_events
         << " prefix=[";
     for (std::size_t i = 0; i < task.shard.prefix.size(); ++i) {
         out << (i == 0 ? "" : ",") << task.shard.prefix[i];
@@ -641,7 +822,7 @@ describe_task(const SuiteRun& run, const ShardTask& task)
 /// idempotent under the retry's equal tickets, so a retried shard's
 /// contribution is byte-identical to a fault-free run's.
 void
-recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
+recover_and_reschedule(PassRun* raw, sched::WorkStealingPool* pool_ptr,
                        const ShardTask& task, int worker, const char* what)
 {
     const SynthesisOptions& options = raw->options;
@@ -652,7 +833,8 @@ recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
     // budget, interrupt, cache capacity) and rebuilds the solver state.
     scratch.encoding.solver.reset();
     if (options.backend == Backend::kSat && options.sat_incremental) {
-        scratch.incremental.configure(&raw->model, raw->axiom,
+        scratch.incremental.configure(&raw->model,
+                                      raw->targets.front().axiom,
                                       options.max_vas,
                                       options.max_vas +
                                           options.max_fresh_pas);
@@ -665,7 +847,7 @@ recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
     } else if (task.attempt < options.shard_retry_limit) {
         raw->shard_retries.fetch_add(1, std::memory_order_relaxed);
         if (trace != nullptr) {
-            trace->record_instant(worker, "shard retry: " + raw->axiom,
+            trace->record_instant(worker, "shard retry: " + raw->name,
                                   obs::now_nanos());
         }
         ShardTask retry = task;
@@ -677,7 +859,7 @@ recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
         raw->shards_quarantined.fetch_add(1, std::memory_order_relaxed);
         if (trace != nullptr) {
             trace->record_instant(worker,
-                                  "shard quarantine: " + raw->axiom,
+                                  "shard quarantine: " + raw->name,
                                   obs::now_nanos());
         }
         std::lock_guard<std::mutex> lock(raw->mu);
@@ -687,35 +869,47 @@ recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
     raw->note_job_finished();
 }
 
-/// Replays a journaled shard task instead of re-searching it: counters and
-/// tests come from the record, the tests' tickets are re-recorded in the
-/// dedup index, and a split task resubmits exactly the children the
-/// original run derived (same strides and skips — the resumed task tree,
-/// and with it the journal ids, matches the interrupted run's). Suite
-/// byte-identity holds even when only some tasks replay: a kept test's min
-/// ticket is in the journal, and a rejected candidate's absence from the
-/// index only ever promotes an isomorphic candidate that receives the same
-/// rejection. (Counters like dedup_hits can differ in such mixed runs —
-/// they are diagnostics; at jobs=1 full replays reproduce them exactly.)
+/// Replays a journaled shard task instead of re-searching it: each target's
+/// counters and tests come from the record, the tests' tickets are
+/// re-recorded in the dedup index, and a split task resubmits exactly the
+/// children the original run derived (same strides and skips — the resumed
+/// task tree, and with it the journal ids, matches the interrupted run's).
+/// Suite byte-identity holds even when only some tasks replay: a kept
+/// test's min ticket is in the journal, and a rejected candidate's absence
+/// from the index only ever promotes an isomorphic candidate that receives
+/// the same rejection. (Counters like dedup_hits can differ in such mixed
+/// runs — they are diagnostics; at jobs=1 full replays reproduce them
+/// exactly.)
 void
-replay_shard_record(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
+replay_shard_record(PassRun* raw, sched::WorkStealingPool* pool_ptr,
                     const ShardTask& task,
                     const CheckpointJournal::ShardRecord& rec,
                     std::uint64_t* visited_out, bool* resplit_out)
 {
     raw->armed_deadline();
-    raw->programs.fetch_add(rec.programs, std::memory_order_relaxed);
-    raw->executions.fetch_add(rec.executions, std::memory_order_relaxed);
-    raw->duplicates.fetch_add(rec.duplicates, std::memory_order_relaxed);
-    for (const auto& [test, ticket] : rec.tests) {
-        raw->index.record(test.canonical_key, ticket);
-    }
-    if (!rec.tests.empty()) {
-        raw->tests_found.fetch_add(rec.tests.size(),
+    for (const CheckpointJournal::TargetRecord& journaled : rec.targets) {
+        const auto target = std::find_if(
+            raw->targets.begin(), raw->targets.end(),
+            [&](const PassTarget& t) { return t.axiom == journaled.axiom; });
+        if (target == raw->targets.end()) {
+            continue;  // not this pass's target: the journal is foreign
+        }
+        target->programs.fetch_add(journaled.programs,
                                    std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(raw->mu);
-        for (const auto& entry : rec.tests) {
-            raw->merged.push_back(entry);
+        target->executions.fetch_add(journaled.executions,
+                                     std::memory_order_relaxed);
+        target->duplicates.fetch_add(journaled.duplicates,
+                                     std::memory_order_relaxed);
+        for (const auto& [test, ticket] : journaled.tests) {
+            raw->index.record(test.canonical_key, ticket);
+        }
+        if (!journaled.tests.empty()) {
+            raw->tests_found.fetch_add(journaled.tests.size(),
+                                       std::memory_order_relaxed);
+            std::lock_guard<std::mutex> lock(raw->mu);
+            for (const auto& entry : journaled.tests) {
+                target->merged.push_back(entry);
+            }
         }
     }
     raw->ckpt_replayed.fetch_add(1, std::memory_order_relaxed);
@@ -764,7 +958,7 @@ replay_shard_record(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
 /// observability shell (span + phase accounting), which reads \p
 /// visited_out / \p resplit_out for span args; both may be null.
 void
-execute_shard_task(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
+execute_shard_task(PassRun* raw, sched::WorkStealingPool* pool_ptr,
                    const ShardTask& task, int worker,
                    std::uint64_t* visited_out, bool* resplit_out)
 {
@@ -780,7 +974,7 @@ execute_shard_task(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
     CheckpointJournal* journal = raw->journal;
     std::uint64_t task_id = 0;
     if (journal != nullptr) {
-        task_id = checkpoint_task_id(raw->axiom, task.shard,
+        task_id = checkpoint_task_id(raw->name, task.shard,
                                      task.ticket_base, task.ticket_stride,
                                      task.skip);
         if (const CheckpointJournal::ShardRecord* rec =
@@ -944,25 +1138,27 @@ execute_shard_task(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
     raw->note_job_finished();
 }
 
-/// Builds a SuiteRun for \p axiom_name and submits its initial shard tasks
-/// to \p pool as one job group. The caller must pool.wait(run->group) and
-/// then finish_suite().
-std::unique_ptr<SuiteRun>
-launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
-             const std::string& axiom_name, const SynthesisOptions& options)
+/// Builds a PassRun over \p targets and submits its initial shard tasks to
+/// \p pool as one job group. The caller must pool.wait(run->group) and
+/// then finish_pass().
+std::unique_ptr<PassRun>
+launch_pass(sched::WorkStealingPool& pool, const mtm::Model& model,
+            mtm::AxiomMask targets, const SynthesisOptions& options)
 {
-    TF_ASSERT(model.axiom(axiom_name) != nullptr);
-    auto run = std::make_unique<SuiteRun>(model, axiom_name, options);
-    run->axiom_index = run->model.axiom_index(axiom_name);
+    auto run = std::make_unique<PassRun>(model, targets, options);
+    // The SAT witness query is per axiom (synthesize_pass splits).
+    TF_ASSERT(options.backend == Backend::kEnumerative ||
+              run->targets.size() == 1);
     run->worker_scratch.resize(pool.workers());
     if (options.backend == Backend::kSat && options.sat_incremental) {
-        // One live incremental session per worker for the whole suite; the
+        // One live incremental session per worker for the whole pass; the
         // model pointer must be the run's own copy, which outlives every
         // job. The domain bounds cover every candidate the skeleton
         // enumerator can produce (VAs < max_vas; PAs < initial frames +
         // fresh Wpte targets).
         for (WorkerScratch& scratch : run->worker_scratch) {
-            scratch.incremental.configure(&run->model, axiom_name,
+            scratch.incremental.configure(&run->model,
+                                          run->targets.front().axiom,
                                           options.max_vas,
                                           options.max_vas +
                                               options.max_fresh_pas);
@@ -976,7 +1172,7 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
         // worker solver, before any job runs, surviving per-program resets.
         // The solve observer rides the same gated clock reads: every
         // individual solve call lands one latency sample in the worker's
-        // kSatSolve histogram (the find_witness subtract path keeps
+        // kSatSolve histogram (the find_witnesses subtract path keeps
         // attributing the *totals*).
         obs::MetricsRegistry* metrics = run->metrics.get();
         for (int w = 0; w < pool.workers(); ++w) {
@@ -995,7 +1191,7 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
     }
     run->journal = options.checkpoint;
     run->group = pool.make_group();
-    SuiteRun* raw = run.get();
+    PassRun* raw = run.get();
     sched::WorkStealingPool* pool_ptr = &pool;
     if (options.sat_conflict_budget > 0) {
         // Per-solve conflict cap on every per-worker solver (fresh path
@@ -1068,7 +1264,7 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
                 }
                 if (trace != nullptr) {
                     trace->record_complete(
-                        worker, "shard " + raw->axiom, start, end,
+                        worker, "shard " + raw->name, start, end,
                         {{"events",
                           static_cast<std::uint64_t>(
                               task.shard.options.num_events)},
@@ -1091,7 +1287,7 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
     std::uint64_t shard_index = 0;
     for (int size = options.min_bound; size <= options.bound; ++size) {
         const SkeletonOptions skeleton =
-            engine_skeleton_options(run->model, axiom_name, options, size);
+            engine_skeleton_options(run->model, targets, options, size);
         const std::vector<SkeletonShard> shards =
             partition_skeletons_at_depth(skeleton,
                                          std::max(options.shard_depth, 1));
@@ -1106,63 +1302,41 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
     return run;
 }
 
-/// Merges a completed SuiteRun (its group must have been waited) into the
-/// final SuiteResult. All workers have recorded all their candidates, so
-/// the per-key minimum ticket is now a pure function of the options;
-/// keeping exactly the test whose ticket equals it resolves every
-/// cross-shard race toward the sequential-enumeration-order winner.
-SuiteResult
-finish_suite(sched::WorkStealingPool& pool, SuiteRun& run)
+/// Merges a completed PassRun (its group must have been waited) into one
+/// SuiteResult per target, in axiom order. All workers have recorded all
+/// their candidates, so the per-key minimum ticket is now a pure function
+/// of the options; keeping exactly the test whose ticket equals it
+/// resolves every cross-shard race toward the sequential-enumeration-order
+/// winner. The pass's shared counters go on its first suite only.
+std::vector<SuiteResult>
+finish_pass(sched::WorkStealingPool& pool, PassRun& run)
 {
-    SuiteResult result;
-    result.axiom = run.axiom;
-    result.programs_considered = run.programs.load();
-    result.executions_considered = run.executions.load();
-    result.duplicates_rejected = run.duplicates.load();
-
-    std::vector<std::pair<SynthesizedTest, std::uint64_t>> kept;
-    kept.reserve(run.merged.size());
-    for (auto& [test, ticket] : run.merged) {
-        if (!run.options.dedup ||
-            run.index.min_ticket(test.canonical_key) == ticket) {
-            kept.emplace_back(std::move(test), ticket);
-        }
-    }
-    std::sort(kept.begin(), kept.end(), [](const auto& a, const auto& b) {
-        return std::tie(a.first.canonical_key, a.second) <
-               std::tie(b.first.canonical_key, b.second);
-    });
-    result.tests.reserve(kept.size());
-    for (auto& [test, ticket] : kept) {
-        result.tests.push_back(std::move(test));
-    }
-
-    // Per-suite solver totals (satellite of the observability layer): the
-    // suite's solvers live in its private worker_scratch, so summing their
-    // lifetime counters — reset() folds live counters into a retired
-    // accumulator — attributes exactly this suite's solver work. All-zero
-    // under the enumerative backend.
+    SuiteResult shared;
+    // Per-pass solver totals: the pass's solvers live in its private
+    // worker_scratch, so summing their lifetime counters — reset() folds
+    // live counters into a retired accumulator — attributes exactly this
+    // pass's solver work. All-zero under the enumerative backend.
     for (const WorkerScratch& scratch : run.worker_scratch) {
-        result.solver.merge(scratch.encoding.solver.lifetime_stats());
-        // The incremental sessions (all-zero when the suite ran
+        shared.solver.merge(scratch.encoding.solver.lifetime_stats());
+        // The incremental sessions (all-zero when the pass ran
         // fresh-per-candidate or enumerative); session-level, so cached
         // bases' backends and base build/reuse counts are included.
-        result.solver.merge(scratch.incremental.lifetime_stats());
+        shared.solver.merge(scratch.incremental.lifetime_stats());
     }
     if (run.metrics != nullptr) {
         // Safe single-threaded write into lane 0: every worker quiesced
-        // when the group was waited, before finish_suite ran.
+        // when the group was waited, before finish_pass ran.
         run.metrics->add(0, obs::Phase::kQueueWait,
                          static_cast<std::uint64_t>(
                              run.queue_wait_seconds.load() * 1e9));
-        result.phases = run.metrics->merged();
+        shared.phases = run.metrics->merged();
     }
     if (run.allocs != nullptr) {
-        result.allocs = run.allocs->merged();
+        shared.allocs = run.allocs->merged();
     }
     obs::TraceCollector* trace = run.options.trace;
     if (trace != nullptr) {
-        // Counter-track summary of the suite (one "C" event per series,
+        // Counter-track summary of the pass (one "C" event per series,
         // main lane): per-phase latency percentiles (µs — Perfetto counter
         // values read better in micros) for phases with samples, and the
         // observed-cost threshold range when any job armed one.
@@ -1170,13 +1344,13 @@ finish_suite(sched::WorkStealingPool& pool, SuiteRun& run)
         if (run.metrics != nullptr) {
             for (int p = 0; p < obs::kPhaseCount; ++p) {
                 const obs::LatencyHistogram& hist =
-                    result.phases.latency[static_cast<std::size_t>(p)];
+                    shared.phases.latency[static_cast<std::size_t>(p)];
                 if (hist.total() == 0) {
                     continue;
                 }
                 trace->record_counter(
                     trace->main_lane(),
-                    std::string("latency_us ") + run.axiom + " " +
+                    std::string("latency_us ") + run.name + " " +
                         obs::phase_name(static_cast<obs::Phase>(p)),
                     ts,
                     {{"p50", hist.percentile_nanos(0.5) / 1000},
@@ -1186,35 +1360,69 @@ finish_suite(sched::WorkStealingPool& pool, SuiteRun& run)
         }
         if (run.threshold_max.load() > 0) {
             trace->record_counter(
-                trace->main_lane(), "resplit_threshold " + run.axiom, ts,
+                trace->main_lane(), "resplit_threshold " + run.name, ts,
                 {{"min", run.threshold_min.load()},
                  {"max", run.threshold_max.load()},
                  {"observed", run.observed_resplits.load()}});
         }
     }
-    result.scheduler = pool.group_stats(run.group);
-    result.scheduler.observed_cost_resplits = run.observed_resplits.load();
-    result.scheduler.resplit_threshold_min = run.threshold_min.load();
-    result.scheduler.resplit_threshold_max = run.threshold_max.load();
-    result.scheduler.lazy_resplits = run.lazy_resplits.load();
-    result.scheduler.closed_prefix_splits = run.closed_prefix_splits.load();
-    result.scheduler.skip_enumerations = run.skip_enumerations.load();
-    result.scheduler.dedup_hits = run.index.hits();
-    result.scheduler.queue_wait_seconds = run.queue_wait_seconds.load();
-    result.scheduler.shard_retries = run.shard_retries.load();
-    result.scheduler.shards_quarantined = run.shards_quarantined.load();
-    result.scheduler.checkpoint_shards_saved = run.ckpt_saved.load();
-    result.scheduler.checkpoint_shards_replayed = run.ckpt_replayed.load();
+    shared.scheduler = pool.group_stats(run.group);
+    shared.scheduler.observed_cost_resplits = run.observed_resplits.load();
+    shared.scheduler.resplit_threshold_min = run.threshold_min.load();
+    shared.scheduler.resplit_threshold_max = run.threshold_max.load();
+    shared.scheduler.lazy_resplits = run.lazy_resplits.load();
+    shared.scheduler.closed_prefix_splits = run.closed_prefix_splits.load();
+    shared.scheduler.skip_enumerations = run.skip_enumerations.load();
+    shared.scheduler.dedup_hits = run.index.hits();
+    shared.scheduler.queue_wait_seconds = run.queue_wait_seconds.load();
+    shared.scheduler.shard_retries = run.shard_retries.load();
+    shared.scheduler.shards_quarantined = run.shards_quarantined.load();
+    shared.scheduler.checkpoint_shards_saved = run.ckpt_saved.load();
+    shared.scheduler.checkpoint_shards_replayed = run.ckpt_replayed.load();
     // Arm-to-last-job wall time (the watch restarted when the deadline
     // armed, and every job recorded its completion); the queue wait is
-    // reported separately above. Zero for a suite that ran no jobs —
+    // reported separately above. Zero for a pass that ran no jobs —
     // including one cancelled before its first job searched.
-    result.seconds = run.search_seconds.load();
-    result.cancelled = run.cancelled.load();
-    result.failures = std::move(run.failures);  // group drained: no races
-    result.complete = !run.timed_out.load() && !result.cancelled &&
-                      result.failures.empty();
-    return result;
+    const double seconds = run.search_seconds.load();
+    const bool cancelled = run.cancelled.load();
+    const bool complete =
+        !run.timed_out.load() && !cancelled && run.failures.empty();
+
+    std::vector<SuiteResult> suites;
+    suites.reserve(run.targets.size());
+    for (PassTarget& target : run.targets) {
+        SuiteResult result =
+            suites.empty() ? std::move(shared) : SuiteResult{};
+        result.axiom = target.axiom;
+        result.pass = run.name;
+        result.programs_considered = target.programs.load();
+        result.executions_considered = target.executions.load();
+        result.duplicates_rejected = target.duplicates.load();
+        result.seconds = seconds;
+        result.cancelled = cancelled;
+        result.complete = complete;
+        result.failures = run.failures;  // group drained: no races
+
+        std::vector<std::pair<SynthesizedTest, std::uint64_t>> kept;
+        kept.reserve(target.merged.size());
+        for (auto& [test, ticket] : target.merged) {
+            if (!run.options.dedup ||
+                run.index.min_ticket(test.canonical_key) == ticket) {
+                kept.emplace_back(std::move(test), ticket);
+            }
+        }
+        std::sort(kept.begin(), kept.end(),
+                  [](const auto& a, const auto& b) {
+                      return std::tie(a.first.canonical_key, a.second) <
+                             std::tie(b.first.canonical_key, b.second);
+                  });
+        result.tests.reserve(kept.size());
+        for (auto& [test, ticket] : kept) {
+            result.tests.push_back(std::move(test));
+        }
+        suites.push_back(std::move(result));
+    }
+    return suites;
 }
 
 /// The sampling thread behind SynthesisOptions::progress: wakes every
@@ -1288,48 +1496,99 @@ class ProgressHeartbeat {
 
 }  // namespace
 
+std::vector<SuiteResult>
+synthesize_pass(const mtm::Model& model, mtm::AxiomMask targets,
+                const SynthesisOptions& options)
+{
+    const int axioms = static_cast<int>(model.axioms().size());
+    TF_ASSERT(targets != 0 &&
+              static_cast<int>(std::bit_width(targets)) <= axioms);
+    // The enumerative backend serves every target from one pass. The SAT
+    // backend's witness query names one axiom, so it runs one single-target
+    // pass per axiom, all on the same pool: shards of every pass interleave
+    // on the same options.jobs workers, and late passes inherit the
+    // workers of early ones.
+    std::vector<mtm::AxiomMask> passes;
+    if (options.backend == Backend::kEnumerative) {
+        passes.push_back(targets);
+    } else {
+        for (int i = 0; i < axioms; ++i) {
+            if ((targets >> i & 1) != 0) {
+                passes.push_back(mtm::AxiomMask{1} << i);
+            }
+        }
+    }
+    sched::WorkStealingPool pool(options.jobs);
+    pool.set_trace(options.trace);
+    obs::TraceCollector* trace = options.trace;
+    std::vector<std::unique_ptr<PassRun>> runs;
+    std::vector<std::uint64_t> trace_ids;
+    runs.reserve(passes.size());
+    for (const mtm::AxiomMask pass : passes) {
+        const std::uint64_t launched = obs::now_nanos();
+        runs.push_back(launch_pass(pool, model, pass, options));
+        if (trace != nullptr) {
+            // Async spans ("b"/"e"): passes overlap on the shared pool, so
+            // they cannot be nested complete spans on the main lane.
+            trace_ids.push_back(trace->next_flow_id());
+            trace->record_async_begin(trace->main_lane(),
+                                      "suite " + runs.back()->name,
+                                      trace_ids.back(), launched);
+        }
+    }
+    const std::uint64_t t0 = obs::now_nanos();
+    std::atomic<int> suites_done{0};  // outlives the heartbeat below
+    ProgressHeartbeat heartbeat(options, [&runs, t0, &suites_done, targets] {
+        // Aggregate snapshot across the passes: the runs vector is settled
+        // (all launched) before the heartbeat starts, and each field is a
+        // relaxed counter read.
+        SynthesisProgress p;
+        for (const std::unique_ptr<PassRun>& run : runs) {
+            p.shards_done += run->jobs_done.load(std::memory_order_relaxed);
+            p.shards_submitted +=
+                run->jobs_submitted.load(std::memory_order_relaxed);
+            p.candidates += run->candidates.load(std::memory_order_relaxed);
+            p.tests_found +=
+                run->tests_found.load(std::memory_order_relaxed);
+            p.checkpoint_shards_saved +=
+                run->ckpt_saved.load(std::memory_order_relaxed);
+            p.checkpoint_shards_replayed +=
+                run->ckpt_replayed.load(std::memory_order_relaxed);
+        }
+        p.suites_done = suites_done.load(std::memory_order_relaxed);
+        p.suites_total = std::popcount(targets);
+        p.seconds = static_cast<double>(obs::now_nanos() - t0) * 1e-9;
+        return p;
+    });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        pool.wait(runs[i]->group);
+        suites_done.fetch_add(static_cast<int>(runs[i]->targets.size()),
+                              std::memory_order_relaxed);
+        if (trace != nullptr) {
+            trace->record_async_end(trace->main_lane(),
+                                    "suite " + runs[i]->name, trace_ids[i],
+                                    obs::now_nanos());
+        }
+    }
+    heartbeat.stop();
+    std::vector<SuiteResult> suites;
+    suites.reserve(static_cast<std::size_t>(std::popcount(targets)));
+    for (const std::unique_ptr<PassRun>& run : runs) {
+        for (SuiteResult& suite : finish_pass(pool, *run)) {
+            suites.push_back(std::move(suite));
+        }
+    }
+    return suites;
+}
+
 SuiteResult
 synthesize_suite(const mtm::Model& model, const std::string& axiom_name,
                  const SynthesisOptions& options)
 {
-    sched::WorkStealingPool pool(options.jobs);
-    pool.set_trace(options.trace);
-    obs::TraceCollector* trace = options.trace;
-    const std::uint64_t suite_id =
-        trace == nullptr ? 0 : trace->next_flow_id();
-    if (trace != nullptr) {
-        trace->record_async_begin(trace->main_lane(), "suite " + axiom_name,
-                                  suite_id, obs::now_nanos());
-    }
-    const std::unique_ptr<SuiteRun> run =
-        launch_suite(pool, model, axiom_name, options);
-    SuiteRun* raw = run.get();
-    const std::uint64_t t0 = obs::now_nanos();
-    std::atomic<int> suites_done{0};  // outlives the heartbeat below
-    ProgressHeartbeat heartbeat(options, [raw, t0, &suites_done] {
-        SynthesisProgress p;
-        p.shards_done = raw->jobs_done.load(std::memory_order_relaxed);
-        p.shards_submitted =
-            raw->jobs_submitted.load(std::memory_order_relaxed);
-        p.candidates = raw->programs.load(std::memory_order_relaxed);
-        p.tests_found = raw->tests_found.load(std::memory_order_relaxed);
-        p.checkpoint_shards_saved =
-            raw->ckpt_saved.load(std::memory_order_relaxed);
-        p.checkpoint_shards_replayed =
-            raw->ckpt_replayed.load(std::memory_order_relaxed);
-        p.suites_done = suites_done.load(std::memory_order_relaxed);
-        p.suites_total = 1;
-        p.seconds = static_cast<double>(obs::now_nanos() - t0) * 1e-9;
-        return p;
-    });
-    pool.wait(run->group);
-    suites_done.store(1, std::memory_order_relaxed);
-    heartbeat.stop();
-    if (trace != nullptr) {
-        trace->record_async_end(trace->main_lane(), "suite " + axiom_name,
-                                suite_id, obs::now_nanos());
-    }
-    return finish_suite(pool, *run);
+    const int index = model.axiom_index(axiom_name);
+    TF_ASSERT(index >= 0);
+    return std::move(
+        synthesize_pass(model, mtm::AxiomMask{1} << index, options).front());
 }
 
 std::vector<SuiteResult>
@@ -1346,68 +1605,13 @@ std::vector<SuiteResult>
 synthesize_all_parallel(const mtm::Model& model,
                         const SynthesisOptions& options)
 {
-    // One shared pool; one job group per axiom. Shards of every axiom
-    // interleave on the same options.jobs workers, so the pool stays busy
-    // until the very last suite drains (v1 instead pinned a thread group
-    // per axiom, leaving cores idle once the cheap axioms finished).
-    sched::WorkStealingPool pool(options.jobs);
-    pool.set_trace(options.trace);
-    obs::TraceCollector* trace = options.trace;
-    std::vector<std::unique_ptr<SuiteRun>> runs;
-    std::vector<std::uint64_t> suite_ids;
-    runs.reserve(model.axioms().size());
-    for (const mtm::Axiom& axiom : model.axioms()) {
-        if (trace != nullptr) {
-            // Async spans ("b"/"e"): suites overlap on the shared pool, so
-            // they cannot be nested complete spans on the main lane.
-            suite_ids.push_back(trace->next_flow_id());
-            trace->record_async_begin(trace->main_lane(),
-                                      "suite " + axiom.name,
-                                      suite_ids.back(), obs::now_nanos());
-        }
-        runs.push_back(launch_suite(pool, model, axiom.name, options));
-    }
-    const std::uint64_t t0 = obs::now_nanos();
-    std::atomic<int> suites_done{0};  // outlives the heartbeat below
-    ProgressHeartbeat heartbeat(options, [&runs, t0, &suites_done] {
-        // Aggregate snapshot across every axiom's run: the runs vector is
-        // settled (all launched) before the heartbeat starts, and each
-        // field is a relaxed counter read.
-        SynthesisProgress p;
-        for (const std::unique_ptr<SuiteRun>& run : runs) {
-            p.shards_done +=
-                run->jobs_done.load(std::memory_order_relaxed);
-            p.shards_submitted +=
-                run->jobs_submitted.load(std::memory_order_relaxed);
-            p.candidates += run->programs.load(std::memory_order_relaxed);
-            p.tests_found +=
-                run->tests_found.load(std::memory_order_relaxed);
-            p.checkpoint_shards_saved +=
-                run->ckpt_saved.load(std::memory_order_relaxed);
-            p.checkpoint_shards_replayed +=
-                run->ckpt_replayed.load(std::memory_order_relaxed);
-        }
-        p.suites_done = suites_done.load(std::memory_order_relaxed);
-        p.suites_total = static_cast<int>(runs.size());
-        p.seconds = static_cast<double>(obs::now_nanos() - t0) * 1e-9;
-        return p;
-    });
-    std::vector<SuiteResult> out;
-    out.reserve(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        pool.wait(runs[i]->group);
-        suites_done.fetch_add(1, std::memory_order_relaxed);
-        if (trace != nullptr) {
-            trace->record_async_end(trace->main_lane(),
-                                    "suite " + runs[i]->axiom, suite_ids[i],
-                                    obs::now_nanos());
-        }
-    }
-    heartbeat.stop();
-    for (const std::unique_ptr<SuiteRun>& run : runs) {
-        out.push_back(finish_suite(pool, *run));
-    }
-    return out;
+    const std::size_t axioms = model.axioms().size();
+    return synthesize_pass(
+        model,
+        axioms >= static_cast<std::size_t>(mtm::kMaxAxioms)
+            ? ~mtm::AxiomMask{0}
+            : (mtm::AxiomMask{1} << axioms) - 1,
+        options);
 }
 
 SkeletonOptions
@@ -1415,18 +1619,35 @@ engine_skeleton_options(const mtm::Model& model,
                         const std::string& axiom_name,
                         const SynthesisOptions& options, int size)
 {
-    SkeletonOptions skeleton;
-    skeleton.num_events = size;
-    skeleton.max_threads = options.max_threads;
-    skeleton.max_vas = options.max_vas;
-    skeleton.max_fresh_pas = options.max_fresh_pas;
-    skeleton.vm_enabled = model.vm_aware();
-    skeleton.allow_rmw = options.allow_rmw;
-    skeleton.allow_fences = options.allow_fences;
-    skeleton.allow_full_flush = options.allow_full_flush;
-    skeleton.dirty_bit_as_rmw = options.dirty_bit_as_rmw;
-    set_axiom_requirements(axiom_name, &skeleton);
+    SkeletonOptions skeleton = base_skeleton_options(model, options, size);
+    set_axiom_requirements(axiom_requirements(axiom_name), &skeleton);
     return skeleton;
+}
+
+SkeletonOptions
+engine_skeleton_options(const mtm::Model& model, mtm::AxiomMask targets,
+                        const SynthesisOptions& options, int size)
+{
+    AxiomRequirements shared{true, true, true};
+    for (std::size_t i = 0; i < model.axioms().size(); ++i) {
+        if ((targets >> i & 1) == 0) {
+            continue;
+        }
+        const AxiomRequirements req =
+            axiom_requirements(model.axioms()[i].name);
+        shared.wpte = shared.wpte && req.wpte;
+        shared.rmw = shared.rmw && req.rmw;
+        shared.shared_walk = shared.shared_walk && req.shared_walk;
+    }
+    SkeletonOptions skeleton = base_skeleton_options(model, options, size);
+    set_axiom_requirements(shared, &skeleton);
+    return skeleton;
+}
+
+mtm::AxiomMask
+eligible_axioms(const mtm::Model& model, const Program& program)
+{
+    return Eligibility(model).of(program);
 }
 
 int

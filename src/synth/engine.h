@@ -1,28 +1,42 @@
 /// \file
-/// The synthesis engine (section IV): given an MTM and a target axiom,
-/// enumerate candidate executions up to an instruction bound, keep the
-/// interesting + minimal ones, and deduplicate them into a suite of unique
-/// ELT programs. Two backends produce the same suites: the explicit
-/// enumerator (default, fast) and the SAT/relational backend mirroring the
-/// paper's Alloy pipeline (used for cross-checking and per-program queries).
+/// The synthesis engine (section IV): given an MTM and a set of target
+/// axioms, enumerate candidate executions up to an instruction bound, keep
+/// the interesting + minimal ones, and deduplicate them into one suite of
+/// unique ELT programs per target axiom. Two backends produce the same
+/// suites: the explicit enumerator (default, fast) and the SAT/relational
+/// backend mirroring the paper's Alloy pipeline (used for cross-checking
+/// and per-program queries).
 ///
-/// The search runs on the parallel synthesis runtime (src/sched/, v2): the
+/// One pass serves every target (synthesize_pass). It walks one candidate
+/// stream; each candidate carries per-axiom eligibility bits (the
+/// structural features a violation of the axiom requires, see
+/// eligible_axioms), and each execution of an eligible candidate is
+/// derived and masked once. An execution is judged only when it violates
+/// an eligible target that has no witness yet; minimality does not depend
+/// on the axiom, so a minimal execution becomes the witness of every such
+/// target, and the candidate stops once all of its eligible targets are
+/// settled. Each per-axiom suite is a projection of the pass: the same
+/// tests, witnesses and counters a search for that axiom alone finds.
+/// The SAT backend's witness query is per axiom, so under it a multi-target
+/// call runs one single-target pass per axiom on a shared pool.
+///
+/// A pass runs on the parallel synthesis runtime (src/sched/, v2): the
 /// (event-bound, skeleton-prefix) space is partitioned into independent
 /// shards, one persistent work-stealing pool searches them concurrently
-/// (Chase-Lev deques; `synthesize_all_parallel` submits every axiom's
-/// shards to the same pool as separate job groups), and results are merged
-/// through a sharded canonical-key index. Shard depth is adaptive by
-/// default: the engine starts from a coarse split and any shard job that
-/// visits more candidates than a cost-model threshold abandons its search
-/// lazily — in place, keeping the results already found — and resubmits
-/// the unsearched remainder as child shards (see docs/scheduler.md).
+/// (Chase-Lev deques), and results are merged through one sharded
+/// canonical-key index per pass. Shard depth is adaptive by default: the
+/// engine starts from a coarse split and any shard job that visits more
+/// candidates than a cost-model threshold abandons its search lazily — in
+/// place, keeping the results already found — and resubmits the unsearched
+/// remainder as child shards (see docs/scheduler.md).
 ///
 /// Determinism contract: for a run that completes within its time budget,
-/// the merged suite (tests, their order, and their witnesses) is identical
-/// for every `jobs` value and every shard-depth setting — the suite is
-/// sorted by canonical key and every cross-shard duplicate is resolved
-/// toward the candidate earliest in the sequential enumeration order (see
-/// DESIGN.md, "Parallel synthesis runtime").
+/// each merged suite (tests, their order, and their witnesses) is identical
+/// for every `jobs` value, every shard-depth setting, and every target set
+/// that contains its axiom — the suite is sorted by canonical key and every
+/// cross-shard duplicate is resolved toward the candidate earliest in the
+/// sequential enumeration order (see DESIGN.md, "Parallel synthesis
+/// runtime" and "Determinism contract").
 #pragma once
 
 #include <cstdint>
@@ -65,11 +79,11 @@ enum class Backend {
 struct SynthesisProgress {
     std::uint64_t shards_done = 0;       ///< shard jobs completed
     std::uint64_t shards_submitted = 0;  ///< grows with lazy re-splits
-    std::uint64_t candidates = 0;        ///< programs considered so far
+    std::uint64_t candidates = 0;        ///< stream candidates visited so far
     std::uint64_t tests_found = 0;       ///< pre-merge accepted witnesses
     std::uint64_t checkpoint_shards_saved = 0;
     std::uint64_t checkpoint_shards_replayed = 0;
-    int suites_done = 0;   ///< job groups fully drained
+    int suites_done = 0;   ///< suites whose pass fully drained
     int suites_total = 0;  ///< suites in this synthesis call
     double seconds = 0.0;  ///< wall time since the synthesis call started
 };
@@ -87,7 +101,9 @@ struct SynthesisOptions {
     bool dirty_bit_as_rmw = false;   ///< section III-A2 ablation
     bool require_minimal = true;     ///< spanning-set minimality pruning
     bool dedup = true;               ///< canonical-program deduplication
-    double time_budget_seconds = 0;  ///< 0 = unlimited (paper used one week)
+    /// Wall-time budget of each pass (one pass serves every target of an
+    /// enumerative call); 0 = unlimited (the paper used one week).
+    double time_budget_seconds = 0;
     Backend backend = Backend::kEnumerative;
 
     /// SAT backend only: reuse one live solver per worker across candidates
@@ -155,7 +171,7 @@ struct SynthesisOptions {
     /// instrumentation point and zero clock reads.
     bool collect_metrics = false;
 
-    /// When true the run carries a per-suite obs::AllocTracker and every
+    /// When true the run carries a per-pass obs::AllocTracker and every
     /// shard job binds its worker thread to it, so operator-new calls are
     /// attributed to the active phase / call-site bucket
     /// (SuiteResult::allocs). Off (default) costs one thread-local pointer
@@ -214,7 +230,7 @@ struct SynthesisOptions {
     /// Crash-safe checkpointing: when non-null, every completed shard task
     /// is journaled and tasks found in the journal (from a previous run of
     /// the same configuration) are replayed instead of re-searched. Shared
-    /// across suites; must outlive the synthesis call.
+    /// across passes; must outlive the synthesis call.
     CheckpointJournal* checkpoint = nullptr;
 };
 
@@ -222,7 +238,7 @@ struct SynthesisOptions {
 /// the error that quarantined it, surfaced in SuiteResult::failures so a
 /// partial suite is diagnosable rather than silently short.
 struct ShardFailure {
-    std::string shard;   ///< human-readable task identity (axiom + prefix)
+    std::string shard;   ///< human-readable task identity (pass + prefix)
     std::string error;   ///< what() of the final attempt's exception
     int attempts = 0;    ///< total attempts made (initial + retries)
 };
@@ -235,28 +251,44 @@ struct SynthesizedTest {
     std::vector<std::string> violated;  ///< axioms the witness violates
 };
 
-/// A per-axiom suite.
+/// A per-axiom suite: one target's projection of the pass that searched
+/// it.
+///
+/// The counters keep their per-axiom meaning whatever the pass's target
+/// set: programs_considered counts the candidates eligible for this axiom,
+/// duplicates_rejected the eligible duplicates, and executions_considered
+/// the executions visited before this axiom settled on each candidate.
+/// Work the pass shares between its targets — scheduler, solver, phases,
+/// allocs — is reported once, on the pass's first suite (the other suites
+/// of a multi-target pass carry zeros), so sums over suites count it once.
+/// seconds, complete, cancelled and failures describe the pass and appear
+/// on each of its suites.
 struct SuiteResult {
     std::string axiom;
+    /// The target set of the pass that searched this suite: its axiom
+    /// names, '+'-joined in axiom order (just `axiom` for a one-target
+    /// pass). The pass's shared counters are on the suite whose axiom is
+    /// its first name.
+    std::string pass;
     std::vector<SynthesizedTest> tests;  ///< sorted by canonical key
     std::uint64_t programs_considered = 0;
     std::uint64_t executions_considered = 0;
     std::uint64_t duplicates_rejected = 0;
-    /// Search wall time, measured from when the suite's first shard job ran
-    /// (the moment its time budget armed) — on a shared pool the wait
-    /// behind other suites is excluded and reported as
+    /// Search wall time of the pass, measured from when its first shard job
+    /// ran (the moment its time budget armed) — on a shared pool the wait
+    /// behind other passes is excluded and reported as
     /// scheduler.queue_wait_seconds instead.
     double seconds = 0.0;
     /// False when the suite is partial: the time budget expired, the run
     /// was cancelled, or shards were quarantined after repeated faults.
     bool complete = false;
-    bool cancelled = false;  ///< the cancel token fired during this suite
+    bool cancelled = false;  ///< the cancel token fired during the pass
     /// Shards quarantined after exhausting the retry budget (empty on a
     /// healthy run). Deterministic faults land here; transient ones are
     /// absorbed by retries and only show up in scheduler.shard_retries.
     std::vector<ShardFailure> failures;
-    sched::SchedulerStats scheduler;  ///< runtime counters for the search
-    /// SAT-solver counters summed across every per-worker solver the suite
+    sched::SchedulerStats scheduler;  ///< runtime counters for the pass
+    /// SAT-solver counters summed across every per-worker solver the pass
     /// used (lifetime_stats, so per-program reset() cycles are included).
     /// All-zero under the enumerative backend; solve_nanos is populated
     /// only when SynthesisOptions::collect_metrics enabled solver timing.
@@ -271,25 +303,32 @@ struct SuiteResult {
 };
 
 /// Synthesizes the suite of unique, minimal, interesting ELT programs whose
-/// executions can violate \p axiom_name, over all sizes in
-/// [min_bound, bound]. Builds a private options.jobs-worker pool for the
-/// run; the resulting suite is independent of the worker count and the
-/// shard depth (see the determinism contract above). Thread-safe for
-/// concurrent calls with distinct models.
+/// executions can violate each target axiom in \p targets (a nonzero mask
+/// over model.axioms()), over all sizes in [min_bound, bound], and returns
+/// the suites in axiom order. The enumerative backend searches every
+/// target in one pass; the SAT backend runs one single-target pass per
+/// axiom on the same pool. Builds a private options.jobs-worker pool for
+/// the run; each suite is independent of the worker count, the shard depth
+/// and the rest of the target set (see the determinism contract above).
+/// Thread-safe for concurrent calls with distinct models.
+std::vector<SuiteResult> synthesize_pass(const mtm::Model& model,
+                                         mtm::AxiomMask targets,
+                                         const SynthesisOptions& options);
+
+/// The one-target pass: the suite for \p axiom_name alone.
 SuiteResult synthesize_suite(const mtm::Model& model,
                              const std::string& axiom_name,
                              const SynthesisOptions& options);
 
-/// Runs per-axiom synthesis for every axiom of the model and returns the
-/// suites in axiom order (the paper's five per-axiom suites for x86t_elt).
+/// Runs one synthesize_suite per axiom of the model, one after another, and
+/// returns the suites in axiom order (the paper's five per-axiom suites for
+/// x86t_elt) — the per-axiom reference the fused pass is tested against.
 std::vector<SuiteResult> synthesize_all(const mtm::Model& model,
                                         const SynthesisOptions& options);
 
-/// As synthesize_all, but submits every axiom's shards to ONE shared
-/// work-stealing pool of options.jobs workers (one job group per axiom; no
-/// per-axiom thread groups), so late-finishing axioms inherit the workers
-/// of early-finishing ones. Results are identical to the serial driver —
-/// asserted by the test suite — and arrive in the same axiom order.
+/// synthesize_pass over every axiom of the model: the same suites as
+/// synthesize_all — asserted by the test suite — in the same axiom order,
+/// from one pass over the candidate space.
 std::vector<SuiteResult> synthesize_all_parallel(
     const mtm::Model& model, const SynthesisOptions& options);
 
@@ -297,15 +336,36 @@ std::vector<SuiteResult> synthesize_all_parallel(
 /// axioms appear in several suites but count once).
 int unique_test_count(const std::vector<SuiteResult>& suites);
 
-/// The skeleton options the engine searches for \p axiom_name at event
-/// bound \p size — synthesis knobs plus the static per-axiom pruning
-/// flags. Exposed so tools and benches replaying parts of the search
-/// (e.g. the eager-probe baseline in bench_parallel_scaling) enumerate
-/// exactly the candidate space the engine does.
+/// The skeleton options a one-target pass for \p axiom_name searches at
+/// event bound \p size — synthesis knobs plus the static pruning flags of
+/// the axiom's structural requirements. Exposed so tools and benches
+/// replaying parts of the search (e.g. the eager-probe baseline in
+/// bench_parallel_scaling) enumerate exactly the candidate space the
+/// engine does.
 SkeletonOptions engine_skeleton_options(const mtm::Model& model,
                                         const std::string& axiom_name,
                                         const SynthesisOptions& options,
                                         int size);
+
+/// The skeleton options a pass over \p targets searches: only the prunes
+/// of the requirements all of its targets share; the rest are checked per
+/// candidate (eligible_axioms). For a one-bit mask this equals the
+/// axiom-name overload.
+SkeletonOptions engine_skeleton_options(const mtm::Model& model,
+                                        mtm::AxiomMask targets,
+                                        const SynthesisOptions& options,
+                                        int size);
+
+/// Per-axiom eligibility bits of a candidate: bit i is set when \p program
+/// has every structural feature a violation of model.axioms()[i]
+/// necessarily requires — a PTE write for `invlpg`, an rmw pair for
+/// `rmw_atomicity`, a data access without a page-table walk (a TLB hit) for
+/// `tlb_causality`; axioms without requirements are always eligible. The
+/// same predicate the skeleton prunes of engine_skeleton_options apply, so
+/// a one-target pruned stream is exactly the unpruned stream filtered by
+/// the axiom's bit. Invariant under canonical_key's symmetries.
+mtm::AxiomMask eligible_axioms(const mtm::Model& model,
+                               const elt::Program& program);
 
 /// Ticket-space constants of the deterministic merge, exported (like
 /// engine_skeleton_options) so replays of the engine's scheduling

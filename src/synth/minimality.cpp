@@ -20,12 +20,15 @@ contains_write(const elt::Program& program)
 
 namespace {
 
-/// One implementation behind both judge overloads; \p diagnostics selects
+/// One implementation behind every judge overload; \p diagnostics selects
 /// whether the string fields (violated names, blocking_relaxation) are
-/// filled — the scratch-reusing hot path skips them.
+/// filled — the scratch-reusing hot path skips them. A non-null
+/// \p known_violated is the caller's mask for the already-derived,
+/// well-formed execution, which then is not derived again.
 MinimalityVerdict
 judge_impl(const mtm::Model& model, const elt::Execution& execution,
-           JudgeScratch* scratch, bool diagnostics)
+           const mtm::AxiomMask* known_violated, JudgeScratch* scratch,
+           bool diagnostics)
 {
     MinimalityVerdict verdict;
     // Verdict-side allocations (violated-name strings, relaxation-list
@@ -35,13 +38,17 @@ judge_impl(const mtm::Model& model, const elt::Execution& execution,
     {
         obs::ScopedPhase judge_phase(scratch->metrics, scratch->worker,
                                      obs::Phase::kJudge);
-        elt::derive_into(execution, model.derive_options(), &scratch->derived,
-                         &scratch->derive);
-        if (!scratch->derived.well_formed) {
-            return verdict;  // not even a candidate
+        if (known_violated != nullptr) {
+            verdict.violated_mask = *known_violated;
+        } else {
+            elt::derive_into(execution, model.derive_options(),
+                             &scratch->derived, &scratch->derive);
+            if (!scratch->derived.well_formed) {
+                return verdict;  // not even a candidate
+            }
+            verdict.violated_mask = model.violated_mask(
+                execution.program, scratch->derived, &scratch->derive.cycle);
         }
-        verdict.violated_mask = model.violated_mask(
-            execution.program, scratch->derived, &scratch->derive.cycle);
         if (diagnostics) {
             verdict.violated = model.mask_names(verdict.violated_mask);
         }
@@ -97,14 +104,24 @@ MinimalityVerdict
 judge(const mtm::Model& model, const elt::Execution& execution)
 {
     JudgeScratch scratch;
-    return judge_impl(model, execution, &scratch, /*diagnostics=*/true);
+    return judge_impl(model, execution, nullptr, &scratch,
+                      /*diagnostics=*/true);
 }
 
 MinimalityVerdict
 judge(const mtm::Model& model, const elt::Execution& execution,
       JudgeScratch* scratch)
 {
-    return judge_impl(model, execution, scratch, /*diagnostics=*/false);
+    return judge_impl(model, execution, nullptr, scratch,
+                      /*diagnostics=*/false);
+}
+
+MinimalityVerdict
+judge(const mtm::Model& model, const elt::Execution& execution,
+      mtm::AxiomMask violated, JudgeScratch* scratch)
+{
+    return judge_impl(model, execution, &violated, scratch,
+                      /*diagnostics=*/false);
 }
 
 }  // namespace transform::synth

@@ -6,10 +6,11 @@
 ///
 /// Judging is the second-hottest call in the synthesis inner loop (one
 /// derivation per relaxation of every violating candidate), so it comes in
-/// two forms: the diagnostic `judge(model, execution)` that fills the
-/// string fields, and the scratch-reusing overload the engine calls, which
-/// derives every relaxed execution into reused buffers and never touches a
-/// string on the accept path.
+/// three forms: the diagnostic `judge(model, execution)` that fills the
+/// string fields, the scratch-reusing overload, which derives every relaxed
+/// execution into reused buffers and never touches a string on the accept
+/// path, and the overload the engine calls, which also takes the caller's
+/// verdict mask so the execution itself is not derived a second time.
 #pragma once
 
 #include <string>
@@ -69,5 +70,14 @@ MinimalityVerdict judge(const mtm::Model& model,
 MinimalityVerdict judge(const mtm::Model& model,
                         const elt::Execution& execution,
                         JudgeScratch* scratch);
+
+/// As the scratch overload, for an execution the caller has already derived
+/// (well-formed) and masked: \p violated must equal model.violated_mask of
+/// \p execution. Only the relaxations are derived; the verdict is identical
+/// to the other overloads'. The engine's witness search calls this, so each
+/// candidate execution is derived once.
+MinimalityVerdict judge(const mtm::Model& model,
+                        const elt::Execution& execution,
+                        mtm::AxiomMask violated, JudgeScratch* scratch);
 
 }  // namespace transform::synth

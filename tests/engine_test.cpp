@@ -1,10 +1,20 @@
 /// \file
-/// Tests for the synthesis engine: per-axiom suites at small bounds.
+/// Tests for the synthesis engine: per-axiom suites at small bounds, the
+/// per-candidate eligibility predicate against the skeleton prunes, and the
+/// one-pass synthesis against the per-axiom reference.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "elt/fixtures.h"
+#include "elt/serialize.h"
+#include "spec/registry.h"
 #include "synth/canonical.h"
 #include "synth/engine.h"
 #include "synth/minimality.h"
@@ -136,28 +146,207 @@ TEST(Engine, McmBaselineSynthesizesTsoTests)
     }
 }
 
+/// Byte-level identity of a suite: canonical keys in order, sizes,
+/// violated axiom lists, and the exact witness XML.
+std::string
+suite_fingerprint(const SuiteResult& suite)
+{
+    std::string fp;
+    for (const SynthesizedTest& test : suite.tests) {
+        fp += test.canonical_key + '|' + std::to_string(test.size);
+        for (const std::string& axiom : test.violated) {
+            fp += ',' + axiom;
+        }
+        fp += '|' + elt::execution_to_xml(test.witness, "w") + '\n';
+    }
+    return fp;
+}
+
+/// The exact-round-trip form of a program, for stream comparisons.
+std::string
+program_text(const elt::Program& program)
+{
+    return elt::execution_to_xml(elt::Execution::empty_for(program), "p");
+}
+
+/// The candidate stream of \p options, program by program.
+std::vector<std::string>
+skeleton_stream(const SkeletonOptions& options,
+                const std::function<bool(const elt::Program&)>& keep)
+{
+    std::vector<std::string> stream;
+    for_each_skeleton(options, [&](const elt::Program& program) {
+        if (keep(program)) {
+            stream.push_back(program_text(program));
+        }
+        return true;
+    });
+    return stream;
+}
+
+/// For each pruned axiom, the engine's pruned stream must be exactly the
+/// unpruned stream filtered by the axiom's eligibility bit, in order — the
+/// property that lets one pass replace the per-axiom searches.
+void
+expect_eligibility_matches_prunes(const mtm::Model& model,
+                                  const std::vector<std::string>& axioms,
+                                  int min_bound, int max_bound)
+{
+    const SynthesisOptions options = small_options(min_bound, max_bound);
+    for (const std::string& axiom : axioms) {
+        const int index = model.axiom_index(axiom);
+        ASSERT_GE(index, 0) << axiom;
+        const mtm::AxiomMask bit = mtm::AxiomMask{1} << index;
+        for (int size = min_bound; size <= max_bound; ++size) {
+            const SkeletonOptions pruned =
+                engine_skeleton_options(model, axiom, options, size);
+            ASSERT_TRUE(pruned.require_wpte || pruned.require_rmw ||
+                        pruned.require_shared_walk)
+                << axiom;
+            SkeletonOptions unpruned = pruned;
+            unpruned.require_wpte = false;
+            unpruned.require_rmw = false;
+            unpruned.require_shared_walk = false;
+            const std::vector<std::string> expected = skeleton_stream(
+                pruned, [](const elt::Program&) { return true; });
+            const std::vector<std::string> filtered = skeleton_stream(
+                unpruned, [&](const elt::Program& program) {
+                    return (eligible_axioms(model, program) & bit) != 0;
+                });
+            EXPECT_EQ(filtered, expected)
+                << model.name() << " / " << axiom << " at " << size;
+            EXPECT_FALSE(expected.empty() && size == max_bound)
+                << model.name() << " / " << axiom;
+        }
+    }
+}
+
+TEST(Engine, EligibilityMatchesSkeletonPrunes)
+{
+    expect_eligibility_matches_prunes(
+        mtm::x86t_elt(), {"invlpg", "rmw_atomicity", "tlb_causality"}, 4,
+        6);
+    expect_eligibility_matches_prunes(mtm::x86tso(), {"rmw_atomicity"}, 2,
+                                      5);
+}
+
+TEST(Engine, EligibilityIsInvariantUnderCanonicalKey)
+{
+    // One dedup index serves a whole pass only because every candidate
+    // sharing a canonical key is eligible for the same targets.
+    for (const mtm::Model& model : {mtm::x86t_elt(), mtm::x86tso()}) {
+        const int min_bound = model.vm_aware() ? 4 : 2;
+        const int max_bound = model.vm_aware() ? 6 : 5;
+        const SynthesisOptions options = small_options(min_bound, max_bound);
+        std::map<std::string, mtm::AxiomMask> seen;
+        std::size_t shared_keys = 0;
+        for (int size = min_bound; size <= max_bound; ++size) {
+            for_each_skeleton(
+                engine_skeleton_options(model, "sc_per_loc", options, size),
+                [&](const elt::Program& program) {
+                    const mtm::AxiomMask mask =
+                        eligible_axioms(model, program);
+                    const auto [it, fresh] =
+                        seen.emplace(canonical_key(program), mask);
+                    shared_keys += fresh ? 0 : 1;
+                    EXPECT_EQ(it->second, mask)
+                        << model.name() << ": " << it->first;
+                    return true;
+                });
+        }
+        EXPECT_GT(shared_keys, 0u) << model.name();
+    }
+}
+
+/// One-pass synthesis against the per-axiom reference: every suite must
+/// match byte for byte, and the per-suite counters keep their per-axiom
+/// meaning (programs always; executions and duplicates depend on which
+/// duplicate is seen first, so they are compared at jobs 1).
+void
+expect_pass_matches_reference(const mtm::Model& model, int min_bound,
+                              int bound)
+{
+    const SynthesisOptions base = small_options(min_bound, bound);
+    const std::vector<SuiteResult> reference = synthesize_all(model, base);
+    ASSERT_EQ(reference.size(), model.axioms().size());
+    for (const int jobs : {1, 2, 4}) {
+        for (const int depth : {0, 2}) {
+            SynthesisOptions options = base;
+            options.jobs = jobs;
+            options.shard_depth = depth;
+            const std::vector<SuiteResult> pass =
+                synthesize_all_parallel(model, options);
+            const std::string label = model.name() + " jobs=" +
+                                      std::to_string(jobs) +
+                                      " depth=" + std::to_string(depth);
+            ASSERT_EQ(pass.size(), reference.size()) << label;
+            for (std::size_t i = 0; i < pass.size(); ++i) {
+                const SuiteResult& want = reference[i];
+                const SuiteResult& got = pass[i];
+                EXPECT_EQ(got.axiom, want.axiom) << label;
+                EXPECT_TRUE(got.complete) << label;
+                EXPECT_EQ(suite_fingerprint(got), suite_fingerprint(want))
+                    << label << " " << want.axiom;
+                EXPECT_EQ(got.programs_considered, want.programs_considered)
+                    << label << " " << want.axiom;
+                if (jobs == 1) {
+                    EXPECT_EQ(got.executions_considered,
+                              want.executions_considered)
+                        << label << " " << want.axiom;
+                    EXPECT_EQ(got.duplicates_rejected,
+                              want.duplicates_rejected)
+                        << label << " " << want.axiom;
+                }
+            }
+            EXPECT_EQ(unique_test_count(pass), unique_test_count(reference))
+                << label;
+        }
+    }
+}
+
 TEST(Engine, ParallelDriverMatchesSerial)
 {
+    expect_pass_matches_reference(mtm::x86t_elt(), 4, 6);
+    std::string error;
+    const std::optional<spec::ResolvedModel> tso =
+        spec::resolve_model("x86tso.mtm", &error);
+    ASSERT_TRUE(tso.has_value()) << error;
+    expect_pass_matches_reference(tso->model, 2, 5);
+}
+
+TEST(Engine, PartialTargetSetsProjectTheSameSuites)
+{
+    // A pass over any subset of the axioms yields, for each target, the
+    // suite that target's one-axiom pass yields — including subsets whose
+    // targets share a skeleton prune and subsets that share none.
     const mtm::Model model = mtm::x86t_elt();
-    SynthesisOptions opt = small_options(4, 5);
-    const auto serial = synthesize_all(model, opt);
-    const auto parallel = synthesize_all_parallel(model, opt);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].axiom, parallel[i].axiom);
-        ASSERT_EQ(serial[i].tests.size(), parallel[i].tests.size())
-            << serial[i].axiom;
-        std::set<std::string> serial_keys;
-        std::set<std::string> parallel_keys;
-        for (const auto& t : serial[i].tests) {
-            serial_keys.insert(t.canonical_key);
+    SynthesisOptions options = small_options(4, 6);
+    options.jobs = 2;
+    const std::vector<SuiteResult> reference = synthesize_all(model, options);
+    const mtm::AxiomMask invlpg = mtm::AxiomMask{1}
+                                  << model.axiom_index("invlpg");
+    const mtm::AxiomMask rmw = mtm::AxiomMask{1}
+                               << model.axiom_index("rmw_atomicity");
+    const mtm::AxiomMask tlb = mtm::AxiomMask{1}
+                               << model.axiom_index("tlb_causality");
+    const mtm::AxiomMask causality = mtm::AxiomMask{1}
+                                     << model.axiom_index("causality");
+    for (const mtm::AxiomMask targets :
+         {invlpg | rmw, rmw | tlb | causality, invlpg | tlb}) {
+        const std::vector<SuiteResult> pass =
+            synthesize_pass(model, targets, options);
+        ASSERT_EQ(pass.size(),
+                  static_cast<std::size_t>(std::popcount(targets)));
+        for (const SuiteResult& suite : pass) {
+            const SuiteResult& want =
+                reference[static_cast<std::size_t>(
+                    model.axiom_index(suite.axiom))];
+            EXPECT_EQ(suite_fingerprint(suite), suite_fingerprint(want))
+                << suite.pass << " / " << suite.axiom;
+            EXPECT_EQ(suite.programs_considered, want.programs_considered)
+                << suite.pass << " / " << suite.axiom;
         }
-        for (const auto& t : parallel[i].tests) {
-            parallel_keys.insert(t.canonical_key);
-        }
-        EXPECT_EQ(serial_keys, parallel_keys) << serial[i].axiom;
     }
-    EXPECT_EQ(unique_test_count(serial), unique_test_count(parallel));
 }
 
 TEST(Engine, ThreeCoreSynthesisFindsCrossCoreInvlpgTests)

@@ -72,6 +72,26 @@ suite_fingerprint(const synth::SuiteResult& suite)
     return fp;
 }
 
+/// Byte-level identity of a pass: each suite's axiom and fingerprint.
+std::string
+pass_fingerprint(const std::vector<synth::SuiteResult>& suites)
+{
+    std::string fp;
+    for (const synth::SuiteResult& suite : suites) {
+        fp += "== " + suite.axiom + '\n' + suite_fingerprint(suite);
+    }
+    return fp;
+}
+
+/// The target sets the fault and checkpoint tests run: one axiom, and one
+/// pass over every axiom of the model.
+std::vector<mtm::AxiomMask>
+target_sets(const mtm::Model& model)
+{
+    return {mtm::AxiomMask{1} << model.axiom_index("invlpg"),
+            (mtm::AxiomMask{1} << model.axioms().size()) - 1};
+}
+
 std::string
 temp_path(const std::string& name)
 {
@@ -307,36 +327,42 @@ TEST(Cancellation, MidRunRequestStopsWithinTheRun)
 TEST(FaultMatrix, TransientFaultsPreserveTheSuiteAtEverySite)
 {
     const mtm::Model model = mtm::x86t_elt();
-    const std::string baseline =
-        suite_fingerprint(synth::synthesize_suite(model, "invlpg",
-                                                  small_options(4, 4)));
-    ASSERT_FALSE(baseline.empty());
-    const char* sites[] = {"shard_boundary", "derive", "judge"};
-    for (const char* site : sites) {
-        for (const int jobs : {1, 2, 4}) {
-            for (const int depth : {0, 2}) {
-                util::FaultPlan plan;
-                std::string error;
-                ASSERT_TRUE(util::FaultPlan::parse(
-                    std::string("seed=7,site=") + site +
-                        ",rate=1,mode=transient",
-                    &plan, &error))
-                    << error;
-                synth::SynthesisOptions opt = small_options(4, 4);
-                opt.jobs = jobs;
-                opt.shard_depth = depth;
-                opt.fault_plan = &plan;
-                const synth::SuiteResult suite =
-                    synth::synthesize_suite(model, "invlpg", opt);
-                const std::string label = std::string(site) + " jobs=" +
-                                          std::to_string(jobs) + " depth=" +
-                                          std::to_string(depth);
-                EXPECT_TRUE(suite.complete) << label;
-                EXPECT_FALSE(suite.cancelled) << label;
-                EXPECT_TRUE(suite.failures.empty()) << label;
-                EXPECT_GT(plan.fired(), 0u) << label;
-                EXPECT_GT(suite.scheduler.shard_retries, 0u) << label;
-                EXPECT_EQ(suite_fingerprint(suite), baseline) << label;
+    for (const mtm::AxiomMask targets : target_sets(model)) {
+        const std::string baseline = pass_fingerprint(
+            synth::synthesize_pass(model, targets, small_options(4, 4)));
+        ASSERT_FALSE(baseline.empty());
+        const char* sites[] = {"shard_boundary", "derive", "judge"};
+        for (const char* site : sites) {
+            for (const int jobs : {1, 2, 4}) {
+                for (const int depth : {0, 2}) {
+                    util::FaultPlan plan;
+                    std::string error;
+                    ASSERT_TRUE(util::FaultPlan::parse(
+                        std::string("seed=7,site=") + site +
+                            ",rate=1,mode=transient",
+                        &plan, &error))
+                        << error;
+                    synth::SynthesisOptions opt = small_options(4, 4);
+                    opt.jobs = jobs;
+                    opt.shard_depth = depth;
+                    opt.fault_plan = &plan;
+                    const std::vector<synth::SuiteResult> suites =
+                        synth::synthesize_pass(model, targets, opt);
+                    const std::string label =
+                        std::string(site) + " targets=" +
+                        std::to_string(targets) +
+                        " jobs=" + std::to_string(jobs) +
+                        " depth=" + std::to_string(depth);
+                    for (const synth::SuiteResult& suite : suites) {
+                        EXPECT_TRUE(suite.complete) << label;
+                        EXPECT_FALSE(suite.cancelled) << label;
+                        EXPECT_TRUE(suite.failures.empty()) << label;
+                    }
+                    EXPECT_GT(plan.fired(), 0u) << label;
+                    EXPECT_GT(suites.front().scheduler.shard_retries, 0u)
+                        << label;
+                    EXPECT_EQ(pass_fingerprint(suites), baseline) << label;
+                }
             }
         }
     }
@@ -439,35 +465,51 @@ TEST(FaultMatrix, ConflictBudgetExhaustionIsARetryableFault)
 TEST(Checkpoint, ResumeReplaysJournaledShardsByteIdentically)
 {
     const mtm::Model model = mtm::x86t_elt();
-    const std::string path = temp_path("roundtrip.journal");
-    const std::string fingerprint = "fault_test roundtrip v1";
-    std::string error;
+    for (const mtm::AxiomMask targets : target_sets(model)) {
+        const std::string path = temp_path("roundtrip.journal");
+        const std::string fingerprint = "fault_test roundtrip v1";
+        const std::string label = "targets=" + std::to_string(targets);
+        std::string error;
 
-    auto journal =
-        synth::CheckpointJournal::create(path, fingerprint, &error);
-    ASSERT_NE(journal, nullptr) << error;
-    synth::SynthesisOptions opt = small_options(4, 4);
-    opt.jobs = 2;
-    opt.checkpoint = journal.get();
-    const synth::SuiteResult first =
-        synth::synthesize_suite(model, "invlpg", opt);
-    EXPECT_TRUE(first.complete);
-    EXPECT_GT(first.scheduler.checkpoint_shards_saved, 0u);
-    journal.reset();
+        auto journal =
+            synth::CheckpointJournal::create(path, fingerprint, &error);
+        ASSERT_NE(journal, nullptr) << error;
+        synth::SynthesisOptions opt = small_options(4, 4);
+        opt.jobs = 2;
+        opt.checkpoint = journal.get();
+        const std::vector<synth::SuiteResult> first =
+            synth::synthesize_pass(model, targets, opt);
+        EXPECT_TRUE(first.front().complete) << label;
+        EXPECT_GT(first.front().scheduler.checkpoint_shards_saved, 0u)
+            << label;
+        journal.reset();
 
-    auto resumed =
-        synth::CheckpointJournal::resume(path, fingerprint, &error);
-    ASSERT_NE(resumed, nullptr) << error;
-    EXPECT_GT(resumed->loaded(), 0u);
-    opt.checkpoint = resumed.get();
-    const synth::SuiteResult second =
-        synth::synthesize_suite(model, "invlpg", opt);
-    EXPECT_TRUE(second.complete);
-    EXPECT_GT(second.scheduler.checkpoint_shards_replayed, 0u);
-    EXPECT_EQ(suite_fingerprint(second), suite_fingerprint(first));
-    EXPECT_EQ(second.programs_considered, first.programs_considered);
-    EXPECT_EQ(second.executions_considered, first.executions_considered);
-    std::remove(path.c_str());
+        auto resumed =
+            synth::CheckpointJournal::resume(path, fingerprint, &error);
+        ASSERT_NE(resumed, nullptr) << error;
+        EXPECT_GT(resumed->loaded(), 0u) << label;
+        opt.checkpoint = resumed.get();
+        const std::vector<synth::SuiteResult> second =
+            synth::synthesize_pass(model, targets, opt);
+        ASSERT_EQ(second.size(), first.size()) << label;
+        EXPECT_GT(second.front().scheduler.checkpoint_shards_replayed, 0u)
+            << label;
+        EXPECT_EQ(pass_fingerprint(second), pass_fingerprint(first))
+            << label;
+        for (std::size_t i = 0; i < first.size(); ++i) {
+            EXPECT_TRUE(second[i].complete) << label;
+            EXPECT_EQ(second[i].programs_considered,
+                      first[i].programs_considered)
+                << label << " " << first[i].axiom;
+            EXPECT_EQ(second[i].executions_considered,
+                      first[i].executions_considered)
+                << label << " " << first[i].axiom;
+            EXPECT_EQ(second[i].duplicates_rejected,
+                      first[i].duplicates_rejected)
+                << label << " " << first[i].axiom;
+        }
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Checkpoint, ResumeRefusesAMismatchedFingerprint)
@@ -526,56 +568,63 @@ TEST(Checkpoint, ResumeDropsATornTail)
 TEST(Checkpoint, KillMidRunThenResumeIsByteIdentical)
 {
     const mtm::Model model = mtm::x86t_elt();
-    const std::string path = temp_path("kill.journal");
-    const std::string fingerprint = "fault_test kill v1";
-    const std::string baseline = suite_fingerprint(
-        synth::synthesize_suite(model, "invlpg", small_options(4, 4)));
-    ASSERT_FALSE(baseline.empty());
+    for (const mtm::AxiomMask targets : target_sets(model)) {
+        const std::string path = temp_path("kill.journal");
+        const std::string fingerprint = "fault_test kill v1";
+        const std::string label = "targets=" + std::to_string(targets);
+        const std::string baseline = pass_fingerprint(
+            synth::synthesize_pass(model, targets, small_options(4, 4)));
+        ASSERT_FALSE(baseline.empty());
 
-    const pid_t child = fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        // In the child: journal the run and die on the third shard
-        // boundary. jobs=1 keeps the process-wide `after` skip counter
-        // deterministic.
-        std::string error;
-        auto journal =
-            synth::CheckpointJournal::create(path, fingerprint, &error);
-        util::FaultPlan plan;
-        if (journal == nullptr ||
-            !util::FaultPlan::parse(
-                "seed=1,site=shard_boundary,kind=kill,rate=1,after=2",
-                &plan, &error)) {
-            _exit(10);
+        const pid_t child = fork();
+        ASSERT_GE(child, 0);
+        if (child == 0) {
+            // In the child: journal the run and die on the third shard
+            // boundary. jobs=1 keeps the process-wide `after` skip counter
+            // deterministic.
+            std::string error;
+            auto journal =
+                synth::CheckpointJournal::create(path, fingerprint, &error);
+            util::FaultPlan plan;
+            if (journal == nullptr ||
+                !util::FaultPlan::parse(
+                    "seed=1,site=shard_boundary,kind=kill,rate=1,after=2",
+                    &plan, &error)) {
+                _exit(10);
+            }
+            synth::SynthesisOptions opt = small_options(4, 4);
+            opt.jobs = 1;
+            opt.checkpoint = journal.get();
+            opt.fault_plan = &plan;
+            (void)synth::synthesize_pass(model, targets, opt);
+            _exit(11);  // the kill plan should never let us get here
         }
+        int status = 0;
+        ASSERT_EQ(waitpid(child, &status, 0), child);
+        ASSERT_TRUE(WIFSIGNALED(status))
+            << label << ": child exited with " << WEXITSTATUS(status)
+            << " instead of dying by signal";
+        EXPECT_EQ(WTERMSIG(status), SIGKILL) << label;
+
+        std::string error;
+        auto resumed =
+            synth::CheckpointJournal::resume(path, fingerprint, &error);
+        ASSERT_NE(resumed, nullptr) << error;
+        // The shards finished before the kill.
+        EXPECT_GE(resumed->loaded(), 1u) << label;
         synth::SynthesisOptions opt = small_options(4, 4);
         opt.jobs = 1;
-        opt.checkpoint = journal.get();
-        opt.fault_plan = &plan;
-        (void)synth::synthesize_suite(model, "invlpg", opt);
-        _exit(11);  // the kill plan should never let us get here
+        opt.checkpoint = resumed.get();
+        const std::vector<synth::SuiteResult> suites =
+            synth::synthesize_pass(model, targets, opt);
+        for (const synth::SuiteResult& suite : suites) {
+            EXPECT_TRUE(suite.complete) << label;
+        }
+        EXPECT_GT(suites.front().scheduler.checkpoint_shards_replayed, 0u)
+            << label;
+        EXPECT_EQ(pass_fingerprint(suites), baseline) << label;
+        std::remove(path.c_str());
     }
-    int status = 0;
-    ASSERT_EQ(waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFSIGNALED(status))
-        << "child exited with " << WEXITSTATUS(status)
-        << " instead of dying by signal";
-    EXPECT_EQ(WTERMSIG(status), SIGKILL);
-
-    std::string error;
-    auto resumed =
-        synth::CheckpointJournal::resume(path, fingerprint, &error);
-    ASSERT_NE(resumed, nullptr) << error;
-    EXPECT_GE(resumed->loaded(), 1u);  // the shards finished before the kill
-    synth::SynthesisOptions opt = small_options(4, 4);
-    opt.jobs = 1;
-    opt.checkpoint = resumed.get();
-    const synth::SuiteResult suite =
-        synth::synthesize_suite(model, "invlpg", opt);
-    EXPECT_TRUE(suite.complete);
-    EXPECT_GT(suite.scheduler.checkpoint_shards_replayed, 0u);
-    EXPECT_EQ(suite_fingerprint(suite), baseline);
-    std::remove(path.c_str());
 }
 #endif  // __linux__
 

@@ -8,6 +8,7 @@
 /// fingerprints across backends and job counts, obs on vs off).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <set>
 #include <string>
@@ -546,6 +547,72 @@ TEST(ObsReport, ReportJsonIsValidVersionedAndTotalled)
 // must surface its assumption/retirement/retention economy through the
 // same SuiteResult.solver accumulator (and metrics-JSON) as the fresh
 // path — with the suite itself byte-identical either way.
+
+TEST(ObsReport, MultiTargetPassCountsSharedWorkOnce)
+{
+    // One enumerative pass serves every axiom. Its scheduler, phase and
+    // allocation counters sit on the pass's first suite, so the
+    // metrics-JSON totals count the pass's work once — as does the
+    // `elt_synth --stats` all-axioms aggregate, which is the same merge of
+    // obs::suite_report over the suites.
+    const mtm::Model model = mtm::x86t_elt();
+    synth::SynthesisOptions options =
+        obs_options(2, synth::Backend::kEnumerative);
+    options.collect_metrics = true;
+    options.track_allocs = true;
+    const std::vector<synth::SuiteResult> suites =
+        synth::synthesize_all_parallel(model, options);
+    ASSERT_EQ(suites.size(), model.axioms().size());
+    obs::RunReport report;
+    for (const synth::SuiteResult& suite : suites) {
+        report.suites.push_back(obs::suite_report(suite));
+    }
+    const obs::SuiteReport totals = report.totals();
+    const synth::SuiteResult& lead = suites.front();
+
+    EXPECT_GT(lead.scheduler.jobs_run, 0u);
+    EXPECT_GT(lead.phases.total_nanos(), 0u);
+    EXPECT_GT(lead.allocs.total_count(), 0u);
+    std::uint64_t executions_sum = 0;
+    std::uint64_t executions_max = 0;
+    for (std::size_t i = 0; i < suites.size(); ++i) {
+        const synth::SuiteResult& suite = suites[i];
+        EXPECT_EQ(suite.pass, lead.pass) << suite.axiom;
+        EXPECT_EQ(suite.seconds, lead.seconds) << suite.axiom;
+        EXPECT_TRUE(suite.complete) << suite.axiom;
+        executions_sum += suite.executions_considered;
+        executions_max =
+            std::max(executions_max, suite.executions_considered);
+        if (i == 0) {
+            continue;
+        }
+        EXPECT_EQ(suite.scheduler.jobs_run, 0u) << suite.axiom;
+        EXPECT_EQ(suite.scheduler.dedup_hits, 0u) << suite.axiom;
+        EXPECT_EQ(suite.phases.total_nanos(), 0u) << suite.axiom;
+        EXPECT_EQ(suite.allocs.total_count(), 0u) << suite.axiom;
+    }
+    EXPECT_EQ(totals.scheduler.jobs_run, lead.scheduler.jobs_run);
+    EXPECT_EQ(totals.scheduler.steals, lead.scheduler.steals);
+    EXPECT_EQ(totals.scheduler.lazy_resplits, lead.scheduler.lazy_resplits);
+    EXPECT_EQ(totals.scheduler.dedup_hits, lead.scheduler.dedup_hits);
+    for (int p = 0; p < obs::kPhaseCount; ++p) {
+        const auto phase = static_cast<obs::Phase>(p);
+        EXPECT_EQ(totals.phases.count(phase), lead.phases.count(phase))
+            << obs::phase_name(phase);
+    }
+    EXPECT_EQ(totals.allocs.total_count(), lead.allocs.total_count());
+
+    // The shared work itself is done once: sc_per_loc has no structural
+    // requirement, so every candidate is eligible for it and is
+    // canonicalized once for the whole pass; and each execution is derived
+    // once, however many suites count it.
+    ASSERT_EQ(lead.axiom, "sc_per_loc");
+    EXPECT_EQ(totals.phases.count(obs::Phase::kCanonicalize),
+              lead.programs_considered);
+    const std::uint64_t derived = totals.phases.count(obs::Phase::kDerive);
+    EXPECT_GE(derived, executions_max);
+    EXPECT_LT(derived, executions_sum);
+}
 
 TEST(ObsEngine, IncrementalSatSurfacesSessionCounters)
 {

@@ -605,15 +605,17 @@ TEST(AdaptiveSharding, ClosedPrefixSplitsFireOnDeepRecursion)
 
 TEST(SchedStats, QueueWaitExcludedFromSuiteSeconds)
 {
-    // On a one-worker shared pool the axioms' suites run back to back, so
-    // under the old accounting (watch from SuiteRun construction) each
-    // suite reported nearly the whole sweep's wall time and the per-suite
-    // seconds summed to ~axioms x wall. With the watch restarted when the
-    // deadline arms, the per-suite seconds partition the wall time
-    // instead, and the wait shows up in queue_wait_seconds.
+    // The SAT backend runs one single-target pass per axiom, all on one
+    // shared pool. On one worker the passes run back to back, so under the
+    // old accounting (watch from run construction) each suite reported
+    // nearly the whole sweep's wall time and the per-suite seconds summed
+    // to ~axioms x wall. With the watch restarted when the deadline arms,
+    // the per-pass seconds partition the wall time instead, and the wait
+    // shows up in queue_wait_seconds. (The enumerative backend serves every
+    // axiom from one pass, so there is no queue between its suites.)
     const mtm::Model model = mtm::x86t_elt();
     const synth::SynthesisOptions opt =
-        suite_options(5, 1, synth::Backend::kEnumerative);
+        suite_options(4, 1, synth::Backend::kSat);
     util::Stopwatch watch;
     const auto suites = synth::synthesize_all_parallel(model, opt);
     const double wall = watch.elapsed_seconds();
@@ -625,13 +627,13 @@ TEST(SchedStats, QueueWaitExcludedFromSuiteSeconds)
         EXPECT_LE(suite.seconds, wall * 1.05) << suite.axiom;
         search_total += suite.seconds;
     }
-    // The old accounting made this sum ~3x the wall clock (suite i's watch
-    // ran from submission, so its seconds spanned suites 0..i); per-suite
+    // The old accounting made this sum ~3x the wall clock (pass i's watch
+    // ran from submission, so its seconds spanned passes 0..i); per-pass
     // windows now partition the wall, modulo the one-steal-chunk overlap
     // injection chunking allows between adjacent groups — hence 2x, not a
     // tight bound.
     EXPECT_LE(search_total, wall * 2.0);
-    // The last-submitted suite necessarily queued behind the earlier ones
+    // The last-submitted pass necessarily queued behind the earlier ones
     // on the single worker; its wait must be visible in the new counter
     // (the old accounting folded it into `seconds`).
     EXPECT_GT(suites.back().scheduler.queue_wait_seconds, 0.0);
@@ -639,9 +641,9 @@ TEST(SchedStats, QueueWaitExcludedFromSuiteSeconds)
 
 TEST(AdaptiveSharding, SharedPoolSweepMatchesSerialDriver)
 {
-    // synthesize_all_parallel runs every axiom's shards on ONE pool (one
-    // job group per axiom); the result must be indistinguishable from the
-    // serial per-axiom driver.
+    // synthesize_all_parallel searches every axiom in ONE pass on one pool;
+    // the result must be indistinguishable from the serial per-axiom
+    // synthesize_all.
     const mtm::Model model = mtm::x86t_elt();
     const synth::SynthesisOptions opt =
         suite_options(5, 4, synth::Backend::kEnumerative);

@@ -5,7 +5,9 @@
 /// Runs a synthesis workload with phase/site-attributed allocation
 /// tracking bound (obs::AllocTracker) and prints the breakdown: which
 /// phase of the candidate pipeline allocates, through which named
-/// call-site bucket, and at what per-program rate. The same numbers ride
+/// call-site bucket, and at what per-program rate (programs sum the
+/// suites' programs_considered, i.e. per-axiom candidate evaluations; a
+/// pass's allocations count once). The same numbers ride
 /// in `elt_synth --metrics-json` reports; this tool exists so the hunt
 /// does not start with writing a JSON query.
 ///

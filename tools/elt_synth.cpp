@@ -21,7 +21,9 @@
 ///   --bound N         instruction bound, ghosts included (default 5)
 ///   --threads N       max cores (default 2)
 ///   --vas N           max data VAs (default 2)
-///   --budget SECONDS  time budget per suite (default unlimited)
+///   --budget SECONDS  time budget of the search (default unlimited); with
+///                     --all the enumerative backend searches every axiom
+///                     in one pass, the SAT backend one pass per axiom
 ///   --backend NAME    enum (default) | sat
 ///   --sat-incremental on|off
 ///                     under --backend sat: keep one live solver per
@@ -36,7 +38,7 @@
 ///                     adaptive mode: abandon-and-split a shard after N
 ///                     visited candidates (auto = cost model from the
 ///                     bound/VM/dirty-bit mix)
-///   --progress        stderr heartbeat every ~2s while a suite runs:
+///   --progress        stderr heartbeat every ~2s while the search runs:
 ///                     shards done/submitted, candidates visited (with an
 ///                     instantaneous candidates/sec rate), pre-merge tests
 ///                     found, checkpoint save/replay counters, and a rough
@@ -44,13 +46,13 @@
 ///                     suite itself) is untouched; off by default
 ///   --alloc-stats     attribute every operator-new call to the active
 ///                     phase and call-site bucket (obs::AllocTracker) and
-///                     print the per-suite breakdown to stderr; also
+///                     print the per-pass breakdown to stderr; also
 ///                     carried in --metrics-json reports
-///   --stats           print scheduler counters per suite plus an
+///   --stats           print scheduler counters per pass plus an
 ///                     all-axiom aggregate (jobs, steals, lazy re-splits,
 ///                     closed-prefix splits, skip re-enumerations, dedup
 ///                     hits, queue wait); under --backend sat also the
-///                     per-suite SAT solver counters (solves, decisions,
+///                     per-pass SAT solver counters (solves, decisions,
 ///                     propagations, conflicts, ..., plus the incremental
 ///                     session's assumed literals, retired activation
 ///                     guards, and retained learned clauses)
@@ -108,6 +110,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -256,14 +259,13 @@ print_alloc_stats(const std::string& scope, const obs::AllocTotals& a)
     }
 }
 
-int
-run_suite(const mtm::Model& model, const std::string& axiom,
-          const Args& args, util::CancelToken cancel,
-          const util::FaultPlan* fault_plan,
-          synth::CheckpointJournal* journal, obs::TraceCollector* trace,
-          sched::SchedulerStats* total, sat::SolverStats* solver_total,
-          obs::RunReport* report, obs::AllocTotals* alloc_total,
-          bool* any_incomplete)
+/// The engine options for this invocation.
+synth::SynthesisOptions
+synthesis_options(const mtm::Model& model, const Args& args,
+                  util::CancelToken cancel,
+                  const util::FaultPlan* fault_plan,
+                  synth::CheckpointJournal* journal,
+                  obs::TraceCollector* trace, bool collect_metrics)
 {
     synth::SynthesisOptions options;
     options.min_bound = model.vm_aware() ? 4 : 2;
@@ -277,72 +279,76 @@ run_suite(const mtm::Model& model, const std::string& axiom,
     options.jobs = args.jobs;
     options.shard_depth = args.shard_depth;
     options.resplit_threshold = args.resplit_threshold;
-    options.collect_metrics = report != nullptr;
+    options.collect_metrics = collect_metrics;
     // Allocation attribution rides with --alloc-stats and (so the report
     // carries real alloc data) with --metrics-json.
-    options.track_allocs = args.alloc_stats || report != nullptr;
+    options.track_allocs = args.alloc_stats || collect_metrics;
     options.trace = trace;
-    // Progress heartbeat (stderr only; the suite on stdout is untouched).
-    // The callback runs on the engine's sampling thread, which lives
-    // inside the synthesize_suite call below, so capturing locals by
-    // reference is safe.
-    struct {
-        std::uint64_t candidates = 0;
-        double seconds = 0.0;
-    } last;
-    const std::string scope = model.name() + " / " + axiom;
-    if (args.progress) {
-        options.progress = [&last,
-                            &scope](const synth::SynthesisProgress& p) {
-            const double dt = p.seconds - last.seconds;
-            const double rate =
-                dt > 0 ? static_cast<double>(p.candidates - last.candidates)
-                             / dt
-                       : 0.0;
-            last.candidates = p.candidates;
-            last.seconds = p.seconds;
-            // ETA from the shard completion ratio — rough by design:
-            // shards_submitted grows as lazy re-splits fire.
-            char eta[32] = "?";
-            if (p.shards_done > 0 && p.shards_submitted > p.shards_done) {
-                std::snprintf(eta, sizeof eta, "~%.1fs",
-                              p.seconds *
-                                  static_cast<double>(p.shards_submitted -
-                                                      p.shards_done) /
-                                  static_cast<double>(p.shards_done));
-            } else if (p.shards_done == p.shards_submitted &&
-                       p.shards_done > 0) {
-                std::snprintf(eta, sizeof eta, "draining");
-            }
-            std::string ckpt;
-            if (p.checkpoint_shards_saved + p.checkpoint_shards_replayed >
-                0) {
-                ckpt = ", ckpt " +
-                       std::to_string(p.checkpoint_shards_saved) +
-                       " saved/" +
-                       std::to_string(p.checkpoint_shards_replayed) +
-                       " replayed";
-            }
-            std::fprintf(
-                stderr,
-                "[progress] %s: shards %llu/%llu, %llu candidates "
-                "(%.0f/s), %llu found%s, %.1fs elapsed, ETA %s\n",
-                scope.c_str(),
-                static_cast<unsigned long long>(p.shards_done),
-                static_cast<unsigned long long>(p.shards_submitted),
-                static_cast<unsigned long long>(p.candidates), rate,
-                static_cast<unsigned long long>(p.tests_found),
-                ckpt.c_str(), p.seconds, eta);
-        };
-    }
     options.cancel = cancel;
     options.shard_retry_limit = args.shard_retries;
     options.sat_conflict_budget = args.sat_conflict_budget;
     options.fault_plan = fault_plan;
     options.checkpoint = journal;
-    const synth::SuiteResult suite =
-        synth::synthesize_suite(model, axiom, options);
+    return options;
+}
 
+/// The --progress heartbeat: one stderr line per snapshot. The engine
+/// calls it on its sampling thread, which lives inside the synthesis call,
+/// so the state it captures only has to outlive that call.
+std::function<void(const synth::SynthesisProgress&)>
+progress_printer(std::string scope)
+{
+    struct Last {
+        std::uint64_t candidates = 0;
+        double seconds = 0.0;
+    };
+    return [scope = std::move(scope), last = std::make_shared<Last>()](
+               const synth::SynthesisProgress& p) {
+        const double dt = p.seconds - last->seconds;
+        const double rate =
+            dt > 0 ? static_cast<double>(p.candidates - last->candidates) / dt
+                   : 0.0;
+        last->candidates = p.candidates;
+        last->seconds = p.seconds;
+        // ETA from the shard completion ratio — rough by design:
+        // shards_submitted grows as lazy re-splits fire.
+        char eta[32] = "?";
+        if (p.shards_done > 0 && p.shards_submitted > p.shards_done) {
+            std::snprintf(eta, sizeof eta, "~%.1fs",
+                          p.seconds *
+                              static_cast<double>(p.shards_submitted -
+                                                  p.shards_done) /
+                              static_cast<double>(p.shards_done));
+        } else if (p.shards_done == p.shards_submitted &&
+                   p.shards_done > 0) {
+            std::snprintf(eta, sizeof eta, "draining");
+        }
+        std::string ckpt;
+        if (p.checkpoint_shards_saved + p.checkpoint_shards_replayed > 0) {
+            ckpt = ", ckpt " + std::to_string(p.checkpoint_shards_saved) +
+                   " saved/" + std::to_string(p.checkpoint_shards_replayed) +
+                   " replayed";
+        }
+        std::fprintf(stderr,
+                     "[progress] %s: shards %llu/%llu, %llu candidates "
+                     "(%.0f/s), %llu found%s, %.1fs elapsed, ETA %s\n",
+                     scope.c_str(),
+                     static_cast<unsigned long long>(p.shards_done),
+                     static_cast<unsigned long long>(p.shards_submitted),
+                     static_cast<unsigned long long>(p.candidates), rate,
+                     static_cast<unsigned long long>(p.tests_found),
+                     ckpt.c_str(), p.seconds, eta);
+    };
+}
+
+/// Prints one suite: its summary (and, for the suite that carries its
+/// pass's shared counters, the --stats / --alloc-stats sections) to stderr
+/// and its tests to stdout / --out.
+int
+report_suite(const mtm::Model& model, const synth::SuiteResult& suite,
+             const Args& args)
+{
+    const std::string& axiom = suite.axiom;
     std::string status;
     if (suite.cancelled) {
         status += ", cancelled";
@@ -353,9 +359,6 @@ run_suite(const mtm::Model& model, const std::string& axiom,
     }
     if (!suite.complete && status.empty()) {
         status = ", budget hit";
-    }
-    if (!suite.complete) {
-        *any_incomplete = true;
     }
     std::fprintf(stderr,
                  "[%s / %s] %zu unique minimal ELTs "
@@ -370,20 +373,19 @@ run_suite(const mtm::Model& model, const std::string& axiom,
                      model.name().c_str(), axiom.c_str(), failure.attempts,
                      failure.shard.c_str(), failure.error.c_str());
     }
-    total->merge(suite.scheduler);
-    solver_total->merge(suite.solver);
-    alloc_total->merge(suite.allocs);
-    if (report != nullptr) {
-        report->suites.push_back(obs::suite_report(suite));
-    }
-    if (args.stats) {
-        print_stats(scope, suite.scheduler);
-        if (suite.solver.solve_calls > 0) {
-            print_solver_stats(scope, suite.solver);
+    // A pass's scheduler, solver and allocation counters sit on its first
+    // suite and cover all of the pass's targets: scope them by the pass.
+    if (suite.pass == axiom || suite.pass.rfind(axiom + "+", 0) == 0) {
+        const std::string scope = model.name() + " / " + suite.pass;
+        if (args.stats) {
+            print_stats(scope, suite.scheduler);
+            if (suite.solver.solve_calls > 0) {
+                print_solver_stats(scope, suite.solver);
+            }
         }
-    }
-    if (args.alloc_stats) {
-        print_alloc_stats(scope, suite.allocs);
+        if (args.alloc_stats) {
+            print_alloc_stats(scope, suite.allocs);
+        }
     }
 
     for (std::size_t i = 0; i < suite.tests.size(); ++i) {
@@ -593,18 +595,10 @@ main(int argc, char** argv)
         return 0;
     }
 
-    std::vector<std::string> axioms;
-    if (!args.axiom.empty()) {
-        if (model.axiom(args.axiom) == nullptr) {
-            std::fprintf(stderr, "model %s has no axiom '%s'\n",
-                         model.name().c_str(), args.axiom.c_str());
-            return 2;
-        }
-        axioms.push_back(args.axiom);
-    } else {
-        for (const auto& axiom : model.axioms()) {
-            axioms.push_back(axiom.name);
-        }
+    if (!args.axiom.empty() && model.axiom(args.axiom) == nullptr) {
+        std::fprintf(stderr, "model %s has no axiom '%s'\n",
+                     model.name().c_str(), args.axiom.c_str());
+        return 2;
     }
     if (args.resume && args.checkpoint_path.empty()) {
         return usage_error("--resume", "--checkpoint PATH to resume from",
@@ -663,9 +657,8 @@ main(int argc, char** argv)
         }
     }
     // Observability (docs/observability.md): one collector/report spans
-    // every suite of the invocation. Each suite builds its own pool, so the
-    // collector is sized for the resolved worker count, which every pool
-    // shares.
+    // every suite of the invocation; the collector is sized for the
+    // resolved worker count of the synthesis call's pool.
     std::optional<obs::TraceCollector> trace;
     if (!args.trace_path.empty()) {
         trace.emplace(sched::resolve_jobs(args.jobs));
@@ -680,32 +673,52 @@ main(int argc, char** argv)
         report->jobs = sched::resolve_jobs(args.jobs);
     }
 
-    sched::SchedulerStats total;
-    sat::SolverStats solver_total;
-    obs::AllocTotals alloc_total;
+    // One synthesis call serves the whole invocation: with --all the
+    // enumerative backend searches every axiom in one pass.
+    synth::SynthesisOptions options = synthesis_options(
+        model, args, cancel, fault_plan ? &*fault_plan : nullptr,
+        journal.get(), trace ? &*trace : nullptr, report.has_value());
+    if (args.progress) {
+        options.progress = progress_printer(
+            model.name() + " / " +
+            (args.axiom.empty() ? std::string("all axioms") : args.axiom));
+    }
+    const std::vector<synth::SuiteResult> suites =
+        args.axiom.empty()
+            ? synth::synthesize_all_parallel(model, options)
+            : std::vector<synth::SuiteResult>{
+                  synth::synthesize_suite(model, args.axiom, options)};
+
+    // The all-axioms aggregate is the metrics report's totals: suites sum,
+    // and each pass's shared counters sit on one suite, so they count once.
+    obs::SuiteReport aggregate;
     bool any_incomplete = false;
-    for (const auto& axiom : axioms) {
-        const int rc = run_suite(model, axiom, args, cancel,
-                                 fault_plan ? &*fault_plan : nullptr,
-                                 journal.get(), trace ? &*trace : nullptr,
-                                 &total, &solver_total,
-                                 report ? &*report : nullptr, &alloc_total,
-                                 &any_incomplete);
+    for (const synth::SuiteResult& suite : suites) {
+        const int rc = report_suite(model, suite, args);
         if (rc != 0) {
             return rc;
         }
-    }
-    if (args.stats && axioms.size() > 1) {
-        // Counters sum across suites; `workers` and the queue wait (which
-        // overlap rather than add) take the maximum — see
-        // SchedulerStats::merge.
-        print_stats(model.name() + " / all axioms", total);
-        if (solver_total.solve_calls > 0) {
-            print_solver_stats(model.name() + " / all axioms", solver_total);
+        any_incomplete = any_incomplete || !suite.complete;
+        const obs::SuiteReport counters = obs::suite_report(suite);
+        aggregate.merge(counters);
+        if (report) {
+            report->suites.push_back(counters);
         }
     }
-    if (args.alloc_stats && axioms.size() > 1) {
-        print_alloc_stats(model.name() + " / all axioms", alloc_total);
+    if (suites.size() > 1) {
+        const std::string scope = model.name() + " / all axioms";
+        if (args.stats) {
+            // Counters sum across suites; `workers` and the queue wait
+            // (which overlap rather than add) take the maximum — see
+            // SchedulerStats::merge.
+            print_stats(scope, aggregate.scheduler);
+            if (aggregate.solver.solve_calls > 0) {
+                print_solver_stats(scope, aggregate.solver);
+            }
+        }
+        if (args.alloc_stats) {
+            print_alloc_stats(scope, aggregate.allocs);
+        }
     }
     if (trace) {
         std::string error;
