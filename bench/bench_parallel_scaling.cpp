@@ -1,9 +1,9 @@
 /// \file
-/// Parallel-scaling bench for the v2 synthesis runtime: wall time of the
+/// Parallel-scaling bench for the synthesis runtime: wall time of the
 /// full per-axiom suite sweep at 1/2/4/8 scheduler jobs on the fixture
 /// MTMs, reporting speedup over the sequential (jobs=1) run. The sweep
 /// goes through synthesize_all_parallel, so every axiom is searched in ONE
-/// pass on one work-stealing pool (Chase-Lev deques + lazy adaptive shard
+/// pass on one thread pool (one locked job queue + lazy adaptive shard
 /// re-splitting) — the paper's Alloy pipeline took a week single-threaded
 /// at bound 11; the point of the runtime is that added cores translate
 /// into wall-clock speedup while the synthesized suite stays

@@ -1,17 +1,16 @@
 /// \file
-/// The v2 work-stealing scheduler of the parallel synthesis runtime (see
+/// The thread pool of the parallel synthesis runtime (see
 /// docs/scheduler.md and DESIGN.md, "Parallel synthesis runtime").
 ///
-/// v1 was a single-shot batch object: one mutex-guarded deque per worker,
-/// threads spawned per batch, destroyed at the end, and no way to submit
-/// work while a batch ran. v2 is a *persistent shared pool*: worker threads
-/// start once, park when idle, and serve any number of concurrent *job
-/// groups*. Each worker owns a lock-free Chase-Lev deque (owner pops LIFO,
-/// thieves steal FIFO); external submitters go through a small injection
-/// queue, and a running job may spawn follow-up jobs into the same group —
-/// the mechanism behind adaptive shard re-splitting in the synthesis
-/// engine, and the reason `synthesize_all_parallel` can feed every axiom's
-/// shards to one pool instead of spinning up per-axiom thread groups.
+/// One mutex guards one queue of jobs and the counters of every job group;
+/// worker threads start once and block on a condition variable until there
+/// is work. A run dispatches a few hundred coarse shard jobs at most, so
+/// the lock costs nothing measurable. A running job may submit follow-up
+/// jobs into its own group — the mechanism behind adaptive shard
+/// re-splitting in the synthesis engine. Those jobs go to the front of the
+/// queue, so a re-split's children run next, in submission order, and the
+/// passes sharing a pool (one per axiom on the SAT backend) stay
+/// contiguous instead of interleaving.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +24,16 @@ class TraceCollector;
 
 namespace transform::sched {
 
-/// Aggregate counters for a job group or a pool lifetime (the scheduler
-/// analogue of sat::SolverStats). The pool fills the scheduling fields; the
+/// Aggregate counters for a job group (the scheduler analogue of
+/// sat::SolverStats). The pool fills the scheduling fields; the
 /// synthesis engine adds the re-split / dedup / queue-wait fields before
 /// surfacing the struct through SuiteResult and `elt_synth --stats`.
 struct SchedulerStats {
     int workers = 0;                 ///< worker threads in the pool
     std::uint64_t jobs_run = 0;      ///< jobs executed
-    std::uint64_t steals = 0;        ///< jobs migrated by stealing
-                                     ///< (Chase-Lev steals take one job)
+    /// Jobs that ran on a different worker than the job that submitted
+    /// them (jobs submitted from outside the pool never count).
+    std::uint64_t steals = 0;
     /// Lazy in-search shard re-splits: a shard job abandoned its search at
     /// the re-split threshold and resubmitted the remainder as children
     /// (engine).
@@ -91,21 +91,24 @@ struct SchedulerStats {
 /// worker per hardware thread".
 int resolve_jobs(int jobs);
 
-/// A persistent work-stealing thread pool shared by every search in the
-/// process that holds a reference to it.
+/// A persistent thread pool with one locked job queue.
 ///
-/// Work is organized in *job groups*: a group is a wait-able set of jobs
-/// (one synthesis suite submits one group; `synthesize_all_parallel`
-/// submits one group per axiom to a single pool). Groups are independent —
-/// jobs of different groups interleave freely on the same workers — and
-/// each group carries its own counters so a suite's stats stay attributable
-/// even on a shared pool.
+/// Work is organized in *job groups*: a group is a wait-able set of jobs.
+/// One synthesis pass submits one group; the SAT backend's multi-axiom
+/// calls submit one pass per axiom to a single pool. Jobs of different
+/// groups share the workers, and each group carries its own counters so a
+/// pass's stats stay attributable on a shared pool.
 ///
-/// Thread-safety contract: make_group/submit/wait/stats are safe from any
-/// thread, including from inside a running job (self-submission is how
-/// adaptive re-splitting spawns child shards). The destructor joins the
-/// workers; every group must be wait()ed before the pool is destroyed.
-class WorkStealingPool {
+/// Queue order: jobs submitted from outside the pool go to the back; jobs
+/// submitted from inside a running job go to the front, as one batch in
+/// submission order. Suites never depend on the order (merge tickets
+/// decide them); it only keeps each pass's work together.
+///
+/// Thread-safety contract: make_group/submit/wait/group_stats are safe
+/// from any thread; submit is also safe from inside a running job. The
+/// destructor joins the workers; every group must be wait()ed before the
+/// pool is destroyed.
+class ThreadPool {
   public:
     /// A job receives the index of the worker executing it (in
     /// [0, workers())); useful for worker-local accumulation.
@@ -121,35 +124,32 @@ class WorkStealingPool {
 
     /// Starts \p workers persistent worker threads (resolved via
     /// resolve_jobs; 0 = one per hardware thread).
-    explicit WorkStealingPool(int workers);
+    explicit ThreadPool(int workers);
 
     /// Joins the workers. Undefined if a group still has pending jobs —
     /// wait() for every submitted group first.
-    ~WorkStealingPool();
+    ~ThreadPool();
 
-    WorkStealingPool(const WorkStealingPool&) = delete;
-    WorkStealingPool& operator=(const WorkStealingPool&) = delete;
+    ThreadPool(const ThreadPool&) = delete;
+    ThreadPool& operator=(const ThreadPool&) = delete;
 
     /// Creates an empty job group. Thread-safe.
     GroupHandle make_group();
 
-    /// Submits one job to \p group. Thread-safe. When called from inside a
-    /// job running on this pool, the new job is pushed onto the calling
-    /// worker's own deque (lock-free; idle workers steal it); otherwise it
-    /// goes through the injection queue. May be called concurrently with
-    /// wait() on the same group only from inside one of the group's jobs
-    /// (a job's spawns are counted before the job completes, so the group
-    /// cannot be observed complete early).
+    /// Submits one job to \p group. Thread-safe. A job submitted from
+    /// inside a job of the same group is counted before the submitting job
+    /// finishes, so wait() cannot observe the group complete early.
     void submit(const GroupHandle& group, Job job);
 
-    /// Submits a batch of jobs to \p group in one injection-queue
-    /// operation. Thread-safe; same semantics as the single-job overload.
+    /// Submits a batch of jobs to \p group under one lock acquisition;
+    /// from inside a running job the batch keeps its order at the front of
+    /// the queue. Same semantics as the single-job overload otherwise.
     void submit(const GroupHandle& group, std::vector<Job> jobs);
 
     /// Blocks until every job submitted to \p group — including jobs
-    /// spawned by the group's own jobs — has finished. Thread-safe; must
-    /// not be called from inside a job (a worker waiting on its own pool
-    /// can deadlock). Returns immediately for a group with no jobs.
+    /// spawned by the group's own jobs — has finished. Must not be called
+    /// from inside a job (a worker waiting on its own pool can deadlock).
+    /// Returns immediately for a group with no jobs.
     void wait(const GroupHandle& group);
 
     /// Convenience for one-shot callers (elt_check, tests):
@@ -162,14 +162,10 @@ class WorkStealingPool {
     /// Attaches (or detaches, nullptr) a span collector: every job
     /// executed afterwards is recorded as a complete "job" span on the
     /// executing worker's trace lane, so gaps between job spans expose
-    /// steal/park/injection overhead in the timeline. The collector must
-    /// outlive the pool or be detached first; when none is attached the
-    /// cost is one relaxed load per job.
+    /// dispatch overhead in the timeline. The collector must outlive the
+    /// pool or be detached first; when none is attached the cost is one
+    /// relaxed load per job.
     void set_trace(obs::TraceCollector* trace);
-
-    /// Pool-lifetime counters across all groups. Thread-safe; counters are
-    /// monotonic but only settled for groups that have been wait()ed.
-    SchedulerStats stats() const;
 
     /// Counters attributed to one group. The pool fills only `workers`,
     /// `jobs_run`, `steals`, and `job_faults`; the engine-owned fields —
@@ -182,7 +178,7 @@ class WorkStealingPool {
 
   private:
     struct Impl;
-    Impl* impl_;
+    std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace transform::sched

@@ -28,7 +28,7 @@ namespace transform::sched {
 /// The read-side accessors (min_ticket, hits, size) are themselves
 /// thread-safe but return settled values only after every writer has
 /// finished — the engine reads them in its merge step, after
-/// WorkStealingPool::wait() on the suite's job group.
+/// ThreadPool::wait() on the suite's job group.
 class ShardedKeyIndex {
   public:
     /// Outcome of one record() call.

@@ -508,7 +508,7 @@ struct PassRun {
     std::once_flag deadline_armed;
     util::Deadline deadline;  ///< access via armed_deadline() from jobs
     sched::ShardedKeyIndex index;
-    sched::WorkStealingPool::GroupHandle group;
+    sched::ThreadPool::GroupHandle group;
 
     /// Candidates visited, eligible for a target or not (the progress
     /// heartbeat's count; suites count their eligible ones).
@@ -604,7 +604,7 @@ struct PassRun {
 
     /// Builds the job for a ShardTask; recursive through re-splitting, so
     /// it lives here rather than on the launch_pass stack.
-    std::function<sched::WorkStealingPool::Job(ShardTask)> make_job;
+    std::function<sched::ThreadPool::Job(ShardTask)> make_job;
 };
 
 /// Runs the actual search of one shard and splices its results into the
@@ -822,7 +822,7 @@ describe_task(const PassRun& run, const ShardTask& task)
 /// idempotent under the retry's equal tickets, so a retried shard's
 /// contribution is byte-identical to a fault-free run's.
 void
-recover_and_reschedule(PassRun* raw, sched::WorkStealingPool* pool_ptr,
+recover_and_reschedule(PassRun* raw, sched::ThreadPool* pool_ptr,
                        const ShardTask& task, int worker, const char* what)
 {
     const SynthesisOptions& options = raw->options;
@@ -881,7 +881,7 @@ recover_and_reschedule(PassRun* raw, sched::WorkStealingPool* pool_ptr,
 /// runs — they are diagnostics; at jobs=1 full replays reproduce them
 /// exactly.)
 void
-replay_shard_record(PassRun* raw, sched::WorkStealingPool* pool_ptr,
+replay_shard_record(PassRun* raw, sched::ThreadPool* pool_ptr,
                     const ShardTask& task,
                     const CheckpointJournal::ShardRecord& rec,
                     std::uint64_t* visited_out, bool* resplit_out)
@@ -939,16 +939,17 @@ replay_shard_record(PassRun* raw, sched::WorkStealingPool* pool_ptr,
             task.ticket_stride - rec.visited, children.size() - boundary);
         raw->jobs_submitted.fetch_add(children.size() - boundary,
                                       std::memory_order_relaxed);
+        std::vector<sched::ThreadPool::Job> jobs;
+        jobs.reserve(children.size() - boundary);
         for (std::size_t i = boundary; i < children.size(); ++i) {
-            pool_ptr->submit(
-                raw->group,
-                raw->make_job({children[i],
-                               task.ticket_base + rec.visited +
-                                   (i - boundary) * child_stride,
-                               child_stride,
-                               i == boundary ? rec.resume_skip : 0,
-                               0, 0}));
+            jobs.push_back(raw->make_job({children[i],
+                                          task.ticket_base + rec.visited +
+                                              (i - boundary) * child_stride,
+                                          child_stride,
+                                          i == boundary ? rec.resume_skip : 0,
+                                          0, 0}));
         }
+        pool_ptr->submit(raw->group, std::move(jobs));
     }
     raw->note_job_finished();
 }
@@ -958,7 +959,7 @@ replay_shard_record(PassRun* raw, sched::WorkStealingPool* pool_ptr,
 /// observability shell (span + phase accounting), which reads \p
 /// visited_out / \p resplit_out for span args; both may be null.
 void
-execute_shard_task(PassRun* raw, sched::WorkStealingPool* pool_ptr,
+execute_shard_task(PassRun* raw, sched::ThreadPool* pool_ptr,
                    const ShardTask& task, int worker,
                    std::uint64_t* visited_out, bool* resplit_out)
 {
@@ -1117,6 +1118,9 @@ execute_shard_task(PassRun* raw, sched::WorkStealingPool* pool_ptr,
     obs::TraceCollector* trace = raw->options.trace;
     raw->jobs_submitted.fetch_add(children.size() - boundary,
                                   std::memory_order_relaxed);
+    // One batch: the children run next, in stream order.
+    std::vector<sched::ThreadPool::Job> jobs;
+    jobs.reserve(children.size() - boundary);
     for (std::size_t i = boundary; i < children.size(); ++i) {
         std::uint64_t flow = 0;
         if (trace != nullptr) {
@@ -1124,17 +1128,15 @@ execute_shard_task(PassRun* raw, sched::WorkStealingPool* pool_ptr,
             flow = trace->next_flow_id();
             trace->record_flow_start(worker, flow, obs::now_nanos());
         }
-        pool_ptr->submit(
-            raw->group,
-            raw->make_job(
-                {children[i],
-                 task.ticket_base + stop.visited +
-                     (i - boundary) * child_stride,
-                 child_stride,
-                 i == boundary ? stop.resume_skip : 0,
-                 0,  // children are first attempts, whatever ours was
-                 flow}));
+        jobs.push_back(raw->make_job(
+            {children[i],
+             task.ticket_base + stop.visited + (i - boundary) * child_stride,
+             child_stride,
+             i == boundary ? stop.resume_skip : 0,
+             0,  // children are first attempts, whatever ours was
+             flow}));
     }
+    pool_ptr->submit(raw->group, std::move(jobs));
     raw->note_job_finished();
 }
 
@@ -1142,7 +1144,7 @@ execute_shard_task(PassRun* raw, sched::WorkStealingPool* pool_ptr,
 /// \p pool as one job group. The caller must pool.wait(run->group) and
 /// then finish_pass().
 std::unique_ptr<PassRun>
-launch_pass(sched::WorkStealingPool& pool, const mtm::Model& model,
+launch_pass(sched::ThreadPool& pool, const mtm::Model& model,
             mtm::AxiomMask targets, const SynthesisOptions& options)
 {
     auto run = std::make_unique<PassRun>(model, targets, options);
@@ -1192,7 +1194,7 @@ launch_pass(sched::WorkStealingPool& pool, const mtm::Model& model,
     run->journal = options.checkpoint;
     run->group = pool.make_group();
     PassRun* raw = run.get();
-    sched::WorkStealingPool* pool_ptr = &pool;
+    sched::ThreadPool* pool_ptr = &pool;
     if (options.sat_conflict_budget > 0) {
         // Per-solve conflict cap on every per-worker solver (fresh path
         // and incremental sessions). Exhaustion raises BudgetExhausted out
@@ -1220,7 +1222,7 @@ launch_pass(sched::WorkStealingPool& pool, const mtm::Model& model,
     }
 
     run->make_job = [raw, pool_ptr](ShardTask task)
-        -> sched::WorkStealingPool::Job {
+        -> sched::ThreadPool::Job {
         return [raw, pool_ptr, task = std::move(task)](int worker) {
             obs::MetricsRegistry* metrics = raw->metrics.get();
             obs::TraceCollector* trace = raw->options.trace;
@@ -1251,16 +1253,14 @@ launch_pass(sched::WorkStealingPool& pool, const mtm::Model& model,
                     // Whatever wall time no inner phase claimed is the
                     // candidate generator itself — skeleton enumeration
                     // plus shard framing. This closes the attribution:
-                    // per-phase seconds sum to shard-job wall time. The
-                    // whole-job wall also lands one kSkeletonEnum latency
-                    // sample: the per-shard-job duration distribution.
+                    // per-phase seconds sum to shard-job wall time. Like
+                    // every residual attribution it records no latency
+                    // sample; job durations are the trace's shard spans.
                     const std::uint64_t claimed =
                         metrics->worker_nanos(worker) - claimed_before;
                     const std::uint64_t wall = end - start;
                     metrics->add(worker, obs::Phase::kSkeletonEnum,
                                  wall > claimed ? wall - claimed : 0);
-                    metrics->record_latency(
-                        worker, obs::Phase::kSkeletonEnum, wall);
                 }
                 if (trace != nullptr) {
                     trace->record_complete(
@@ -1283,7 +1283,7 @@ launch_pass(sched::WorkStealingPool& pool, const mtm::Model& model,
     // Partition the search space by (event bound, skeleton prefix):
     // adaptive mode starts from the coarse depth-1 split, fixed mode goes
     // straight to the requested depth.
-    std::vector<sched::WorkStealingPool::Job> jobs;
+    std::vector<sched::ThreadPool::Job> jobs;
     std::uint64_t shard_index = 0;
     for (int size = options.min_bound; size <= options.bound; ++size) {
         const SkeletonOptions skeleton =
@@ -1309,7 +1309,7 @@ launch_pass(sched::WorkStealingPool& pool, const mtm::Model& model,
 /// resolves every cross-shard race toward the sequential-enumeration-order
 /// winner. The pass's shared counters go on its first suite only.
 std::vector<SuiteResult>
-finish_pass(sched::WorkStealingPool& pool, PassRun& run)
+finish_pass(sched::ThreadPool& pool, PassRun& run)
 {
     SuiteResult shared;
     // Per-pass solver totals: the pass's solvers live in its private
@@ -1505,9 +1505,9 @@ synthesize_pass(const mtm::Model& model, mtm::AxiomMask targets,
               static_cast<int>(std::bit_width(targets)) <= axioms);
     // The enumerative backend serves every target from one pass. The SAT
     // backend's witness query names one axiom, so it runs one single-target
-    // pass per axiom, all on the same pool: shards of every pass interleave
-    // on the same options.jobs workers, and late passes inherit the
-    // workers of early ones.
+    // pass per axiom, all on the same pool: the passes queue in axiom
+    // order, and workers that run out of one pass's shards move on to the
+    // next pass's.
     std::vector<mtm::AxiomMask> passes;
     if (options.backend == Backend::kEnumerative) {
         passes.push_back(targets);
@@ -1518,7 +1518,7 @@ synthesize_pass(const mtm::Model& model, mtm::AxiomMask targets,
             }
         }
     }
-    sched::WorkStealingPool pool(options.jobs);
+    sched::ThreadPool pool(options.jobs);
     pool.set_trace(options.trace);
     obs::TraceCollector* trace = options.trace;
     std::vector<std::unique_ptr<PassRun>> runs;

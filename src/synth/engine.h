@@ -20,15 +20,15 @@
 /// The SAT backend's witness query is per axiom, so under it a multi-target
 /// call runs one single-target pass per axiom on a shared pool.
 ///
-/// A pass runs on the parallel synthesis runtime (src/sched/, v2): the
+/// A pass runs on the parallel synthesis runtime (src/sched/): the
 /// (event-bound, skeleton-prefix) space is partitioned into independent
-/// shards, one persistent work-stealing pool searches them concurrently
-/// (Chase-Lev deques), and results are merged through one sharded
-/// canonical-key index per pass. Shard depth is adaptive by default: the
-/// engine starts from a coarse split and any shard job that visits more
-/// candidates than a cost-model threshold abandons its search lazily — in
-/// place, keeping the results already found — and resubmits the unsearched
-/// remainder as child shards (see docs/scheduler.md).
+/// shards, one thread pool with a single locked job queue searches them
+/// concurrently, and results are merged through one sharded canonical-key
+/// index per pass. Shard depth is adaptive by default: the engine starts
+/// from a coarse split and any shard job that visits more candidates than
+/// a cost-model threshold abandons its search lazily — in place, keeping
+/// the results already found — and resubmits the unsearched remainder as
+/// child shards (see docs/scheduler.md).
 ///
 /// Determinism contract: for a run that completes within its time budget,
 /// each merged suite (tests, their order, and their witnesses) is identical

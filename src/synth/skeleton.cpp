@@ -835,52 +835,26 @@ split_shard(const SkeletonShard& shard)
     return children;
 }
 
-namespace {
-
-/// Replaces every splittable shard with its children, in place.
-void
-deepen_once(std::vector<SkeletonShard>* shards)
-{
-    std::vector<SkeletonShard> next;
-    next.reserve(shards->size() * 2);
-    for (SkeletonShard& shard : *shards) {
-        std::vector<SkeletonShard> children = split_shard(shard);
-        if (children.empty()) {
-            next.push_back(std::move(shard));
-        } else {
-            for (SkeletonShard& c : children) {
-                next.push_back(std::move(c));
-            }
-        }
-    }
-    *shards = std::move(next);
-}
-
-}  // namespace
-
 std::vector<SkeletonShard>
 partition_skeletons_at_depth(const SkeletonOptions& options, int depth)
 {
     TF_ASSERT(depth >= 1);
     std::vector<SkeletonShard> shards = split_shard({options, {}});
     for (int d = 1; d < depth; ++d) {
-        deepen_once(&shards);
-    }
-    return shards;
-}
-
-std::vector<SkeletonShard>
-partition_skeletons(const SkeletonOptions& options, int target_shards)
-{
-    // Depth 1: one shard per feasible opening slot of the first thread;
-    // deepen until the target is met. Replacing each shard with its
-    // children in the enumerator's child order preserves the
-    // concatenation-equals-full-stream property.
-    std::vector<SkeletonShard> shards = split_shard({options, {}});
-    for (int depth = 1;
-         depth < 4 && static_cast<int>(shards.size()) < target_shards;
-         ++depth) {
-        deepen_once(&shards);
+        // Replace every splittable shard with its children, in child order.
+        std::vector<SkeletonShard> next;
+        next.reserve(shards.size() * 2);
+        for (SkeletonShard& shard : shards) {
+            std::vector<SkeletonShard> children = split_shard(shard);
+            if (children.empty()) {
+                next.push_back(std::move(shard));
+            } else {
+                for (SkeletonShard& child : children) {
+                    next.push_back(std::move(child));
+                }
+            }
+        }
+        shards = std::move(next);
     }
     return shards;
 }

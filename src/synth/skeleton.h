@@ -61,26 +61,21 @@ inline constexpr int kCloseThread = -1;
 /// thread 1+, which is what lets deep adaptive re-splits keep subdividing a
 /// heavy one-slot-first-thread subtree. Shards are the unit of work of the
 /// parallel synthesis runtime: they are disjoint, they can be searched
-/// independently, and visiting the shards of partition_skeletons() in list
-/// order yields exactly the program sequence of for_each_skeleton(options)
-/// — the property the engine's deterministic merge relies on.
+/// independently, and visiting the shards of partition_skeletons_at_depth()
+/// in list order yields exactly the program sequence of
+/// for_each_skeleton(options) — the property the engine's deterministic
+/// merge relies on.
 struct SkeletonShard {
     SkeletonOptions options;
     std::vector<int> prefix;
 };
 
-/// Splits the skeleton space of \p options into at least
-/// min(target_shards, available splits) shards by fixing the first one or
-/// more decisions of the first thread. Prefixes that cannot fit in the
-/// event budget are dropped; shards may still turn out empty for deeper
-/// reasons (linking, VA feasibility), which is harmless.
-std::vector<SkeletonShard> partition_skeletons(const SkeletonOptions& options,
-                                               int target_shards);
-
 /// Splits the skeleton space of \p options to exactly \p depth fixed
-/// decisions (shards whose subtree leaves the first thread earlier stay
-/// shallower). depth must be >= 1. Shards in list order concatenate to the
-/// full enumeration stream, as with partition_skeletons.
+/// decisions (shards whose subtree bottoms out earlier stay shallower).
+/// depth must be >= 1. Prefixes that cannot fit in the event budget are
+/// dropped; shards may still turn out empty for deeper reasons (linking,
+/// VA feasibility), which is harmless. Shards in list order concatenate to
+/// the full enumeration stream.
 std::vector<SkeletonShard> partition_skeletons_at_depth(
     const SkeletonOptions& options, int depth);
 

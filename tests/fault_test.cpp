@@ -268,16 +268,21 @@ TEST(SolverBudget, InterruptHookStopsTheSearch)
 
 TEST(PoolFaults, ThrowingJobIsContainedAndCounted)
 {
-    sched::WorkStealingPool pool(2);
-    pool.run_batch({[](int) { throw std::runtime_error("job boom"); },
-                    [](int) { /* healthy sibling */ }});
-    EXPECT_EQ(pool.stats().job_faults, 1u);
+    sched::ThreadPool pool(2);
+    const auto faulty = pool.make_group();
+    pool.submit(faulty, {[](int) { throw std::runtime_error("job boom"); },
+                         [](int) { /* healthy sibling */ }});
+    pool.wait(faulty);
+    EXPECT_EQ(pool.group_stats(faulty).job_faults, 1u);
+    EXPECT_EQ(pool.group_stats(faulty).jobs_run, 2u);
     // The pool stays serviceable afterwards.
     std::atomic<int> ran{0};
-    pool.run_batch({[&ran](int) { ran.fetch_add(1); },
-                    [&ran](int) { ran.fetch_add(1); }});
+    const auto healthy = pool.make_group();
+    pool.submit(healthy, {[&ran](int) { ran.fetch_add(1); },
+                          [&ran](int) { ran.fetch_add(1); }});
+    pool.wait(healthy);
     EXPECT_EQ(ran.load(), 2);
-    EXPECT_EQ(pool.stats().job_faults, 1u);
+    EXPECT_EQ(pool.group_stats(healthy).job_faults, 0u);
 }
 
 // ---------------------------------------------------------------------------

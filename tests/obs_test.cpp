@@ -315,11 +315,11 @@ TEST(TraceCollector, ConcurrentLanesRecordIndependently)
 
 TEST(SchedulerTrace, PoolRecordsJobSpansWhenAttached)
 {
-    sched::WorkStealingPool pool(2);
+    sched::ThreadPool pool(2);
     obs::TraceCollector trace(pool.workers());
     pool.set_trace(&trace);
     std::atomic<int> ran{0};
-    std::vector<sched::WorkStealingPool::Job> jobs;
+    std::vector<sched::ThreadPool::Job> jobs;
     for (int i = 0; i < 16; ++i) {
         jobs.push_back([&ran](int) { ++ran; });
     }
@@ -446,6 +446,14 @@ TEST(ObsEngine, CollectMetricsFillsPhaseTotals)
         synth::synthesize_suite(model, "sc_per_loc", options);
     EXPECT_GT(suite.phases.total_nanos(), 0u);
     EXPECT_GT(suite.phases.count(obs::Phase::kSkeletonEnum), 0u);
+    // skeleton_enum is the residual of each shard job's wall time: it has
+    // seconds but, like every residual attribution, no latency samples.
+    EXPECT_GT(suite.phases.seconds(obs::Phase::kSkeletonEnum), 0.0);
+    EXPECT_EQ(suite.phases
+                  .latency[static_cast<std::size_t>(
+                      obs::Phase::kSkeletonEnum)]
+                  .total(),
+              0u);
     EXPECT_GT(suite.phases.count(obs::Phase::kDerive), 0u);
     EXPECT_GT(suite.phases.count(obs::Phase::kCanonicalize), 0u);
     EXPECT_GT(suite.phases.count(obs::Phase::kDedup), 0u);

@@ -187,31 +187,32 @@ TEST(Skeleton, CountsGrowWithBound)
 }
 
 /// The contract the parallel synthesis runtime depends on: searching the
-/// shards of partition_skeletons in list order visits exactly the program
-/// sequence of the unsharded enumeration.
+/// shards of partition_skeletons_at_depth in list order visits exactly the
+/// program sequence of the unsharded enumeration, at every depth.
 TEST(Skeleton, ShardsConcatenateToFullEnumeration)
 {
     for (const bool vm : {true, false}) {
-        for (const int target : {1, 8, 64, 1000}) {
-            SkeletonOptions opt;
-            opt.num_events = vm ? 5 : 4;
-            opt.vm_enabled = vm;
-            std::vector<std::string> full;
-            for_each_skeleton(opt, [&](const Program& p) {
-                full.push_back(elt::program_to_string(p));
-                return true;
-            });
+        SkeletonOptions opt;
+        opt.num_events = vm ? 5 : 4;
+        opt.vm_enabled = vm;
+        std::vector<std::string> full;
+        for_each_skeleton(opt, [&](const Program& p) {
+            full.push_back(elt::program_to_string(p));
+            return true;
+        });
+        for (const int depth : {1, 2, 3, 4}) {
             std::vector<std::string> sharded;
-            const auto shards = partition_skeletons(opt, target);
-            EXPECT_GE(static_cast<int>(shards.size()), std::min(target, 2));
+            const auto shards = partition_skeletons_at_depth(opt, depth);
+            EXPECT_GE(shards.size(), 2u);
             for (const SkeletonShard& shard : shards) {
+                EXPECT_LE(shard.prefix.size(),
+                          static_cast<std::size_t>(depth));
                 for_each_skeleton(shard, [&](const Program& p) {
                     sharded.push_back(elt::program_to_string(p));
                     return true;
                 });
             }
-            EXPECT_EQ(full, sharded)
-                << "vm=" << vm << " target=" << target;
+            EXPECT_EQ(full, sharded) << "vm=" << vm << " depth=" << depth;
         }
     }
 }
@@ -324,29 +325,6 @@ TEST(Skeleton, RecursiveSplitLeavesConcatenateToFullEnumeration)
     EXPECT_GT(max_depth, opt.num_events + 1);
 }
 
-TEST(Skeleton, FixedDepthPartitionCoversFullEnumeration)
-{
-    SkeletonOptions opt;
-    opt.num_events = 5;
-    std::vector<std::string> full;
-    for_each_skeleton(opt, [&](const Program& p) {
-        full.push_back(elt::program_to_string(p));
-        return true;
-    });
-    for (const int depth : {1, 2, 3, 4}) {
-        std::vector<std::string> sharded;
-        for (const SkeletonShard& shard :
-             partition_skeletons_at_depth(opt, depth)) {
-            EXPECT_LE(shard.prefix.size(), static_cast<std::size_t>(depth));
-            for_each_skeleton(shard, [&](const Program& p) {
-                sharded.push_back(elt::program_to_string(p));
-                return true;
-            });
-        }
-        EXPECT_EQ(full, sharded) << "depth=" << depth;
-    }
-}
-
 TEST(Skeleton, CountSkeletonsProbeStopsAtLimit)
 {
     SkeletonOptions opt;
@@ -363,15 +341,18 @@ TEST(Skeleton, ShardVisitStopsEarly)
 {
     SkeletonOptions opt;
     opt.num_events = 4;
-    const auto shards = partition_skeletons(opt, 8);
-    ASSERT_FALSE(shards.empty());
-    int count = 0;
-    const bool completed = for_each_skeleton(shards[0], [&](const Program&) {
-        ++count;
-        return false;
-    });
-    EXPECT_FALSE(completed);
-    EXPECT_EQ(count, 1);
+    for (const int depth : {1, 2, 3, 4}) {
+        const auto shards = partition_skeletons_at_depth(opt, depth);
+        ASSERT_FALSE(shards.empty());
+        int count = 0;
+        const bool completed =
+            for_each_skeleton(shards[0], [&](const Program&) {
+                ++count;
+                return false;
+            });
+        EXPECT_FALSE(completed) << "depth=" << depth;
+        EXPECT_EQ(count, 1) << "depth=" << depth;
+    }
 }
 
 TEST(Skeleton, SearchSkeletonsSkipDropsALeadingPrefix)

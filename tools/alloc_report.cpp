@@ -122,9 +122,7 @@ main(int argc, char** argv)
                                           text);
             }
         } else {
-            std::fprintf(stderr, "unknown flag '%s' (see the file header "
-                         "for usage)\n", flag.c_str());
-            return 2;
+            return tools::unknown_flag(flag);
         }
     }
 

@@ -25,10 +25,10 @@
 /// every combination — the flags exist to cross-check exactly that from
 /// the command line.
 ///
-/// Several files are checked concurrently on the shared work-stealing pool
-/// (src/sched/ v2, Chase-Lev deques; --jobs N workers, 0 = one per
-/// hardware thread) as a single job group; reports are buffered and
-/// printed in input order, so the output does not depend on --jobs.
+/// Several files are checked concurrently on the runtime's thread pool
+/// (src/sched/; --jobs N workers, 0 = one per hardware thread) as a single
+/// job group; reports are buffered and printed in input order, so the
+/// output does not depend on --jobs.
 ///
 /// --trace FILE records each file's check as a span on its worker's lane
 /// and writes a Chrome trace-event JSON file (Perfetto /
@@ -278,10 +278,17 @@ main(int argc, char** argv)
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        if (flag == "--model" && i + 1 < argc) {
-            model_name = argv[++i];
+        auto value = [&]() -> const char* {
+            return i + 1 < argc ? argv[++i] : "";
+        };
+        if (flag == "--model") {
+            model_name = value();
+            if (model_name.empty()) {
+                return tools::usage_error(flag, "a model name or .mtm path",
+                                          "");
+            }
         } else if (flag == "--backend") {
-            const std::string text = i + 1 < argc ? argv[++i] : "";
+            const std::string text = value();
             if (text == "enum") {
                 options.sat = false;
             } else if (text == "sat") {
@@ -290,7 +297,7 @@ main(int argc, char** argv)
                 return tools::usage_error(flag, "'enum' or 'sat'", text);
             }
         } else if (flag == "--sat-incremental") {
-            const std::string text = i + 1 < argc ? argv[++i] : "";
+            const std::string text = value();
             if (text == "on") {
                 options.sat_incremental = true;
             } else if (text == "off") {
@@ -299,7 +306,7 @@ main(int argc, char** argv)
                 return tools::usage_error(flag, "'on' or 'off'", text);
             }
         } else if (flag == "--sat-conflict-budget") {
-            const std::string text = i + 1 < argc ? argv[++i] : "";
+            const std::string text = value();
             long long parsed = 0;
             if (!tools::parse_int(text, 0, 1LL << 40, &parsed)) {
                 return tools::usage_error(
@@ -308,15 +315,23 @@ main(int argc, char** argv)
             }
             options.sat_conflict_budget = parsed;
         } else if (flag == "--jobs") {
-            const std::string text = i + 1 < argc ? argv[++i] : "";
+            const std::string text = value();
             if (!tools::parse_jobs(text, &jobs)) {
                 return tools::usage_error(flag, tools::kJobsExpectation,
                                           text);
             }
-        } else if (flag == "--trace" && i + 1 < argc) {
-            trace_path = argv[++i];
-        } else if (flag == "--metrics-json" && i + 1 < argc) {
-            metrics_path = argv[++i];
+        } else if (flag == "--trace") {
+            trace_path = value();
+            if (trace_path.empty()) {
+                return tools::usage_error(flag, "an output file path", "");
+            }
+        } else if (flag == "--metrics-json") {
+            metrics_path = value();
+            if (metrics_path.empty()) {
+                return tools::usage_error(flag, "an output file path", "");
+            }
+        } else if (flag.starts_with("--")) {
+            return tools::unknown_flag(flag);
         } else {
             paths.push_back(flag);
         }
@@ -351,13 +366,13 @@ main(int argc, char** argv)
         obs::SuiteReport suite;
     };
     std::vector<Report> reports(paths.size());
-    sched::WorkStealingPool pool(jobs);
+    sched::ThreadPool pool(jobs);
     std::optional<obs::TraceCollector> trace;
     if (!trace_path.empty()) {
         trace.emplace(pool.workers());
         pool.set_trace(&*trace);
     }
-    std::vector<sched::WorkStealingPool::Job> batch;
+    std::vector<sched::ThreadPool::Job> batch;
     batch.reserve(paths.size());
     for (std::size_t i = 0; i < paths.size(); ++i) {
         obs::TraceCollector* tc = trace ? &*trace : nullptr;

@@ -560,9 +560,7 @@ main(int argc, char** argv)
         } else if (flag == "--spec-mtm") {
             args.emit_spec_mtm = true;
         } else {
-            std::fprintf(stderr, "unknown flag '%s' (see the file header "
-                         "for usage)\n", flag.c_str());
-            return 2;
+            return tools::unknown_flag(flag);
         }
     }
 

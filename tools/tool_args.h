@@ -60,6 +60,15 @@ usage_error(const std::string& flag, const char* expected,
     return 2;
 }
 
+/// Rejects a flag the tool does not know; returns the usage exit code.
+inline int
+unknown_flag(const std::string& flag)
+{
+    std::fprintf(stderr, "unknown flag '%s' (see the file header for usage)\n",
+                 flag.c_str());
+    return 2;
+}
+
 /// The --jobs contract shared by both tools: 0..1024, 0 = one worker per
 /// hardware thread.
 inline bool
