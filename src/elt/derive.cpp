@@ -1,6 +1,7 @@
 #include "elt/derive.h"
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 
 #include "util/logging.h"
@@ -250,68 +251,53 @@ find_class_group(const DeriveScratch& scratch, std::int64_t key)
     return &*it;
 }
 
+/// The row with bits [0, num_nodes) set. At 64 nodes that is the full
+/// word: shifting by 64 would be undefined.
+BitRow
+live_mask(int num_nodes)
+{
+    return num_nodes == kMaxBitEvents ? ~BitRow{0}
+                                      : (BitRow{1} << num_nodes) - 1;
+}
+
 }  // namespace
 
 bool
-has_cycle(int num_nodes, const EdgeSet* const* edge_sets,
-          std::size_t num_edge_sets, CycleScratch* scratch)
+rows_have_cycle(const BitRow* rows, int num_nodes)
 {
-    CycleScratch local;
-    if (scratch == nullptr) {
-        scratch = &local;
-    }
-    // Adjacency in CSR form, built into reused buffers: count out-degrees,
-    // prefix-sum into offsets, then scatter the successors.
-    auto& offset = scratch->offset;
-    auto& cursor = scratch->cursor;
-    auto& flat = scratch->edges;
-    offset.assign(num_nodes + 1, 0);
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < num_edge_sets; ++s) {
-        for (const auto& [from, to] : *edge_sets[s]) {
-            ++offset[from + 1];
-            ++total;
-        }
-    }
-    for (int i = 0; i < num_nodes; ++i) {
-        offset[i + 1] += offset[i];
-    }
-    cursor.assign(offset.begin(), offset.end() - 1);
-    flat.resize(total);
-    for (std::size_t s = 0; s < num_edge_sets; ++s) {
-        for (const auto& [from, to] : *edge_sets[s]) {
-            flat[cursor[from]++] = to;
-        }
-    }
-    // Iterative DFS with colors: 0 = white, 1 = grey, 2 = black.
-    auto& color = scratch->color;
-    auto& stack = scratch->stack;
-    color.assign(num_nodes, 0);
-    for (int start = 0; start < num_nodes; ++start) {
-        if (color[start] != 0) {
-            continue;
-        }
-        stack.clear();
-        stack.emplace_back(start, 0);
-        color[start] = 1;
-        while (!stack.empty()) {
-            auto& [node, next] = stack.back();
-            if (static_cast<int>(next) < offset[node + 1] - offset[node]) {
-                const int successor = flat[offset[node] + next++];
-                if (color[successor] == 1) {
-                    return true;
-                }
-                if (color[successor] == 0) {
-                    color[successor] = 1;
-                    stack.emplace_back(successor, 0);
-                }
-            } else {
-                color[node] = 2;
-                stack.pop_back();
+    BitRow live = live_mask(num_nodes);
+    // Sweep from the highest event down, dropping each sink as it is found,
+    // so a chain ordered by event id (po, mostly) peels in one sweep. A
+    // sweep that drops nothing leaves only nodes with a live successor.
+    for (;;) {
+        const BitRow before = live;
+        for (BitRow pending = live; pending != 0;) {
+            const int node = std::bit_width(pending) - 1;
+            const BitRow bit = BitRow{1} << node;
+            pending &= ~bit;
+            if ((rows[node] & live) == 0) {
+                live &= ~bit;
             }
         }
+        if (live == before) {
+            return live != 0;
+        }
     }
-    return false;
+}
+
+bool
+has_cycle(int num_nodes, const EdgeSet* const* edge_sets,
+          std::size_t num_edge_sets)
+{
+    TF_ASSERT(num_nodes >= 0 && num_nodes <= kMaxBitEvents);
+    BitRow rows[kMaxBitEvents];
+    std::fill_n(rows, num_nodes, BitRow{0});
+    for (std::size_t s = 0; s < num_edge_sets; ++s) {
+        for (const auto& [from, to] : *edge_sets[s]) {
+            rows[from] |= BitRow{1} << to;
+        }
+    }
+    return rows_have_cycle(rows, num_nodes);
 }
 
 ResolutionResult

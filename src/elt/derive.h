@@ -11,15 +11,21 @@
 /// dependencies render the execution ill-formed.
 ///
 /// The synthesis hot path derives millions of candidate executions; to keep
-/// that loop's allocations down, derivation comes in two forms: the
+/// that loop allocation-free, derivation comes in two forms: the
 /// convenience `derive()` returning a fresh DerivedRelations, and
 /// `derive_into()` which clears and reuses a caller-owned DerivedRelations
 /// plus a DeriveScratch holding the resolver state, coherence-class buckets
-/// and cycle-check adjacency. derive_into still allocates about 5.5 times
-/// per call at bound 8; docs/performance.md has the reuse contract and the
-/// measurement.
+/// and the axiom evaluators' arena. In steady state derive_into makes no
+/// heap allocation on a well-formed execution; docs/performance.md has the
+/// reuse contract and the measurement.
+///
+/// Axiom verdicts run on bit rows: a relation over a program's events is one
+/// 64-bit adjacency row per event, bit b of row a meaning a -> b. No program
+/// has more than kMaxBitEvents events — Program::validate rejects larger
+/// ones, so derive marks them ill-formed and no axiom ever sees them.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -78,25 +84,35 @@ struct DeriveOptions {
     bool vm_enabled = true;
 };
 
-/// Reusable state for has_cycle: the adjacency structure (CSR form) and DFS
-/// bookkeeping, cleared and rebuilt per call without reallocating once
-/// capacity has grown to the working-set size.
+/// Most events a program may have: the verdict kernel gives every event one
+/// bit of a 64-bit adjacency row (also the cap on elt_synth --bound).
+inline constexpr int kMaxBitEvents = 64;
+
+/// One event's successors: bit b set means an edge to event b.
+using BitRow = std::uint64_t;
+
+/// A relation over at most kMaxBitEvents events as adjacency rows; only the
+/// first num_events rows (and bits) are meaningful.
+using BitRows = std::array<BitRow, kMaxBitEvents>;
+
+/// True when the graph whose first \p num_nodes rows are \p rows has a
+/// cycle (a self-loop counts). Peels sinks — live nodes with no live
+/// successor — until none is left; a cycle exists iff live nodes remain.
+bool rows_have_cycle(const BitRow* rows, int num_nodes);
+
+/// Reusable state for the axiom evaluators, threaded through
+/// mtm::Model::violated_mask. has_cycle itself needs none: its rows live
+/// on the stack.
 struct CycleScratch {
-    std::vector<int> offset;  ///< CSR row offsets (num_nodes + 1)
-    std::vector<int> cursor;  ///< per-node fill cursor while building
-    std::vector<int> edges;   ///< flat successor lists
-    std::vector<int> color;   ///< DFS colors (0 white / 1 grey / 2 black)
-    std::vector<std::pair<int, std::size_t>> stack;  ///< DFS stack
     /// Caller-side temporary for axioms that need to assemble an edge-set
     /// union before the cycle check (e.g. the SC causality variant).
     EdgeSet tmp_edges;
-    /// Edge-set arena for the `.mtm` DSL axiom evaluator (spec/eval.h):
+    /// Relation arena for the `.mtm` DSL axiom evaluator (spec/eval.h):
     /// slots are acquired stack-wise per expression node and released
     /// wholesale at the end of each axiom evaluation, so in steady state a
-    /// DSL axiom evaluates without allocating — each slot's capacity
-    /// persists across evaluations. Indexed (not referenced) because the
-    /// vector may grow mid-evaluation.
-    std::vector<EdgeSet> spec_pool;
+    /// DSL axiom evaluates without allocating. Indexed (not referenced)
+    /// because the vector may grow mid-evaluation.
+    std::vector<BitRows> spec_pool;
     std::size_t spec_pool_live = 0;  ///< slots currently acquired
     /// Evaluator bookkeeping (opaque AST-node keys -> pinned slots /
     /// visit marks), pooled here for the same reuse reasons.
@@ -127,7 +143,7 @@ struct DeriveScratch {
         int end;
     };
     std::vector<ClassGroup> class_groups;
-    /// Cycle-check scratch, threaded through the axiom evaluators.
+    /// Axiom-evaluator scratch, threaded through Model::violated_mask.
     CycleScratch cycle;
 };
 
@@ -163,23 +179,21 @@ void resolve_addresses_into(const Execution& execution,
                             ResolutionResult* out, DeriveScratch* scratch);
 
 /// True when the directed graph over \p num_nodes nodes with the union of
-/// the given edge sets contains a cycle. \p scratch may be null (a local
-/// one is used); passing one makes repeated checks allocation-free.
+/// the given edge sets contains a cycle (a self-loop counts). Requires
+/// num_nodes <= kMaxBitEvents; allocation-free.
 bool has_cycle(int num_nodes, const EdgeSet* const* edge_sets,
-               std::size_t num_edge_sets, CycleScratch* scratch = nullptr);
+               std::size_t num_edge_sets);
 
 inline bool
-has_cycle(int num_nodes, std::initializer_list<const EdgeSet*> edge_sets,
-          CycleScratch* scratch = nullptr)
+has_cycle(int num_nodes, std::initializer_list<const EdgeSet*> edge_sets)
 {
-    return has_cycle(num_nodes, edge_sets.begin(), edge_sets.size(), scratch);
+    return has_cycle(num_nodes, edge_sets.begin(), edge_sets.size());
 }
 
 inline bool
-has_cycle(int num_nodes, const std::vector<const EdgeSet*>& edge_sets,
-          CycleScratch* scratch = nullptr)
+has_cycle(int num_nodes, const std::vector<const EdgeSet*>& edge_sets)
 {
-    return has_cycle(num_nodes, edge_sets.data(), edge_sets.size(), scratch);
+    return has_cycle(num_nodes, edge_sets.data(), edge_sets.size());
 }
 
 }  // namespace transform::elt

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "elt/derive.h"
 #include "util/logging.h"
 
 namespace transform::elt {
@@ -273,6 +274,12 @@ Program::validate(bool vm_enabled) const
     auto complain = [&problems](const std::string& text) {
         problems.push_back(text);
     };
+    // The axiom verdicts give each event one bit of a 64-bit row.
+    if (num_events() > kMaxBitEvents) {
+        complain("program has " + std::to_string(num_events()) +
+                 " events; at most " + std::to_string(kMaxBitEvents) +
+                 " are supported");
+    }
 
     if (!vm_enabled) {
         // MCM baseline: plain user instructions only.
@@ -397,12 +404,15 @@ Program::validate(bool vm_enabled) const
         if (events_[id].kind != EventKind::kWpte) {
             continue;
         }
-        std::vector<int> per_core(num_threads(), 0);
-        for (const EventId inv : remap_targets(id)) {
-            ++per_core[events_[inv].thread];
-        }
         for (int t = 0; t < num_threads(); ++t) {
-            if (per_core[t] != 1) {
+            int invlpgs = 0;
+            for (EventId inv = 0; inv < num_events(); ++inv) {
+                if (events_[inv].kind == EventKind::kInvlpg &&
+                    events_[inv].remap_src == id && events_[inv].thread == t) {
+                    ++invlpgs;
+                }
+            }
+            if (invlpgs != 1) {
                 complain("Wpte " + std::to_string(id) + ": needs exactly one "
                          "Invlpg on core " + std::to_string(t));
             }

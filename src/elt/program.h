@@ -93,8 +93,10 @@ class Program {
     /// of each kind per parent, Wpte has exactly one Invlpg per core with a
     /// same-core Invlpg po-after it, Invlpg va matches its Wpte's va, rmw
     /// pairs adjacent same-thread same-VA Read->Write, every user Write has
-    /// a Wdb ghost. With \p vm_enabled false (the MCM baseline), VM events
-    /// must be absent and the ghost requirements are waived.
+    /// a Wdb ghost, and at most elt::kMaxBitEvents (64) events in all (the
+    /// axiom verdicts' bit rows). With \p vm_enabled false (the MCM
+    /// baseline), VM events must be absent and the ghost requirements are
+    /// waived. A valid program allocates nothing here.
     std::vector<std::string> validate(bool vm_enabled = true) const;
 
     /// Total event count (the paper's instruction bound counts every event,

@@ -14,10 +14,9 @@ using elt::Program;
 namespace {
 
 bool
-acyclic(const Program& p, std::initializer_list<const EdgeSet*> parts,
-        CycleScratch* scratch)
+acyclic(const Program& p, std::initializer_list<const EdgeSet*> parts)
 {
-    return !elt::has_cycle(p.num_events(), parts, scratch);
+    return !elt::has_cycle(p.num_events(), parts);
 }
 
 /// sc_per_loc: acyclic(rf + co + fr + po_loc).
@@ -29,7 +28,8 @@ sc_per_loc_axiom()
             AxiomTag::kScPerLoc,
             [](const Program& p, const DerivedRelations& d,
                CycleScratch* scratch) {
-                return acyclic(p, {&d.rf, &d.co, &d.fr, &d.po_loc}, scratch);
+                (void)scratch;
+                return acyclic(p, {&d.rf, &d.co, &d.fr, &d.po_loc});
             }};
 }
 
@@ -77,8 +77,8 @@ causality_axiom(bool sequential_ppo)
                 // po_loc-agnostic extended order. DerivedRelations keeps TSO
                 // ppo; reconstruct full order by adding write->read pairs.
                 if (!sequential_ppo) {
-                    return acyclic(p, {&d.rfe, &d.co, &d.fr, &d.ppo, &d.fence},
-                                   scratch);
+                    return acyclic(p,
+                                   {&d.rfe, &d.co, &d.fr, &d.ppo, &d.fence});
                 }
                 CycleScratch local;
                 if (scratch == nullptr) {
@@ -97,8 +97,7 @@ causality_axiom(bool sequential_ppo)
                         }
                     }
                 }
-                return acyclic(p, {&d.rfe, &d.co, &d.fr, &full, &d.fence},
-                               scratch);
+                return acyclic(p, {&d.rfe, &d.co, &d.fr, &full, &d.fence});
             }};
 }
 
@@ -112,7 +111,8 @@ invlpg_axiom()
             AxiomTag::kInvlpg,
             [](const Program& p, const DerivedRelations& d,
                CycleScratch* scratch) {
-                return acyclic(p, {&d.fr_va, &d.po, &d.remap}, scratch);
+                (void)scratch;
+                return acyclic(p, {&d.fr_va, &d.po, &d.remap});
             }};
 }
 
@@ -125,8 +125,8 @@ tlb_causality_axiom()
             AxiomTag::kTlbCausality,
             [](const Program& p, const DerivedRelations& d,
                CycleScratch* scratch) {
-                return acyclic(p, {&d.ptw_source, &d.rf, &d.co, &d.fr},
-                               scratch);
+                (void)scratch;
+                return acyclic(p, {&d.ptw_source, &d.rf, &d.co, &d.fr});
             }};
 }
 

@@ -1,6 +1,7 @@
 #include "spec/eval.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.h"
 
@@ -8,7 +9,6 @@ namespace transform::spec {
 
 using elt::CycleScratch;
 using elt::DerivedRelations;
-using elt::Edge;
 using elt::EdgeSet;
 using elt::EventId;
 using elt::EventKind;
@@ -49,6 +49,8 @@ event_in_set(EventSet set, EventKind kind)
 }
 
 namespace {
+
+using elt::BitRow;
 
 /// Pool-slot handles are indices: CycleScratch::spec_pool may reallocate
 /// while children evaluate, so references must be re-fetched through the
@@ -102,6 +104,7 @@ struct Evaluator {
         }
     }
 
+    /// A fresh slot holding the empty relation.
     Slot
     acquire()
     {
@@ -109,34 +112,21 @@ struct Evaluator {
             scratch.spec_pool.emplace_back();
         }
         const Slot slot = scratch.spec_pool_live++;
-        scratch.spec_pool[slot].clear();
+        std::fill_n(at(slot), n, BitRow{0});
         return slot;
     }
 
-    EdgeSet&
+    BitRow*
     at(Slot slot)
     {
-        return scratch.spec_pool[slot];
+        return scratch.spec_pool[slot].data();
     }
 
+    /// The base relation's rows. po_mem is synthesized from the program (no
+    /// DerivedRelations field stores it); everything else ORs in the edges
+    /// of the corresponding derived field.
     void
-    release_to(Slot mark)
-    {
-        scratch.spec_pool_live = mark;
-    }
-
-    static void
-    normalize(EdgeSet* edges)
-    {
-        std::sort(edges->begin(), edges->end());
-        edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
-    }
-
-    /// The base relation's edges, sorted. po_mem is synthesized from the
-    /// program (no DerivedRelations field stores it); everything else is a
-    /// copy of the corresponding derived field.
-    void
-    base_into(BaseRel base, EdgeSet* out)
+    base_into(BaseRel base, BitRow* out) const
     {
         const EdgeSet* source = nullptr;
         switch (base) {
@@ -165,16 +155,16 @@ struct Evaluator {
                 for (EventId b = 0; b < n; ++b) {
                     if (a != b && elt::is_memory(p.event(b).kind) &&
                         p.precedes(a, b)) {
-                        out->emplace_back(a, b);
+                        out[a] |= BitRow{1} << b;
                     }
                 }
             }
-            normalize(out);
             return;
         }
         TF_ASSERT(source != nullptr);
-        out->assign(source->begin(), source->end());
-        normalize(out);
+        for (const auto& [from, to] : *source) {
+            out[from] |= BitRow{1} << to;
+        }
     }
 
     /// Evaluates \p e into a freshly acquired slot and returns it. Child
@@ -186,91 +176,64 @@ struct Evaluator {
         switch (e.op) {
         case ExprOp::kBase: {
             const Slot out = acquire();
-            base_into(e.base, &at(out));
+            base_into(e.base, at(out));
             return out;
         }
         case ExprOp::kEmpty:
             return acquire();
         case ExprOp::kIdSet: {
             const Slot out = acquire();
+            BitRow* rows = at(out);
             for (EventId a = 0; a < n; ++a) {
                 if (event_in_set(e.set, p.event(a).kind)) {
-                    at(out).emplace_back(a, a);
+                    rows[a] = BitRow{1} << a;
                 }
             }
             return out;
         }
-        case ExprOp::kUnion: {
-            const Slot lhs = eval(*e.lhs);
-            const Slot rhs = eval(*e.rhs);
-            const Slot out = acquire();
-            std::set_union(at(lhs).begin(), at(lhs).end(), at(rhs).begin(),
-                           at(rhs).end(), std::back_inserter(at(out)));
-            collapse(lhs, out);
-            return lhs;
-        }
-        case ExprOp::kIntersect: {
-            const Slot lhs = eval(*e.lhs);
-            const Slot rhs = eval(*e.rhs);
-            const Slot out = acquire();
-            std::set_intersection(at(lhs).begin(), at(lhs).end(),
-                                  at(rhs).begin(), at(rhs).end(),
-                                  std::back_inserter(at(out)));
-            collapse(lhs, out);
-            return lhs;
-        }
-        case ExprOp::kMinus: {
-            const Slot lhs = eval(*e.lhs);
-            const Slot rhs = eval(*e.rhs);
-            const Slot out = acquire();
-            std::set_difference(at(lhs).begin(), at(lhs).end(),
-                                at(rhs).begin(), at(rhs).end(),
-                                std::back_inserter(at(out)));
-            collapse(lhs, out);
-            return lhs;
-        }
+        case ExprOp::kUnion:
+        case ExprOp::kIntersect:
+        case ExprOp::kMinus:
         case ExprOp::kJoin: {
             const Slot lhs = eval(*e.lhs);
             const Slot rhs = eval(*e.rhs);
-            const Slot out = acquire();
-            join_into(at(lhs), at(rhs), &at(out));
-            collapse(lhs, out);
+            combine(e.op, at(lhs), at(rhs));
+            release_to(lhs + 1);
             return lhs;
         }
         case ExprOp::kTranspose: {
             const Slot inner = eval(*e.lhs);
             const Slot out = acquire();
-            for (const Edge& edge : at(inner)) {
-                at(out).emplace_back(edge.second, edge.first);
+            const BitRow* rows = at(inner);
+            BitRow* transposed = at(out);
+            for (EventId a = 0; a < n; ++a) {
+                for (BitRow bits = rows[a]; bits != 0; bits &= bits - 1) {
+                    transposed[std::countr_zero(bits)] |= BitRow{1} << a;
+                }
             }
-            normalize(&at(out));
-            collapse(inner, out);
+            std::copy_n(transposed, n, at(inner));
+            release_to(inner + 1);
             return inner;
         }
         case ExprOp::kClosure: {
             const Slot inner = eval(*e.lhs);
-            closure_in_place(inner);
+            close_transitively(at(inner));
             return inner;
         }
         case ExprOp::kReflexiveClosure: {
             const Slot inner = eval(*e.lhs);
-            closure_in_place(inner);
-            const Slot ident = acquire();
+            BitRow* rows = at(inner);
+            close_transitively(rows);
             for (EventId a = 0; a < n; ++a) {
-                at(ident).emplace_back(a, a);
+                rows[a] |= BitRow{1} << a;
             }
-            const Slot out = acquire();
-            std::set_union(at(inner).begin(), at(inner).end(),
-                           at(ident).begin(), at(ident).end(),
-                           std::back_inserter(at(out)));
-            collapse(inner, out);
             return inner;
         }
         case ExprOp::kLetRef: {
             const std::size_t pinned = pinned_slot(e.lhs.get());
             if (pinned != kNoSlot) {
                 const Slot out = acquire();
-                at(out) = at(pinned);
+                std::copy_n(at(pinned), n, at(out));
                 return out;
             }
             // Unpinned bodies only occur when eval is entered without the
@@ -281,54 +244,50 @@ struct Evaluator {
         TF_PANIC("unknown expression op");
     }
 
-    /// Moves \p out's contents down into \p dst and releases every slot
-    /// above dst — the stack discipline that bounds live slots by depth.
     void
-    collapse(Slot dst, Slot out)
+    release_to(Slot mark)
     {
-        std::swap(at(dst), at(out));
-        release_to(dst + 1);
+        scratch.spec_pool_live = mark;
     }
 
-    /// (lhs ; rhs)(a, c) = exists b: lhs(a, b) and rhs(b, c). Both inputs
-    /// sorted; rhs rows are located by binary search, the result is
-    /// re-normalized once.
-    static void
-    join_into(const EdgeSet& lhs, const EdgeSet& rhs, EdgeSet* out)
-    {
-        for (const Edge& l : lhs) {
-            auto it = std::lower_bound(
-                rhs.begin(), rhs.end(), Edge(l.second, 0),
-                [](const Edge& a, const Edge& b) { return a.first < b.first; });
-            for (; it != rhs.end() && it->first == l.second; ++it) {
-                out->emplace_back(l.first, it->second);
-            }
-        }
-        normalize(out);
-    }
-
-    /// Transitive closure by fixpoint: union in (cur ; base) until the edge
-    /// count stops growing. Bounded by n iterations (longest simple path).
+    /// lhs = lhs <op> rhs, row by row. For the join, (lhs ; rhs) row a is
+    /// the union of the rhs rows lhs row a selects; it reads only lhs row
+    /// a, so it can overwrite lhs in place.
     void
-    closure_in_place(Slot slot)
+    combine(ExprOp op, BitRow* lhs, const BitRow* rhs) const
     {
-        const Slot base = acquire();
-        at(base) = at(slot);
-        const Slot step = acquire();
-        for (;;) {
-            at(step).clear();
-            join_into(at(slot), at(base), &at(step));
-            const std::size_t before = at(slot).size();
-            const Slot merged = acquire();
-            std::set_union(at(slot).begin(), at(slot).end(), at(step).begin(),
-                           at(step).end(), std::back_inserter(at(merged)));
-            std::swap(at(slot), at(merged));
-            release_to(step + 1);
-            if (at(slot).size() == before) {
+        for (EventId a = 0; a < n; ++a) {
+            switch (op) {
+            case ExprOp::kUnion: lhs[a] |= rhs[a]; break;
+            case ExprOp::kIntersect: lhs[a] &= rhs[a]; break;
+            case ExprOp::kMinus: lhs[a] &= ~rhs[a]; break;
+            case ExprOp::kJoin: {
+                BitRow joined = 0;
+                for (BitRow bits = lhs[a]; bits != 0; bits &= bits - 1) {
+                    joined |= rhs[std::countr_zero(bits)];
+                }
+                lhs[a] = joined;
                 break;
             }
+            default: TF_PANIC("not a binary relation operator");
+            }
         }
-        release_to(base);
+    }
+
+    /// Transitive closure in place (Warshall's algorithm on rows): after
+    /// step k, row a reaches everything reachable through intermediate
+    /// nodes 0..k.
+    void
+    close_transitively(BitRow* rows) const
+    {
+        for (EventId k = 0; k < n; ++k) {
+            const BitRow via = BitRow{1} << k;
+            for (EventId a = 0; a < n; ++a) {
+                if (rows[a] & via) {
+                    rows[a] |= rows[k];
+                }
+            }
+        }
     }
 };
 
@@ -342,28 +301,26 @@ axiom_holds(const AxiomDef& axiom, const Program& program,
     if (scratch == nullptr) {
         scratch = &local;
     }
+    const int n = program.num_events();
+    TF_ASSERT(n <= elt::kMaxBitEvents);
     const std::size_t mark = scratch->spec_pool_live;
     const std::size_t memo_mark = scratch->spec_memo.size();
-    Evaluator eval{program, d, *scratch, program.num_events()};
+    Evaluator eval{program, d, *scratch, n};
     eval.pin_let_bodies(*axiom.expr);
-    const Slot result = eval.eval(*axiom.expr);
+    const BitRow* rows = eval.at(eval.eval(*axiom.expr));
     bool holds = true;
     switch (axiom.form) {
-    case AxiomForm::kAcyclic: {
-        const EdgeSet* parts[] = {&eval.at(result)};
-        holds = !elt::has_cycle(program.num_events(), parts, 1, scratch);
+    case AxiomForm::kAcyclic:
+        holds = !elt::rows_have_cycle(rows, n);
         break;
-    }
     case AxiomForm::kIrreflexive:
-        for (const Edge& edge : eval.at(result)) {
-            if (edge.first == edge.second) {
-                holds = false;
-                break;
-            }
+        for (EventId a = 0; a < n && holds; ++a) {
+            holds = (rows[a] & (BitRow{1} << a)) == 0;
         }
         break;
     case AxiomForm::kEmpty:
-        holds = eval.at(result).empty();
+        holds = std::all_of(rows, rows + n,
+                            [](BitRow row) { return row == 0; });
         break;
     }
     scratch->spec_memo.resize(memo_mark);
@@ -379,12 +336,20 @@ eval_expr(const Expr& expr, const Program& program,
     if (scratch == nullptr) {
         scratch = &local;
     }
+    const int n = program.num_events();
+    TF_ASSERT(n <= elt::kMaxBitEvents);
     const std::size_t mark = scratch->spec_pool_live;
     const std::size_t memo_mark = scratch->spec_memo.size();
-    Evaluator eval{program, d, *scratch, program.num_events()};
+    Evaluator eval{program, d, *scratch, n};
     eval.pin_let_bodies(expr);
-    const Slot result = eval.eval(expr);
-    *out = eval.at(result);
+    const BitRow* rows = eval.at(eval.eval(expr));
+    // Row by row, low bits first: the sorted, duplicate-free edge order.
+    out->clear();
+    for (EventId a = 0; a < n; ++a) {
+        for (BitRow bits = rows[a]; bits != 0; bits &= bits - 1) {
+            out->emplace_back(a, std::countr_zero(bits));
+        }
+    }
     scratch->spec_memo.resize(memo_mark);
     scratch->spec_pool_live = mark;
 }

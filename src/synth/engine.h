@@ -91,7 +91,10 @@ struct SynthesisProgress {
 /// Synthesis knobs.
 struct SynthesisOptions {
     int min_bound = 2;         ///< smallest event count to try
-    int bound = 5;             ///< largest event count (inclusive)
+    /// Largest event count (inclusive). At most elt::kMaxBitEvents (64):
+    /// larger programs are invalid (Program::validate), so a bigger bound
+    /// finds nothing new; elt_synth rejects --bound above 64.
+    int bound = 5;
     int max_threads = 2;
     int max_vas = 2;
     int max_fresh_pas = 1;

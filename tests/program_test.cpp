@@ -2,6 +2,7 @@
 /// Unit tests for ELT program construction, positions and validation.
 #include <gtest/gtest.h>
 
+#include "elt/derive.h"
 #include "elt/fixtures.h"
 #include "elt/printer.h"
 #include "elt/program.h"
@@ -150,6 +151,32 @@ TEST(Program, ValidationRejectsNonAdjacentRmw)
     b.rmw(r, w);  // an MFENCE separates the pair
     const Program p = b.build();
     EXPECT_FALSE(p.validate().empty());
+}
+
+TEST(Program, ValidationCapsEventsAtTheBitRowWidth)
+{
+    const auto reads = [](int events) {
+        ProgramBuilder b;
+        b.thread();
+        for (int i = 0; i < events; ++i) {
+            b.R(i % 4);
+        }
+        return b.build();
+    };
+    const Program at_cap = reads(kMaxBitEvents);
+    ASSERT_EQ(at_cap.num_events(), 64);
+    EXPECT_TRUE(at_cap.validate(/*vm_enabled=*/true).empty());
+    EXPECT_TRUE(at_cap.validate(/*vm_enabled=*/false).empty());
+    const Program over = reads(kMaxBitEvents + 1);
+    for (const bool vm : {true, false}) {
+        const std::vector<std::string> problems = over.validate(vm);
+        ASSERT_EQ(problems.size(), 1u);
+        EXPECT_EQ(problems[0],
+                  "program has 65 events; at most 64 are supported");
+    }
+    // derive marks the oversized program ill-formed, so no axiom sees it.
+    EXPECT_TRUE(derive(Execution::empty_for(at_cap), {false}).well_formed);
+    EXPECT_FALSE(derive(Execution::empty_for(over), {false}).well_formed);
 }
 
 TEST(Printer, ProgramTableMentionsEveryEvent)

@@ -10,7 +10,9 @@
 ///    x86t_elt axiom, and early-stop visits exactly a prefix;
 ///  - a reset Solver / reused EncodingScratch behaves like a fresh one;
 ///  - canonical_key and judge agree between their scratch and scratch-free
-///    overloads.
+///    overloads;
+///  - a second derive_into, violated_mask and mask-taking judge on the
+///    same execution allocate nothing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,6 +22,8 @@
 #include "elt/fixtures.h"
 #include "mtm/encoding.h"
 #include "mtm/model.h"
+#include "obs/alloc.h"
+#include "spec/registry.h"
 #include "synth/canonical.h"
 #include "synth/exec_enum.h"
 #include "synth/minimality.h"
@@ -336,6 +340,52 @@ TEST(ViolatedMask, MatchesStringShimOnFixtures)
             const bool holds = model.axioms()[i].holds(e.program, derived,
                                                        &scratch.cycle);
             EXPECT_EQ(bit, !holds) << model.axioms()[i].name;
+        }
+    }
+}
+
+TEST(SteadyState, DeriveMaskAndJudgeAllocateNothing)
+{
+    // fig4 has two Wptes and fig10b one: Program::validate's per-core
+    // Invlpg count once allocated per Wpte on every derivation. Every
+    // execution of each fixture program is derived, masked and judged
+    // twice; the second sweep must not allocate. The .mtm twin also covers
+    // the interpreter's arena.
+    std::string error;
+    const auto twin = spec::resolve_model("x86t_elt.mtm", &error);
+    ASSERT_TRUE(twin.has_value()) << error;
+    const mtm::Model builtin = mtm::x86t_elt();
+    for (const mtm::Model* model : {&builtin, &twin->model}) {
+        for (const auto make : {elt::fixtures::fig4_remap_chain,
+                                elt::fixtures::fig10b_dirtybit3}) {
+            std::vector<Execution> executions;
+            synth::for_each_execution(make().program, model->vm_aware(),
+                                      [&](const Execution& e) {
+                                          executions.push_back(e);
+                                          return true;
+                                      });
+            DerivedRelations derived;
+            elt::DeriveScratch derive;
+            synth::JudgeScratch judge;
+            int violating = 0;
+            const auto sweep = [&] {
+                violating = 0;
+                for (const Execution& e : executions) {
+                    elt::derive_into(e, model->derive_options(), &derived,
+                                     &derive);
+                    const mtm::AxiomMask mask = model->violated_mask(
+                        e.program, derived, &derive.cycle);
+                    if (derived.well_formed && mask != 0) {
+                        ++violating;
+                        synth::judge(*model, e, mask, &judge);
+                    }
+                }
+            };
+            sweep();  // grows every buffer to these executions' sizes
+            const std::uint64_t before = obs::alloc_count();
+            sweep();
+            EXPECT_EQ(obs::alloc_count() - before, 0u) << model->name();
+            EXPECT_GT(violating, 0) << model->name();  // judge relaxes some
         }
     }
 }

@@ -18,7 +18,8 @@
 ///                     file:line:col diagnostic)
 ///   --axiom NAME      target axiom (default: every axiom, as --all)
 ///   --all             synthesize every per-axiom suite
-///   --bound N         instruction bound, ghosts included (default 5)
+///   --bound N         instruction bound, ghosts included (default 5,
+///                     at most 64: one bit per event in the axiom kernel)
 ///   --threads N       max cores (default 2)
 ///   --vas N           max data VAs (default 2)
 ///   --budget SECONDS  time budget of the search (default unlimited); with
