@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <tuple>
 
 #include "util/logging.h"
 
@@ -21,6 +20,39 @@ Execution::empty_for(Program program)
     return e;
 }
 
+namespace {
+
+constexpr BitRow
+bit(int index)
+{
+    return BitRow{1} << index;
+}
+
+/// Calls \p f with the index of every set bit of \p row, lowest first.
+template <typename F>
+void
+for_each_bit(BitRow row, F&& f)
+{
+    for (; row != 0; row &= row - 1) {
+        f(std::countr_zero(row));
+    }
+}
+
+/// Every relation of DerivedRelations, for whole-struct row operations.
+constexpr BitRows DerivedRelations::*kRelations[] = {
+    &DerivedRelations::po,     &DerivedRelations::po_loc,
+    &DerivedRelations::po_mem, &DerivedRelations::rf,
+    &DerivedRelations::co,     &DerivedRelations::fr,
+    &DerivedRelations::rfe,    &DerivedRelations::ppo,
+    &DerivedRelations::fence,  &DerivedRelations::rmw,
+    &DerivedRelations::ghost,  &DerivedRelations::rf_ptw,
+    &DerivedRelations::rf_pa,  &DerivedRelations::co_pa,
+    &DerivedRelations::fr_pa,  &DerivedRelations::fr_va,
+    &DerivedRelations::remap,  &DerivedRelations::ptw_source,
+};
+
+}  // namespace
+
 void
 DerivedRelations::clear()
 {
@@ -28,23 +60,20 @@ DerivedRelations::clear()
     problems.clear();
     resolved_pa.clear();
     provenance.clear();
-    po.clear();
-    po_loc.clear();
-    rf.clear();
-    co.clear();
-    fr.clear();
-    rfe.clear();
-    ppo.clear();
-    fence.clear();
-    rmw.clear();
-    ghost.clear();
-    rf_ptw.clear();
-    rf_pa.clear();
-    co_pa.clear();
-    fr_pa.clear();
-    fr_va.clear();
-    remap.clear();
-    ptw_source.clear();
+    for (BitRows DerivedRelations::*relation : kRelations) {
+        std::fill_n((this->*relation).begin(), num_events, BitRow{0});
+    }
+    num_events = 0;
+}
+
+EdgeSet
+edges_of(const BitRows& rows, int num_events)
+{
+    EdgeSet out;
+    for (EventId a = 0; a < num_events; ++a) {
+        for_each_bit(rows[a], [&](int b) { out.emplace_back(a, b); });
+    }
+    return out;
 }
 
 namespace {
@@ -198,57 +227,135 @@ class Resolver {
     std::vector<EventId>& prov_;
 };
 
-/// Coherence-class key: data writes/reads resolve to ("data", PA); PTE
-/// accessors to ("pte", VA). first == kNone marks "no class".
-struct ClassKey {
-    int tag;  // 0 = data (by PA), 1 = pte (by VA), -1 = none
-    int index;
-    bool operator==(const ClassKey&) const = default;
-    auto operator<=>(const ClassKey&) const = default;
-};
-
-/// Order-preserving integer encoding of ClassKey (tag major, index minor),
-/// valid for index >= kNone: sorting encoded keys visits classes exactly as
-/// iterating the std::map<ClassKey, ...> this replaced did.
-std::int64_t
-encode_class(const ClassKey& key)
+/// Refills \p f for \p p unless it already holds p's facts: the
+/// program-static half of derive_into, computed once per distinct program.
+const ProgramFacts&
+facts_for(const Program& p, bool vm_enabled, ProgramFacts* f)
 {
-    return (static_cast<std::int64_t>(key.tag) << 32) +
-           (static_cast<std::int64_t>(key.index) + 1);
-}
+    if (f->filled && f->vm_enabled == vm_enabled && f->program == p) {
+        return *f;
+    }
+    f->filled = true;
+    f->vm_enabled = vm_enabled;
+    f->program = p;
+    f->problems = p.validate(vm_enabled);
+    const int n = p.num_events();
+    f->has_rows = n <= kMaxBitEvents;
+    if (!f->has_rows) {
+        return *f;
+    }
 
-/// Rebuilds scratch->class_groups as the contiguous [begin, end) runs of
-/// equal keys in the (already sorted) keyed_writes.
-void
-build_class_groups(DeriveScratch* scratch)
-{
-    scratch->class_groups.clear();
-    const auto& rows = scratch->keyed_writes;
-    std::size_t i = 0;
-    while (i < rows.size()) {
-        std::size_t j = i + 1;
-        while (j < rows.size() && rows[j].key == rows[i].key) {
-            ++j;
+    f->memory = f->write_like = f->read_like = f->data = f->pte = 0;
+    f->wpte = f->invlpg = f->invlpg_all = 0;
+    BitRow ghosts = 0;
+    BitRow mfences = 0;
+    for (EventId a = 0; a < n; ++a) {
+        const EventKind kind = p.event(a).kind;
+        f->memory |= is_memory(kind) ? bit(a) : 0;
+        f->write_like |= is_write_like(kind) ? bit(a) : 0;
+        f->read_like |= is_read_like(kind) ? bit(a) : 0;
+        f->data |= is_data_access(kind) ? bit(a) : 0;
+        f->pte |= is_pte_access(kind) ? bit(a) : 0;
+        f->wpte |= kind == EventKind::kWpte ? bit(a) : 0;
+        f->invlpg |= kind == EventKind::kInvlpg ? bit(a) : 0;
+        f->invlpg_all |= kind == EventKind::kInvlpgAll ? bit(a) : 0;
+        ghosts |= is_ghost(kind) ? bit(a) : 0;
+        mfences |= kind == EventKind::kMfence ? bit(a) : 0;
+    }
+
+    // ext[a]: the later positions of a's thread (Program::precedes).
+    int position[kMaxBitEvents] = {};
+    for (EventId a = 0; a < n; ++a) {
+        position[a] = p.position_of(a);
+    }
+    std::fill_n(f->ext_before.begin(), n, BitRow{0});
+    for (EventId a = 0; a < n; ++a) {
+        const Event& e = p.event(a);
+        BitRow after = 0;
+        for (EventId b = 0; b < n; ++b) {
+            after |= p.event(b).thread == e.thread && position[b] > position[a]
+                         ? bit(b)
+                         : 0;
         }
-        scratch->class_groups.push_back({rows[i].key, static_cast<int>(i),
-                                         static_cast<int>(j)});
-        i = j;
+        f->ext[a] = after;
+        for_each_bit(after, [&](int b) { f->ext_before[b] |= bit(a); });
+        f->same_va_pte[a] = 0;
+        for_each_bit(f->pte, [&](int b) {
+            f->same_va_pte[a] |= p.event(b).va == e.va ? bit(b) : 0;
+        });
+        f->same_pa_wpte[a] = 0;
+        if (f->wpte & bit(a)) {
+            for_each_bit(f->wpte, [&](int b) {
+                f->same_pa_wpte[a] |=
+                    p.event(b).map_pa == e.map_pa ? bit(b) : 0;
+            });
+        }
     }
+
+    // A spurious invalidation needs a later same-core access it affects
+    // (any data access for a full flush, one of its VA otherwise).
+    f->useless_invlpg = 0;
+    for (EventId id = 0; id < n; ++id) {
+        const Event& e = p.event(id);
+        const bool full = e.kind == EventKind::kInvlpgAll;
+        if (!full && !(e.kind == EventKind::kInvlpg && e.remap_src == kNone)) {
+            continue;
+        }
+        bool useful = false;
+        for_each_bit(f->ext[id] & f->data, [&](int other) {
+            useful = useful || full || p.event(other).va == e.va;
+        });
+        f->useless_invlpg |= useful ? 0 : bit(id);
+    }
+
+    if (!f->problems.empty()) {
+        return *f;  // no execution of p is well-formed: no relation needed
+    }
+    for (EventId a = 0; a < n; ++a) {
+        f->po[a] = (ghosts & bit(a)) ? 0 : f->ext[a] & ~ghosts;
+        f->po_mem[a] = (f->memory & bit(a)) ? f->ext[a] & f->memory : 0;
+        // TSO keeps every pair but write -> read.
+        f->ppo[a] = f->po_mem[a] &
+                    ((f->write_like & bit(a)) ? ~f->read_like : ~BitRow{0});
+        // ext is transitive, so a -> f -> b through an MFENCE f implies
+        // a -> b: the pairs are a's row joined with the fences' rows.
+        BitRow after_fence = 0;
+        for_each_bit(f->ext[a] & mfences,
+                     [&](int fence) { after_fence |= f->ext[fence]; });
+        f->fence[a] = (f->memory & bit(a)) ? after_fence & f->memory : 0;
+        f->rmw[a] = 0;
+        f->ghost[a] = 0;
+        f->remap[a] = 0;
+    }
+    for (const auto& [r, w] : p.rmw_pairs()) {
+        f->rmw[r] |= bit(w);
+    }
+    for (EventId id = 0; id < n; ++id) {
+        const Event& e = p.event(id);
+        if (is_ghost(e.kind)) {
+            f->ghost[e.parent] |= bit(id);
+        }
+        if (e.kind == EventKind::kInvlpg && e.remap_src != kNone) {
+            f->remap[e.remap_src] |= bit(id);
+        }
+    }
+    return *f;
 }
 
-/// Finds the group with the given key (nullptr when absent).
-const DeriveScratch::ClassGroup*
-find_class_group(const DeriveScratch& scratch, std::int64_t key)
+/// True when the coherence positions of \p members are exactly
+/// 0 .. |members| - 1.
+bool
+is_permutation(BitRow members, const std::vector<int>& positions)
 {
-    const auto it = std::lower_bound(
-        scratch.class_groups.begin(), scratch.class_groups.end(), key,
-        [](const DeriveScratch::ClassGroup& g, std::int64_t k) {
-            return g.key < k;
-        });
-    if (it == scratch.class_groups.end() || it->key != key) {
-        return nullptr;
-    }
-    return &*it;
+    const int count = std::popcount(members);
+    BitRow seen = 0;
+    bool ok = true;
+    for_each_bit(members, [&](int id) {
+        const int pos = positions[id];
+        ok = ok && pos >= 0 && pos < count && (seen & bit(pos)) == 0;
+        seen |= ok ? bit(pos) : 0;
+    });
+    return ok;
 }
 
 /// The row with bits [0, num_nodes) set. At 64 nodes that is the full
@@ -273,31 +380,15 @@ rows_have_cycle(const BitRow* rows, int num_nodes)
         const BitRow before = live;
         for (BitRow pending = live; pending != 0;) {
             const int node = std::bit_width(pending) - 1;
-            const BitRow bit = BitRow{1} << node;
-            pending &= ~bit;
+            pending &= ~bit(node);
             if ((rows[node] & live) == 0) {
-                live &= ~bit;
+                live &= ~bit(node);
             }
         }
         if (live == before) {
             return live != 0;
         }
     }
-}
-
-bool
-has_cycle(int num_nodes, const EdgeSet* const* edge_sets,
-          std::size_t num_edge_sets)
-{
-    TF_ASSERT(num_nodes >= 0 && num_nodes <= kMaxBitEvents);
-    BitRow rows[kMaxBitEvents];
-    std::fill_n(rows, num_nodes, BitRow{0});
-    for (std::size_t s = 0; s < num_edge_sets; ++s) {
-        for (const auto& [from, to] : *edge_sets[s]) {
-            rows[from] |= BitRow{1} << to;
-        }
-    }
-    return rows_have_cycle(rows, num_nodes);
 }
 
 ResolutionResult
@@ -357,8 +448,9 @@ derive_into(const Execution& exec, const DeriveOptions& options,
     out.clear();
     const Program& p = exec.program;
     const int n = p.num_events();
-
-    out.problems = p.validate(options.vm_enabled);
+    const ProgramFacts& f =
+        facts_for(p, options.vm_enabled, &scratch->facts);
+    out.problems = f.problems;
 
     auto witness_sizes_ok = static_cast<int>(exec.rf_src.size()) == n &&
                             static_cast<int>(exec.co_pos.size()) == n &&
@@ -368,6 +460,9 @@ derive_into(const Execution& exec, const DeriveOptions& options,
         out.problems.push_back("witness vectors sized differently from program");
         out.well_formed = false;
         return;
+    }
+    if (!f.has_rows) {
+        return;  // over the bit-row cap; validate's problem says so
     }
 
     // ------------------------------------------------------------------
@@ -399,20 +494,23 @@ derive_into(const Execution& exec, const DeriveOptions& options,
         }
     }
 
+    // Coherence classes: data accesses by resolved PA, PTE accesses by
+    // VA. same_class[a] holds the memory events of a's class.
+    BitRow same_class[kMaxBitEvents] = {};
+    for_each_bit(f.pte, [&](int a) { same_class[a] = f.same_va_pte[a]; });
+    for (BitRow pending = f.data; pending != 0;) {
+        const PaId pa = out.resolved_pa[std::countr_zero(pending)];
+        BitRow members = 0;
+        for_each_bit(pending, [&](int b) {
+            members |= out.resolved_pa[b] == pa ? bit(b) : 0;
+        });
+        pending &= ~members;
+        for_each_bit(members, [&](int m) { same_class[m] = members; });
+    }
+
     // ------------------------------------------------------------------
     // Well-formedness of the witnesses (placement rules).
     // ------------------------------------------------------------------
-    auto class_of = [&](EventId id) -> ClassKey {
-        const Event& e = p.event(id);
-        if (is_data_access(e.kind)) {
-            return {0, out.resolved_pa[id]};
-        }
-        if (is_pte_access(e.kind)) {
-            return {1, e.va};
-        }
-        return {-1, kNone};
-    };
-
     for (EventId id = 0; id < n; ++id) {
         const Event& e = p.event(id);
         // Problem strings are built only when a rule fires: the happy path
@@ -463,18 +561,16 @@ derive_into(const Execution& exec, const DeriveOptions& options,
                         problem(
                             "uses a TLB entry loaded later in program order");
                     }
-                    // No Invlpg for this VA may separate the walk from the use.
-                    for (EventId other = 0; other < n; ++other) {
+                    // No Invlpg for this VA may separate the walk from the
+                    // use (ordered on both sides: the walker's core).
+                    const BitRow between = f.ext[walker] & f.ext_before[id] &
+                                           (f.invlpg | f.invlpg_all);
+                    for_each_bit(between, [&](int other) {
                         const Event& i = p.event(other);
-                        const bool evicts =
-                            (i.kind == EventKind::kInvlpg && i.va == e.va) ||
-                            i.kind == EventKind::kInvlpgAll;
-                        if (evicts && i.thread == e.thread &&
-                            p.precedes(walker, other) &&
-                            p.precedes(other, id)) {
+                        if (i.kind == EventKind::kInvlpgAll || i.va == e.va) {
                             problem("TLB entry used across an INVLPG");
                         }
-                    }
+                    });
                 }
             }
         }
@@ -509,100 +605,52 @@ derive_into(const Execution& exec, const DeriveOptions& options,
             }
         }
 
-        // Spurious invalidation usefulness rule (full flushes affect
-        // any VA, so any later same-core access justifies them).
-        if ((e.kind == EventKind::kInvlpg && e.remap_src == kNone) ||
-            e.kind == EventKind::kInvlpgAll) {
-            bool useful = false;
-            for (EventId other = 0; other < n; ++other) {
-                const Event& o = p.event(other);
-                if (is_data_access(o.kind) && o.thread == e.thread &&
-                    (e.kind == EventKind::kInvlpgAll || o.va == e.va) &&
-                    p.precedes(id, other)) {
-                    useful = true;
-                    break;
-                }
-            }
-            if (!useful) {
-                problem("spurious INVLPG with no later "
-                        "same-VA access on its core");
-            }
+        // Spurious invalidation usefulness rule (a program fact).
+        if (f.useless_invlpg & bit(id)) {
+            problem("spurious INVLPG with no later "
+                    "same-VA access on its core");
         }
     }
 
-    // Coherence positions form a permutation within each class. Gather
-    // (class, position) rows into scratch and sort — groups come out in the
-    // same class order the std::map grouping produced.
-    {
-        auto& rows = scratch->keyed_positions;
-        rows.clear();
-        for (EventId id = 0; id < n; ++id) {
-            if (is_write_like(p.event(id).kind) && exec.co_pos[id] != kNone) {
-                rows.emplace_back(encode_class(class_of(id)),
-                                  exec.co_pos[id]);
-            }
-        }
-        std::sort(rows.begin(), rows.end());
-        std::size_t i = 0;
-        while (i < rows.size()) {
-            std::size_t j = i;
-            bool ok = true;
-            while (j < rows.size() && rows[j].first == rows[i].first) {
-                if (rows[j].second != static_cast<int>(j - i)) {
-                    ok = false;
-                }
-                ++j;
-            }
-            if (!ok) {
-                out.problems.push_back("co positions are not a permutation "
-                                       "within a coherence class");
-            }
-            i = j;
+    // Coherence positions form a permutation within each class, and
+    // co_pa positions within each target PA.
+    BitRow ordered = 0;
+    for_each_bit(f.write_like, [&](int w) {
+        ordered |= exec.co_pos[w] != kNone ? bit(w) : 0;
+    });
+    while (ordered != 0) {
+        const BitRow members = ordered & same_class[std::countr_zero(ordered)];
+        ordered &= ~members;
+        if (!is_permutation(members, exec.co_pos)) {
+            out.problems.push_back("co positions are not a permutation "
+                                   "within a coherence class");
         }
     }
-    {
-        auto& rows = scratch->keyed_positions;  // keyed by target PA
-        rows.clear();
-        for (EventId id = 0; id < n; ++id) {
-            if (p.event(id).kind == EventKind::kWpte &&
-                exec.co_pa_pos[id] != kNone) {
-                rows.emplace_back(p.event(id).map_pa, exec.co_pa_pos[id]);
-            }
-        }
-        std::sort(rows.begin(), rows.end());
-        std::size_t i = 0;
-        while (i < rows.size()) {
-            std::size_t j = i;
-            bool ok = true;
-            while (j < rows.size() && rows[j].first == rows[i].first) {
-                if (rows[j].second != static_cast<int>(j - i)) {
-                    ok = false;
-                }
-                ++j;
-            }
-            if (!ok) {
-                out.problems.push_back("co_pa positions are not a "
-                                       "permutation within a PA class");
-            }
-            i = j;
+    ordered = 0;
+    for_each_bit(f.wpte, [&](int w) {
+        ordered |= exec.co_pa_pos[w] != kNone ? bit(w) : 0;
+    });
+    while (ordered != 0) {
+        const BitRow members =
+            ordered & f.same_pa_wpte[std::countr_zero(ordered)];
+        ordered &= ~members;
+        if (!is_permutation(members, exec.co_pa_pos)) {
+            out.problems.push_back("co_pa positions are not a "
+                                   "permutation within a PA class");
         }
     }
     // co and co_pa must agree where both order the same pair of Wptes.
-    for (EventId a = 0; a < n; ++a) {
-        for (EventId b = 0; b < n; ++b) {
-            const Event& ea = p.event(a);
-            const Event& eb = p.event(b);
-            if (a != b && ea.kind == EventKind::kWpte &&
-                eb.kind == EventKind::kWpte && ea.va == eb.va &&
-                ea.map_pa == eb.map_pa && exec.co_pos[a] != kNone &&
-                exec.co_pos[b] != kNone) {
-                if ((exec.co_pos[a] < exec.co_pos[b]) !=
+    for_each_bit(f.wpte, [&](int a) {
+        const BitRow same_mapping =
+            f.same_pa_wpte[a] & f.same_va_pte[a] & ~bit(a);
+        for_each_bit(same_mapping, [&](int b) {
+            if (exec.co_pos[a] != kNone && exec.co_pos[b] != kNone &&
+                (exec.co_pos[a] < exec.co_pos[b]) !=
                     (exec.co_pa_pos[a] < exec.co_pa_pos[b])) {
-                    out.problems.push_back("co and co_pa disagree on Wpte order");
-                }
+                out.problems.push_back("co and co_pa disagree on Wpte order");
             }
-        }
-    }
+        });
+    });
 
     // rmw pairs must act on one physical location.
     if (options.vm_enabled) {
@@ -621,48 +669,22 @@ derive_into(const Execution& exec, const DeriveOptions& options,
     // ------------------------------------------------------------------
     // Derived relations.
     // ------------------------------------------------------------------
+    out.num_events = n;
+    const auto copy_rows = [n](const BitRows& from, BitRows* to) {
+        std::copy_n(from.begin(), n, to->begin());
+    };
+    copy_rows(f.po, &out.po);
+    copy_rows(f.po_mem, &out.po_mem);
+    copy_rows(f.ppo, &out.ppo);
+    copy_rows(f.fence, &out.fence);
+    copy_rows(f.rmw, &out.rmw);
+    copy_rows(f.ghost, &out.ghost);
+    copy_rows(f.remap, &out.remap);
 
-    // po: all ordered same-thread pairs of non-ghost events (transitive).
-    for (int t = 0; t < p.num_threads(); ++t) {
-        const auto& seq = p.thread(t);
-        for (std::size_t i = 0; i < seq.size(); ++i) {
-            for (std::size_t j = i + 1; j < seq.size(); ++j) {
-                out.po.emplace_back(seq[i], seq[j]);
-            }
-        }
-    }
-
-    // Extended-order pairs over memory events, used by po_loc / ppo / fence.
-    auto ext_precedes = [&](EventId a, EventId b) { return p.precedes(a, b); };
-
-    for (EventId a = 0; a < n; ++a) {
-        for (EventId b = 0; b < n; ++b) {
-            if (a == b || !is_memory(p.event(a).kind) ||
-                !is_memory(p.event(b).kind)) {
-                continue;
-            }
-            if (!ext_precedes(a, b)) {
-                continue;
-            }
-            // po_loc: same coherence class.
-            if (class_of(a) == class_of(b) && class_of(a).tag != -1) {
-                out.po_loc.emplace_back(a, b);
-            }
-            // ppo (TSO): everything but write -> read.
-            if (!(is_write_like(p.event(a).kind) &&
-                  is_read_like(p.event(b).kind))) {
-                out.ppo.emplace_back(a, b);
-            }
-            // fence: an MFENCE strictly between the two events.
-            for (EventId f = 0; f < n; ++f) {
-                if (p.event(f).kind == EventKind::kMfence &&
-                    ext_precedes(a, f) && ext_precedes(f, b)) {
-                    out.fence.emplace_back(a, b);
-                    break;
-                }
-            }
-        }
-    }
+    // po_loc: extended order within a coherence class.
+    for_each_bit(f.memory, [&](int a) {
+        out.po_loc[a] = f.ext[a] & same_class[a];
+    });
 
     // rf / rfe.
     for (EventId r = 0; r < n; ++r) {
@@ -670,72 +692,26 @@ derive_into(const Execution& exec, const DeriveOptions& options,
         if (src == kNone) {
             continue;
         }
-        out.rf.emplace_back(src, r);
+        out.rf[src] |= bit(r);
         if (p.event(src).thread != p.event(r).thread) {
-            out.rfe.emplace_back(src, r);
+            out.rfe[src] |= bit(r);
         }
     }
 
-    // co (transitive within each class) and fr. Writes are gathered into
-    // scratch rows sorted by (class, coherence position); each class is a
-    // contiguous run, visited in the order the map grouping used.
-    {
-        auto& rows = scratch->keyed_writes;
-        rows.clear();
-        for (EventId id = 0; id < n; ++id) {
-            if (is_write_like(p.event(id).kind)) {
-                rows.push_back({encode_class(class_of(id)), exec.co_pos[id],
-                                id});
-            }
-        }
-        std::sort(rows.begin(), rows.end(),
-                  [](const DeriveScratch::KeyedWrite& a,
-                     const DeriveScratch::KeyedWrite& b) {
-                      return std::tie(a.key, a.pos) < std::tie(b.key, b.pos);
-                  });
-        build_class_groups(scratch);
-        for (const auto& group : scratch->class_groups) {
-            for (int i = group.begin; i < group.end; ++i) {
-                for (int j = i + 1; j < group.end; ++j) {
-                    out.co.emplace_back(rows[i].id, rows[j].id);
-                }
-            }
-        }
-        for (EventId r = 0; r < n; ++r) {
-            if (!is_read_like(p.event(r).kind)) {
-                continue;
-            }
-            const auto* group =
-                find_class_group(*scratch, encode_class(class_of(r)));
-            if (group == nullptr) {
-                continue;
-            }
-            const EventId src = exec.rf_src[r];
-            const int src_pos = src == kNone ? -1 : exec.co_pos[src];
-            for (int i = group->begin; i < group->end; ++i) {
-                const EventId w = rows[i].id;
-                if (w != src && exec.co_pos[w] > src_pos) {
-                    out.fr.emplace_back(r, w);
-                }
-            }
-        }
-    }
-
-    // rmw.
-    for (const auto& pair : p.rmw_pairs()) {
-        out.rmw.push_back(pair);
-    }
-
-    // ghost / remap.
-    for (EventId id = 0; id < n; ++id) {
-        const Event& e = p.event(id);
-        if (is_ghost(e.kind)) {
-            out.ghost.emplace_back(e.parent, id);
-        }
-        if (e.kind == EventKind::kInvlpg && e.remap_src != kNone) {
-            out.remap.emplace_back(e.remap_src, id);
-        }
-    }
+    // co (transitive within each class) and fr: a read's class writes
+    // coherence-after its source.
+    for_each_bit(f.write_like, [&](int w) {
+        for_each_bit(same_class[w] & f.write_like, [&](int later) {
+            out.co[w] |= exec.co_pos[later] > exec.co_pos[w] ? bit(later) : 0;
+        });
+    });
+    for_each_bit(f.read_like, [&](int r) {
+        const EventId src = exec.rf_src[r];
+        const int src_pos = src == kNone ? -1 : exec.co_pos[src];
+        for_each_bit(same_class[r] & f.write_like, [&](int w) {
+            out.fr[r] |= w != src && exec.co_pos[w] > src_pos ? bit(w) : 0;
+        });
+    });
 
     if (!options.vm_enabled) {
         return;
@@ -747,80 +723,43 @@ derive_into(const Execution& exec, const DeriveOptions& options,
         if (walk == kNone) {
             continue;
         }
-        out.rf_ptw.emplace_back(walk, e);
+        out.rf_ptw[walk] |= bit(e);
         const EventId walker = p.event(walk).parent;
         if (walker != e) {
-            out.ptw_source.emplace_back(walker, e);
+            out.ptw_source[walker] |= bit(e);
         }
     }
 
-    // rf_pa.
-    for (EventId e = 0; e < n; ++e) {
-        if (is_data_access(p.event(e).kind) && out.provenance[e] != kNone) {
-            out.rf_pa.emplace_back(out.provenance[e], e);
-        }
-    }
-
-    // co_pa (transitive per target-PA class), reusing the write rows.
-    {
-        auto& rows = scratch->keyed_writes;
-        rows.clear();
-        for (EventId id = 0; id < n; ++id) {
-            if (p.event(id).kind == EventKind::kWpte) {
-                rows.push_back({p.event(id).map_pa, exec.co_pa_pos[id], id});
-            }
-        }
-        std::sort(rows.begin(), rows.end(),
-                  [](const DeriveScratch::KeyedWrite& a,
-                     const DeriveScratch::KeyedWrite& b) {
-                      return std::tie(a.key, a.pos) < std::tie(b.key, b.pos);
-                  });
-        build_class_groups(scratch);
-        for (const auto& group : scratch->class_groups) {
-            for (int i = group.begin; i < group.end; ++i) {
-                for (int j = i + 1; j < group.end; ++j) {
-                    out.co_pa.emplace_back(rows[i].id, rows[j].id);
-                }
-            }
-        }
-        // fr_pa: provenance's co_pa successors (initial mapping precedes all
-        // alias creations for its PA).
-        for (EventId e = 0; e < n; ++e) {
-            if (!is_data_access(p.event(e).kind)) {
-                continue;
-            }
-            const EventId prov = out.provenance[e];
-            const auto* group =
-                find_class_group(*scratch, out.resolved_pa[e]);
-            if (group == nullptr) {
-                continue;
-            }
-            const int prov_pos = prov == kNone ? -1 : exec.co_pa_pos[prov];
-            for (int i = group->begin; i < group->end; ++i) {
-                const EventId w = rows[i].id;
-                if (w != prov && exec.co_pa_pos[w] > prov_pos) {
-                    out.fr_pa.emplace_back(e, w);
-                }
-            }
-        }
-    }
-
-    // fr_va: later Wptes remapping the accessed VA (in PTE-location
-    // coherence order relative to the provenance write).
-    for (EventId e = 0; e < n; ++e) {
-        if (!is_data_access(p.event(e).kind)) {
-            continue;
-        }
+    for_each_bit(f.data, [&](int e) {
         const EventId prov = out.provenance[e];
-        const int prov_pos = prov == kNone ? -1 : exec.co_pos[prov];
-        for (EventId w = 0; w < n; ++w) {
-            if (p.event(w).kind == EventKind::kWpte &&
-                p.event(w).va == p.event(e).va && w != prov &&
-                exec.co_pos[w] > prov_pos) {
-                out.fr_va.emplace_back(e, w);
-            }
+        // rf_pa.
+        if (prov != kNone) {
+            out.rf_pa[prov] |= bit(e);
         }
-    }
+        // fr_pa: the provenance's co_pa successors among the Wptes mapping
+        // the accessed PA (the initial mapping precedes them all).
+        const int pa_pos = prov == kNone ? -1 : exec.co_pa_pos[prov];
+        for_each_bit(f.wpte, [&](int w) {
+            if (p.event(w).map_pa == out.resolved_pa[e] && w != prov &&
+                exec.co_pa_pos[w] > pa_pos) {
+                out.fr_pa[e] |= bit(w);
+            }
+        });
+        // fr_va: later Wptes remapping the accessed VA (in PTE-location
+        // coherence order relative to the provenance write).
+        const int va_pos = prov == kNone ? -1 : exec.co_pos[prov];
+        for_each_bit(f.same_va_pte[e] & f.wpte, [&](int w) {
+            out.fr_va[e] |= w != prov && exec.co_pos[w] > va_pos ? bit(w) : 0;
+        });
+    });
+
+    // co_pa (transitive per target-PA class).
+    for_each_bit(f.wpte, [&](int w) {
+        for_each_bit(f.same_pa_wpte[w], [&](int later) {
+            out.co_pa[w] |=
+                exec.co_pa_pos[later] > exec.co_pa_pos[w] ? bit(later) : 0;
+        });
+    });
 }
 
 }  // namespace transform::elt

@@ -143,6 +143,8 @@ struct Event {
     PaId map_pa = kNone;     ///< Wpte only: PA the VA is being mapped to
     EventId parent = kNone;  ///< ghosts only: user event that invoked it
     EventId remap_src = kNone;  ///< Invlpg only: invoking Wpte (kNone = spurious)
+
+    bool operator==(const Event&) const = default;
 };
 
 /// Human-readable one-line rendering ("W0 x", "WPTE2 z = VA y -> PA c", ...).

@@ -35,16 +35,14 @@ display_order(const Program& p, int thread)
 
 void
 append_edges(std::ostringstream& out, const std::string& name,
-             const EdgeSet& edges)
+             const BitRows& rows, int num_events)
 {
+    const EdgeSet edges = edges_of(rows, num_events);
     if (edges.empty()) {
         return;
     }
-    EdgeSet unique = edges;
-    std::sort(unique.begin(), unique.end());
-    unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
     out << "  " << name << ":";
-    for (const auto& [from, to] : unique) {
+    for (const auto& [from, to] : edges) {
         out << " (" << from << "," << to << ")";
     }
     out << "\n";
@@ -108,19 +106,19 @@ execution_to_string(const Execution& execution, const DerivedRelations& d)
         return out.str();
     }
     out << "relations:\n";
-    append_edges(out, "rf", d.rf);
-    append_edges(out, "co", d.co);
-    append_edges(out, "fr", d.fr);
-    append_edges(out, "rmw", d.rmw);
-    append_edges(out, "fence", d.fence);
-    append_edges(out, "ghost", d.ghost);
-    append_edges(out, "rf_ptw", d.rf_ptw);
-    append_edges(out, "rf_pa", d.rf_pa);
-    append_edges(out, "co_pa", d.co_pa);
-    append_edges(out, "fr_pa", d.fr_pa);
-    append_edges(out, "fr_va", d.fr_va);
-    append_edges(out, "remap", d.remap);
-    append_edges(out, "ptw_source", d.ptw_source);
+    append_edges(out, "rf", d.rf, d.num_events);
+    append_edges(out, "co", d.co, d.num_events);
+    append_edges(out, "fr", d.fr, d.num_events);
+    append_edges(out, "rmw", d.rmw, d.num_events);
+    append_edges(out, "fence", d.fence, d.num_events);
+    append_edges(out, "ghost", d.ghost, d.num_events);
+    append_edges(out, "rf_ptw", d.rf_ptw, d.num_events);
+    append_edges(out, "rf_pa", d.rf_pa, d.num_events);
+    append_edges(out, "co_pa", d.co_pa, d.num_events);
+    append_edges(out, "fr_pa", d.fr_pa, d.num_events);
+    append_edges(out, "fr_va", d.fr_va, d.num_events);
+    append_edges(out, "remap", d.remap, d.num_events);
+    append_edges(out, "ptw_source", d.ptw_source, d.num_events);
     return out.str();
 }
 
@@ -148,17 +146,14 @@ execution_to_dot(const Execution& execution, const DerivedRelations& d,
         }
         out << "  }\n";
     }
-    const std::vector<std::pair<const EdgeSet*, const char*>> relations = {
+    const std::vector<std::pair<const BitRows*, const char*>> relations = {
         {&d.rf, "rf"},         {&d.co, "co"},         {&d.fr, "fr"},
         {&d.ghost, "ghost"},   {&d.rf_ptw, "rf_ptw"}, {&d.rf_pa, "rf_pa"},
         {&d.co_pa, "co_pa"},   {&d.fr_pa, "fr_pa"},   {&d.fr_va, "fr_va"},
         {&d.remap, "remap"},   {&d.rmw, "rmw"},
     };
-    for (const auto& [edges, name] : relations) {
-        EdgeSet unique = *edges;
-        std::sort(unique.begin(), unique.end());
-        unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-        for (const auto& [from, to] : unique) {
+    for (const auto& [rows, name] : relations) {
+        for (const auto& [from, to] : edges_of(*rows, d.num_events)) {
             out << "  e" << from << " -> e" << to << " [label=\"" << name
                 << "\"];\n";
         }

@@ -1,6 +1,8 @@
 #include "elt/program.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "elt/derive.h"
 #include "util/logging.h"
@@ -98,11 +100,61 @@ event_to_string(EventId id, const Event& event)
 // Program
 // ---------------------------------------------------------------------------
 
+Program::Program(const Program& other)
+    : events_(other.events_),
+      threads_(other.threads().begin(), other.threads().end()),
+      num_threads_(other.num_threads_), positions_(other.positions_),
+      rmws_(other.rmws_)
+{
+}
+
+Program&
+Program::operator=(const Program& other)
+{
+    if (this == &other) {
+        return *this;
+    }
+    events_.assign(other.events_.begin(), other.events_.end());
+    positions_.assign(other.positions_.begin(), other.positions_.end());
+    rmws_.assign(other.rmws_.begin(), other.rmws_.end());
+    reset_threads(other.num_threads_);
+    for (int t = 0; t < num_threads_; ++t) {
+        threads_[t].assign(other.threads_[t].begin(), other.threads_[t].end());
+    }
+    return *this;
+}
+
+Program::Program(Program&& other) noexcept
+    : events_(std::move(other.events_)), threads_(std::move(other.threads_)),
+      num_threads_(std::exchange(other.num_threads_, 0)),
+      positions_(std::move(other.positions_)), rmws_(std::move(other.rmws_))
+{
+}
+
+Program&
+Program::operator=(Program&& other) noexcept
+{
+    events_ = std::move(other.events_);
+    threads_ = std::move(other.threads_);
+    num_threads_ = std::exchange(other.num_threads_, 0);
+    positions_ = std::move(other.positions_);
+    rmws_ = std::move(other.rmws_);
+    return *this;
+}
+
+bool
+Program::operator==(const Program& other) const
+{
+    return events_ == other.events_ && positions_ == other.positions_ &&
+           rmws_ == other.rmws_ &&
+           std::ranges::equal(threads(), other.threads());
+}
+
 int
 Program::add_thread()
 {
-    threads_.emplace_back();
-    return num_threads() - 1;
+    reset_threads(num_threads_ + 1);
+    return num_threads_ - 1;
 }
 
 void
@@ -112,17 +164,21 @@ Program::reset(int num_threads)
     events_.clear();
     positions_.clear();
     rmws_.clear();
-    // Shrink or grow the thread table without discarding the inner
-    // vectors' capacity (clear, don't reassign).
-    if (static_cast<int>(threads_.size()) > num_threads) {
+    reset_threads(0);  // clears every live thread
+    reset_threads(num_threads);
+}
+
+void
+Program::reset_threads(int num_threads)
+{
+    // Dropped threads are cleared, never freed; new ones reuse them.
+    for (int t = num_threads; t < num_threads_; ++t) {
+        threads_[t].clear();
+    }
+    if (static_cast<int>(threads_.size()) < num_threads) {
         threads_.resize(static_cast<std::size_t>(num_threads));
     }
-    for (std::vector<EventId>& thread : threads_) {
-        thread.clear();
-    }
-    while (static_cast<int>(threads_.size()) < num_threads) {
-        threads_.emplace_back();
-    }
+    num_threads_ = num_threads;
 }
 
 EventId

@@ -4,6 +4,7 @@
 /// co_pa — see execution.h) forms a candidate execution.
 #pragma once
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,14 +22,29 @@ namespace transform::elt {
 /// initial frame.
 class Program {
   public:
+    Program() = default;
+    /// Copies the live state only (threads dropped by reset stay behind).
+    Program(const Program& other);
+    /// Copies \p other's live state into this program's storage: every
+    /// vector — per-thread ones included — keeps its capacity, so copying
+    /// programs of similar size into one object stops allocating.
+    Program& operator=(const Program& other);
+    Program(Program&& other) noexcept;
+    Program& operator=(Program&& other) noexcept;
+
+    /// Equality of the live state: events, threads, positions and rmw
+    /// pairs. Capacity and dropped threads do not count.
+    bool operator==(const Program& other) const;
+
     /// Appends a new empty thread; returns its index.
     int add_thread();
 
     /// Clears the program back to \p num_threads empty threads while
-    /// keeping every vector's capacity — the reuse step of the pooled
-    /// construction paths (relaxation rebuild, skeleton materialization).
-    /// After reset the program is indistinguishable from a fresh one with
-    /// the same add_thread() calls.
+    /// keeping every vector's capacity, including that of threads beyond
+    /// \p num_threads — the reuse step of the pooled construction paths
+    /// (relaxation rebuild, skeleton materialization). After reset the
+    /// program is indistinguishable from a fresh one with the same
+    /// add_thread() calls.
     void reset(int num_threads);
 
     /// Appends a non-ghost event to its thread's program order.
@@ -49,11 +65,14 @@ class Program {
     // Accessors -------------------------------------------------------------
 
     int num_events() const { return static_cast<int>(events_.size()); }
-    int num_threads() const { return static_cast<int>(threads_.size()); }
+    int num_threads() const { return num_threads_; }
     const Event& event(EventId id) const { return events_[id]; }
     const std::vector<Event>& events() const { return events_; }
     const std::vector<EventId>& thread(int t) const { return threads_[t]; }
-    const std::vector<std::vector<EventId>>& threads() const { return threads_; }
+    std::span<const std::vector<EventId>> threads() const
+    {
+        return {threads_.data(), static_cast<std::size_t>(num_threads_)};
+    }
     const std::vector<std::pair<EventId, EventId>>& rmw_pairs() const
     {
         return rmws_;
@@ -104,8 +123,15 @@ class Program {
     int instruction_count() const { return num_events(); }
 
   private:
+    /// Makes \p num_threads threads live: dropped ones are cleared (never
+    /// freed) and new ones reuse the cleared spares.
+    void reset_threads(int num_threads);
+
     std::vector<Event> events_;
+    /// Per-thread event sequences; the first num_threads_ are live. The
+    /// rest are empty and keep their capacity for later threads.
     std::vector<std::vector<EventId>> threads_;
+    int num_threads_ = 0;
     std::vector<int> positions_;  // per event; ghosts: parent's position
     std::vector<std::pair<EventId, EventId>> rmws_;
 };

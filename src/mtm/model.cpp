@@ -1,22 +1,33 @@
 #include "mtm/model.h"
 
-#include <algorithm>
+#include <bit>
+#include <initializer_list>
 
 #include "util/logging.h"
 
 namespace transform::mtm {
 
+using elt::BitRow;
+using elt::BitRows;
 using elt::CycleScratch;
 using elt::DerivedRelations;
-using elt::EdgeSet;
 using elt::Program;
 
 namespace {
 
+/// acyclic(the union of \p parts), the parts ORed row by row.
 bool
-acyclic(const Program& p, std::initializer_list<const EdgeSet*> parts)
+acyclic(const DerivedRelations& d, std::initializer_list<const BitRows*> parts)
 {
-    return !elt::has_cycle(p.num_events(), parts);
+    BitRow rows[elt::kMaxBitEvents] = {};
+    for (int a = 0; a < d.num_events; ++a) {
+        BitRow row = 0;
+        for (const BitRows* part : parts) {
+            row |= (*part)[a];
+        }
+        rows[a] = row;
+    }
+    return !elt::rows_have_cycle(rows, d.num_events);
 }
 
 /// sc_per_loc: acyclic(rf + co + fr + po_loc).
@@ -26,10 +37,8 @@ sc_per_loc_axiom()
     return {"sc_per_loc",
             "coherence: rf + co + fr + po_loc is acyclic per location",
             AxiomTag::kScPerLoc,
-            [](const Program& p, const DerivedRelations& d,
-               CycleScratch* scratch) {
-                (void)scratch;
-                return acyclic(p, {&d.rf, &d.co, &d.fr, &d.po_loc});
+            [](const Program&, const DerivedRelations& d, CycleScratch*) {
+                return acyclic(d, {&d.rf, &d.co, &d.fr, &d.po_loc});
             }};
 }
 
@@ -40,28 +49,28 @@ rmw_atomicity_axiom()
     return {"rmw_atomicity",
             "no same-address write intervenes inside an RMW (fr.co & rmw = 0)",
             AxiomTag::kRmwAtomicity,
-            [](const Program& p, const DerivedRelations& d,
-               CycleScratch* scratch) {
-                (void)p;
-                (void)scratch;
-                for (const auto& [r, w] : d.rmw) {
-                    // Does some w' exist with fr(r, w') and co(w', w)?
-                    for (const auto& [fr_from, fr_to] : d.fr) {
-                        if (fr_from != r) {
-                            continue;
-                        }
-                        for (const auto& [co_from, co_to] : d.co) {
-                            if (co_from == fr_to && co_to == w) {
-                                return false;
-                            }
-                        }
+            [](const Program&, const DerivedRelations& d, CycleScratch*) {
+                // Row a of fr.co is the union of the co rows fr row a
+                // selects; it must miss every rmw partner of a.
+                for (int a = 0; a < d.num_events; ++a) {
+                    if (d.rmw[a] == 0) {
+                        continue;
+                    }
+                    BitRow joined = 0;
+                    for (BitRow bits = d.fr[a]; bits != 0; bits &= bits - 1) {
+                        joined |= d.co[std::countr_zero(bits)];
+                    }
+                    if ((joined & d.rmw[a]) != 0) {
+                        return false;
                     }
                 }
                 return true;
             }};
 }
 
-/// causality: acyclic(rfe + co + fr + ppo + fence).
+/// causality: acyclic(rfe + co + fr + ppo + fence). The SC variant keeps
+/// the full extended order over memory events, po_mem (ppo plus the
+/// write -> read pairs TSO drops).
 Axiom
 causality_axiom(bool sequential_ppo)
 {
@@ -70,34 +79,10 @@ causality_axiom(bool sequential_ppo)
                 ? "acyclic(rfe + co + fr + po + fence) (sequential consistency)"
                 : "acyclic(rfe + co + fr + ppo + fence) (TSO ppo)",
             sequential_ppo ? AxiomTag::kCausalitySc : AxiomTag::kCausalityTso,
-            [sequential_ppo](const Program& p, const DerivedRelations& d,
-                             CycleScratch* scratch) {
-                // For the SC variant the full extended program order between
-                // memory events is preserved: ppo U (the pairs TSO drops) ==
-                // po_loc-agnostic extended order. DerivedRelations keeps TSO
-                // ppo; reconstruct full order by adding write->read pairs.
-                if (!sequential_ppo) {
-                    return acyclic(p,
-                                   {&d.rfe, &d.co, &d.fr, &d.ppo, &d.fence});
-                }
-                CycleScratch local;
-                if (scratch == nullptr) {
-                    scratch = &local;
-                }
-                EdgeSet& full = scratch->tmp_edges;
-                full.assign(d.ppo.begin(), d.ppo.end());
-                for (elt::EventId a = 0; a < p.num_events(); ++a) {
-                    for (elt::EventId b = 0; b < p.num_events(); ++b) {
-                        if (a != b && elt::is_memory(p.event(a).kind) &&
-                            elt::is_memory(p.event(b).kind) &&
-                            p.precedes(a, b) &&
-                            elt::is_write_like(p.event(a).kind) &&
-                            elt::is_read_like(p.event(b).kind)) {
-                            full.emplace_back(a, b);
-                        }
-                    }
-                }
-                return acyclic(p, {&d.rfe, &d.co, &d.fr, &full, &d.fence});
+            [sequential_ppo](const Program&, const DerivedRelations& d,
+                             CycleScratch*) {
+                const BitRows& order = sequential_ppo ? d.po_mem : d.ppo;
+                return acyclic(d, {&d.rfe, &d.co, &d.fr, &order, &d.fence});
             }};
 }
 
@@ -109,10 +94,8 @@ invlpg_axiom()
             "accesses after an INVLPG use the latest mapping: "
             "acyclic(fr_va + ^po + remap)",
             AxiomTag::kInvlpg,
-            [](const Program& p, const DerivedRelations& d,
-               CycleScratch* scratch) {
-                (void)scratch;
-                return acyclic(p, {&d.fr_va, &d.po, &d.remap});
+            [](const Program&, const DerivedRelations& d, CycleScratch*) {
+                return acyclic(d, {&d.fr_va, &d.po, &d.remap});
             }};
 }
 
@@ -123,10 +106,8 @@ tlb_causality_axiom()
     return {"tlb_causality",
             "diagnostic: acyclic(ptw_source + rf + co + fr)",
             AxiomTag::kTlbCausality,
-            [](const Program& p, const DerivedRelations& d,
-               CycleScratch* scratch) {
-                (void)scratch;
-                return acyclic(p, {&d.ptw_source, &d.rf, &d.co, &d.fr});
+            [](const Program&, const DerivedRelations& d, CycleScratch*) {
+                return acyclic(d, {&d.ptw_source, &d.rf, &d.co, &d.fr});
             }};
 }
 

@@ -62,14 +62,16 @@ struct Axiom {
     std::string description;
     AxiomTag tag;
     /// True when the axiom HOLDS on the given derived relations. \p scratch
-    /// may be null; when supplied the evaluator reuses its buffers (cycle
-    /// adjacency, edge-set temporaries) instead of allocating.
+    /// may be null; when supplied the `.mtm` evaluator takes its slots
+    /// from the scratch's arena instead of allocating (the builtins need
+    /// none).
     std::function<bool(const elt::Program&, const elt::DerivedRelations&,
                        elt::CycleScratch* scratch)>
         holds;
     /// For tag == kExpr: the parsed condition (form + relational
-    /// expression) both backends evaluate. Shared, immutable, and also
-    /// captured by `holds`, so copying a Model keeps the two in sync.
+    /// expression) both backends evaluate — `holds` runs its lowered
+    /// form. Shared and immutable, so copying a Model keeps the two in
+    /// sync.
     std::shared_ptr<const spec::AxiomDef> def = {};
 };
 

@@ -28,10 +28,13 @@ compile_model(const ModelSpec& spec)
                                 : def.description;
         axiom.tag = mtm::AxiomTag::kExpr;
         axiom.def = held;
-        axiom.holds = [held](const elt::Program& program,
-                             const elt::DerivedRelations& d,
-                             elt::CycleScratch* scratch) {
-            return axiom_holds(*held, program, d, scratch);
+        // Lowered once here; every evaluation runs the same row program.
+        auto lowered = std::make_shared<const RowProgram>(*def.expr);
+        axiom.holds = [form = def.form, lowered](
+                          const elt::Program& program,
+                          const elt::DerivedRelations& d,
+                          elt::CycleScratch* scratch) {
+            return axiom_holds(form, *lowered, program, d, scratch);
         };
         axioms.push_back(std::move(axiom));
     }

@@ -1,7 +1,8 @@
 /// \file
 /// Compiles a parsed `.mtm` specification into an mtm::Model whose axioms
 /// run on BOTH execution-space backends:
-///  - concretely, through spec/eval.h closures tagged AxiomTag::kExpr (the
+///  - concretely, through spec/eval.h closures tagged AxiomTag::kExpr
+///    that run each axiom's expression lowered once into a RowProgram (the
 ///    enumerative backend and the minimality judge call these millions of
 ///    times — they are scratch-threaded like the hardwired closures);
 ///  - symbolically, because each Axiom carries its AxiomDef and

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace transform::spec {
 
+using elt::BitRow;
+using elt::BitRows;
 using elt::CycleScratch;
 using elt::DerivedRelations;
 using elt::EdgeSet;
@@ -50,308 +54,359 @@ event_in_set(EventSet set, EventKind kind)
 
 namespace {
 
-using elt::BitRow;
+/// The DerivedRelations field of every base relation, in BaseRel order —
+/// the operand numbers RowProgram gives base relations.
+constexpr BitRows DerivedRelations::*kBaseRows[] = {
+    &DerivedRelations::po,     &DerivedRelations::po_loc,
+    &DerivedRelations::po_mem, &DerivedRelations::rf,
+    &DerivedRelations::rfe,    &DerivedRelations::co,
+    &DerivedRelations::fr,     &DerivedRelations::ppo,
+    &DerivedRelations::fence,  &DerivedRelations::rmw,
+    &DerivedRelations::ghost,  &DerivedRelations::rf_ptw,
+    &DerivedRelations::rf_pa,  &DerivedRelations::co_pa,
+    &DerivedRelations::fr_pa,  &DerivedRelations::fr_va,
+    &DerivedRelations::remap,  &DerivedRelations::ptw_source,
+};
+constexpr int kNumBases = static_cast<int>(std::size(kBaseRows));
+static_assert(static_cast<int>(BaseRel::kPtwSource) == kNumBases - 1);
 
-/// Pool-slot handles are indices: CycleScratch::spec_pool may reallocate
-/// while children evaluate, so references must be re-fetched through the
-/// evaluator after any acquire.
-using Slot = std::size_t;
+constexpr int kNumEventKinds = static_cast<int>(EventKind::kRdb) + 1;
 
-struct Evaluator {
-    const Program& p;
-    const DerivedRelations& d;
-    CycleScratch& scratch;
-    const int n;
-
-    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-    /// Pinned results for `let` bodies, keyed by body node. The AST is a
-    /// DAG only through lets (the parser shares each body across its
-    /// references), so evaluating every distinct body once — pinned below
-    /// the expression stack, copied on reference — makes evaluation linear
-    /// in the DAG instead of exponential in the let-chain depth.
-    std::size_t
-    pinned_slot(const Expr* body) const
-    {
-        for (const auto& [key, slot] : scratch.spec_memo) {
-            if (key == body) {
-                return slot;
+/// Transitive closure in place (Warshall's algorithm on rows): after step
+/// k, row a reaches everything reachable through intermediate nodes 0..k.
+void
+close_transitively(BitRow* rows, int n)
+{
+    for (EventId k = 0; k < n; ++k) {
+        const BitRow via = BitRow{1} << k;
+        for (EventId a = 0; a < n; ++a) {
+            if (rows[a] & via) {
+                rows[a] |= rows[k];
             }
         }
-        return kNoSlot;
+    }
+}
+
+}  // namespace
+
+/// Lowers one expression into a RowProgram. A slot whose value only one
+/// operation reads (a temporary) may take that operation's result in
+/// place; a slot holding a `let` body used more than once is pinned.
+struct RowProgram::Lowering {
+    RowProgram& out;
+    /// References to each `let` body in the expression's DAG.
+    std::vector<std::pair<const Expr*, int>> uses;
+    /// Operands of the let bodies lowered so far.
+    std::vector<std::pair<const Expr*, int>> lowered;
+    std::vector<bool> pinned;  ///< per slot
+
+    static int*
+    find(std::vector<std::pair<const Expr*, int>>& table, const Expr* key)
+    {
+        for (auto& [expr, value] : table) {
+            if (expr == key) {
+                return &value;
+            }
+        }
+        return nullptr;
     }
 
-    /// Evaluates and pins every distinct let body reachable from \p e,
-    /// dependencies first (a body may reference earlier lets). Each pinned
-    /// slot stays live until the caller unwinds the arena.
+    /// Counts let references, entering each body once (as lowering does).
     void
-    pin_let_bodies(const Expr& e)
+    count_uses(const Expr& e)
     {
         if (e.op == ExprOp::kLetRef) {
-            const Expr* body = e.lhs.get();
-            if (pinned_slot(body) == kNoSlot) {
-                pin_let_bodies(*body);
-                const Slot slot = eval(*body);
-                scratch.spec_memo.emplace_back(body, slot);
+            if (int* count = find(uses, e.lhs.get())) {
+                ++*count;
+                return;
             }
+            uses.emplace_back(e.lhs.get(), 1);
+            count_uses(*e.lhs);
             return;
         }
         if (e.lhs != nullptr) {
-            pin_let_bodies(*e.lhs);
+            count_uses(*e.lhs);
         }
         if (e.rhs != nullptr) {
-            pin_let_bodies(*e.rhs);
+            count_uses(*e.rhs);
         }
     }
 
-    /// A fresh slot holding the empty relation.
-    Slot
-    acquire()
+    bool
+    inlined(const Expr& e)
     {
-        if (scratch.spec_pool_live == scratch.spec_pool.size()) {
-            scratch.spec_pool.emplace_back();
-        }
-        const Slot slot = scratch.spec_pool_live++;
-        std::fill_n(at(slot), n, BitRow{0});
-        return slot;
+        return e.op == ExprOp::kLetRef && *find(uses, e.lhs.get()) == 1;
     }
 
-    BitRow*
-    at(Slot slot)
+    int
+    new_slot()
     {
-        return scratch.spec_pool[slot].data();
+        pinned.push_back(false);
+        return kNumBases + out.num_slots_++;
     }
 
-    /// The base relation's rows. po_mem is synthesized from the program (no
-    /// DerivedRelations field stores it); everything else ORs in the edges
-    /// of the corresponding derived field.
+    bool
+    is_temp(int operand) const
+    {
+        return operand >= kNumBases && !pinned[operand - kNumBases];
+    }
+
     void
-    base_into(BaseRel base, BitRow* out) const
+    emit(Code code, int dst, int lhs = 0, int rhs = 0)
     {
-        const EdgeSet* source = nullptr;
-        switch (base) {
-        case BaseRel::kPo: source = &d.po; break;
-        case BaseRel::kPoLoc: source = &d.po_loc; break;
-        case BaseRel::kRf: source = &d.rf; break;
-        case BaseRel::kRfe: source = &d.rfe; break;
-        case BaseRel::kCo: source = &d.co; break;
-        case BaseRel::kFr: source = &d.fr; break;
-        case BaseRel::kPpo: source = &d.ppo; break;
-        case BaseRel::kFence: source = &d.fence; break;
-        case BaseRel::kRmw: source = &d.rmw; break;
-        case BaseRel::kGhost: source = &d.ghost; break;
-        case BaseRel::kRfPtw: source = &d.rf_ptw; break;
-        case BaseRel::kRfPa: source = &d.rf_pa; break;
-        case BaseRel::kCoPa: source = &d.co_pa; break;
-        case BaseRel::kFrPa: source = &d.fr_pa; break;
-        case BaseRel::kFrVa: source = &d.fr_va; break;
-        case BaseRel::kRemap: source = &d.remap; break;
-        case BaseRel::kPtwSource: source = &d.ptw_source; break;
-        case BaseRel::kPoMem:
-            for (EventId a = 0; a < n; ++a) {
-                if (!elt::is_memory(p.event(a).kind)) {
-                    continue;
-                }
-                for (EventId b = 0; b < n; ++b) {
-                    if (a != b && elt::is_memory(p.event(b).kind) &&
-                        p.precedes(a, b)) {
-                        out[a] |= BitRow{1} << b;
-                    }
-                }
-            }
-            return;
-        }
-        TF_ASSERT(source != nullptr);
-        for (const auto& [from, to] : *source) {
-            out[from] |= BitRow{1} << to;
+        out.ops_.push_back({code, dst, lhs, rhs});
+    }
+
+    /// The operands of a union tree, looking through inlined lets.
+    void
+    union_leaves(const Expr& e, std::vector<int>* leaves)
+    {
+        if (e.op == ExprOp::kUnion) {
+            union_leaves(*e.lhs, leaves);
+            union_leaves(*e.rhs, leaves);
+        } else if (inlined(e)) {
+            union_leaves(*e.lhs, leaves);
+        } else {
+            leaves->push_back(lower(e));
         }
     }
 
-    /// Evaluates \p e into a freshly acquired slot and returns it. Child
-    /// slots are released before returning, so the live-slot high-water
-    /// mark tracks expression depth, not node count.
-    Slot
-    eval(const Expr& e)
+    int
+    lower(const Expr& e)
     {
         switch (e.op) {
-        case ExprOp::kBase: {
-            const Slot out = acquire();
-            base_into(e.base, at(out));
-            return out;
+        case ExprOp::kBase:
+            return static_cast<int>(e.base);
+        case ExprOp::kEmpty: {
+            const int dst = new_slot();
+            emit(Code::kZero, dst);
+            return dst;
         }
-        case ExprOp::kEmpty:
-            return acquire();
         case ExprOp::kIdSet: {
-            const Slot out = acquire();
-            BitRow* rows = at(out);
-            for (EventId a = 0; a < n; ++a) {
-                if (event_in_set(e.set, p.event(a).kind)) {
-                    rows[a] = BitRow{1} << a;
+            int kinds = 0;
+            for (int k = 0; k < kNumEventKinds; ++k) {
+                if (event_in_set(e.set, static_cast<EventKind>(k))) {
+                    kinds |= 1 << k;
                 }
             }
-            return out;
+            const int dst = new_slot();
+            emit(Code::kIdSet, dst, kinds);
+            return dst;
         }
-        case ExprOp::kUnion:
+        case ExprOp::kUnion: {
+            std::vector<int> leaves;
+            union_leaves(e, &leaves);
+            const auto temp = std::find_if(
+                leaves.begin(), leaves.end(),
+                [this](int operand) { return is_temp(operand); });
+            const int dst = temp != leaves.end() ? *temp : new_slot();
+            const int begin = static_cast<int>(out.union_operands_.size());
+            out.union_operands_.insert(out.union_operands_.end(),
+                                       leaves.begin(), leaves.end());
+            emit(Code::kUnion, dst, begin,
+                 static_cast<int>(out.union_operands_.size()));
+            return dst;
+        }
         case ExprOp::kIntersect:
         case ExprOp::kMinus:
         case ExprOp::kJoin: {
-            const Slot lhs = eval(*e.lhs);
-            const Slot rhs = eval(*e.rhs);
-            combine(e.op, at(lhs), at(rhs));
-            release_to(lhs + 1);
-            return lhs;
+            const int lhs = lower(*e.lhs);
+            const int rhs = lower(*e.rhs);
+            // Row by row, either operand's slot can take the result; a
+            // join reads every rhs row, so only the lhs slot can.
+            int dst = 0;
+            if (is_temp(lhs)) {
+                dst = lhs;
+            } else if (is_temp(rhs) && e.op != ExprOp::kJoin) {
+                dst = rhs;
+            } else {
+                dst = new_slot();
+            }
+            emit(e.op == ExprOp::kJoin        ? Code::kJoin
+                 : e.op == ExprOp::kIntersect ? Code::kIntersect
+                                              : Code::kMinus,
+                 dst, lhs, rhs);
+            return dst;
         }
         case ExprOp::kTranspose: {
-            const Slot inner = eval(*e.lhs);
-            const Slot out = acquire();
-            const BitRow* rows = at(inner);
-            BitRow* transposed = at(out);
-            for (EventId a = 0; a < n; ++a) {
-                for (BitRow bits = rows[a]; bits != 0; bits &= bits - 1) {
-                    transposed[std::countr_zero(bits)] |= BitRow{1} << a;
-                }
-            }
-            std::copy_n(transposed, n, at(inner));
-            release_to(inner + 1);
-            return inner;
+            const int inner = lower(*e.lhs);
+            const int dst = new_slot();
+            emit(Code::kTranspose, dst, inner);
+            return dst;
         }
-        case ExprOp::kClosure: {
-            const Slot inner = eval(*e.lhs);
-            close_transitively(at(inner));
-            return inner;
-        }
+        case ExprOp::kClosure:
         case ExprOp::kReflexiveClosure: {
-            const Slot inner = eval(*e.lhs);
-            BitRow* rows = at(inner);
-            close_transitively(rows);
-            for (EventId a = 0; a < n; ++a) {
-                rows[a] |= BitRow{1} << a;
-            }
-            return inner;
+            const int inner = lower(*e.lhs);
+            const int dst = is_temp(inner) ? inner : new_slot();
+            emit(e.op == ExprOp::kClosure ? Code::kClosure
+                                          : Code::kReflexiveClosure,
+                 dst, inner);
+            return dst;
         }
         case ExprOp::kLetRef: {
-            const std::size_t pinned = pinned_slot(e.lhs.get());
-            if (pinned != kNoSlot) {
-                const Slot out = acquire();
-                std::copy_n(at(pinned), n, at(out));
-                return out;
+            const Expr* body = e.lhs.get();
+            if (inlined(e)) {
+                return lower(*body);
             }
-            // Unpinned bodies only occur when eval is entered without the
-            // pin pass (never through the public entry points).
-            return eval(*e.lhs);
+            if (const int* operand = find(lowered, body)) {
+                return *operand;
+            }
+            const int operand = lower(*body);
+            if (operand >= kNumBases) {
+                pinned[operand - kNumBases] = true;
+            }
+            lowered.emplace_back(body, operand);
+            return operand;
         }
         }
         TF_PANIC("unknown expression op");
     }
+};
 
-    void
-    release_to(Slot mark)
-    {
-        scratch.spec_pool_live = mark;
+RowProgram::RowProgram(const Expr& expr)
+{
+    Lowering lowering{*this, {}, {}, {}};
+    lowering.count_uses(expr);
+    result_ = lowering.lower(expr);
+}
+
+const BitRow*
+RowProgram::run(const Program& program, const DerivedRelations& d,
+                CycleScratch* scratch) const
+{
+    const int n = program.num_events();
+    TF_ASSERT(n <= elt::kMaxBitEvents);
+    const std::size_t first = scratch->spec_pool_live;
+    if (scratch->spec_pool.size() < first + num_slots_) {
+        scratch->spec_pool.resize(first + num_slots_);
     }
-
-    /// lhs = lhs <op> rhs, row by row. For the join, (lhs ; rhs) row a is
-    /// the union of the rhs rows lhs row a selects; it reads only lhs row
-    /// a, so it can overwrite lhs in place.
-    void
-    combine(ExprOp op, BitRow* lhs, const BitRow* rhs) const
-    {
-        for (EventId a = 0; a < n; ++a) {
-            switch (op) {
-            case ExprOp::kUnion: lhs[a] |= rhs[a]; break;
-            case ExprOp::kIntersect: lhs[a] &= rhs[a]; break;
-            case ExprOp::kMinus: lhs[a] &= ~rhs[a]; break;
-            case ExprOp::kJoin: {
+    BitRows* slots = scratch->spec_pool.data() + first;
+    const auto rows = [&](int operand) -> const BitRow* {
+        return operand < kNumBases ? (d.*kBaseRows[operand]).data()
+                                   : slots[operand - kNumBases].data();
+    };
+    for (const Op& op : ops_) {
+        BitRow* dst = slots[op.dst - kNumBases].data();
+        switch (op.code) {
+        case Code::kZero:
+            std::fill_n(dst, n, BitRow{0});
+            break;
+        case Code::kIdSet:
+            for (EventId a = 0; a < n; ++a) {
+                const int kind = static_cast<int>(program.event(a).kind);
+                dst[a] = (op.lhs >> kind) & 1 ? BitRow{1} << a : 0;
+            }
+            break;
+        case Code::kUnion:
+            for (EventId a = 0; a < n; ++a) {
+                BitRow row = 0;
+                for (int i = op.lhs; i < op.rhs; ++i) {
+                    row |= rows(union_operands_[i])[a];
+                }
+                dst[a] = row;
+            }
+            break;
+        case Code::kIntersect: {
+            const BitRow* lhs = rows(op.lhs);
+            const BitRow* rhs = rows(op.rhs);
+            for (EventId a = 0; a < n; ++a) {
+                dst[a] = lhs[a] & rhs[a];
+            }
+            break;
+        }
+        case Code::kMinus: {
+            const BitRow* lhs = rows(op.lhs);
+            const BitRow* rhs = rows(op.rhs);
+            for (EventId a = 0; a < n; ++a) {
+                dst[a] = lhs[a] & ~rhs[a];
+            }
+            break;
+        }
+        case Code::kJoin: {
+            // Row a of the join reads only lhs row a, so dst may be lhs.
+            const BitRow* lhs = rows(op.lhs);
+            const BitRow* rhs = rows(op.rhs);
+            for (EventId a = 0; a < n; ++a) {
                 BitRow joined = 0;
                 for (BitRow bits = lhs[a]; bits != 0; bits &= bits - 1) {
                     joined |= rhs[std::countr_zero(bits)];
                 }
-                lhs[a] = joined;
-                break;
+                dst[a] = joined;
             }
-            default: TF_PANIC("not a binary relation operator");
-            }
+            break;
         }
-    }
-
-    /// Transitive closure in place (Warshall's algorithm on rows): after
-    /// step k, row a reaches everything reachable through intermediate
-    /// nodes 0..k.
-    void
-    close_transitively(BitRow* rows) const
-    {
-        for (EventId k = 0; k < n; ++k) {
-            const BitRow via = BitRow{1} << k;
+        case Code::kTranspose: {
+            const BitRow* inner = rows(op.lhs);
+            std::fill_n(dst, n, BitRow{0});
             for (EventId a = 0; a < n; ++a) {
-                if (rows[a] & via) {
-                    rows[a] |= rows[k];
+                for (BitRow bits = inner[a]; bits != 0; bits &= bits - 1) {
+                    dst[std::countr_zero(bits)] |= BitRow{1} << a;
                 }
             }
+            break;
+        }
+        case Code::kClosure:
+        case Code::kReflexiveClosure: {
+            const BitRow* inner = rows(op.lhs);
+            if (inner != dst) {
+                std::copy_n(inner, n, dst);
+            }
+            close_transitively(dst, n);
+            if (op.code == Code::kReflexiveClosure) {
+                for (EventId a = 0; a < n; ++a) {
+                    dst[a] |= BitRow{1} << a;
+                }
+            }
+            break;
+        }
         }
     }
-};
+    return rows(result_);
+}
 
-}  // namespace
+bool
+axiom_holds(AxiomForm form, const RowProgram& expr, const Program& program,
+            const DerivedRelations& d, CycleScratch* scratch)
+{
+    CycleScratch local;
+    const int n = program.num_events();
+    const BitRow* rows =
+        expr.run(program, d, scratch != nullptr ? scratch : &local);
+    switch (form) {
+    case AxiomForm::kAcyclic:
+        return !elt::rows_have_cycle(rows, n);
+    case AxiomForm::kIrreflexive:
+        for (EventId a = 0; a < n; ++a) {
+            if (rows[a] & (BitRow{1} << a)) {
+                return false;
+            }
+        }
+        return true;
+    case AxiomForm::kEmpty:
+        return std::all_of(rows, rows + n, [](BitRow row) { return row == 0; });
+    }
+    TF_PANIC("unknown axiom form");
+}
 
 bool
 axiom_holds(const AxiomDef& axiom, const Program& program,
             const DerivedRelations& d, CycleScratch* scratch)
 {
-    CycleScratch local;
-    if (scratch == nullptr) {
-        scratch = &local;
-    }
-    const int n = program.num_events();
-    TF_ASSERT(n <= elt::kMaxBitEvents);
-    const std::size_t mark = scratch->spec_pool_live;
-    const std::size_t memo_mark = scratch->spec_memo.size();
-    Evaluator eval{program, d, *scratch, n};
-    eval.pin_let_bodies(*axiom.expr);
-    const BitRow* rows = eval.at(eval.eval(*axiom.expr));
-    bool holds = true;
-    switch (axiom.form) {
-    case AxiomForm::kAcyclic:
-        holds = !elt::rows_have_cycle(rows, n);
-        break;
-    case AxiomForm::kIrreflexive:
-        for (EventId a = 0; a < n && holds; ++a) {
-            holds = (rows[a] & (BitRow{1} << a)) == 0;
-        }
-        break;
-    case AxiomForm::kEmpty:
-        holds = std::all_of(rows, rows + n,
-                            [](BitRow row) { return row == 0; });
-        break;
-    }
-    scratch->spec_memo.resize(memo_mark);
-    scratch->spec_pool_live = mark;
-    return holds;
+    return axiom_holds(axiom.form, RowProgram(*axiom.expr), program, d,
+                       scratch);
 }
 
 void
-eval_expr(const Expr& expr, const Program& program,
-          const DerivedRelations& d, CycleScratch* scratch, EdgeSet* out)
+eval_expr(const Expr& expr, const Program& program, const DerivedRelations& d,
+          CycleScratch* scratch, EdgeSet* out)
 {
     CycleScratch local;
-    if (scratch == nullptr) {
-        scratch = &local;
-    }
     const int n = program.num_events();
-    TF_ASSERT(n <= elt::kMaxBitEvents);
-    const std::size_t mark = scratch->spec_pool_live;
-    const std::size_t memo_mark = scratch->spec_memo.size();
-    Evaluator eval{program, d, *scratch, n};
-    eval.pin_let_bodies(expr);
-    const BitRow* rows = eval.at(eval.eval(expr));
-    // Row by row, low bits first: the sorted, duplicate-free edge order.
-    out->clear();
-    for (EventId a = 0; a < n; ++a) {
-        for (BitRow bits = rows[a]; bits != 0; bits &= bits - 1) {
-            out->emplace_back(a, std::countr_zero(bits));
-        }
-    }
-    scratch->spec_memo.resize(memo_mark);
-    scratch->spec_pool_live = mark;
+    const BitRow* rows = RowProgram(expr).run(
+        program, d, scratch != nullptr ? scratch : &local);
+    BitRows result{};
+    std::copy_n(rows, n, result.begin());
+    *out = elt::edges_of(result, n);
 }
 
 }  // namespace transform::spec

@@ -5,21 +5,25 @@
 ///
 /// This is the DSL counterpart of the hand-written axiom closures in
 /// mtm/model.cpp and runs in the same place — the synthesis engine's
-/// per-candidate hot path — so it is scratch-threaded and allocation-free
-/// in steady state: every intermediate relation is a slot of the
-/// CycleScratch::spec_pool arena (capacity kept across evaluations), and a
-/// null scratch falls back to a local one, exactly like the hardwired
-/// evaluators.
+/// per-candidate hot path. An expression is lowered once, when its model
+/// is compiled, into a RowProgram: a straight-line list of row operations
+/// over the relations' 64-bit adjacency rows (elt::BitRows; bit b of row a
+/// means a -> b). Base relations are read in place from DerivedRelations;
+/// every intermediate relation is a slot of the CycleScratch::spec_pool
+/// arena, reused across evaluations, so a compiled axiom evaluates without
+/// allocating in steady state.
 ///
-/// A slot holds one 64-bit adjacency row per event (elt::BitRows; bit b of
-/// row a means a -> b), which is why programs are capped at
-/// elt::kMaxBitEvents events. A base relation ORs its DerivedRelations
-/// edges into a slot; `|`, `&` and `\` work row by row; `;` ORs the rhs
-/// rows each lhs row selects; `^-1` transposes; `^+` is Warshall's
+/// Lowering flattens nested unions into one operation, evaluates each
+/// `let` body used more than once a single time per evaluation (a body
+/// used once is inlined), and overwrites an operand's slot in place when
+/// nothing else reads it. `|`, `&` and `\` work row by row; `;` ORs the
+/// rhs rows each lhs row selects; `^-1` transposes; `^+` is Warshall's
 /// algorithm on rows and `^*` adds the diagonal; `[S]` sets diagonal bits.
 /// `acyclic` peels sinks (elt::rows_have_cycle), `irreflexive` tests the
 /// diagonal and `empty` tests for all-zero rows.
 #pragma once
+
+#include <vector>
 
 #include "elt/derive.h"
 #include "elt/execution.h"
@@ -31,13 +35,64 @@ namespace transform::spec {
 /// compilers (concrete and symbolic) share.
 bool event_in_set(EventSet set, elt::EventKind kind);
 
-/// True when the axiom's condition HOLDS on the derived relations of one
-/// well-formed execution (at most elt::kMaxBitEvents events). \p scratch
-/// may be null (a local scratch is used); passing the worker's scratch
-/// makes repeated evaluations allocation-free.
-bool axiom_holds(const AxiomDef& axiom, const elt::Program& program,
-                 const elt::DerivedRelations& d,
+/// A relational expression lowered to row operations (see the file
+/// comment). Immutable once built; one instance serves every thread.
+class RowProgram {
+  public:
+    /// Lowers \p expr; linear in the expression's DAG (shared `let`
+    /// bodies are lowered once).
+    explicit RowProgram(const Expr& expr);
+
+    /// Evaluates the expression over one well-formed execution (at most
+    /// elt::kMaxBitEvents events) and returns the first
+    /// program.num_events() rows of the result. The rows live either in
+    /// \p d (a bare base relation) or in \p scratch's arena slots above
+    /// spec_pool_live, which the next evaluation overwrites; nothing below
+    /// spec_pool_live and nothing in \p d is written.
+    const elt::BitRow* run(const elt::Program& program,
+                           const elt::DerivedRelations& d,
+                           elt::CycleScratch* scratch) const;
+
+  private:
+    enum class Code : unsigned char {
+        kZero,      ///< dst = 0
+        kIdSet,     ///< dst = [S]; lhs is the mask of event kinds in S
+        kUnion,     ///< dst = OR of union_operands_[lhs, rhs)
+        kIntersect,
+        kMinus,
+        kJoin,       ///< dst = lhs ; rhs (dst may be lhs, never rhs)
+        kTranspose,  ///< dst = lhs^-1 (dst is never lhs)
+        kClosure,    ///< dst = lhs^+
+        kReflexiveClosure,
+    };
+    /// Operands number the base relations first (in BaseRel order), then
+    /// the arena slots.
+    struct Op {
+        Code code;
+        int dst;
+        int lhs = 0;
+        int rhs = 0;
+    };
+    struct Lowering;
+
+    std::vector<Op> ops_;
+    std::vector<int> union_operands_;
+    int result_ = 0;
+    int num_slots_ = 0;
+};
+
+/// True when \p form holds on the rows \p expr evaluates to over the
+/// derived relations of one well-formed execution. \p scratch may be null
+/// (a local scratch is used); passing the worker's scratch makes repeated
+/// evaluations allocation-free.
+bool axiom_holds(AxiomForm form, const RowProgram& expr,
+                 const elt::Program& program, const elt::DerivedRelations& d,
                  elt::CycleScratch* scratch);
+
+/// As above, lowering the axiom's expression first — the debugging and
+/// testing entry point (compiled models lower once).
+bool axiom_holds(const AxiomDef& axiom, const elt::Program& program,
+                 const elt::DerivedRelations& d, elt::CycleScratch* scratch);
 
 /// Replaces \p out with the expression's edges, listed row by row (sorted,
 /// duplicate-free) — the debugging / testing entry point.

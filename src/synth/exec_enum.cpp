@@ -171,14 +171,15 @@ class Enumerator {
     bool
     resolve_and_choose_data()
     {
-        const elt::ResolutionResult res = elt::resolve_addresses(exec_, {vm_});
-        if (vm_ && !res.ok) {
+        elt::resolve_addresses_into(exec_, {vm_}, &resolution_,
+                                    &resolve_scratch_);
+        if (vm_ && !resolution_.ok) {
             if (stats_) {
                 ++stats_->rejected;
             }
             return true;
         }
-        resolved_ = res.resolved_pa;
+        resolved_ = resolution_.resolved_pa;
         return choose_data_rf(0);
     }
 
@@ -334,6 +335,8 @@ class Enumerator {
     std::vector<EventId> data_reads_;
     std::vector<std::vector<EventId>> pte_co_classes_;
     std::vector<elt::PaId> resolved_;
+    elt::ResolutionResult resolution_;
+    elt::DeriveScratch resolve_scratch_;
 };
 
 }  // namespace

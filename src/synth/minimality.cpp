@@ -62,9 +62,16 @@ judge_impl(const mtm::Model& model, const elt::Execution& execution,
     }
     // Minimality: every isolated relaxation must be permitted. Each relaxed
     // execution is rebuilt into scratch->relax (kRelax phase), then derived
-    // into the same reused buffers as the original (kJudge phase — the
-    // original's relations are no longer needed at this point).
-    for (const mtm::Relaxation& relaxation : scratch->relax.relaxations) {
+    // into the same reused relations as the original (kJudge phase — the
+    // original's relations are no longer needed at this point) through
+    // its index's derivation scratch.
+    const std::vector<mtm::Relaxation>& relaxations =
+        scratch->relax.relaxations;
+    if (scratch->relaxed.size() < relaxations.size()) {
+        scratch->relaxed.resize(relaxations.size());
+    }
+    for (std::size_t i = 0; i < relaxations.size(); ++i) {
+        const mtm::Relaxation& relaxation = relaxations[i];
         const elt::Execution* relaxed = nullptr;
         {
             obs::ScopedPhase relax_phase(scratch->metrics, scratch->worker,
@@ -78,7 +85,7 @@ judge_impl(const mtm::Model& model, const elt::Execution& execution,
         obs::ScopedPhase judge_phase(scratch->metrics, scratch->worker,
                                      obs::Phase::kJudge);
         elt::derive_into(*relaxed, model.derive_options(), &scratch->derived,
-                         &scratch->derive);
+                         &scratch->relaxed[i]);
         // An ill-formed relaxed execution is trivially permitted (the
         // string API reported it as the "well_formed" pseudo-axiom, which
         // the old code did not count as still-forbidden either).

@@ -24,13 +24,18 @@
 namespace transform::synth {
 
 /// Reusable buffers for judge: the derived relations of the execution (and
-/// of each relaxed execution, sequentially), the derivation scratch, and
+/// of each relaxed execution, sequentially), the derivation scratches, and
 /// the relaxation-rebuild scratch (each relaxed execution is built into
 /// relax.relaxed rather than materialized per relaxation). One per worker;
 /// not shareable between concurrent judges.
 struct JudgeScratch {
     elt::DerivedRelations derived;
+    /// Derives the execution itself, and holds the axiom arena.
     elt::DeriveScratch derive;
+    /// relaxed[i] derives the execution of relaxation i. A candidate's
+    /// judge calls rebuild the same relaxed program at each index, so each
+    /// scratch keeps that program's static facts from call to call.
+    std::vector<elt::DeriveScratch> relaxed;
     mtm::RelaxScratch relax;
     /// When set, the scratch-reusing judge overload attributes its own time
     /// to Phase::kJudge and the relaxation rebuilds to Phase::kRelax on

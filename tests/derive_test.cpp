@@ -22,9 +22,9 @@ TEST(Derive, Fig2aMcmWellFormed)
     const Execution e = fixtures::fig2a_sb_mcm();
     const DerivedRelations d = derive(e, {/*vm_enabled=*/false});
     ASSERT_TRUE(d.well_formed) << (d.problems.empty() ? "" : d.problems[0]);
-    EXPECT_EQ(d.rf.size(), 2u);
-    EXPECT_TRUE(d.fr.empty());
-    EXPECT_EQ(d.po.size(), 2u);
+    EXPECT_EQ(edges_of(d.rf, d.num_events).size(), 2u);
+    EXPECT_TRUE(edges_of(d.fr, d.num_events).empty());
+    EXPECT_EQ(edges_of(d.po, d.num_events).size(), 2u);
 }
 
 TEST(Derive, SbBothZeroHasFrEdges)
@@ -32,8 +32,9 @@ TEST(Derive, SbBothZeroHasFrEdges)
     const Execution e = fixtures::sb_both_reads_zero_mcm();
     const DerivedRelations d = derive(e, {/*vm_enabled=*/false});
     ASSERT_TRUE(d.well_formed);
-    EXPECT_TRUE(d.rf.empty());
-    EXPECT_EQ(d.fr.size(), 2u);  // both reads ordered before the writes
+    EXPECT_TRUE(edges_of(d.rf, d.num_events).empty());
+    // Both reads are ordered before the writes.
+    EXPECT_EQ(edges_of(d.fr, d.num_events).size(), 2u);
 }
 
 TEST(Derive, Fig10aResolution)
@@ -45,13 +46,13 @@ TEST(Derive, Fig10aResolution)
     EXPECT_EQ(d.resolved_pa[2], 0);
     EXPECT_EQ(d.provenance[2], kNone);
     // fr_va from R2 to the Wpte that remapped x.
-    EXPECT_TRUE(has_edge(d.fr_va, 2, 0));
+    EXPECT_TRUE(has_edge(edges_of(d.fr_va, d.num_events), 2, 0));
     // remap from the Wpte to its INVLPG.
-    EXPECT_TRUE(has_edge(d.remap, 0, 1));
+    EXPECT_TRUE(has_edge(edges_of(d.remap, d.num_events), 0, 1));
     // The walk reads the initial state, so fr(Rptw3, WPTE0) holds.
-    EXPECT_TRUE(has_edge(d.fr, 3, 0));
+    EXPECT_TRUE(has_edge(edges_of(d.fr, d.num_events), 3, 0));
     // po_loc between the PTE write and the walk of the same PTE.
-    EXPECT_TRUE(has_edge(d.po_loc, 0, 3));
+    EXPECT_TRUE(has_edge(edges_of(d.po_loc, d.num_events), 0, 3));
 }
 
 TEST(Derive, Fig10bResolution)
@@ -62,9 +63,9 @@ TEST(Derive, Fig10bResolution)
     // R2 uses the fresh mapping: PA b, provenance = WPTE0 (event 0).
     EXPECT_EQ(d.resolved_pa[2], 1);
     EXPECT_EQ(d.provenance[2], 0);
-    EXPECT_TRUE(has_edge(d.rf_pa, 0, 2));
+    EXPECT_TRUE(has_edge(edges_of(d.rf_pa, d.num_events), 0, 2));
     // No stale access: fr_va is empty.
-    EXPECT_TRUE(d.fr_va.empty());
+    EXPECT_TRUE(edges_of(d.fr_va, d.num_events).empty());
 }
 
 TEST(Derive, Fig2cAliasingResolution)
@@ -91,11 +92,11 @@ TEST(Derive, Fig2cAliasingResolution)
     EXPECT_EQ(d.resolved_pa[r_x], 0);
     EXPECT_EQ(d.resolved_pa[r_y], 0);
     // Coherence relates the two writes (same PA).
-    EXPECT_TRUE(has_edge(d.co, w_x, w_y));
+    EXPECT_TRUE(has_edge(edges_of(d.co, d.num_events), w_x, w_y));
     // fr(R6 x, W5 y): reads W0, whose co-successor is W5.
-    EXPECT_TRUE(has_edge(d.fr, r_x, w_y));
+    EXPECT_TRUE(has_edge(edges_of(d.fr, d.num_events), r_x, w_y));
     // po_loc on C1 between W5 (y -> PA a) and R6 (x -> PA a).
-    EXPECT_TRUE(has_edge(d.po_loc, w_y, r_x));
+    EXPECT_TRUE(has_edge(edges_of(d.po_loc, d.num_events), w_y, r_x));
 }
 
 TEST(Derive, Fig4PaEdges)
@@ -106,26 +107,28 @@ TEST(Derive, Fig4PaEdges)
     // Events in builder order: R0, Rptw0, R1, Rptw1, WPTE2, INVLPG, R4,
     // Rptw4, WPTE5, INVLPG, R7, Rptw7. Identify the user reads and Wptes.
     // co_pa orders the two alias creations of PA c.
-    EXPECT_EQ(d.co_pa.size(), 1u);
+    EXPECT_EQ(edges_of(d.co_pa, d.num_events).size(), 1u);
     // Two fr_va edges (R0 and R1 read mappings that later change).
-    EXPECT_EQ(d.fr_va.size(), 2u);
+    EXPECT_EQ(edges_of(d.fr_va, d.num_events).size(), 2u);
     // One fr_pa edge: R4 used WPTE2's alias of c; WPTE5 is a later alias.
-    EXPECT_EQ(d.fr_pa.size(), 1u);
+    EXPECT_EQ(edges_of(d.fr_pa, d.num_events).size(), 1u);
     // Two rf_pa edges: R4 from WPTE2, R7 from WPTE5.
-    EXPECT_EQ(d.rf_pa.size(), 2u);
+    EXPECT_EQ(edges_of(d.rf_pa, d.num_events).size(), 2u);
 }
 
 TEST(Derive, Fig5SharedWalkAndForcedWalk)
 {
     const DerivedRelations a = derive(fixtures::fig5a_shared_walk());
     ASSERT_TRUE(a.well_formed) << (a.problems.empty() ? "" : a.problems[0]);
-    EXPECT_EQ(a.rf_ptw.size(), 2u);      // one walk sources both reads
-    EXPECT_EQ(a.ptw_source.size(), 1u);  // R0's walk sources R1
+    // One walk sources both reads; R0's walk sources R1.
+    EXPECT_EQ(edges_of(a.rf_ptw, a.num_events).size(), 2u);
+    EXPECT_EQ(edges_of(a.ptw_source, a.num_events).size(), 1u);
 
     const DerivedRelations b = derive(fixtures::fig5b_invlpg_forces_walk());
     ASSERT_TRUE(b.well_formed) << (b.problems.empty() ? "" : b.problems[0]);
-    EXPECT_EQ(b.rf_ptw.size(), 2u);  // each read uses its own walk
-    EXPECT_TRUE(b.ptw_source.empty());
+    // Each read uses its own walk.
+    EXPECT_EQ(edges_of(b.rf_ptw, b.num_events).size(), 2u);
+    EXPECT_TRUE(edges_of(b.ptw_source, b.num_events).empty());
 }
 
 TEST(Derive, Fig5bSharingAcrossInvlpgIsIllFormed)
@@ -245,20 +248,20 @@ TEST(Derive, PpoDropsWriteToRead)
     const DerivedRelations d = derive(e, {/*vm_enabled=*/false});
     ASSERT_TRUE(d.well_formed);
     // W0 -> R1 (same thread) is the store-buffer relaxation: not in ppo.
-    EXPECT_FALSE(has_edge(d.ppo, 0, 1));
-    EXPECT_FALSE(has_edge(d.ppo, 2, 3));
+    EXPECT_FALSE(has_edge(edges_of(d.ppo, d.num_events), 0, 1));
+    EXPECT_FALSE(has_edge(edges_of(d.ppo, d.num_events), 2, 3));
 }
 
-TEST(Derive, HasCycleUtility)
+TEST(Derive, RowsHaveCycleUtility)
 {
-    EdgeSet ring{{0, 1}, {1, 2}, {2, 0}};
-    EdgeSet chain{{0, 1}, {1, 2}};
-    EXPECT_TRUE(has_cycle(3, {&ring}));
-    EXPECT_FALSE(has_cycle(3, {&chain}));
-    EdgeSet a{{0, 1}};
-    EdgeSet b{{1, 0}};
-    EXPECT_TRUE(has_cycle(2, {&a, &b}));
-    EXPECT_FALSE(has_cycle(2, {&a}));
+    const BitRow ring[] = {0b010, 0b100, 0b001};  // 0 -> 1 -> 2 -> 0
+    const BitRow chain[] = {0b010, 0b100, 0};
+    EXPECT_TRUE(rows_have_cycle(ring, 3));
+    EXPECT_FALSE(rows_have_cycle(chain, 3));
+    const BitRow both_ways[] = {0b10, 0b01};
+    const BitRow one_way[] = {0b10, 0};
+    EXPECT_TRUE(rows_have_cycle(both_ways, 2));
+    EXPECT_FALSE(rows_have_cycle(one_way, 2));
 }
 
 TEST(Derive, CoAndCoPaDisagreementRejected)

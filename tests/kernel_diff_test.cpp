@@ -1,10 +1,10 @@
 /// \file
-/// Differential tests for the bit-row verdict kernel: elt::has_cycle and
-/// every operator of the concrete `.mtm` interpreter (spec/eval.h) against
-/// plain references kept here — a colored DFS over adjacency lists and an
-/// evaluator over sorted, duplicate-free edge vectors. Relations are seeded
-/// random edge lists with self-loops and duplicate edges, at sizes up to
-/// the 64-event cap, where the live-node mask is the full word.
+/// Differential tests for the bit-row verdict kernel: elt::rows_have_cycle
+/// and every operator of the lowered `.mtm` interpreter (spec/eval.h)
+/// against plain references kept here — a colored DFS over adjacency lists
+/// and an evaluator over sorted, duplicate-free edge vectors. Relations are
+/// seeded random edge lists with self-loops and duplicate edges, at sizes
+/// up to the 64-event cap, where the live-node mask is the full word.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,12 +16,17 @@
 
 #include "elt/derive.h"
 #include "elt/program.h"
+#include "mtm/model.h"
 #include "spec/ast.h"
+#include "spec/compile.h"
 #include "spec/eval.h"
 
 namespace transform {
 namespace {
 
+using elt::BitRow;
+using elt::BitRows;
+using elt::DerivedRelations;
 using elt::Edge;
 using elt::EdgeSet;
 using elt::EventId;
@@ -102,7 +107,26 @@ reference_has_cycle(int n, const std::vector<const EdgeSet*>& sets)
     return false;
 }
 
-TEST(KernelDiff, HasCycleMatchesReferenceDfs)
+/// The union of \p sets as adjacency rows.
+BitRows
+rows_of(const std::vector<const EdgeSet*>& sets)
+{
+    BitRows rows{};
+    for (const EdgeSet* set : sets) {
+        for (const auto& [from, to] : *set) {
+            rows[from] |= BitRow{1} << to;
+        }
+    }
+    return rows;
+}
+
+bool
+rows_cyclic(int n, const std::vector<const EdgeSet*>& sets)
+{
+    return elt::rows_have_cycle(rows_of(sets).data(), n);
+}
+
+TEST(KernelDiff, RowsHaveCycleMatchesReferenceDfs)
 {
     std::mt19937 rng(20201);
     for (const int n : kSizes) {
@@ -131,7 +155,7 @@ TEST(KernelDiff, HasCycleMatchesReferenceDfs)
             }
             const std::vector<const EdgeSet*> sets = {&dag, &extra, &dag};
             const bool expected = reference_has_cycle(n, sets);
-            EXPECT_EQ(elt::has_cycle(n, sets), expected)
+            EXPECT_EQ(rows_cyclic(n, sets), expected)
                 << "n=" << n << " trial=" << trial;
             ++(expected ? cyclic : acyclic);
         }
@@ -149,15 +173,15 @@ TEST(KernelDiff, FullWordCycleThroughEveryNode)
     for (EventId a = 0; a < elt::kMaxBitEvents; ++a) {
         ring.emplace_back(a, (a + 1) % elt::kMaxBitEvents);
     }
-    EXPECT_TRUE(elt::has_cycle(elt::kMaxBitEvents, {&ring}));
+    EXPECT_TRUE(rows_cyclic(elt::kMaxBitEvents, {&ring}));
     for (std::size_t cut = 0; cut < ring.size(); ++cut) {
         EdgeSet path = ring;
         path.erase(path.begin() + static_cast<std::ptrdiff_t>(cut));
-        EXPECT_FALSE(elt::has_cycle(elt::kMaxBitEvents, {&path})) << cut;
+        EXPECT_FALSE(rows_cyclic(elt::kMaxBitEvents, {&path})) << cut;
     }
     const EdgeSet top_loop = {{63, 63}};
-    EXPECT_TRUE(elt::has_cycle(elt::kMaxBitEvents, {&top_loop}));
-    EXPECT_FALSE(elt::has_cycle(elt::kMaxBitEvents, {}));
+    EXPECT_TRUE(rows_cyclic(elt::kMaxBitEvents, {&top_loop}));
+    EXPECT_FALSE(rows_cyclic(elt::kMaxBitEvents, {}));
 }
 
 // ---------------------------------------------------------------------------
@@ -226,17 +250,26 @@ random_program(std::mt19937& rng, int n)
     return p;
 }
 
+/// Every relation field of \p d.
+std::vector<BitRows*>
+relation_fields(DerivedRelations* d)
+{
+    return {&d->po,    &d->po_loc, &d->po_mem, &d->rf,     &d->co,
+            &d->fr,    &d->rfe,    &d->ppo,    &d->fence,  &d->rmw,
+            &d->ghost, &d->rf_ptw, &d->rf_pa,  &d->co_pa,  &d->fr_pa,
+            &d->fr_va, &d->remap,  &d->ptw_source};
+}
+
 /// Every base-relation field filled with random edges.
-elt::DerivedRelations
+DerivedRelations
 random_derived(std::mt19937& rng, int n)
 {
-    elt::DerivedRelations d;
+    DerivedRelations d;
     d.well_formed = true;
-    for (EdgeSet* field :
-         {&d.po, &d.po_loc, &d.rf, &d.co, &d.fr, &d.rfe, &d.ppo, &d.fence,
-          &d.rmw, &d.ghost, &d.rf_ptw, &d.rf_pa, &d.co_pa, &d.fr_pa,
-          &d.fr_va, &d.remap, &d.ptw_source}) {
-        *field = random_edges(rng, n);
+    d.num_events = n;
+    for (BitRows* field : relation_fields(&d)) {
+        const EdgeSet edges = random_edges(rng, n);
+        *field = rows_of({&edges});
     }
     return d;
 }
@@ -273,37 +306,28 @@ struct Reference {
     EdgeSet
     base(BaseRel rel) const
     {
-        const int n = p.num_events();
+        const auto edges = [this](const BitRows& rows) {
+            return elt::edges_of(rows, p.num_events());
+        };
         switch (rel) {
-        case BaseRel::kPo: return normalized(d.po);
-        case BaseRel::kPoLoc: return normalized(d.po_loc);
-        case BaseRel::kRf: return normalized(d.rf);
-        case BaseRel::kRfe: return normalized(d.rfe);
-        case BaseRel::kCo: return normalized(d.co);
-        case BaseRel::kFr: return normalized(d.fr);
-        case BaseRel::kPpo: return normalized(d.ppo);
-        case BaseRel::kFence: return normalized(d.fence);
-        case BaseRel::kRmw: return normalized(d.rmw);
-        case BaseRel::kGhost: return normalized(d.ghost);
-        case BaseRel::kRfPtw: return normalized(d.rf_ptw);
-        case BaseRel::kRfPa: return normalized(d.rf_pa);
-        case BaseRel::kCoPa: return normalized(d.co_pa);
-        case BaseRel::kFrPa: return normalized(d.fr_pa);
-        case BaseRel::kFrVa: return normalized(d.fr_va);
-        case BaseRel::kRemap: return normalized(d.remap);
-        case BaseRel::kPtwSource: return normalized(d.ptw_source);
-        case BaseRel::kPoMem: {
-            EdgeSet out;
-            for (EventId a = 0; a < n; ++a) {
-                for (EventId b = 0; b < n; ++b) {
-                    if (a != b && elt::is_memory(p.event(a).kind) &&
-                        elt::is_memory(p.event(b).kind) && p.precedes(a, b)) {
-                        out.emplace_back(a, b);
-                    }
-                }
-            }
-            return out;
-        }
+        case BaseRel::kPo: return edges(d.po);
+        case BaseRel::kPoLoc: return edges(d.po_loc);
+        case BaseRel::kPoMem: return edges(d.po_mem);
+        case BaseRel::kRf: return edges(d.rf);
+        case BaseRel::kRfe: return edges(d.rfe);
+        case BaseRel::kCo: return edges(d.co);
+        case BaseRel::kFr: return edges(d.fr);
+        case BaseRel::kPpo: return edges(d.ppo);
+        case BaseRel::kFence: return edges(d.fence);
+        case BaseRel::kRmw: return edges(d.rmw);
+        case BaseRel::kGhost: return edges(d.ghost);
+        case BaseRel::kRfPtw: return edges(d.rf_ptw);
+        case BaseRel::kRfPa: return edges(d.rf_pa);
+        case BaseRel::kCoPa: return edges(d.co_pa);
+        case BaseRel::kFrPa: return edges(d.fr_pa);
+        case BaseRel::kFrVa: return edges(d.fr_va);
+        case BaseRel::kRemap: return edges(d.remap);
+        case BaseRel::kPtwSource: return edges(d.ptw_source);
         }
         ADD_FAILURE() << "unknown base relation";
         return {};
@@ -407,6 +431,16 @@ id_set(EventSet set)
 }
 
 ExprPtr
+let_ref(ExprPtr body)
+{
+    auto ref = std::make_shared<Expr>();
+    ref->op = ExprOp::kLetRef;
+    ref->lhs = std::move(body);
+    ref->let_name = "shared";
+    return ref;
+}
+
+ExprPtr
 random_leaf(std::mt19937& rng)
 {
     switch (rng() % 8) {
@@ -440,10 +474,7 @@ random_expr(std::mt19937& rng, int depth)
     case 10: return node(ExprOp::kReflexiveClosure, sub());
     case 11: {
         const ExprPtr body = sub();
-        auto ref = std::make_shared<Expr>();
-        ref->op = ExprOp::kLetRef;
-        ref->lhs = body;
-        ref->let_name = "shared";
+        const ExprPtr ref = let_ref(body);
         return node(ExprOp::kJoin, ref, node(ExprOp::kUnion, ref, body));
     }
     default:
@@ -541,6 +572,8 @@ TEST(KernelDiff, EveryOperatorMatchesSortedEdgeReference)
             {"[W] ; rf ; [R]",
              node(ExprOp::kJoin, id_set(EventSet::kWrite),
                   node(ExprOp::kJoin, x, id_set(EventSet::kRead)))},
+            {"po_mem ; rf", node(ExprOp::kJoin, leaf(BaseRel::kPoMem), x)},
+            {"rf ; po_mem", node(ExprOp::kJoin, x, leaf(BaseRel::kPoMem))},
         };
         for (const auto& c : cases) {
             expect_matches_reference(*c.expr, p, d, &scratch,
@@ -551,6 +584,74 @@ TEST(KernelDiff, EveryOperatorMatchesSortedEdgeReference)
                                      "n=" + std::to_string(n) + " [S]");
         }
         expect_live_slots_untouched(scratch, kPattern);
+    }
+}
+
+TEST(KernelDiff, BareBaseRelationIsReadInPlace)
+{
+    // An axiom over one base relation lowers to no operation at all: the
+    // verdict reads the DerivedRelations rows directly, takes no arena
+    // slot and leaves the relations exactly as they were.
+    std::mt19937 rng(77);
+    for (const int n : kSizes) {
+        const elt::Program p = random_program(rng, n);
+        const DerivedRelations d = random_derived(rng, n);
+        const DerivedRelations before = d;
+        for (const BaseRel rel : kBases) {
+            elt::CycleScratch scratch;
+            expect_matches_reference(*leaf(rel), p, d, &scratch,
+                                     "n=" + std::to_string(n) + " base");
+            EXPECT_TRUE(scratch.spec_pool.empty());
+            EXPECT_TRUE(d == before);
+        }
+    }
+}
+
+TEST(KernelDiff, SharedLetsMatchReferenceAcrossAxioms)
+{
+    // One let body referenced twice by one axiom and once by another, in
+    // a compiled model: each axiom's lowered program evaluates the body
+    // once and both verdicts match the reference, whatever order the
+    // axioms share one scratch in.
+    const ExprPtr body =
+        node(ExprOp::kUnion, leaf(BaseRel::kRf),
+             node(ExprOp::kUnion, leaf(BaseRel::kCo), leaf(BaseRel::kFr)));
+    spec::ModelSpec model_spec;
+    model_spec.name = "shared_lets";
+    model_spec.lets.push_back({"com", body});
+    spec::AxiomDef twice;
+    twice.name = "twice";
+    twice.form = spec::AxiomForm::kAcyclic;
+    twice.expr = node(ExprOp::kJoin, let_ref(body),
+                      node(ExprOp::kUnion, let_ref(body),
+                           leaf(BaseRel::kPoMem)));
+    spec::AxiomDef once;
+    once.name = "once";
+    once.form = spec::AxiomForm::kEmpty;
+    once.expr = node(ExprOp::kIntersect, let_ref(body), leaf(BaseRel::kPo));
+    model_spec.axioms = {twice, once};
+    const mtm::Model model = spec::compile_model(model_spec);
+
+    std::mt19937 rng(99);
+    for (const int n : kSizes) {
+        elt::CycleScratch scratch;
+        for (int trial = 0; trial < 40; ++trial) {
+            const elt::Program p = random_program(rng, n);
+            const DerivedRelations d = random_derived(rng, n);
+            const Reference reference{p, d};
+            const EdgeSet twice_edges = reference.eval(*twice.expr);
+            const bool twice_holds =
+                !reference_has_cycle(n, {&twice_edges});
+            const bool once_holds = reference.eval(*once.expr).empty();
+            const mtm::AxiomMask expected =
+                (twice_holds ? 0 : 1) | (once_holds ? 0 : 2);
+            EXPECT_EQ(model.violated_mask(p, d, &scratch), expected)
+                << "n=" << n << " trial " << trial;
+            EXPECT_EQ(model.axioms()[1].holds(p, d, &scratch), once_holds);
+            EXPECT_EQ(model.axioms()[0].holds(p, d, &scratch), twice_holds);
+            expect_matches_reference(*twice.expr, p, d, &scratch, "twice");
+            expect_matches_reference(*once.expr, p, d, &scratch, "once");
+        }
     }
 }
 

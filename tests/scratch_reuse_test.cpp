@@ -11,6 +11,8 @@
 ///  - a reset Solver / reused EncodingScratch behaves like a fresh one;
 ///  - canonical_key and judge agree between their scratch and scratch-free
 ///    overloads;
+///  - a DeriveScratch's cached program facts follow the program's content,
+///    not its address;
 ///  - a second derive_into, violated_mask and mask-taking judge on the
 ///    same execution allocate nothing.
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "elt/fixtures.h"
 #include "mtm/encoding.h"
 #include "mtm/model.h"
+#include "mtm/relax.h"
 #include "obs/alloc.h"
 #include "spec/registry.h"
 #include "synth/canonical.h"
@@ -43,8 +46,10 @@ expect_identical(const DerivedRelations& fresh, const DerivedRelations& reused,
     EXPECT_EQ(fresh.problems, reused.problems) << context;
     EXPECT_EQ(fresh.resolved_pa, reused.resolved_pa) << context;
     EXPECT_EQ(fresh.provenance, reused.provenance) << context;
+    EXPECT_EQ(fresh.num_events, reused.num_events) << context;
     EXPECT_EQ(fresh.po, reused.po) << context;
     EXPECT_EQ(fresh.po_loc, reused.po_loc) << context;
+    EXPECT_EQ(fresh.po_mem, reused.po_mem) << context;
     EXPECT_EQ(fresh.rf, reused.rf) << context;
     EXPECT_EQ(fresh.co, reused.co) << context;
     EXPECT_EQ(fresh.fr, reused.fr) << context;
@@ -144,6 +149,57 @@ TEST(DeriveScratchDifferential, FixturesFieldIdentical)
         const Execution e = c.make();
         elt::derive_into(e, {c.vm}, &reused, &scratch);
         expect_identical(elt::derive(e, {c.vm}), reused, "fixture");
+    }
+}
+
+TEST(DeriveScratchDifferential, ProgramFactsFollowContentNotAddress)
+{
+    // A DeriveScratch keeps the static half of the last program it
+    // derived. One Execution object holds programs A, B and A in turn, and
+    // one RelaxScratch rebuilds B's relaxations in place: the program's
+    // address repeats while its content changes, so facts keyed by address
+    // would be stale. Every result must equal a fresh derive(), and the
+    // model's verdict on it the verdict on the fresh relations.
+    std::string error;
+    const auto twin = spec::resolve_model("x86t_elt.mtm", &error);
+    ASSERT_TRUE(twin.has_value()) << error;
+    const mtm::Model x86t_elt = mtm::x86t_elt();
+    const mtm::Model x86tso = mtm::x86tso();
+    for (const mtm::Model* model : {&x86t_elt, &x86tso, &twin->model}) {
+        const bool vm = model->vm_aware();
+        const Execution a = vm ? elt::fixtures::fig10a_ptwalk2()
+                               : elt::fixtures::fig2a_sb_mcm();
+        const Execution b = vm ? elt::fixtures::fig4_remap_chain()
+                               : elt::fixtures::fig8_non_minimal_mcm();
+        ASSERT_FALSE(a.program == b.program);
+        DerivedRelations reused;
+        elt::DeriveScratch scratch;
+        const auto check = [&](const Execution& e, const std::string& what) {
+            const std::string context = model->name() + " " + what;
+            elt::derive_into(e, model->derive_options(), &reused, &scratch);
+            const DerivedRelations fresh =
+                elt::derive(e, model->derive_options());
+            expect_identical(fresh, reused, context);
+            ASSERT_TRUE(fresh.well_formed) << context;
+            EXPECT_EQ(model->violated_mask(e.program, reused, &scratch.cycle),
+                      model->violated_mask(e.program, fresh))
+                << context;
+        };
+        Execution current = a;
+        check(current, "A");
+        current = b;
+        check(current, "B");
+        current = a;
+        check(current, "A again");
+        std::vector<mtm::Relaxation> relaxations;
+        mtm::applicable_relaxations_into(b.program, &relaxations);
+        ASSERT_GE(relaxations.size(), 2u);
+        mtm::RelaxScratch relax;
+        for (const mtm::Relaxation& relaxation : relaxations) {
+            const Execution& relaxed =
+                mtm::apply_relaxation_into(b, relaxation, vm, &relax);
+            check(relaxed, "B " + relaxation.describe(b.program));
+        }
     }
 }
 
@@ -344,20 +400,47 @@ TEST(ViolatedMask, MatchesStringShimOnFixtures)
     }
 }
 
+/// Message passing (W x; W y | R y; R x): under TSO, reading the new y
+/// and the old x is forbidden. (Every outcome of store buffering is
+/// permitted, so fig2a has no violating execution.)
+Execution
+message_passing()
+{
+    elt::ProgramBuilder b;
+    b.thread();
+    b.W(0);
+    b.W(1);
+    b.thread();
+    b.R(1);
+    b.R(0);
+    return Execution::empty_for(b.build());
+}
+
 TEST(SteadyState, DeriveMaskAndJudgeAllocateNothing)
 {
     // fig4 has two Wptes and fig10b one: Program::validate's per-core
     // Invlpg count once allocated per Wpte on every derivation. Every
     // execution of each fixture program is derived, masked and judged
-    // twice; the second sweep must not allocate. The .mtm twin also covers
-    // the interpreter's arena.
+    // twice; the second sweep must not allocate. The .mtm twins cover the
+    // interpreter's arena, sc_t_elt its causality axiom (which once
+    // assembled an edge-set union), and the MCM models run on the MCM
+    // fixtures.
     std::string error;
     const auto twin = spec::resolve_model("x86t_elt.mtm", &error);
     ASSERT_TRUE(twin.has_value()) << error;
+    const auto tso_twin = spec::resolve_model("x86tso.mtm", &error);
+    ASSERT_TRUE(tso_twin.has_value()) << error;
     const mtm::Model builtin = mtm::x86t_elt();
-    for (const mtm::Model* model : {&builtin, &twin->model}) {
-        for (const auto make : {elt::fixtures::fig4_remap_chain,
-                                elt::fixtures::fig10b_dirtybit3}) {
+    const mtm::Model sc = mtm::sc_t_elt();
+    for (const mtm::Model* model :
+         {&builtin, &twin->model, &sc, &tso_twin->model}) {
+        const auto fixtures =
+            model->vm_aware()
+                ? std::vector<Execution (*)()>{elt::fixtures::fig4_remap_chain,
+                                               elt::fixtures::fig10b_dirtybit3}
+                : std::vector<Execution (*)()>{
+                      elt::fixtures::fig8_non_minimal_mcm, message_passing};
+        for (const auto make : fixtures) {
             std::vector<Execution> executions;
             synth::for_each_execution(make().program, model->vm_aware(),
                                       [&](const Execution& e) {

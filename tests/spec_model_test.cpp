@@ -199,16 +199,18 @@ TEST(SpecEval, BaseAndSetAlgebra)
 
     EXPECT_EQ(eval_on("rf | co | fr", e, false),
               sorted([&] {
-                  EdgeSet all = d.rf;
-                  all.insert(all.end(), d.co.begin(), d.co.end());
-                  all.insert(all.end(), d.fr.begin(), d.fr.end());
+                  EdgeSet all = elt::edges_of(d.rf, d.num_events);
+                  const EdgeSet co = elt::edges_of(d.co, d.num_events);
+                  const EdgeSet fr = elt::edges_of(d.fr, d.num_events);
+                  all.insert(all.end(), co.begin(), co.end());
+                  all.insert(all.end(), fr.begin(), fr.end());
                   return all;
               }()));
-    EXPECT_EQ(eval_on("po & po", e, false), sorted(d.po));
+    EXPECT_EQ(eval_on("po & po", e, false), elt::edges_of(d.po, d.num_events));
     EXPECT_EQ(eval_on("po \\ po", e, false), EdgeSet{});
     EXPECT_EQ(eval_on("0", e, false), EdgeSet{});
     // Transpose is an involution.
-    EXPECT_EQ(eval_on("rf^-1^-1", e, false), sorted(d.rf));
+    EXPECT_EQ(eval_on("rf^-1^-1", e, false), elt::edges_of(d.rf, d.num_events));
     // [W] ; po ; [R] == the W->R po pairs == po \ ppo (TSO's dropped pairs
     // restricted to memory events; in this MCM fixture all events are
     // memory events).
@@ -250,10 +252,11 @@ TEST(SpecEval, VmRelationsOnFixtures)
 {
     const Execution e = elt::fixtures::fig10a_ptwalk2();
     const elt::DerivedRelations d = elt::derive(e, {true});
-    EXPECT_EQ(eval_on("fr_va", e, true), sorted(d.fr_va));
-    EXPECT_EQ(eval_on("remap", e, true), sorted(d.remap));
-    EXPECT_EQ(eval_on("rf_ptw", e, true), sorted(d.rf_ptw));
-    EXPECT_EQ(eval_on("ghost", e, true), sorted(d.ghost));
+    EXPECT_EQ(eval_on("fr_va", e, true), elt::edges_of(d.fr_va, d.num_events));
+    EXPECT_EQ(eval_on("remap", e, true), elt::edges_of(d.remap, d.num_events));
+    EXPECT_EQ(eval_on("rf_ptw", e, true),
+              elt::edges_of(d.rf_ptw, d.num_events));
+    EXPECT_EQ(eval_on("ghost", e, true), elt::edges_of(d.ghost, d.num_events));
     // Ghost events hang off their parents: ghost ⊆ [M] ; ghost ; [Ghost].
     EXPECT_EQ(eval_on("ghost", e, true),
               eval_on("ghost & ([M] ; ghost ; [Ghost])", e, true));
@@ -263,7 +266,7 @@ TEST(SpecEval, DeepLetChainsEvaluateInDagTimeNotTreeTime)
 {
     // let a1 = a0 ; a0, ..., a25 = a24 ; a24 — a 2^25-node tree but a
     // 26-node DAG. Both compilers must stay linear in the DAG: the
-    // concrete evaluator pins each body once (CycleScratch::spec_memo),
+    // concrete evaluator lowers each body once (RowProgram),
     // the encoder memoizes circuits and walks needs with a visited set.
     // Without those, this test (and any user model with shared
     // definitions) hangs rather than fails.

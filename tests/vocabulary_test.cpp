@@ -45,6 +45,11 @@ class VocabularyFig4 : public ::testing::Test {
         ASSERT_EQ(walks_.size(), 4u);
     }
 
+    EdgeSet edges(const BitRows& rows) const
+    {
+        return edges_of(rows, derived_.num_events);
+    }
+
     Execution exec_;
     DerivedRelations derived_;
     std::vector<EventId> reads_;
@@ -55,11 +60,11 @@ class VocabularyFig4 : public ::testing::Test {
 TEST_F(VocabularyFig4, RfPaRelatesWpteToUsers)
 {
     // R4 y uses WPTE2's mapping; R7 x uses WPTE5's (Fig. 4b).
-    EXPECT_TRUE(has_edge(derived_.rf_pa, wptes_[0], reads_[2]));
-    EXPECT_TRUE(has_edge(derived_.rf_pa, wptes_[1], reads_[3]));
-    EXPECT_EQ(derived_.rf_pa.size(), 2u);
+    EXPECT_TRUE(has_edge(edges(derived_.rf_pa), wptes_[0], reads_[2]));
+    EXPECT_TRUE(has_edge(edges(derived_.rf_pa), wptes_[1], reads_[3]));
+    EXPECT_EQ(edges(derived_.rf_pa).size(), 2u);
     // Domain: Wpte only; range: user-facing data accesses only.
-    for (const auto& [from, to] : derived_.rf_pa) {
+    for (const auto& [from, to] : edges(derived_.rf_pa)) {
         EXPECT_EQ(exec_.program.event(from).kind, EventKind::kWpte);
         EXPECT_TRUE(is_data_access(exec_.program.event(to).kind));
     }
@@ -68,25 +73,25 @@ TEST_F(VocabularyFig4, RfPaRelatesWpteToUsers)
 TEST_F(VocabularyFig4, CoPaOrdersAliasCreation)
 {
     // Both Wptes target PA c; creation order WPTE2 then WPTE5.
-    ASSERT_EQ(derived_.co_pa.size(), 1u);
-    EXPECT_TRUE(has_edge(derived_.co_pa, wptes_[0], wptes_[1]));
+    ASSERT_EQ(edges(derived_.co_pa).size(), 1u);
+    EXPECT_TRUE(has_edge(edges(derived_.co_pa), wptes_[0], wptes_[1]));
 }
 
 TEST_F(VocabularyFig4, FrPaRelatesToLaterAliases)
 {
     // R4 reads PA c via WPTE2; WPTE5 creates the next alias of c.
-    ASSERT_EQ(derived_.fr_pa.size(), 1u);
-    EXPECT_TRUE(has_edge(derived_.fr_pa, reads_[2], wptes_[1]));
+    ASSERT_EQ(edges(derived_.fr_pa).size(), 1u);
+    EXPECT_TRUE(has_edge(edges(derived_.fr_pa), reads_[2], wptes_[1]));
 }
 
 TEST_F(VocabularyFig4, FrVaRelatesToRemapsOfAccessedVa)
 {
     // R0 x read before WPTE5 remapped x; R1 y before WPTE2 remapped y.
-    EXPECT_EQ(derived_.fr_va.size(), 2u);
-    EXPECT_TRUE(has_edge(derived_.fr_va, reads_[0], wptes_[1]));
-    EXPECT_TRUE(has_edge(derived_.fr_va, reads_[1], wptes_[0]));
+    EXPECT_EQ(edges(derived_.fr_va).size(), 2u);
+    EXPECT_TRUE(has_edge(edges(derived_.fr_va), reads_[0], wptes_[1]));
+    EXPECT_TRUE(has_edge(edges(derived_.fr_va), reads_[1], wptes_[0]));
     // fr_va targets are always PTE writes for the accessed VA.
-    for (const auto& [from, to] : derived_.fr_va) {
+    for (const auto& [from, to] : edges(derived_.fr_va)) {
         EXPECT_EQ(exec_.program.event(to).kind, EventKind::kWpte);
         EXPECT_EQ(exec_.program.event(from).va, exec_.program.event(to).va);
     }
@@ -94,8 +99,8 @@ TEST_F(VocabularyFig4, FrVaRelatesToRemapsOfAccessedVa)
 
 TEST_F(VocabularyFig4, RemapRelatesWpteToItsInvlpgs)
 {
-    EXPECT_EQ(derived_.remap.size(), 2u);
-    for (const auto& [from, to] : derived_.remap) {
+    EXPECT_EQ(edges(derived_.remap).size(), 2u);
+    for (const auto& [from, to] : edges(derived_.remap)) {
         EXPECT_EQ(exec_.program.event(from).kind, EventKind::kWpte);
         EXPECT_EQ(exec_.program.event(to).kind, EventKind::kInvlpg);
         EXPECT_EQ(exec_.program.event(to).remap_src, from);
@@ -105,8 +110,8 @@ TEST_F(VocabularyFig4, RemapRelatesWpteToItsInvlpgs)
 TEST_F(VocabularyFig4, RfPtwSourcesEachAccess)
 {
     // Four data accesses, each translated by its own walk.
-    EXPECT_EQ(derived_.rf_ptw.size(), 4u);
-    for (const auto& [from, to] : derived_.rf_ptw) {
+    EXPECT_EQ(edges(derived_.rf_ptw).size(), 4u);
+    for (const auto& [from, to] : edges(derived_.rf_ptw)) {
         EXPECT_EQ(exec_.program.event(from).kind, EventKind::kRptw);
         EXPECT_TRUE(is_data_access(exec_.program.event(to).kind));
         EXPECT_EQ(exec_.program.event(from).va, exec_.program.event(to).va);
@@ -118,7 +123,7 @@ TEST(Vocabulary, GhostRelatesParentToGhost)
     const Execution e = fixtures::fig2b_sb_elt();
     const DerivedRelations d = derive(e);
     ASSERT_TRUE(d.well_formed);
-    for (const auto& [parent, ghost] : d.ghost) {
+    for (const auto& [parent, ghost] : edges_of(d.ghost, d.num_events)) {
         EXPECT_FALSE(is_ghost(e.program.event(parent).kind));
         EXPECT_TRUE(is_ghost(e.program.event(ghost).kind));
         EXPECT_EQ(e.program.event(ghost).parent, parent);
@@ -126,7 +131,7 @@ TEST(Vocabulary, GhostRelatesParentToGhost)
                   e.program.event(ghost).thread);
     }
     // Each Write has two ghosts (Wdb + Rptw), each Read at most one.
-    EXPECT_EQ(d.ghost.size(), 6u);
+    EXPECT_EQ(edges_of(d.ghost, d.num_events).size(), 6u);
 }
 
 TEST(Vocabulary, PtwSourceExcludesTheWalker)
@@ -134,8 +139,8 @@ TEST(Vocabulary, PtwSourceExcludesTheWalker)
     const Execution e = fixtures::fig5a_shared_walk();
     const DerivedRelations d = derive(e);
     ASSERT_TRUE(d.well_formed);
-    ASSERT_EQ(d.ptw_source.size(), 1u);
-    const auto [from, to] = d.ptw_source[0];
+    ASSERT_EQ(edges_of(d.ptw_source, d.num_events).size(), 1u);
+    const auto [from, to] = edges_of(d.ptw_source, d.num_events)[0];
     // R0 (the walker) sources R1 (the hit), never itself.
     EXPECT_NE(from, to);
     EXPECT_EQ(e.program.position_of(from), 0);
@@ -147,10 +152,11 @@ TEST(Vocabulary, RfeIsCrossThreadSubsetOfRf)
     const Execution e = fixtures::fig2b_sb_elt();
     const DerivedRelations d = derive(e);
     ASSERT_TRUE(d.well_formed);
-    for (const auto& edge : d.rfe) {
+    const EdgeSet rf = edges_of(d.rf, d.num_events);
+    for (const auto& edge : edges_of(d.rfe, d.num_events)) {
         EXPECT_NE(e.program.event(edge.first).thread,
                   e.program.event(edge.second).thread);
-        EXPECT_TRUE(std::find(d.rf.begin(), d.rf.end(), edge) != d.rf.end());
+        EXPECT_TRUE(std::find(rf.begin(), rf.end(), edge) != rf.end());
     }
 }
 
@@ -160,7 +166,7 @@ TEST(Vocabulary, PoIsTransitivePerThread)
     const DerivedRelations d = derive(e);
     ASSERT_TRUE(d.well_formed);
     // 8 non-ghost events on one thread: C(8,2) = 28 po pairs.
-    EXPECT_EQ(d.po.size(), 28u);
+    EXPECT_EQ(edges_of(d.po, d.num_events).size(), 28u);
 }
 
 TEST(Vocabulary, FenceOrdersAcrossMfence)
@@ -185,10 +191,10 @@ TEST(Vocabulary, FenceOrdersAcrossMfence)
     ASSERT_TRUE(d.well_formed);
     // Memory events before the fence: W, Wdb, Rptw(w); after: R, Rptw(r).
     // fence = 3 x 2 pairs.
-    EXPECT_EQ(d.fence.size(), 6u);
+    EXPECT_EQ(edges_of(d.fence, d.num_events).size(), 6u);
     // And the fence restores the W->R order that ppo drops.
-    EXPECT_FALSE(has_edge(d.ppo, w, r));
-    EXPECT_TRUE(has_edge(d.fence, w, r));
+    EXPECT_FALSE(has_edge(edges_of(d.ppo, d.num_events), w, r));
+    EXPECT_TRUE(has_edge(edges_of(d.fence, d.num_events), w, r));
 }
 
 TEST(Vocabulary, PpoKeepsAllButWriteToRead)
@@ -198,7 +204,7 @@ TEST(Vocabulary, PpoKeepsAllButWriteToRead)
     ASSERT_TRUE(d.well_formed);
     // Each thread is W;R — the only same-thread memory pair is W->R,
     // dropped by TSO.
-    EXPECT_TRUE(d.ppo.empty());
+    EXPECT_TRUE(edges_of(d.ppo, d.num_events).empty());
 }
 
 TEST(Vocabulary, InitialMappingsAreIdentity)
