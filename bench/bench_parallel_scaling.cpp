@@ -3,19 +3,11 @@
 /// full per-axiom suite sweep at 1/2/4/8 scheduler jobs on the fixture
 /// MTMs, reporting speedup over the sequential (jobs=1) run. The sweep
 /// goes through synthesize_all_parallel, so every axiom is searched in ONE
-/// pass on one thread pool (one locked job queue + lazy adaptive shard
-/// re-splitting) — the paper's Alloy pipeline took a week single-threaded
+/// pass on one thread pool (one locked job queue over a static shard
+/// partition) — the paper's Alloy pipeline took a week single-threaded
 /// at bound 11; the point of the runtime is that added cores translate
 /// into wall-clock speedup while the synthesized suite stays
-/// byte-identical, at every job count and at every shard granularity.
-///
-/// The bench also prices the lazy re-split design against the pre-PR
-/// eager-probe baseline: the old engine ran a count_skeletons probe per
-/// adaptive shard job (a full second enumeration of the shard's candidate
-/// prefix) before searching; lazy splitting deleted that pass, so the
-/// eager baseline costs exactly the lazy wall time plus a replay of the
-/// probe enumerations — measured here and reported as candidate
-/// throughput for both designs.
+/// byte-identical, at every job count and at every shard depth.
 ///
 /// Knobs: TRANSFORM_SCALING_BOUND (default 6), TRANSFORM_SCALING_MODEL
 /// (x86t_elt | x86tso, default x86t_elt), TRANSFORM_SCALING_JSON (output
@@ -32,7 +24,6 @@
 #include "bench_common.h"
 #include "mtm/model.h"
 #include "synth/engine.h"
-#include "synth/skeleton.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -45,46 +36,6 @@ std::string
 sweep_fingerprint(const std::vector<synth::SuiteResult>& suites)
 {
     return bench::suite_fingerprint(suites, /*include_violated=*/true);
-}
-
-/// Replays the enumeration work of the deleted eager probe pass,
-/// faithfully: the pre-PR engine ran `count_skeletons(shard, T + 1)` on a
-/// shard job only when a split was structurally possible — stride still
-/// subdividing, children non-empty, and (since its split_shard refused
-/// closed prefixes) never on a shard whose prefix had closed thread 0 —
-/// and recursed into the children of over-threshold shards. Returns the
-/// number of candidates those probes enumerated: pure overhead the lazy
-/// design no longer pays, since every candidate a lazy job visits is a
-/// real search step.
-std::uint64_t
-replay_probe_pass(const synth::SkeletonShard& shard, std::uint64_t threshold,
-                  std::uint64_t stride)
-{
-    if (stride < synth::kMinLeafStride * 2) {
-        return 0;  // searched as a leaf, no probe
-    }
-    if (!shard.prefix.empty() && shard.prefix.back() == synth::kCloseThread) {
-        return 0;  // pre-PR: unsplittable closed prefix, searched directly
-    }
-    const auto children = synth::split_shard(shard);
-    if (children.empty()) {
-        return 0;
-    }
-    const std::uint64_t child_stride =
-        synth::child_stride_for(stride, children.size());
-    if (child_stride < synth::kMinLeafStride) {
-        return 0;
-    }
-    const std::uint64_t count =
-        synth::count_skeletons(shard, threshold + 1);
-    if (count <= threshold) {
-        return count;  // probed, then searched as a leaf
-    }
-    std::uint64_t enumerated = count;
-    for (const synth::SkeletonShard& child : children) {
-        enumerated += replay_probe_pass(child, threshold, child_stride);
-    }
-    return enumerated;
 }
 
 }  // namespace
@@ -102,8 +53,7 @@ main()
     bench::banner("parallel_scaling",
                   "synthesis-loop scaling (TransForm section IV at scale)",
                   "one shared pool sweeps all axioms; suites are identical "
-                  "at every job count, shard depth, and re-split "
-                  "threshold; lazy re-splitting beats the eager probe");
+                  "at every job count and shard depth");
     std::printf("model %s, bounds %d..%d, %u hardware thread(s)\n\n",
                 model.name().c_str(), model.vm_aware() ? 4 : 2, bound, hw);
 
@@ -115,10 +65,8 @@ main()
     json.push_back(bench::jint("bound", static_cast<std::uint64_t>(bound)));
     json.push_back(bench::jint("hardware_threads", hw));
     std::string reference_fp;
-    std::uint64_t reference_programs = 0;
-    std::printf("%8s %12s %10s %9s %9s %10s %10s %8s\n", "jobs", "wall (s)",
-                "speedup", "tests", "shards", "steals", "re-splits",
-                "closed");
+    std::printf("%8s %12s %10s %9s %9s %10s\n", "jobs", "wall (s)",
+                "speedup", "tests", "shards", "steals");
     bool ok = true;
     for (const int jobs : job_counts) {
         synth::SynthesisOptions opt;
@@ -131,24 +79,18 @@ main()
         seconds.push_back(elapsed);
         std::uint64_t steals = 0;
         std::uint64_t shard_jobs = 0;
-        std::uint64_t resplits = 0;
-        std::uint64_t closed = 0;
         std::uint64_t programs = 0;
         int tests = 0;
         for (const auto& suite : suites) {
             steals += suite.scheduler.steals;
             shard_jobs += suite.scheduler.jobs_run;
-            resplits += suite.scheduler.lazy_resplits;
-            closed += suite.scheduler.closed_prefix_splits;
             programs += suite.programs_considered;
             tests += static_cast<int>(suite.tests.size());
         }
-        std::printf("%8d %12.3f %9.2fx %9d %9llu %10llu %10llu %8llu\n",
-                    jobs, elapsed, seconds.front() / elapsed, tests,
+        std::printf("%8d %12.3f %9.2fx %9d %9llu %10llu\n", jobs, elapsed,
+                    seconds.front() / elapsed, tests,
                     static_cast<unsigned long long>(shard_jobs),
-                    static_cast<unsigned long long>(steals),
-                    static_cast<unsigned long long>(resplits),
-                    static_cast<unsigned long long>(closed));
+                    static_cast<unsigned long long>(steals));
         const std::string jobs_key = "jobs_" + std::to_string(jobs);
         json.push_back(bench::jnum(jobs_key + "_seconds", elapsed));
         json.push_back(bench::jnum(jobs_key + "_programs_per_sec",
@@ -158,7 +100,6 @@ main()
         const std::string fp = sweep_fingerprint(suites);
         if (jobs == job_counts.front()) {
             reference_fp = fp;
-            reference_programs = programs;
         } else {
             ok = bench::check(("suite byte-identical at jobs=" +
                                std::to_string(jobs))
@@ -169,118 +110,19 @@ main()
     }
     std::printf("\n");
 
-    // Shard-granularity sweep: the lazy adaptive default must agree with
-    // every fixed prefix depth and every re-split threshold (including one
-    // small enough to recurse past closed first threads).
-    std::uint64_t closed_prefix_seen = 0;
-    struct SweepPoint {
-        const char* label;
-        int depth;
-        std::uint64_t threshold;
-    };
-    const std::vector<SweepPoint> sweep = {
-        {"depth=1", 1, 0},          {"depth=2", 2, 0},
-        {"depth=3", 3, 0},          {"adaptive T=1024", 0, 1024},
-        {"adaptive T=4", 0, 4},
-    };
-    for (const SweepPoint& point : sweep) {
+    // Shard-granularity sweep: the default depth must agree with every
+    // fixed prefix depth.
+    for (const int depth : {1, 2, 3}) {
         synth::SynthesisOptions opt;
         opt.min_bound = model.vm_aware() ? 4 : 2;
         opt.bound = bound;
         opt.jobs = 4;
-        opt.shard_depth = point.depth;
-        opt.resplit_threshold = point.threshold;
+        opt.shard_depth = depth;
         const auto suites = synth::synthesize_all_parallel(model, opt);
-        for (const auto& suite : suites) {
-            closed_prefix_seen += suite.scheduler.closed_prefix_splits;
-        }
-        ok = bench::check(("suite byte-identical at " +
-                           std::string(point.label))
+        ok = bench::check(("suite byte-identical at depth=" +
+                           std::to_string(depth))
                               .c_str(),
                           sweep_fingerprint(suites) == reference_fp) &&
-             ok;
-    }
-    ok = bench::check("closed-prefix splits observed in sweep",
-                      closed_prefix_seen > 0) &&
-         ok;
-
-    // Eager-probe baseline: lazy adaptive wall time at a threshold that
-    // forces re-splits, plus a replay of the probe enumerations the old
-    // engine ran on top of the same search. The throughput table shows
-    // the wall-clock story; the gating checks compare the *repeated
-    // enumeration work* of the two designs deterministically, since wall
-    // time on a loaded CI box is noise: lazy's only repeated work is the
-    // boundary-child skip replay — measured by the engine itself
-    // (skip_enumerations), because skips compound down a re-split chain
-    // and a resplits*T model would understate them — and it must stay
-    // within the probe enumerations the eager design spent on the same
-    // space; that inequality failing means the resume machinery
-    // re-enumerates more than the probe it replaced ever did.
-    {
-        synth::SynthesisOptions opt;
-        opt.min_bound = model.vm_aware() ? 4 : 2;
-        opt.bound = bound;
-        opt.jobs = 1;
-        opt.resplit_threshold = 64;
-        util::Stopwatch lazy_watch;
-        const auto suites = synth::synthesize_all_parallel(model, opt);
-        const double lazy_wall = lazy_watch.elapsed_seconds();
-        util::Stopwatch probe_watch;
-        std::uint64_t probe_enumerated = 0;
-        const mtm::AxiomMask every_axiom =
-            (mtm::AxiomMask{1} << model.axioms().size()) - 1;
-        for (int size = opt.min_bound; size <= opt.bound; ++size) {
-            const synth::SkeletonOptions skeleton =
-                synth::engine_skeleton_options(model, every_axiom, opt,
-                                               size);
-            for (const synth::SkeletonShard& shard :
-                 synth::partition_skeletons_at_depth(skeleton, 1)) {
-                probe_enumerated += replay_probe_pass(
-                    shard, opt.resplit_threshold, synth::kTicketStride);
-            }
-        }
-        const double probe_wall = probe_watch.elapsed_seconds();
-        const double eager_wall = lazy_wall + probe_wall;
-        std::uint64_t programs = 0;
-        std::uint64_t resplits = 0;
-        std::uint64_t lazy_repeated = 0;
-        for (const auto& suite : suites) {
-            programs += suite.programs_considered;
-            resplits += suite.scheduler.lazy_resplits;
-            lazy_repeated += suite.scheduler.skip_enumerations;
-        }
-        std::printf("\neager-probe baseline (adaptive, T=%llu):\n",
-                    static_cast<unsigned long long>(opt.resplit_threshold));
-        std::printf("  lazy   : %.3fs, %.0f candidates/s "
-                    "(%llu re-splits, %llu skip re-enumerations)\n",
-                    lazy_wall, static_cast<double>(programs) / lazy_wall,
-                    static_cast<unsigned long long>(resplits),
-                    static_cast<unsigned long long>(lazy_repeated));
-        std::printf("  eager  : %.3fs, %.0f candidates/s "
-                    "(+%.3fs probe replay, %llu probed candidates)\n",
-                    eager_wall, static_cast<double>(programs) / eager_wall,
-                    probe_wall,
-                    static_cast<unsigned long long>(probe_enumerated));
-        json.push_back(bench::jnum("lazy_candidates_per_sec",
-                                   static_cast<double>(programs) / lazy_wall));
-        json.push_back(bench::jnum("eager_candidates_per_sec",
-                                   static_cast<double>(programs) /
-                                       eager_wall));
-        json.push_back(bench::jint("lazy_skip_enumerations", lazy_repeated));
-        json.push_back(bench::jint("eager_probe_enumerations",
-                                   probe_enumerated));
-        ok = bench::check("suite byte-identical in baseline run",
-                          sweep_fingerprint(suites) == reference_fp) &&
-             ok;
-        ok = bench::check("candidates counted once per sweep",
-                          programs == reference_programs) &&
-             ok;
-        ok = bench::check("re-splits actually fired in baseline run",
-                          resplits > 0) &&
-             ok;
-        ok = bench::check(
-                 "lazy repeated work <= eager probe enumerations",
-                 lazy_repeated <= probe_enumerated) &&
              ok;
     }
 

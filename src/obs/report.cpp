@@ -1,5 +1,7 @@
 #include "obs/report.h"
 
+#include <sys/resource.h>
+
 #include <cinttypes>
 #include <cstdio>
 
@@ -59,12 +61,6 @@ append_scheduler(std::string* out, const std::string& indent,
     *out += "\n" + indent + "  ";
     append_kv(out, "steals", s.steals);
     *out += "\n" + indent + "  ";
-    append_kv(out, "lazy_resplits", s.lazy_resplits);
-    *out += "\n" + indent + "  ";
-    append_kv(out, "closed_prefix_splits", s.closed_prefix_splits);
-    *out += "\n" + indent + "  ";
-    append_kv(out, "skip_enumerations", s.skip_enumerations);
-    *out += "\n" + indent + "  ";
     append_kv(out, "dedup_hits", s.dedup_hits);
     *out += "\n" + indent + "  ";
     append_kv(out, "queue_wait_seconds", s.queue_wait_seconds);
@@ -77,13 +73,8 @@ append_scheduler(std::string* out, const std::string& indent,
     *out += "\n" + indent + "  ";
     append_kv(out, "checkpoint_shards_saved", s.checkpoint_shards_saved);
     *out += "\n" + indent + "  ";
-    append_kv(out, "checkpoint_shards_replayed", s.checkpoint_shards_replayed);
-    *out += "\n" + indent + "  ";
-    append_kv(out, "observed_cost_resplits", s.observed_cost_resplits);
-    *out += "\n" + indent + "  ";
-    append_kv(out, "resplit_threshold_min", s.resplit_threshold_min);
-    *out += "\n" + indent + "  ";
-    append_kv(out, "resplit_threshold_max", s.resplit_threshold_max, "");
+    append_kv(out, "checkpoint_shards_replayed", s.checkpoint_shards_replayed,
+              "");
     *out += "\n" + indent + "}";
 }
 
@@ -196,12 +187,18 @@ append_failures(std::string* out, const std::string& indent,
     *out += indent + "]";
 }
 
+/// One suite object; the totals object (\p totals) has no axiom and
+/// carries the process's peak RSS instead.
 void
 append_suite(std::string* out, const std::string& indent,
-             const SuiteReport& suite, bool with_axiom)
+             const SuiteReport& suite, bool totals)
 {
     *out += "{\n";
-    if (with_axiom) {
+    if (totals) {
+        *out += indent + "  ";
+        append_kv(out, "peak_rss_bytes", peak_rss_bytes());
+        *out += "\n";
+    } else {
         *out += indent + "  \"axiom\": \"" + escaped(suite.axiom) + "\",\n";
     }
     *out += indent + "  ";
@@ -232,6 +229,17 @@ append_suite(std::string* out, const std::string& indent,
 }
 
 }  // namespace
+
+std::uint64_t
+peak_rss_bytes()
+{
+    struct rusage usage {};
+    if (::getrusage(RUSAGE_SELF, &usage) != 0 || usage.ru_maxrss < 0) {
+        return 0;
+    }
+    // Linux reports ru_maxrss in KiB.
+    return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+}
 
 void
 SuiteReport::merge(const SuiteReport& other)
@@ -302,13 +310,13 @@ report_to_json(const RunReport& report)
     out += "\n  \"suites\": [\n";
     for (std::size_t i = 0; i < report.suites.size(); ++i) {
         out += "    ";
-        append_suite(&out, "    ", report.suites[i], /*with_axiom=*/true);
+        append_suite(&out, "    ", report.suites[i], /*totals=*/false);
         out += i + 1 < report.suites.size() ? ",\n" : "\n";
     }
     out += "  ],\n";
     out += "  \"totals\": ";
     const SuiteReport total = report.totals();
-    append_suite(&out, "  ", total, /*with_axiom=*/false);
+    append_suite(&out, "  ", total, /*totals=*/true);
     out += "\n}\n";
     return out;
 }

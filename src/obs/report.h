@@ -38,7 +38,15 @@ namespace transform::obs {
 /// and "failures" (quarantined-shard records, elt_check parity); scheduler
 /// objects gained observed_cost_resplits, resplit_threshold_min, and
 /// resplit_threshold_max (the observed-cost re-split feedback).
-inline constexpr int kMetricsSchemaVersion = 5;
+/// v6: scheduler objects lost lazy_resplits, closed_prefix_splits,
+/// skip_enumerations, observed_cost_resplits, resplit_threshold_min and
+/// resplit_threshold_max (shards are static; nothing re-splits), and the
+/// totals object gained peak_rss_bytes.
+inline constexpr int kMetricsSchemaVersion = 6;
+
+/// The process's peak resident set size so far, in bytes
+/// (getrusage(RUSAGE_SELF)); 0 when the kernel does not report it.
+std::uint64_t peak_rss_bytes();
 
 /// One suite's slice of the report.
 struct SuiteReport {
@@ -78,7 +86,8 @@ struct RunReport {
     SuiteReport totals() const;
 };
 
-/// Serializes \p report as the versioned metrics-JSON document.
+/// Serializes \p report as the versioned metrics-JSON document. The totals
+/// object carries peak_rss_bytes() as read at serialization time.
 std::string report_to_json(const RunReport& report);
 
 /// Writes report_to_json to \p path; false (with \p error filled when

@@ -134,30 +134,6 @@ TraceCollector::record_instant(int lane, std::string name,
 }
 
 void
-TraceCollector::record_flow_start(int lane, std::uint64_t flow_id,
-                                  std::uint64_t ts_ns)
-{
-    Event event;
-    event.kind = Event::Kind::kFlowStart;
-    event.name = "resplit";
-    event.ts_ns = ts_ns;
-    event.flow_id = flow_id;
-    push(lane, std::move(event));
-}
-
-void
-TraceCollector::record_flow_end(int lane, std::uint64_t flow_id,
-                                std::uint64_t ts_ns)
-{
-    Event event;
-    event.kind = Event::Kind::kFlowEnd;
-    event.name = "resplit";
-    event.ts_ns = ts_ns;
-    event.flow_id = flow_id;
-    push(lane, std::move(event));
-}
-
-void
 TraceCollector::record_async_begin(int lane, std::string name,
                                    std::uint64_t id, std::uint64_t ts_ns)
 {
@@ -276,25 +252,6 @@ TraceCollector::chrome_json() const
                        "\"name\":\"";
                 append_escaped(&out, event.name);
                 out += "\",\"pid\":1,\"tid\":" + std::to_string(lane) +
-                       ",\"ts\":";
-                append_us(&out, ts);
-                out += "}";
-                break;
-            case Event::Kind::kFlowStart:
-                out += "{\"ph\":\"s\",\"cat\":\"resplit\",\"name\":\"";
-                append_escaped(&out, event.name);
-                out += "\",\"id\":" + std::to_string(event.flow_id) +
-                       ",\"pid\":1,\"tid\":" + std::to_string(lane) +
-                       ",\"ts\":";
-                append_us(&out, ts);
-                out += "}";
-                break;
-            case Event::Kind::kFlowEnd:
-                out += "{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"resplit\","
-                       "\"name\":\"";
-                append_escaped(&out, event.name);
-                out += "\",\"id\":" + std::to_string(event.flow_id) +
-                       ",\"pid\":1,\"tid\":" + std::to_string(lane) +
                        ",\"ts\":";
                 append_us(&out, ts);
                 out += "}";

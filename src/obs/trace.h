@@ -6,9 +6,8 @@
 ///
 /// Writers record *complete* spans (begin + duration in one event, so a
 /// truncated ring can never produce unbalanced begin/end pairs), instant
-/// markers, and flow arrows (used for shard re-split lineage: a parent
-/// shard job's flow-start connects to each resubmitted child's
-/// flow-end). Storage is one ring buffer per lane; a lane has exactly one
+/// markers, async span pairs, and counter samples. Storage is one ring
+/// buffer per lane; a lane has exactly one
 /// writer (pool worker w writes lane w, the submitting thread writes the
 /// lane returned by main_lane()), so recording is lock- and wait-free.
 /// When the ring wraps, the oldest events are overwritten and counted in
@@ -55,7 +54,7 @@ class TraceCollector {
     /// The extra lane reserved for the submitting thread.
     int main_lane() const { return lanes() - 1; }
 
-    /// A fresh process-unique flow id (never 0; 0 means "no flow").
+    /// A fresh process-unique id for an async span pair (never 0).
     std::uint64_t next_flow_id();
 
     /// Labels a lane in the exported trace (defaults to "worker N" /
@@ -72,16 +71,6 @@ class TraceCollector {
     /// Records an instant marker.
     void record_instant(int lane, std::string name, std::uint64_t ts_ns);
 
-    /// Records the producing end of a flow arrow (e.g. a shard job
-    /// submitting a re-split child).
-    void record_flow_start(int lane, std::uint64_t flow_id,
-                           std::uint64_t ts_ns);
-
-    /// Records the consuming end of a flow arrow (e.g. the child job
-    /// starting).
-    void record_flow_end(int lane, std::uint64_t flow_id,
-                         std::uint64_t ts_ns);
-
     /// Records an async span pair (Chrome "b"/"e" events, rendered on
     /// their own track). Async spans may overlap freely — used for
     /// per-suite spans, which interleave on a shared pool. Pair the two
@@ -93,7 +82,7 @@ class TraceCollector {
 
     /// Records a counter sample (Chrome "C" event, rendered as a stacked
     /// chart of the arg series). Used for per-phase latency percentiles
-    /// and the observed-cost re-split threshold at suite boundaries.
+    /// at suite boundaries.
     void record_counter(int lane, std::string name, std::uint64_t ts_ns,
                         std::initializer_list<Arg> args);
 
@@ -118,8 +107,6 @@ class TraceCollector {
         enum class Kind : std::uint8_t {
             kComplete,
             kInstant,
-            kFlowStart,
-            kFlowEnd,
             kAsyncBegin,
             kAsyncEnd,
             kCounter,

@@ -18,9 +18,6 @@ SchedulerStats::merge(const SchedulerStats& other)
     workers = std::max(workers, other.workers);
     jobs_run += other.jobs_run;
     steals += other.steals;
-    lazy_resplits += other.lazy_resplits;
-    closed_prefix_splits += other.closed_prefix_splits;
-    skip_enumerations += other.skip_enumerations;
     dedup_hits += other.dedup_hits;
     queue_wait_seconds = std::max(queue_wait_seconds,
                                   other.queue_wait_seconds);
@@ -29,16 +26,6 @@ SchedulerStats::merge(const SchedulerStats& other)
     shards_quarantined += other.shards_quarantined;
     checkpoint_shards_saved += other.checkpoint_shards_saved;
     checkpoint_shards_replayed += other.checkpoint_shards_replayed;
-    observed_cost_resplits += other.observed_cost_resplits;
-    if (other.resplit_threshold_min > 0) {
-        resplit_threshold_min =
-            resplit_threshold_min == 0
-                ? other.resplit_threshold_min
-                : std::min(resplit_threshold_min,
-                           other.resplit_threshold_min);
-    }
-    resplit_threshold_max =
-        std::max(resplit_threshold_max, other.resplit_threshold_max);
 }
 
 int

@@ -4,13 +4,13 @@
 ///
 /// One mutex guards one queue of jobs and the counters of every job group;
 /// worker threads start once and block on a condition variable until there
-/// is work. A run dispatches a few hundred coarse shard jobs at most, so
-/// the lock costs nothing measurable. A running job may submit follow-up
-/// jobs into its own group — the mechanism behind adaptive shard
-/// re-splitting in the synthesis engine. Those jobs go to the front of the
-/// queue, so a re-split's children run next, in submission order, and the
-/// passes sharing a pool (one per axiom on the SAT backend) stay
-/// contiguous instead of interleaving.
+/// is work. A run dispatches some thousands of shard jobs that each run
+/// for far longer than a lock round trip, so the lock costs nothing
+/// measurable. A running job may submit follow-up jobs into its own group
+/// — the synthesis engine's fault retries do. Those jobs go to the front
+/// of the queue, so they run next, in submission order, and the passes
+/// sharing a pool (one per axiom on the SAT backend) stay contiguous
+/// instead of interleaving.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,7 @@ namespace transform::sched {
 
 /// Aggregate counters for a job group (the scheduler analogue of
 /// sat::SolverStats). The pool fills the scheduling fields; the
-/// synthesis engine adds the re-split / dedup / queue-wait fields before
+/// synthesis engine adds the dedup / queue-wait / robustness fields before
 /// surfacing the struct through SuiteResult and `elt_synth --stats`.
 struct SchedulerStats {
     int workers = 0;                 ///< worker threads in the pool
@@ -34,19 +34,6 @@ struct SchedulerStats {
     /// Jobs that ran on a different worker than the job that submitted
     /// them (jobs submitted from outside the pool never count).
     std::uint64_t steals = 0;
-    /// Lazy in-search shard re-splits: a shard job abandoned its search at
-    /// the re-split threshold and resubmitted the remainder as children
-    /// (engine).
-    std::uint64_t lazy_resplits = 0;
-    /// The subset of lazy_resplits whose shard prefix had already closed
-    /// thread 0 — splits that constrain thread 1+ decisions (engine).
-    std::uint64_t closed_prefix_splits = 0;
-    /// Candidates enumerated but not searched while boundary children
-    /// replayed their ancestors' visited prefixes — the lazy design's only
-    /// repeated enumeration work. Skips compound down a re-split chain (a
-    /// child inherits its parent's unconsumed skip), so this is measured,
-    /// not modelled (engine).
-    std::uint64_t skip_enumerations = 0;
     std::uint64_t dedup_hits = 0;    ///< duplicate keys seen by the index
     /// Wall time a suite's jobs spent queued on a shared pool before the
     /// first one ran (its deadline armed); excluded from
@@ -69,21 +56,21 @@ struct SchedulerStats {
     /// instead of re-searched.
     std::uint64_t checkpoint_shards_saved = 0;
     std::uint64_t checkpoint_shards_replayed = 0;
-    /// Observed-cost re-split feedback (engine,
-    /// SynthesisOptions::observed_cost_feedback): shard jobs whose armed
-    /// re-split threshold came from the run-time EWMA of observed
-    /// per-candidate cost rather than the static model, and the range of
-    /// thresholds armed across the group's jobs (0/0 when no job armed
-    /// one — fixed depth, explicit threshold, or shards too small to
-    /// split).
+    /// Always zero: the engine shards each pass statically and never
+    /// re-splits a shard, so nothing counts these. They stay declared only
+    /// because the benchmark runner (perfbench/src/runner.cpp) prints them,
+    /// and the benchmark changes in a change of its own; delete them with
+    /// it (ROADMAP item 1).
+    std::uint64_t lazy_resplits = 0;
+    std::uint64_t closed_prefix_splits = 0;
+    std::uint64_t skip_enumerations = 0;
     std::uint64_t observed_cost_resplits = 0;
     std::uint64_t resplit_threshold_min = 0;
     std::uint64_t resplit_threshold_max = 0;
 
     /// Accumulates another group's counters (per-suite totals in
     /// synthesize_all; `workers` and `queue_wait_seconds` — which overlap
-    /// across groups rather than add — take the maximum; the threshold
-    /// range widens).
+    /// across groups rather than add — take the maximum).
     void merge(const SchedulerStats& other);
 };
 
@@ -169,7 +156,6 @@ class ThreadPool {
 
     /// Counters attributed to one group. The pool fills only `workers`,
     /// `jobs_run`, `steals`, and `job_faults`; the engine-owned fields —
-    /// `lazy_resplits`, `closed_prefix_splits`, `skip_enumerations`,
     /// `dedup_hits`, `queue_wait_seconds`, `shard_retries`,
     /// `shards_quarantined`, and the checkpoint counters — stay 0 here and
     /// are filled by the synthesis engine into SuiteResult::scheduler.

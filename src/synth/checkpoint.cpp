@@ -16,8 +16,12 @@ namespace transform::synth {
 namespace {
 
 /// v2: records are per pass, with one counter/test section per target
-/// axiom. v1 journals (one suite per record) are refused as foreign.
-constexpr const char* kHeaderMagic = "transform-checkpoint v2";
+/// axiom. v3: records lose the re-split resume point (split flag, visited
+/// count, resume decision and skip) and task ids their skip, since every
+/// task is one shard of a static partition. Journals of other versions are
+/// refused with a message naming the version.
+constexpr const char* kHeaderMagic = "transform-checkpoint v3";
+constexpr const char* kHeaderPrefix = "transform-checkpoint ";
 
 /// FNV-1a 64-bit over a byte string — the record payload checksum (and the
 /// base of checkpoint_task_id). Not cryptographic; it only has to catch
@@ -268,9 +272,16 @@ CheckpointJournal::resume(const std::string& path,
     }
     // Header: magic line, fingerprint length line, fingerprint bytes.
     std::size_t pos = contents.find('\n');
-    if (pos == std::string::npos ||
-        contents.substr(0, pos) != kHeaderMagic) {
-        *error = path + ": not a transform checkpoint journal";
+    const std::string magic =
+        contents.substr(0, pos == std::string::npos ? 0 : pos);
+    if (magic != kHeaderMagic) {
+        *error = magic.rfind(kHeaderPrefix, 0) == 0
+                     ? path + ": journal format " +
+                           magic.substr(std::strlen(kHeaderPrefix)) +
+                           " is not this build's " +
+                           (kHeaderMagic + std::strlen(kHeaderPrefix)) +
+                           " — start a fresh checkpoint"
+                     : path + ": not a transform checkpoint journal";
         return nullptr;
     }
     ++pos;
@@ -311,14 +322,10 @@ CheckpointJournal::resume(const std::string& path,
         ShardRecord rec;
         std::size_t payload_len = 0;
         std::uint64_t checksum = 0;
-        int split = 0;
-        if (!(head >> tag >> rec.task_id >> split >> rec.visited >>
-              rec.resume_decision >> rec.resume_skip >> payload_len >>
-              checksum) ||
+        if (!(head >> tag >> rec.task_id >> payload_len >> checksum) ||
             tag != "shard") {
             break;
         }
-        rec.split = split != 0;
         if (eol + 1 + payload_len > contents.size()) {
             break;  // torn tail (the classic SIGKILL-mid-append case)
         }
@@ -362,19 +369,17 @@ CheckpointJournal::append(const ShardRecord& record)
 {
     const std::string payload = serialize_targets(record.targets);
     std::ostringstream framed;
-    framed << "shard " << record.task_id << ' ' << (record.split ? 1 : 0)
-           << ' ' << record.visited << ' '
-           << record.resume_decision << ' ' << record.resume_skip << ' '
-           << payload.size() << ' ' << fnv1a(payload.data(), payload.size())
-           << '\n'
+    framed << "shard " << record.task_id << ' ' << payload.size() << ' '
+           << fnv1a(payload.data(), payload.size()) << '\n'
            << payload;
     const std::string bytes = framed.str();
     std::lock_guard<std::mutex> lock(impl_->append_mu);
     if (impl_->fd < 0) {
         return;
     }
-    // One write + fsync per completed shard: shard jobs run for
-    // milliseconds to minutes, so durability costs noise. A failed write
+    // One write + fsync per journaled shard. Only shards that visited a
+    // candidate are journaled (most deep-partition shards are empty), so
+    // durability costs noise next to the search. A failed write
     // degrades to a journal that simply ends earlier — resume re-searches.
     if (impl_->write_all(bytes)) {
         ::fsync(impl_->fd);
@@ -389,8 +394,7 @@ CheckpointJournal::loaded() const
 
 std::uint64_t
 checkpoint_task_id(const std::string& targets, const SkeletonShard& shard,
-                   std::uint64_t ticket_base, std::uint64_t ticket_stride,
-                   std::uint64_t skip)
+                   std::uint64_t ticket_base)
 {
     std::uint64_t h = fnv1a(targets.data(), targets.size());
     h = fnv1a_u64(static_cast<std::uint64_t>(shard.options.num_events), h);
@@ -400,10 +404,7 @@ checkpoint_task_id(const std::string& targets, const SkeletonShard& shard,
                           static_cast<std::int64_t>(decision)),
                       h);
     }
-    h = fnv1a_u64(ticket_base, h);
-    h = fnv1a_u64(ticket_stride, h);
-    h = fnv1a_u64(skip, h);
-    return h;
+    return fnv1a_u64(ticket_base, h);
 }
 
 }  // namespace transform::synth

@@ -3,15 +3,15 @@
 /// "Checkpoint/resume").
 ///
 /// `elt_synth --checkpoint <path>` journals every *completed* shard-search
-/// task: per target axiom of its pass, the suite counters and synthesized
-/// tests (witnesses serialized through the exact-round-trip XML form), and
-/// — when the task abandoned its search at the re-split threshold — the
-/// resume point its children were derived from. `--resume` replays journaled tasks instead of
-/// re-searching them; tasks missing from the journal (in flight when the
-/// process died, or quarantined) are searched normally. Because the shard
-/// task tree and the min-ticket merge are pure functions of the options,
-/// the resumed suite is byte-identical to an uninterrupted run — proven by
-/// the kill-mid-run test in tests/fault_test.cpp.
+/// task that visited at least one candidate: per target axiom of its pass,
+/// the suite counters and synthesized tests (witnesses serialized through
+/// the exact-round-trip XML form). `--resume` replays journaled tasks
+/// instead of re-searching them; tasks missing from the journal (in flight
+/// when the process died, quarantined, or empty) are searched normally —
+/// an empty shard costs nothing to enumerate again. Because the shard task
+/// list and the min-ticket merge are pure functions of the options, the
+/// resumed suite is byte-identical to an uninterrupted run — proven by the
+/// kill-mid-run test in tests/fault_test.cpp.
 ///
 /// Durability: the header is written to a temp file, fsync'ed, and
 /// atomically renamed into place; each record append is length-and-
@@ -49,12 +49,6 @@ class CheckpointJournal {
     /// A completed shard-search task, exactly as the engine executed it.
     struct ShardRecord {
         std::uint64_t task_id = 0;
-        /// True when the task abandoned its search at the re-split
-        /// threshold; visited/resume_* reproduce the child submission.
-        bool split = false;
-        std::uint64_t visited = 0;
-        int resume_decision = 0;
-        std::uint64_t resume_skip = 0;
         /// One entry per target of the task's pass, in axiom order.
         std::vector<TargetRecord> targets;
     };
@@ -72,8 +66,9 @@ class CheckpointJournal {
         const std::string& path, const std::string& fingerprint,
         std::string* error);
 
-    /// Opens an existing journal for resume: verifies the fingerprint,
-    /// loads every intact record (a truncated or corrupt tail is dropped
+    /// Opens an existing journal for resume: verifies the format version
+    /// (a journal of another version is refused with a message naming it)
+    /// and the fingerprint, loads every intact record (a truncated or corrupt tail is dropped
     /// and the file truncated back to the last good record), and reopens
     /// for appending. Returns nullptr and fills \p error when the file is
     /// missing, unreadable, or was written by a different configuration.
@@ -99,14 +94,12 @@ class CheckpointJournal {
 
 /// Stable identity of one shard task within a run: a hash of the pass's
 /// target set (its '+'-joined axiom names, in axiom order), the shard's
-/// event bound and prefix, and the task's ticket range and skip. Stable
-/// across processes and scheduling (the task tree is a pure function of
-/// the options), which is what lets --resume match journaled records to
-/// the tasks it re-creates.
+/// event bound and prefix, and the task's first ticket. Stable across
+/// processes, scheduling and worker counts (the task list is a pure
+/// function of the options), which is what lets --resume match journaled
+/// records to the tasks it re-creates.
 std::uint64_t checkpoint_task_id(const std::string& targets,
                                  const SkeletonShard& shard,
-                                 std::uint64_t ticket_base,
-                                 std::uint64_t ticket_stride,
-                                 std::uint64_t skip);
+                                 std::uint64_t ticket_base);
 
 }  // namespace transform::synth

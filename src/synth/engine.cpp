@@ -1,7 +1,6 @@
 #include "synth/engine.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -36,63 +35,6 @@ using elt::Execution;
 using elt::Program;
 
 namespace {
-
-// kTicketStride / kMinLeafStride / child_stride_for live in engine.h so
-// replays (bench_parallel_scaling's eager-probe baseline) share them.
-
-/// The re-split cost model's band: whatever picks the threshold (static
-/// model or observed-cost feedback), an armed limit stays within
-/// [kResplitThresholdFloor, kResplitThresholdCeil] candidates.
-constexpr std::uint64_t kResplitThresholdFloor = std::uint64_t{1} << 6;
-constexpr std::uint64_t kResplitThresholdCeil = std::uint64_t{1} << 14;
-
-/// Observed-cost feedback targets this much evaluation work per leaf
-/// before it re-splits (~270 ms): threshold = target / EWMA(per-candidate
-/// nanos), clamped to the band above. Large enough that re-splitting stays
-/// rare on cheap workloads, small enough that one expensive shard cannot
-/// serialize a whole suite behind one worker.
-constexpr std::uint64_t kResplitTargetLeafNanos = std::uint64_t{1} << 28;
-
-/// Observed per-candidate cost is tracked per event bound (cost grows
-/// ~exponentially with the bound, so mixing bounds in one average would
-/// make the cheap bounds re-split like the expensive ones). Bounds are
-/// tiny integers; clamp into a fixed slot array.
-constexpr int kCostSlots = 32;
-
-int
-cost_slot(int num_events)
-{
-    return std::clamp(num_events, 0, kCostSlots - 1);
-}
-
-/// Resolves the adaptive re-split threshold from the STATIC cost model: an
-/// explicit SynthesisOptions::resplit_threshold wins; 0 selects the model.
-/// The model targets a roughly constant amount of per-leaf evaluation
-/// work: the witness search per candidate grows roughly exponentially with
-/// the event count (each extra event multiplies the execution space), VM
-/// mode adds ghost events (page-table walks, dirty-bit writes) on top of
-/// the architectural ones, and the dirty-bit-as-RMW ablation adds one more
-/// Rdb per write — so the candidate threshold shrinks as those knobs grow.
-/// A pure function of the skeleton options; execute_shard_task layers the
-/// observed-cost EWMA on top (auto mode only), which refines the threshold
-/// from measured per-candidate nanos once the suite has observations.
-std::uint64_t
-resolve_resplit_threshold(const SynthesisOptions& options,
-                          const SkeletonOptions& skeleton)
-{
-    if (options.resplit_threshold > 0) {
-        return options.resplit_threshold;
-    }
-    int exponent = skeleton.num_events;
-    if (skeleton.vm_enabled) {
-        exponent += skeleton.num_events / 2;
-    }
-    if (skeleton.dirty_bit_as_rmw) {
-        exponent += skeleton.num_events / 4;
-    }
-    const int shift = std::clamp(24 - exponent, 6, 14);
-    return std::uint64_t{1} << shift;
-}
 
 /// Static per-axiom requirements: structural features a violation of the
 /// axiom necessarily requires. Sound (never drops a violating program) and
@@ -401,27 +343,16 @@ find_witnesses(const mtm::Model& model, mtm::AxiomMask eligible,
     return considered;
 }
 
-/// One unit of search: a skeleton shard plus the ticket sub-range its
-/// candidates are numbered from. Lazy re-splitting replaces the unsearched
-/// remainder of a task with child tasks over sub-ranges of the same ticket
-/// space; `skip` counts leading candidates of the shard that an ancestor
-/// task already searched (and numbered), which the child enumerates past
-/// without revisiting.
+/// One unit of search: a skeleton shard of the pass's static partition
+/// and the first ticket of its kTicketStride-wide range.
 struct ShardTask {
     SkeletonShard shard;
     std::uint64_t ticket_base = 0;
-    std::uint64_t ticket_stride = 0;
-    std::uint64_t skip = 0;
     /// Fault containment: which attempt at this task this is (0 = first).
     /// Retries bump it — it bounds the retry budget and keys the
     /// fault-injection probes, so a plan with attempts=1 faults the first
     /// attempt and lets the retry through.
     int attempt = 0;
-    /// When tracing: the flow id the submitting parent opened with
-    /// record_flow_start, consumed by this task's record_flow_end at job
-    /// start — the arrow that draws re-split lineage in the timeline.
-    /// 0 = top-level shard, no arrow.
-    std::uint64_t trace_flow = 0;
 };
 
 /// One target axiom of a pass: its suite's counters and pre-merge tests.
@@ -513,9 +444,6 @@ struct PassRun {
     /// Candidates visited, eligible for a target or not (the progress
     /// heartbeat's count; suites count their eligible ones).
     std::atomic<std::uint64_t> candidates{0};
-    std::atomic<std::uint64_t> lazy_resplits{0};
-    std::atomic<std::uint64_t> closed_prefix_splits{0};
-    std::atomic<std::uint64_t> skip_enumerations{0};
     std::atomic<double> queue_wait_seconds{0.0};
     std::atomic<double> search_seconds{0.0};
     std::atomic<bool> timed_out{false};
@@ -530,58 +458,12 @@ struct PassRun {
     /// null when tracking is off — shard jobs then never bind a tracker.
     std::unique_ptr<obs::AllocTracker> allocs;
 
-    /// Observed-cost re-split feedback (options.observed_cost_feedback,
-    /// auto-threshold mode only): EWMA of observed per-candidate nanos,
-    /// one slot per event bound. 0 = no observation yet (the static model
-    /// stands); updated with a lock-free CAS fold by completing jobs.
-    std::array<std::atomic<std::uint64_t>, kCostSlots> cost_ewma{};
-    std::atomic<std::uint64_t> observed_resplits{0};
-    std::atomic<std::uint64_t> threshold_min{0};
-    std::atomic<std::uint64_t> threshold_max{0};
-
     /// Progress-heartbeat counters (options.progress): jobs submitted /
-    /// drained across every path (initial shards, re-split children,
-    /// retries, replay children) and pre-merge accepted witnesses.
+    /// drained (initial shards and retries) and pre-merge accepted
+    /// witnesses.
     std::atomic<std::uint64_t> jobs_submitted{0};
     std::atomic<std::uint64_t> jobs_done{0};
     std::atomic<std::uint64_t> tests_found{0};
-
-    /// Records that a shard job armed re-split threshold \p threshold
-    /// (widening the min/max range), \p observed = it came from the EWMA
-    /// rather than the static model.
-    void
-    note_threshold(std::uint64_t threshold, bool observed)
-    {
-        if (observed) {
-            observed_resplits.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::uint64_t prev = threshold_min.load(std::memory_order_relaxed);
-        while ((prev == 0 || threshold < prev) &&
-               !threshold_min.compare_exchange_weak(
-                   prev, threshold, std::memory_order_relaxed)) {
-        }
-        prev = threshold_max.load(std::memory_order_relaxed);
-        while (threshold > prev &&
-               !threshold_max.compare_exchange_weak(
-                   prev, threshold, std::memory_order_relaxed)) {
-        }
-    }
-
-    /// Folds one completed job's per-candidate cost sample (nanos) into
-    /// the bound's EWMA with alpha = 1/4: next = prev - prev/4 + sample/4
-    /// (first observation seeds the average).
-    void
-    observe_cost(int num_events, std::uint64_t sample)
-    {
-        std::atomic<std::uint64_t>& slot = cost_ewma[static_cast<std::size_t>(
-            cost_slot(num_events))];
-        std::uint64_t prev = slot.load(std::memory_order_relaxed);
-        std::uint64_t next = 0;
-        do {
-            next = prev == 0 ? sample : prev - prev / 4 + sample / 4;
-        } while (!slot.compare_exchange_weak(prev, next,
-                                             std::memory_order_relaxed));
-    }
 
     /// Every shard job calls this on completion, so search_seconds ends up
     /// holding arm-to-last-job wall time — finish_pass cannot read the
@@ -602,20 +484,19 @@ struct PassRun {
     std::mutex mu;  ///< guards the targets' merged tests + failures
     std::vector<ShardFailure> failures;  ///< quarantined shards
 
-    /// Builds the job for a ShardTask; recursive through re-splitting, so
-    /// it lives here rather than on the launch_pass stack.
+    /// Builds the job for a ShardTask; fault retries build jobs from inside
+    /// running jobs, so it lives here rather than on the launch_pass stack.
     std::function<sched::ThreadPool::Job(ShardTask)> make_job;
 };
 
-/// Runs the actual search of one shard and splices its results into the
-/// run. Candidates are numbered base + position (skipped candidates were
-/// numbered by the ancestor that searched them); the ticket range must
-/// stay inside the task's stride so sibling ranges never overlap —
-/// kMinLeafStride (4M candidates per deepest leaf) makes exhaustion
-/// unreachable in practice, and hitting it fails loudly with a workaround
-/// rather than corrupting the deterministic merge. A non-zero \p limit
-/// makes the search abandonable: it stops after `limit` candidates and the
-/// returned stop tells the caller where the unsearched remainder begins.
+/// Runs the actual search of one shard, splices its results into the run,
+/// and — when the run journals and the search completed — appends the
+/// shard's record. Candidates are numbered base + position; the ticket
+/// range must stay inside kTicketStride so neighbouring ranges never
+/// overlap, which no shard comes near, and hitting it fails loudly rather
+/// than corrupting the deterministic merge. Returns the candidates visited.
+/// A shard that visited none is not journaled: on resume it is simply
+/// enumerated again, at no cost.
 ///
 /// Every candidate of the pass's stream takes a ticket; one eligible for
 /// no target is skipped without canonicalization. An eligible one counts
@@ -624,9 +505,9 @@ struct PassRun {
 /// so every candidate sharing a key is eligible for the same targets, and
 /// the key's minimum ticket is also the minimum of every eligible target's
 /// subsequence), and runs one fused witness search for all its targets.
-ShardSearchStop
-search_shard(PassRun* run, const ShardTask& task, std::uint64_t limit,
-             int worker, CheckpointJournal::ShardRecord* record_out)
+std::uint64_t
+search_shard(PassRun* run, const ShardTask& task, int worker,
+             std::uint64_t task_id)
 {
     const mtm::Model& model = run->model;
     WorkerScratch& scratch = run->worker_scratch[worker];
@@ -642,24 +523,7 @@ search_shard(PassRun* run, const ShardTask& task, std::uint64_t limit,
     std::uint64_t candidates = 0;
     bool timed_out = false;
     bool cancelled = false;
-    std::uint64_t next_ticket = task.ticket_base;
-    // Skipped candidates never reach the visitor below, so the skip
-    // replay polls the deadline (and the cancel token) through the
-    // interrupt hook — otherwise a resumed boundary child would replay its
-    // whole (compounding) skip prefix after the budget expired.
-    const std::function<bool()> deadline_interrupt = [&] {
-        if (deadline.expired()) {
-            timed_out = true;
-            return true;
-        }
-        if (options.cancel.requested()) {
-            cancelled = true;
-            return true;
-        }
-        return false;
-    };
-    const ShardSearchStop stop = search_skeletons(
-        task.shard, task.skip, limit, [&](const Program& program) {
+    for_each_skeleton(task.shard, [&](const Program& program) {
         if (deadline.expired()) {
             timed_out = true;
             return false;
@@ -668,14 +532,11 @@ search_shard(PassRun* run, const ShardTask& task, std::uint64_t limit,
             cancelled = true;
             return false;
         }
-        const std::uint64_t ticket = next_ticket++;
-        if (ticket - task.ticket_base >= task.ticket_stride) {
-            TF_FATAL("shard ticket range exhausted ("
-                     << task.ticket_stride << " candidates in one "
-                     << "unsplittable shard); rerun with --shard-depth N "
-                     << "(fixed sharding) or a larger bound split");
+        if (candidates == kTicketStride) {
+            TF_FATAL("shard ticket range exhausted (" << kTicketStride
+                     << " candidates in one shard)");
         }
-        ++candidates;
+        const std::uint64_t ticket = task.ticket_base + candidates++;
         const mtm::AxiomMask eligible =
             run->eligibility.of(program) & run->mask;
         if (eligible == 0) {
@@ -750,7 +611,7 @@ search_shard(PassRun* run, const ShardTask& task, std::uint64_t limit,
             }
         }
         return true;
-    }, deadline_interrupt);
+    });
     run->candidates.fetch_add(candidates, std::memory_order_relaxed);
     std::uint64_t tests_found = 0;
     for (std::size_t k = 0; k < found.size(); ++k) {
@@ -763,27 +624,24 @@ search_shard(PassRun* run, const ShardTask& task, std::uint64_t limit,
                                     std::memory_order_relaxed);
         tests_found += found[k].tests.size();
     }
-    if (stop.skipped > 0) {
-        // The candidates enumerated past on resume are this design's only
-        // repeated work; recorded as measured (a deadline abort can stop
-        // the replay short of task.skip), so the claim stays honest.
-        run->skip_enumerations.fetch_add(stop.skipped,
-                                         std::memory_order_relaxed);
-    }
     if (timed_out) {
         run->timed_out.store(true, std::memory_order_relaxed);
     }
     if (cancelled) {
         run->cancelled.store(true, std::memory_order_relaxed);
     }
-    if (record_out != nullptr && !timed_out && !cancelled) {
-        // The task completed its pass (drained or split cleanly): journal
-        // its counters and tests. An aborted pass is never journaled — the
-        // resumed run re-searches it.
+    if (run->journal != nullptr && !timed_out && !cancelled &&
+        candidates > 0) {
+        // An aborted search is never journaled — the resumed run
+        // re-searches it.
+        CheckpointJournal::ShardRecord record;
+        record.task_id = task_id;
         for (std::size_t k = 0; k < found.size(); ++k) {
             found[k].axiom = run->targets[k].axiom;
         }
-        record_out->targets = found;
+        record.targets = found;
+        run->journal->append(record);
+        run->ckpt_saved.fetch_add(1, std::memory_order_relaxed);
     }
     if (tests_found > 0) {
         run->tests_found.fetch_add(tests_found, std::memory_order_relaxed);
@@ -795,7 +653,7 @@ search_shard(PassRun* run, const ShardTask& task, std::uint64_t limit,
             }
         }
     }
-    return stop;
+    return candidates;
 }
 
 /// Human-readable identity of a shard task for a quarantine record.
@@ -808,7 +666,7 @@ describe_task(const PassRun& run, const ShardTask& task)
     for (std::size_t i = 0; i < task.shard.prefix.size(); ++i) {
         out << (i == 0 ? "" : ",") << task.shard.prefix[i];
     }
-    out << "] skip=" << task.skip;
+    out << "]";
     return out.str();
 }
 
@@ -852,7 +710,6 @@ recover_and_reschedule(PassRun* raw, sched::ThreadPool* pool_ptr,
         }
         ShardTask retry = task;
         retry.attempt = task.attempt + 1;
-        retry.trace_flow = 0;  // the parent's flow arrow was consumed
         raw->jobs_submitted.fetch_add(1, std::memory_order_relaxed);
         pool_ptr->submit(raw->group, raw->make_job(std::move(retry)));
     } else {
@@ -870,21 +727,15 @@ recover_and_reschedule(PassRun* raw, sched::ThreadPool* pool_ptr,
 }
 
 /// Replays a journaled shard task instead of re-searching it: each target's
-/// counters and tests come from the record, the tests' tickets are
-/// re-recorded in the dedup index, and a split task resubmits exactly the
-/// children the original run derived (same strides and skips — the resumed
-/// task tree, and with it the journal ids, matches the interrupted run's).
-/// Suite byte-identity holds even when only some tasks replay: a kept
-/// test's min ticket is in the journal, and a rejected candidate's absence
-/// from the index only ever promotes an isomorphic candidate that receives
-/// the same rejection. (Counters like dedup_hits can differ in such mixed
-/// runs — they are diagnostics; at jobs=1 full replays reproduce them
-/// exactly.)
+/// counters and tests come from the record, and the tests' tickets are
+/// re-recorded in the dedup index. Suite byte-identity holds even when only
+/// some tasks replay: a kept test's min ticket is in the journal, and a
+/// rejected candidate's absence from the index only ever promotes an
+/// isomorphic candidate that receives the same rejection. (Counters like
+/// dedup_hits can differ in such mixed runs — they are diagnostics; at
+/// jobs=1 full replays reproduce them exactly.)
 void
-replay_shard_record(PassRun* raw, sched::ThreadPool* pool_ptr,
-                    const ShardTask& task,
-                    const CheckpointJournal::ShardRecord& rec,
-                    std::uint64_t* visited_out, bool* resplit_out)
+replay_shard_record(PassRun* raw, const CheckpointJournal::ShardRecord& rec)
 {
     raw->armed_deadline();
     for (const CheckpointJournal::TargetRecord& journaled : rec.targets) {
@@ -913,231 +764,52 @@ replay_shard_record(PassRun* raw, sched::ThreadPool* pool_ptr,
         }
     }
     raw->ckpt_replayed.fetch_add(1, std::memory_order_relaxed);
-    if (visited_out != nullptr) {
-        *visited_out = rec.visited;
-    }
-    if (rec.split) {
-        if (resplit_out != nullptr) {
-            *resplit_out = true;
-        }
-        raw->lazy_resplits.fetch_add(1, std::memory_order_relaxed);
-        if (std::find(task.shard.prefix.begin(), task.shard.prefix.end(),
-                      kCloseThread) != task.shard.prefix.end()) {
-            raw->closed_prefix_splits.fetch_add(1,
-                                                std::memory_order_relaxed);
-        }
-        const std::vector<SkeletonShard> children = split_shard(task.shard);
-        std::size_t boundary = children.size();
-        for (std::size_t i = 0; i < children.size(); ++i) {
-            if (children[i].prefix.back() == rec.resume_decision) {
-                boundary = i;
-                break;
-            }
-        }
-        TF_ASSERT(boundary < children.size());
-        const std::uint64_t child_stride = child_stride_for(
-            task.ticket_stride - rec.visited, children.size() - boundary);
-        raw->jobs_submitted.fetch_add(children.size() - boundary,
-                                      std::memory_order_relaxed);
-        std::vector<sched::ThreadPool::Job> jobs;
-        jobs.reserve(children.size() - boundary);
-        for (std::size_t i = boundary; i < children.size(); ++i) {
-            jobs.push_back(raw->make_job({children[i],
-                                          task.ticket_base + rec.visited +
-                                              (i - boundary) * child_stride,
-                                          child_stride,
-                                          i == boundary ? rec.resume_skip : 0,
-                                          0, 0}));
-        }
-        pool_ptr->submit(raw->group, std::move(jobs));
-    }
     raw->note_job_finished();
 }
 
-/// The body of one shard job — lazy-resplit arming, the search itself, and
-/// child resubmission. The make_job closures wrap this with the
-/// observability shell (span + phase accounting), which reads \p
-/// visited_out / \p resplit_out for span args; both may be null.
-void
+/// The body of one shard job: replay its journal record or search the
+/// shard, behind the fault-containment boundary. The make_job closures wrap
+/// this with the observability shell (span + phase accounting). Returns the
+/// candidates the search visited (0 for a replay), for the span's args.
+std::uint64_t
 execute_shard_task(PassRun* raw, sched::ThreadPool* pool_ptr,
-                   const ShardTask& task, int worker,
-                   std::uint64_t* visited_out, bool* resplit_out)
+                   const ShardTask& task, int worker)
 {
-    const SynthesisOptions& options = raw->options;
-    if (options.cancel.requested()) {
+    if (raw->options.cancel.requested()) {
         // A cancelled run drains its remaining queue without searching —
         // and without arming the deadline or the search clock, so a suite
         // cancelled before its first real job reports ~0 searched seconds
         // rather than its queue wait.
         raw->cancelled.store(true, std::memory_order_relaxed);
-        return;
+        return 0;
     }
-    CheckpointJournal* journal = raw->journal;
     std::uint64_t task_id = 0;
-    if (journal != nullptr) {
-        task_id = checkpoint_task_id(raw->name, task.shard,
-                                     task.ticket_base, task.ticket_stride,
-                                     task.skip);
+    if (raw->journal != nullptr) {
+        task_id = checkpoint_task_id(raw->name, task.shard, task.ticket_base);
         if (const CheckpointJournal::ShardRecord* rec =
-                journal->find(task_id)) {
-            replay_shard_record(raw, pool_ptr, task, *rec, visited_out,
-                                resplit_out);
-            return;
-        }
-    }
-    // Lazy adaptive re-splitting: the job starts searching
-    // immediately, with a visit limit armed whenever the shard
-    // could be split (no separate count_skeletons probe — the old
-    // eager probe enumerated every leaf's candidates twice). The
-    // limit is the cost-model threshold — refined by the suite's
-    // observed-cost EWMA once the bound has observations — and the
-    // split is viable only while the remaining ticket range still
-    // subdivides cleanly.
-    const bool feedback = options.shard_depth == 0 &&
-                          options.resplit_threshold == 0 &&
-                          options.observed_cost_feedback;
-    std::uint64_t limit = 0;
-    bool observed_threshold = false;
-    std::vector<SkeletonShard> children;
-    if (options.shard_depth == 0 &&
-        task.ticket_stride >= kMinLeafStride * 2) {
-        std::uint64_t threshold =
-            resolve_resplit_threshold(options, task.shard.options);
-        if (feedback) {
-            const std::uint64_t ewma =
-                raw->cost_ewma[static_cast<std::size_t>(
-                                   cost_slot(task.shard.options.num_events))]
-                    .load(std::memory_order_relaxed);
-            if (ewma > 0) {
-                threshold = std::clamp(kResplitTargetLeafNanos / ewma,
-                                       kResplitThresholdFloor,
-                                       kResplitThresholdCeil);
-                observed_threshold = true;
-            }
-        }
-        if (threshold <= task.ticket_stride - kMinLeafStride) {
-            children = split_shard(task.shard);
-            if (!children.empty() &&
-                child_stride_for(task.ticket_stride - threshold,
-                                 children.size()) >= kMinLeafStride) {
-                limit = threshold;
-            }
-        }
-        if (limit != 0) {
-            raw->note_threshold(limit, observed_threshold);
+                raw->journal->find(task_id)) {
+            replay_shard_record(raw, *rec);
+            return 0;
         }
     }
     // Fault containment boundary: everything a shard search can throw —
     // injected faults included — is caught here and turned into a retry or
     // a quarantine record instead of unwinding into the pool (whose
     // backstop would only log it) or std::terminate.
-    CheckpointJournal::ShardRecord record;
-    ShardSearchStop stop;
+    std::uint64_t visited = 0;
     try {
-        if (options.fault_plan != nullptr) {
-            options.fault_plan->maybe_fire(util::FaultSite::kShardBoundary,
-                                           task.ticket_base ^ task.skip,
-                                           task.attempt);
+        if (raw->options.fault_plan != nullptr) {
+            raw->options.fault_plan->maybe_fire(
+                util::FaultSite::kShardBoundary, task.ticket_base,
+                task.attempt);
         }
-        const std::uint64_t search_start = feedback ? obs::now_nanos() : 0;
-        stop = search_shard(raw, task, limit, worker,
-                            journal != nullptr ? &record : nullptr);
-        if (feedback && stop.visited > 0) {
-            raw->observe_cost(task.shard.options.num_events,
-                              (obs::now_nanos() - search_start) /
-                                  stop.visited);
-        }
+        visited = search_shard(raw, task, worker, task_id);
     } catch (const std::exception& e) {
         recover_and_reschedule(raw, pool_ptr, task, worker, e.what());
-        return;
+        return 0;
     }
-    if (visited_out != nullptr) {
-        *visited_out = stop.visited;
-    }
-    if (!stop.hit_limit) {
-        if (journal != nullptr && !stop.visitor_stopped) {
-            record.task_id = task_id;
-            journal->append(record);
-            raw->ckpt_saved.fetch_add(1, std::memory_order_relaxed);
-        }
-        raw->note_job_finished();
-        return;  // the shard drained (or the deadline fired) inline
-    }
-    // The threshold-th candidate was visited and more remain:
-    // abandon the search and trade the remainder for child shards.
-    // Visited candidates keep their tickets (base..base+visited-1);
-    // the children renumber the remaining sub-range from
-    // base+visited, so ticket order still equals enumeration order
-    // and the deterministic min-ticket merge is untouched. Children
-    // before the resume point are fully searched already and are
-    // not resubmitted; the boundary child skips the candidates the
-    // parent consumed.
-    if (raw->armed_deadline().expired()) {
-        raw->timed_out.store(true, std::memory_order_relaxed);
-        raw->note_job_finished();
-        return;
-    }
-    if (options.cancel.requested()) {
-        raw->cancelled.store(true, std::memory_order_relaxed);
-        raw->note_job_finished();
-        return;
-    }
-    std::size_t boundary = children.size();
-    for (std::size_t i = 0; i < children.size(); ++i) {
-        if (children[i].prefix.back() == stop.resume_decision) {
-            boundary = i;
-            break;
-        }
-    }
-    TF_ASSERT(boundary < children.size());
-    const std::uint64_t child_stride = child_stride_for(
-        task.ticket_stride - stop.visited, children.size() - boundary);
-    if (journal != nullptr) {
-        // Journal the split BEFORE submitting the children: a crash in
-        // between resumes by replaying this record, which resubmits the
-        // same children (replay_shard_record mirrors the loop below).
-        record.task_id = task_id;
-        record.split = true;
-        record.visited = stop.visited;
-        record.resume_decision = stop.resume_decision;
-        record.resume_skip = stop.resume_skip;
-        journal->append(record);
-        raw->ckpt_saved.fetch_add(1, std::memory_order_relaxed);
-    }
-    raw->lazy_resplits.fetch_add(1, std::memory_order_relaxed);
-    if (resplit_out != nullptr) {
-        *resplit_out = true;
-    }
-    const bool closed_prefix =
-        std::find(task.shard.prefix.begin(), task.shard.prefix.end(),
-                  kCloseThread) != task.shard.prefix.end();
-    if (closed_prefix) {
-        raw->closed_prefix_splits.fetch_add(1,
-                                            std::memory_order_relaxed);
-    }
-    obs::TraceCollector* trace = raw->options.trace;
-    raw->jobs_submitted.fetch_add(children.size() - boundary,
-                                  std::memory_order_relaxed);
-    // One batch: the children run next, in stream order.
-    std::vector<sched::ThreadPool::Job> jobs;
-    jobs.reserve(children.size() - boundary);
-    for (std::size_t i = boundary; i < children.size(); ++i) {
-        std::uint64_t flow = 0;
-        if (trace != nullptr) {
-            // Flow arrow from the abandoning parent to each child job.
-            flow = trace->next_flow_id();
-            trace->record_flow_start(worker, flow, obs::now_nanos());
-        }
-        jobs.push_back(raw->make_job(
-            {children[i],
-             task.ticket_base + stop.visited + (i - boundary) * child_stride,
-             child_stride,
-             i == boundary ? stop.resume_skip : 0,
-             0,  // children are first attempts, whatever ours was
-             flow}));
-    }
-    pool_ptr->submit(raw->group, std::move(jobs));
     raw->note_job_finished();
+    return visited;
 }
 
 /// Builds a PassRun over \p targets and submits its initial shard tasks to
@@ -1235,19 +907,13 @@ launch_pass(sched::ThreadPool& pool, const mtm::Model& model,
             }
             if (metrics == nullptr && trace == nullptr) {
                 // Disabled fast path: three null checks, no clock reads.
-                execute_shard_task(raw, pool_ptr, task, worker, nullptr,
-                                   nullptr);
+                execute_shard_task(raw, pool_ptr, task, worker);
             } else {
                 const std::uint64_t start = obs::now_nanos();
                 const std::uint64_t claimed_before =
                     metrics == nullptr ? 0 : metrics->worker_nanos(worker);
-                if (trace != nullptr && task.trace_flow != 0) {
-                    trace->record_flow_end(worker, task.trace_flow, start);
-                }
-                std::uint64_t visited = 0;
-                bool resplit = false;
-                execute_shard_task(raw, pool_ptr, task, worker, &visited,
-                                   &resplit);
+                const std::uint64_t visited =
+                    execute_shard_task(raw, pool_ptr, task, worker);
                 const std::uint64_t end = obs::now_nanos();
                 if (metrics != nullptr) {
                     // Whatever wall time no inner phase claimed is the
@@ -1268,9 +934,7 @@ launch_pass(sched::ThreadPool& pool, const mtm::Model& model,
                         {{"events",
                           static_cast<std::uint64_t>(
                               task.shard.options.num_events)},
-                         {"visited", visited},
-                         {"resplit", resplit ? std::uint64_t{1}
-                                             : std::uint64_t{0}}});
+                         {"visited", visited}});
                 }
             }
             if (allocs != nullptr) {
@@ -1280,20 +944,18 @@ launch_pass(sched::ThreadPool& pool, const mtm::Model& model,
         };
     };
 
-    // Partition the search space by (event bound, skeleton prefix):
-    // adaptive mode starts from the coarse depth-1 split, fixed mode goes
-    // straight to the requested depth.
+    // Partition the search space by (event bound, skeleton prefix), every
+    // bound at the pass's one depth: one job per shard.
+    const int depth = pass_shard_depth(run->model, targets, options);
     std::vector<sched::ThreadPool::Job> jobs;
     std::uint64_t shard_index = 0;
     for (int size = options.min_bound; size <= options.bound; ++size) {
         const SkeletonOptions skeleton =
             engine_skeleton_options(run->model, targets, options, size);
-        const std::vector<SkeletonShard> shards =
-            partition_skeletons_at_depth(skeleton,
-                                         std::max(options.shard_depth, 1));
-        for (const SkeletonShard& shard : shards) {
-            jobs.push_back(run->make_job(
-                {shard, kTicketStride * shard_index, kTicketStride}));
+        for (const SkeletonShard& shard :
+             partition_skeletons_at_depth(skeleton, depth)) {
+            jobs.push_back(
+                run->make_job({shard, kTicketStride * shard_index}));
             ++shard_index;
         }
     }
@@ -1338,8 +1000,7 @@ finish_pass(sched::ThreadPool& pool, PassRun& run)
     if (trace != nullptr) {
         // Counter-track summary of the pass (one "C" event per series,
         // main lane): per-phase latency percentiles (µs — Perfetto counter
-        // values read better in micros) for phases with samples, and the
-        // observed-cost threshold range when any job armed one.
+        // values read better in micros) for phases with samples.
         const std::uint64_t ts = obs::now_nanos();
         if (run.metrics != nullptr) {
             for (int p = 0; p < obs::kPhaseCount; ++p) {
@@ -1358,21 +1019,8 @@ finish_pass(sched::ThreadPool& pool, PassRun& run)
                      {"p99", hist.percentile_nanos(0.99) / 1000}});
             }
         }
-        if (run.threshold_max.load() > 0) {
-            trace->record_counter(
-                trace->main_lane(), "resplit_threshold " + run.name, ts,
-                {{"min", run.threshold_min.load()},
-                 {"max", run.threshold_max.load()},
-                 {"observed", run.observed_resplits.load()}});
-        }
     }
     shared.scheduler = pool.group_stats(run.group);
-    shared.scheduler.observed_cost_resplits = run.observed_resplits.load();
-    shared.scheduler.resplit_threshold_min = run.threshold_min.load();
-    shared.scheduler.resplit_threshold_max = run.threshold_max.load();
-    shared.scheduler.lazy_resplits = run.lazy_resplits.load();
-    shared.scheduler.closed_prefix_splits = run.closed_prefix_splits.load();
-    shared.scheduler.skip_enumerations = run.skip_enumerations.load();
     shared.scheduler.dedup_hits = run.index.hits();
     shared.scheduler.queue_wait_seconds = run.queue_wait_seconds.load();
     shared.scheduler.shard_retries = run.shard_retries.load();
@@ -1642,6 +1290,29 @@ engine_skeleton_options(const mtm::Model& model, mtm::AxiomMask targets,
     SkeletonOptions skeleton = base_skeleton_options(model, options, size);
     set_axiom_requirements(shared, &skeleton);
     return skeleton;
+}
+
+int
+pass_shard_depth(const mtm::Model& model, mtm::AxiomMask targets,
+                 const SynthesisOptions& options)
+{
+    if (options.shard_depth > 0) {
+        return options.shard_depth;
+    }
+    const SkeletonOptions largest =
+        engine_skeleton_options(model, targets, options, options.bound);
+    int depth = 1;
+    std::size_t shards = partition_skeletons_at_depth(largest, depth).size();
+    while (shards < kMinShardsPerPass) {
+        const std::size_t deeper =
+            partition_skeletons_at_depth(largest, depth + 1).size();
+        if (deeper == shards) {
+            break;  // every prefix already pins a complete slot structure
+        }
+        ++depth;
+        shards = deeper;
+    }
+    return depth;
 }
 
 mtm::AxiomMask

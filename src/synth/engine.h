@@ -24,11 +24,10 @@
 /// (event-bound, skeleton-prefix) space is partitioned into independent
 /// shards, one thread pool with a single locked job queue searches them
 /// concurrently, and results are merged through one sharded canonical-key
-/// index per pass. Shard depth is adaptive by default: the engine starts
-/// from a coarse split and any shard job that visits more candidates than
-/// a cost-model threshold abandons its search lazily — in place, keeping
-/// the results already found — and resubmits the unsearched remainder as
-/// child shards (see docs/scheduler.md).
+/// index per pass. The partition is static: one prefix depth per pass
+/// (pass_shard_depth), chosen from the pass's skeleton options alone, and
+/// each shard is one job that searches its whole shard (see
+/// docs/scheduler.md, "Static sharding").
 ///
 /// Determinism contract: for a run that completes within its time budget,
 /// each merged suite (tests, their order, and their witnesses) is identical
@@ -78,7 +77,7 @@ enum class Backend {
 /// for asserting invariants (use SuiteResult for settled numbers).
 struct SynthesisProgress {
     std::uint64_t shards_done = 0;       ///< shard jobs completed
-    std::uint64_t shards_submitted = 0;  ///< grows with lazy re-splits
+    std::uint64_t shards_submitted = 0;  ///< grows only with retries
     std::uint64_t candidates = 0;        ///< stream candidates visited so far
     std::uint64_t tests_found = 0;       ///< pre-merge accepted witnesses
     std::uint64_t checkpoint_shards_saved = 0;
@@ -129,38 +128,11 @@ struct SynthesisOptions {
 
     int jobs = 1;  ///< scheduler workers; 0 = one per hardware thread
 
-    /// Shard granularity: 0 (default) = adaptive — start from a depth-1
-    /// prefix split and lazily re-split any shard whose search visits more
-    /// than the re-split threshold's worth of candidates; N >= 1 = fixed
-    /// prefix depth N, no re-splitting. The synthesized suite is identical
-    /// for every setting.
+    /// Shard granularity: the skeleton-prefix depth every event bound of a
+    /// pass is partitioned at, one job per shard. 0 (default) = the static
+    /// rule of pass_shard_depth; N >= 1 = fixed depth N. The synthesized
+    /// suite is identical for every setting.
     int shard_depth = 0;
-
-    /// Adaptive mode only: a shard job that visits this many candidates
-    /// with more remaining abandons its search in place — already-visited
-    /// candidates keep their results and tickets — and resubmits the
-    /// unsearched remainder as split_shard children (closed-prefix shards
-    /// split on thread 1+ decisions, so deep re-splits never dead-end).
-    /// 0 (default) selects a cost model that shrinks the threshold as the
-    /// per-candidate evaluation cost grows with the bound / VM / dirty-bit
-    /// mix, refined at run time by observed_cost_feedback below. An
-    /// explicit threshold keeps the trigger a deterministic candidate
-    /// count, so the re-split tree — and with it jobs_run / lazy_resplits
-    /// — is a pure function of the options, not of scheduling.
-    std::uint64_t resplit_threshold = 0;
-
-    /// Adaptive mode with resplit_threshold == 0 only: feed an EWMA of
-    /// each completed shard job's observed per-candidate nanos (keyed by
-    /// event bound) back into the re-split threshold, so expensive bounds
-    /// split earlier than the static cost model would and cheap ones
-    /// later. The SUITE is byte-identical either way — thresholds only
-    /// move work between jobs, never change tickets' order or the merge
-    /// (the long-standing every-threshold determinism contract) — but
-    /// job-tree counters (jobs_run, lazy_resplits) become timing-dependent,
-    /// which is why explicit-threshold runs ignore this knob. Chosen
-    /// thresholds surface in SchedulerStats::resplit_threshold_min/max and
-    /// the trace's counter track.
-    bool observed_cost_feedback = true;
 
     /// Observability (src/obs/, docs/observability.md). Both knobs are
     /// purely observational: they never influence search order, tickets, or
@@ -189,8 +161,8 @@ struct SynthesisOptions {
     std::function<void(const SynthesisProgress&)> progress;
     double progress_interval_seconds = 2.0;
 
-    /// When non-null, shard jobs / suites / re-split lineage are recorded
-    /// as spans, async spans, and flow arrows. The collector must have at
+    /// When non-null, shard jobs and suites are recorded as spans and
+    /// async spans. The collector must have at
     /// least resolve_jobs(jobs) worker lanes plus the main lane and must
     /// outlive the synthesis call. nullptr (default) disables recording.
     obs::TraceCollector* trace = nullptr;
@@ -231,9 +203,10 @@ struct SynthesisOptions {
     const util::FaultPlan* fault_plan = nullptr;
 
     /// Crash-safe checkpointing: when non-null, every completed shard task
-    /// is journaled and tasks found in the journal (from a previous run of
-    /// the same configuration) are replayed instead of re-searched. Shared
-    /// across passes; must outlive the synthesis call.
+    /// that visited a candidate is journaled, and tasks found in the
+    /// journal (from a previous run of the same configuration) are replayed
+    /// instead of re-searched. Shared across passes; must outlive the
+    /// synthesis call.
     CheckpointJournal* checkpoint = nullptr;
 };
 
@@ -341,9 +314,8 @@ int unique_test_count(const std::vector<SuiteResult>& suites);
 
 /// The skeleton options a one-target pass for \p axiom_name searches at
 /// event bound \p size — synthesis knobs plus the static pruning flags of
-/// the axiom's structural requirements. Exposed so tools and benches
-/// replaying parts of the search (e.g. the eager-probe baseline in
-/// bench_parallel_scaling) enumerate exactly the candidate space the
+/// the axiom's structural requirements. Exposed so tools, benches and tests
+/// replaying parts of the search enumerate exactly the candidate space the
 /// engine does.
 SkeletonOptions engine_skeleton_options(const mtm::Model& model,
                                         const std::string& axiom_name,
@@ -370,30 +342,26 @@ SkeletonOptions engine_skeleton_options(const mtm::Model& model,
 mtm::AxiomMask eligible_axioms(const mtm::Model& model,
                                const elt::Program& program);
 
-/// Ticket-space constants of the deterministic merge, exported (like
-/// engine_skeleton_options) so replays of the engine's scheduling
-/// decisions stay faithful rather than hand-copied.
-///
-/// Ticket stride between top-level shards: ticket = base + position, so
-/// ticket order across all shards equals the sequential enumeration order.
+/// Ticket stride between shards: shard i of a pass numbers its candidates
+/// from i * kTicketStride, so ticket order across all shards equals the
+/// sequential enumeration order.
 inline constexpr std::uint64_t kTicketStride = std::uint64_t{1} << 40;
 
-/// Re-splitting stops once the child stride would drop below this — a
-/// leaf must still be able to number every candidate it holds without
-/// bleeding into its sibling's range.
-inline constexpr std::uint64_t kMinLeafStride = std::uint64_t{1} << 22;
+/// The static sharding rule's target: the default depth is the smallest at
+/// which the pass's largest event size splits into at least this many
+/// shards: shard costs differ by orders of magnitude, and many small jobs
+/// let the one job queue even them out.
+inline constexpr std::size_t kMinShardsPerPass = 512;
 
-/// When a shard is re-split, each resubmitted child receives a sub-range
-/// of the remaining ticket space: the stride divided by the child count
-/// rounded up to a power of two.
-constexpr std::uint64_t
-child_stride_for(std::uint64_t parent_stride, std::size_t children)
-{
-    int shift = 0;
-    while ((std::size_t{1} << shift) < children) {
-        ++shift;
-    }
-    return parent_stride >> shift;
-}
+/// The skeleton-prefix depth a pass over \p targets partitions every event
+/// bound at: options.shard_depth when set, else the smallest depth at which
+/// partition_skeletons_at_depth splits the pass's largest event size
+/// (options.bound) into at least kMinShardsPerPass shards, stopping early
+/// once one more level no longer adds shards. A pure function of the
+/// pass's skeleton options: options.jobs plays no part, so the job list —
+/// jobs_run and every checkpoint task id — is the same at every worker
+/// count.
+int pass_shard_depth(const mtm::Model& model, mtm::AxiomMask targets,
+                     const SynthesisOptions& options);
 
 }  // namespace transform::synth

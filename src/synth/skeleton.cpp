@@ -556,94 +556,24 @@ constexpr int kFreeChoice = -2;
 /// threads — restricting the search to one SkeletonShard; the visit order
 /// within the shard is unchanged, so shards in partition order concatenate
 /// to the full enumeration stream.
-///
-/// The enumerator is also the engine's lazily-splittable search: the first
-/// \p skip candidates are enumerated but not passed to the visitor, and a
-/// non-zero \p limit stops the pass at the (limit+1)-th candidate,
-/// reporting which split_shard child the unconsumed remainder starts in
-/// (the decision taken at depth prefix.size()) and how many consumed
-/// candidates that child must skip on resume.
 class SlotEnumerator {
   public:
     SlotEnumerator(const SkeletonOptions& opt, std::vector<int> prefix,
-                   std::uint64_t skip, std::uint64_t limit,
-                   const std::function<bool(const Program&)>& visit,
-                   const std::function<bool()>& interrupt)
-        : opt_(opt), prefix_(std::move(prefix)), skip_(skip), limit_(limit),
-          visit_(visit), interrupt_(interrupt),
-          slots_(available_slots(opt)),
-          sink_([this](const Program& p) { return consume(p); })
+                   const std::function<bool(const Program&)>& visit)
+        : opt_(opt), prefix_(std::move(prefix)), visit_(visit),
+          slots_(available_slots(opt))
     {
     }
 
-    ShardSearchStop
+    /// False when the visitor stopped the enumeration.
+    bool
     run()
     {
         Draft draft;
-        enumerate_threads(draft, opt_.num_events);
-        ShardSearchStop stop;
-        stop.hit_limit = hit_limit_;
-        stop.visitor_stopped = visitor_stopped_;
-        stop.visited = visited_;
-        stop.skipped = consumed_ - visited_;
-        stop.resume_decision = boundary_decision_;
-        stop.resume_skip = boundary_consumed_;
-        return stop;
+        return enumerate_threads(draft, opt_.num_events);
     }
 
   private:
-    /// Filters every emitted program through the skip/limit machinery.
-    /// Candidate order is depth-first over the decision tree, so all
-    /// candidates sharing a depth-|prefix| decision are contiguous and the
-    /// boundary counters below identify the resume point exactly.
-    bool
-    consume(const Program& program)
-    {
-        if (consumed_ < skip_) {
-            // The skip replay never reaches the visitor, so the caller's
-            // stop conditions (a deadline, typically) are polled here.
-            if (interrupt_ && interrupt_()) {
-                visitor_stopped_ = true;
-                return false;
-            }
-            ++consumed_;
-            ++boundary_consumed_;
-            return true;
-        }
-        if (limit_ > 0 && visited_ >= limit_) {
-            hit_limit_ = true;  // this candidate stays unconsumed
-            return false;
-        }
-        ++consumed_;
-        ++boundary_consumed_;
-        ++visited_;
-        if (!visit_(program)) {
-            visitor_stopped_ = true;
-            return false;
-        }
-        return true;
-    }
-
-    /// Records the decision taken at the current depth. The depth-|prefix|
-    /// decision point is a single tree node (every shallower decision is
-    /// forced by the prefix), so each of its child subtrees is entered
-    /// exactly once and resetting the boundary counter here is sound.
-    void
-    begin_decision(int decision)
-    {
-        if (depth_ == prefix_.size()) {
-            boundary_decision_ = decision;
-            boundary_consumed_ = 0;
-        }
-        ++depth_;
-    }
-
-    void
-    end_decision()
-    {
-        --depth_;
-    }
-
     bool
     enumerate_threads(Draft& draft, int remaining)
     {
@@ -651,7 +581,7 @@ class SlotEnumerator {
             if (opt_.require_shared_walk && !has_possible_hit(draft)) {
                 return true;  // prune: tlb_causality needs a shared entry
             }
-            Linker linker(&draft, opt_, sink_, &pool_);
+            Linker linker(&draft, opt_, visit_, &pool_);
             return linker.run();
         }
         if (static_cast<int>(draft.threads.size()) >= opt_.max_threads ||
@@ -681,9 +611,9 @@ class SlotEnumerator {
             if (k < 2 ||
                 slot_signature(draft.threads[k - 2]) >=
                     slot_signature(draft.threads[k - 1])) {
-                begin_decision(kCloseThread);
+                ++depth_;
                 const bool keep = enumerate_threads(draft, remaining);
-                end_decision();
+                --depth_;
                 if (!keep) {
                     return false;
                 }
@@ -701,12 +631,12 @@ class SlotEnumerator {
             if (w > remaining) {
                 continue;
             }
-            begin_decision(static_cast<int>(si));
+            ++depth_;
             draft.threads.back().push_back({s});
             const bool keep =
                 enumerate_slots(draft, remaining - w, used_in_thread + w);
             draft.threads.back().pop_back();
-            end_decision();
+            --depth_;
             if (!keep) {
                 return false;
             }
@@ -731,30 +661,11 @@ class SlotEnumerator {
 
     const SkeletonOptions& opt_;
     std::vector<int> prefix_;
-    const std::uint64_t skip_;
-    const std::uint64_t limit_;
     const std::function<bool(const Program&)>& visit_;
-    const std::function<bool()>& interrupt_;
     std::vector<Slot> slots_;
-    std::function<bool(const Program&)> sink_;  ///< skip/limit wrapper
     MaterializePool pool_;  ///< candidate Program + placement, reused
-
-    std::size_t depth_ = 0;         ///< decisions made on the current path
-    std::uint64_t consumed_ = 0;    ///< skipped + visited candidates
-    std::uint64_t visited_ = 0;
-    std::uint64_t boundary_consumed_ = 0;
-    int boundary_decision_ = kCloseThread;
-    bool hit_limit_ = false;
-    bool visitor_stopped_ = false;
+    std::size_t depth_ = 0;  ///< decisions made on the current path
 };
-
-}  // namespace
-
-namespace {
-
-/// Shared empty interrupt for the unlimited entry points (a per-call
-/// temporary would dangle: the enumerator holds a reference through run()).
-const std::function<bool()> kNoInterrupt;
 
 }  // namespace
 
@@ -762,29 +673,14 @@ bool
 for_each_skeleton(const SkeletonOptions& options,
                   const std::function<bool(const Program&)>& visit)
 {
-    SlotEnumerator enumerator(options, {}, /*skip=*/0, /*limit=*/0, visit,
-                              kNoInterrupt);
-    return !enumerator.run().visitor_stopped;
+    return SlotEnumerator(options, {}, visit).run();
 }
 
 bool
 for_each_skeleton(const SkeletonShard& shard,
                   const std::function<bool(const Program&)>& visit)
 {
-    SlotEnumerator enumerator(shard.options, shard.prefix, /*skip=*/0,
-                              /*limit=*/0, visit, kNoInterrupt);
-    return !enumerator.run().visitor_stopped;
-}
-
-ShardSearchStop
-search_skeletons(const SkeletonShard& shard, std::uint64_t skip,
-                 std::uint64_t limit,
-                 const std::function<bool(const Program&)>& visit,
-                 const std::function<bool()>& interrupt)
-{
-    SlotEnumerator enumerator(shard.options, shard.prefix, skip, limit,
-                              visit, interrupt);
-    return enumerator.run();
+    return SlotEnumerator(shard.options, shard.prefix, visit).run();
 }
 
 std::vector<SkeletonShard>
@@ -857,17 +753,6 @@ partition_skeletons_at_depth(const SkeletonOptions& options, int depth)
         shards = std::move(next);
     }
     return shards;
-}
-
-std::uint64_t
-count_skeletons(const SkeletonShard& shard, std::uint64_t limit)
-{
-    std::uint64_t count = 0;
-    for_each_skeleton(shard, [&](const Program&) {
-        ++count;
-        return count < limit;
-    });
-    return count;
 }
 
 }  // namespace transform::synth

@@ -16,8 +16,8 @@
 /// prior-work litmus synthesis setting used as our baseline.
 #pragma once
 
-#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "elt/program.h"
 
@@ -58,9 +58,9 @@ inline constexpr int kCloseThread = -1;
 /// thread under construction) or kCloseThread (end the thread). The stream
 /// runs across threads: after a kCloseThread, later decisions constrain the
 /// next thread — so prefixes can descend past a closed first thread into
-/// thread 1+, which is what lets deep adaptive re-splits keep subdividing a
-/// heavy one-slot-first-thread subtree. Shards are the unit of work of the
-/// parallel synthesis runtime: they are disjoint, they can be searched
+/// thread 1+ (closed-prefix shards), which keeps deep partitions of a heavy
+/// one-slot-first-thread subtree growing. Shards are the unit of work of
+/// the parallel synthesis runtime: they are disjoint, they can be searched
 /// independently, and visiting the shards of partition_skeletons_at_depth()
 /// in list order yields exactly the program sequence of
 /// for_each_skeleton(options) — the property the engine's deterministic
@@ -83,67 +83,19 @@ std::vector<SkeletonShard> partition_skeletons_at_depth(
 /// enumerator's child order (close-thread first — only when the thread
 /// under construction is non-empty — then each slot that fits the event
 /// budget). A prefix that has closed thread 0 splits on the *next* thread's
-/// decisions (closed-prefix splitting), so deep re-splits never dead-end on
-/// a heavy one-slot-first-thread subtree. Visiting the children in list
-/// order replays the parent's program stream exactly, which is what lets
-/// the engine's lazy re-splitting preserve the deterministic-suite
-/// contract. Returns an empty vector only when no structural decision
-/// remains (the prefix pins the complete slot structure: the event budget
-/// is spent and the last thread is closed, or no further thread may open) —
-/// such a shard still holds the linking/VA/PA variants of that one
-/// structure, but cannot be subdivided further.
+/// decisions (closed-prefix splitting), so a deep partition never
+/// dead-ends on a heavy one-slot-first-thread subtree. Visiting the
+/// children in list order replays the parent's program stream exactly;
+/// partition_skeletons_at_depth applies it level by level. Returns an
+/// empty vector only when no structural decision remains (the prefix pins
+/// the complete slot structure: the event budget is spent and the last
+/// thread is closed, or no further thread may open) — such a shard still
+/// holds the linking/VA/PA variants of that one structure, but cannot be
+/// subdivided further.
 std::vector<SkeletonShard> split_shard(const SkeletonShard& shard);
-
-/// Counts the programs in \p shard, stopping early at \p limit. The count
-/// is a pure function of the shard (no scheduling dependence).
-std::uint64_t count_skeletons(const SkeletonShard& shard,
-                              std::uint64_t limit);
 
 /// As for_each_skeleton(options, visit), restricted to one shard.
 bool for_each_skeleton(const SkeletonShard& shard,
                        const std::function<bool(const elt::Program&)>& visit);
-
-/// Where a bounded shard search pass stopped (see search_skeletons).
-struct ShardSearchStop {
-    /// An unvisited candidate remains beyond the visit limit; resume_*
-    /// describe where to pick the search back up.
-    bool hit_limit = false;
-    /// The visitor returned false (caller-initiated stop, e.g. a deadline).
-    bool visitor_stopped = false;
-    /// Candidates passed to the visitor (skipped candidates excluded).
-    std::uint64_t visited = 0;
-    /// Candidates actually enumerated past during the skip replay — less
-    /// than the requested skip when \p interrupt aborted the pass early.
-    std::uint64_t skipped = 0;
-    /// Valid when hit_limit: the decision at depth prefix.size() of the
-    /// first candidate not consumed — identifies which split_shard child
-    /// the remainder of the stream starts in (children before it are fully
-    /// consumed, children after it untouched).
-    int resume_decision = kCloseThread;
-    /// Valid when hit_limit: consumed candidates (skipped + visited)
-    /// belonging to that child — the `skip` to resume it with.
-    std::uint64_t resume_skip = 0;
-};
-
-/// The lazily-splittable search primitive of the parallel runtime: visits
-/// \p shard's program stream like for_each_skeleton, except that the first
-/// \p skip candidates are enumerated but not passed to \p visit (they were
-/// already consumed by an ancestor shard job), and — when \p limit is
-/// non-zero — the pass stops as soon as a (limit+1)-th candidate is
-/// reached, reporting a resume point instead of visiting it. Handing the
-/// stop's resume_decision/resume_skip to the matching split_shard children,
-/// in child order, replays exactly the unconsumed remainder of the stream —
-/// the contract lazy in-search re-splitting relies on, and what removed the
-/// eager count_skeletons probe's duplicate enumeration per shard.
-///
-/// \p interrupt, when provided, is polled once per *skipped* candidate;
-/// returning true aborts the pass (reported as visitor_stopped). Visited
-/// candidates can stop the pass from \p visit directly, but the skip
-/// replay never reaches the visitor — without the hook a resumed child
-/// could burn through its whole skip prefix after its deadline expired.
-ShardSearchStop search_skeletons(
-    const SkeletonShard& shard, std::uint64_t skip, std::uint64_t limit,
-    const std::function<bool(const elt::Program&)>& visit,
-    const std::function<bool()>& interrupt = nullptr);
 
 }  // namespace transform::synth

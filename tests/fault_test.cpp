@@ -26,6 +26,7 @@
 #include "sched/scheduler.h"
 #include "synth/checkpoint.h"
 #include "synth/engine.h"
+#include "synth/skeleton.h"
 #include "util/cancel.h"
 #include "util/fault.h"
 
@@ -90,6 +91,31 @@ target_sets(const mtm::Model& model)
 {
     return {mtm::AxiomMask{1} << model.axiom_index("invlpg"),
             (mtm::AxiomMask{1} << model.axioms().size()) - 1};
+}
+
+/// Positions, in the engine's job order, of the shards of \p targets'
+/// default-depth partition that hold at least one candidate — the shards
+/// a checkpointed run journals.
+std::vector<std::size_t>
+non_empty_shards(const mtm::Model& model, mtm::AxiomMask targets,
+                 const synth::SynthesisOptions& opt)
+{
+    const int depth = synth::pass_shard_depth(model, targets, opt);
+    std::vector<std::size_t> positions;
+    std::size_t position = 0;
+    for (int size = opt.min_bound; size <= opt.bound; ++size) {
+        for (const synth::SkeletonShard& shard :
+             synth::partition_skeletons_at_depth(
+                 synth::engine_skeleton_options(model, targets, opt, size),
+                 depth)) {
+            if (!synth::for_each_skeleton(
+                    shard, [](const elt::Program&) { return false; })) {
+                positions.push_back(position);
+            }
+            ++position;
+        }
+    }
+    return positions;
 }
 
 std::string
@@ -517,6 +543,58 @@ TEST(Checkpoint, ResumeReplaysJournaledShardsByteIdentically)
     }
 }
 
+TEST(Checkpoint, OnlyShardsThatVisitedACandidateAreJournaled)
+{
+    // Most shards of a default-depth partition hold no candidate, and each
+    // journaled shard costs an fsync; so only shards that visited a
+    // candidate are journaled, and a resume enumerates the empty ones
+    // again, for nothing.
+    const mtm::Model model = mtm::x86t_elt();
+    for (const mtm::AxiomMask targets : target_sets(model)) {
+        const std::string path = temp_path("nonempty.journal");
+        const std::string fingerprint = "fault_test nonempty v1";
+        const std::string label = "targets=" + std::to_string(targets);
+        synth::SynthesisOptions opt = small_options(4, 5);
+        opt.jobs = 2;
+        const std::uint64_t non_empty =
+            non_empty_shards(model, targets, opt).size();
+        std::string error;
+        auto journal =
+            synth::CheckpointJournal::create(path, fingerprint, &error);
+        ASSERT_NE(journal, nullptr) << error;
+        opt.checkpoint = journal.get();
+        const std::vector<synth::SuiteResult> first =
+            synth::synthesize_pass(model, targets, opt);
+        const sched::SchedulerStats& stats = first.front().scheduler;
+        EXPECT_GT(non_empty, 0u) << label;
+        EXPECT_EQ(stats.checkpoint_shards_saved, non_empty) << label;
+        EXPECT_LT(stats.checkpoint_shards_saved, stats.jobs_run) << label;
+        journal.reset();
+
+        auto resumed =
+            synth::CheckpointJournal::resume(path, fingerprint, &error);
+        ASSERT_NE(resumed, nullptr) << error;
+        EXPECT_EQ(resumed->loaded(), non_empty) << label;
+        opt.checkpoint = resumed.get();
+        const std::vector<synth::SuiteResult> second =
+            synth::synthesize_pass(model, targets, opt);
+        EXPECT_EQ(second.front().scheduler.checkpoint_shards_replayed,
+                  non_empty)
+            << label;
+        EXPECT_EQ(second.front().scheduler.checkpoint_shards_saved, 0u)
+            << label;
+        EXPECT_EQ(pass_fingerprint(second), pass_fingerprint(first))
+            << label;
+        for (std::size_t i = 0; i < first.size(); ++i) {
+            EXPECT_TRUE(second[i].complete) << label;
+            EXPECT_EQ(second[i].programs_considered,
+                      first[i].programs_considered)
+                << label << " " << first[i].axiom;
+        }
+        std::remove(path.c_str());
+    }
+}
+
 TEST(Checkpoint, ResumeRefusesAMismatchedFingerprint)
 {
     const std::string path = temp_path("fingerprint.journal");
@@ -529,6 +607,21 @@ TEST(Checkpoint, ResumeRefusesAMismatchedFingerprint)
         synth::CheckpointJournal::resume(path, "configuration B", &error);
     EXPECT_EQ(resumed, nullptr);
     EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ResumeRefusesAnOlderJournalFormatByName)
+{
+    const std::string path = temp_path("v2.journal");
+    {
+        std::ofstream old(path, std::ios::binary);
+        old << "transform-checkpoint v2\nfingerprint 3\nabc\n";
+    }
+    std::string error;
+    auto resumed = synth::CheckpointJournal::resume(path, "abc", &error);
+    EXPECT_EQ(resumed, nullptr);
+    EXPECT_NE(error.find("format v2"), std::string::npos) << error;
+    EXPECT_NE(error.find("v3"), std::string::npos) << error;
     std::remove(path.c_str());
 }
 
@@ -580,21 +673,28 @@ TEST(Checkpoint, KillMidRunThenResumeIsByteIdentical)
         const std::string baseline = pass_fingerprint(
             synth::synthesize_pass(model, targets, small_options(4, 4)));
         ASSERT_FALSE(baseline.empty());
+        // Die at the boundary of the second shard that holds a candidate,
+        // so exactly one journaled shard finished before the kill (empty
+        // shards are not journaled).
+        const std::vector<std::size_t> journaled =
+            non_empty_shards(model, targets, small_options(4, 4));
+        ASSERT_GE(journaled.size(), 2u) << label;
+        const std::string kill_plan =
+            "seed=1,site=shard_boundary,kind=kill,rate=1,after=" +
+            std::to_string(journaled[1]);
 
         const pid_t child = fork();
         ASSERT_GE(child, 0);
         if (child == 0) {
-            // In the child: journal the run and die on the third shard
-            // boundary. jobs=1 keeps the process-wide `after` skip counter
+            // In the child: journal the run and die at that boundary.
+            // jobs=1 keeps the process-wide `after` skip counter
             // deterministic.
             std::string error;
             auto journal =
                 synth::CheckpointJournal::create(path, fingerprint, &error);
             util::FaultPlan plan;
             if (journal == nullptr ||
-                !util::FaultPlan::parse(
-                    "seed=1,site=shard_boundary,kind=kill,rate=1,after=2",
-                    &plan, &error)) {
+                !util::FaultPlan::parse(kill_plan, &plan, &error)) {
                 _exit(10);
             }
             synth::SynthesisOptions opt = small_options(4, 4);

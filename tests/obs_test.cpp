@@ -1,8 +1,8 @@
 /// \file
 /// Tests for the observability layer (src/obs/): the phase-attributed
 /// MetricsRegistry (exact merges under concurrent hammering, out-of-range
-/// drops), the TraceCollector (valid Chrome trace JSON, paired flow
-/// arrows, bounded rings), the metrics-JSON report, the scheduler's job
+/// drops), the TraceCollector (valid Chrome trace JSON, paired async
+/// spans, bounded rings), the metrics-JSON report, the scheduler's job
 /// spans — and the layer's central promise: turning observability on
 /// changes NOTHING about the synthesized suites (byte-identical
 /// fingerprints across backends and job counts, obs on vs off).
@@ -252,9 +252,6 @@ TEST(TraceCollector, ChromeJsonIsValidAndCarriesEveryKind)
     trace.record_complete(0, "span \"quoted\"", t0, t0 + 1000,
                           {{"visited", 7}});
     trace.record_instant(1, "marker", t0 + 500);
-    const std::uint64_t flow = trace.next_flow_id();
-    trace.record_flow_start(0, flow, t0 + 600);
-    trace.record_flow_end(1, flow, t0 + 700);
     trace.record_async_begin(trace.main_lane(), "suite x", 42, t0);
     trace.record_async_end(trace.main_lane(), "suite x", 42, t0 + 2000);
 
@@ -264,8 +261,6 @@ TEST(TraceCollector, ChromeJsonIsValidAndCarriesEveryKind)
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"M\""), 3);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), 1);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"i\""), 1);
-    EXPECT_EQ(count_occurrences(json, "\"ph\":\"s\""), 1);
-    EXPECT_EQ(count_occurrences(json, "\"ph\":\"f\""), 1);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"b\""), 1);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"e\""), 1);
     EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
@@ -395,12 +390,9 @@ TEST(ObsDeterminism, SuitesAreByteIdenticalWithObservabilityOnOrOff)
 
 TEST(ObsDeterminism, SuitesAreByteIdenticalAcrossInstrumentationMatrix)
 {
-    // The PR-10 extension of the on/off contract: alloc tracking and the
-    // observed-cost re-split feedback are purely observational too. The
-    // reference is a bare 1-job run; every (jobs, shard-depth, backend)
-    // cell runs with metrics + alloc tracking + feedback armed (feedback
-    // is live only at depth 0 with an auto threshold — exactly the cell
-    // where timing-driven thresholds could, if buggy, perturb the merge).
+    // The wider on/off contract: alloc tracking is purely
+    // observational too. The reference is a bare 1-job run; every (jobs,
+    // shard-depth, backend) cell runs with metrics + alloc tracking armed.
     const mtm::Model model = mtm::x86t_elt();
     for (const synth::Backend backend :
          {synth::Backend::kEnumerative, synth::Backend::kSat}) {
@@ -414,7 +406,6 @@ TEST(ObsDeterminism, SuitesAreByteIdenticalAcrossInstrumentationMatrix)
                 instrumented.shard_depth = depth;
                 instrumented.collect_metrics = true;
                 instrumented.track_allocs = true;
-                instrumented.observed_cost_feedback = true;
                 const synth::SuiteResult observed =
                     synth::synthesize_suite(model, "invlpg",
                                             instrumented);
@@ -425,14 +416,6 @@ TEST(ObsDeterminism, SuitesAreByteIdenticalAcrossInstrumentationMatrix)
                 EXPECT_GT(observed.allocs.total_count(), 0u);
             }
         }
-        // Feedback off is the other half of the on/off matrix.
-        synth::SynthesisOptions no_feedback = obs_options(2, backend);
-        no_feedback.observed_cost_feedback = false;
-        no_feedback.track_allocs = true;
-        const synth::SuiteResult cold = synth::synthesize_suite(
-            model, "invlpg", no_feedback);
-        EXPECT_EQ(suite_fingerprint(reference), suite_fingerprint(cold));
-        EXPECT_EQ(cold.scheduler.observed_cost_resplits, 0u);
     }
 }
 
@@ -489,25 +472,6 @@ TEST(ObsEngine, SatBackendAggregatesSolverStatsPerSuite)
     EXPECT_GT(timed.solver.solve_nanos, 0u);
     EXPECT_GT(timed.phases.count(obs::Phase::kSatSolve), 0u);
     EXPECT_GT(timed.phases.count(obs::Phase::kSatEncode), 0u);
-}
-
-TEST(ObsEngine, ResplitLineageShowsUpAsPairedFlowArrows)
-{
-    const mtm::Model model = mtm::x86t_elt();
-    synth::SynthesisOptions options =
-        obs_options(4, synth::Backend::kEnumerative);
-    options.resplit_threshold = 50;  // force lazy re-splitting
-    obs::TraceCollector trace(sched::resolve_jobs(options.jobs));
-    options.trace = &trace;
-    const synth::SuiteResult suite =
-        synth::synthesize_suite(model, "sc_per_loc", options);
-    EXPECT_GT(suite.scheduler.lazy_resplits, 0u);
-    const std::string json = trace.chrome_json();
-    EXPECT_TRUE(is_valid_json(json));
-    const int starts = count_occurrences(json, "\"ph\":\"s\"");
-    const int ends = count_occurrences(json, "\"ph\":\"f\"");
-    EXPECT_GT(starts, 0);
-    EXPECT_EQ(starts, ends) << "every re-split arrow must have both ends";
 }
 
 // ---------------------------------------------------------------------------
@@ -601,7 +565,6 @@ TEST(ObsReport, MultiTargetPassCountsSharedWorkOnce)
     }
     EXPECT_EQ(totals.scheduler.jobs_run, lead.scheduler.jobs_run);
     EXPECT_EQ(totals.scheduler.steals, lead.scheduler.steals);
-    EXPECT_EQ(totals.scheduler.lazy_resplits, lead.scheduler.lazy_resplits);
     EXPECT_EQ(totals.scheduler.dedup_hits, lead.scheduler.dedup_hits);
     for (int p = 0; p < obs::kPhaseCount; ++p) {
         const auto phase = static_cast<obs::Phase>(p);
@@ -664,16 +627,17 @@ TEST(ObsEngine, IncrementalSatSurfacesSessionCounters)
     EXPECT_EQ(suite_fingerprint(fresh), suite_fingerprint(live));
 }
 
-TEST(ObsReport, SolverSessionCountersAppearInSchemaV5Json)
+TEST(ObsReport, SolverSessionCountersAppearInSchemaV6Json)
 {
     // The three incremental counters moved the schema to v2; the base
     // cache's bases_built/bases_reused (and the "relax" phase) moved it
     // to v3; the fault-tolerant runtime's counters and "cancelled" moved
-    // it to v4; the latency percentiles, allocation breakdowns, failures
-    // array, and observed-cost re-split counters moved it to v5. Pin the
-    // version and the exact keys so a silent rename or removal fails here
-    // rather than in a downstream consumer.
-    EXPECT_EQ(obs::kMetricsSchemaVersion, 5);
+    // it to v4; the latency percentiles, allocation breakdowns and
+    // failures array moved it to v5; dropping the re-split counters and
+    // adding the totals' peak_rss_bytes moved it to v6. Pin the version
+    // and the exact keys so a silent rename or removal fails here rather
+    // than in a downstream consumer.
+    EXPECT_EQ(obs::kMetricsSchemaVersion, 6);
 
     const mtm::Model model = mtm::x86t_elt();
     obs::RunReport report;
@@ -691,7 +655,7 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV5Json)
 
     const std::string json = obs::report_to_json(report);
     EXPECT_TRUE(is_valid_json(json)) << json;
-    EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
     // Each solver object (one per suite, one in totals) carries the keys.
     EXPECT_EQ(count_occurrences(json, "\"assumed_literals\""), 2);
     EXPECT_EQ(count_occurrences(json, "\"retired_activations\""), 2);
@@ -715,13 +679,25 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV5Json)
               2 * obs::kPhaseCount);
     EXPECT_EQ(count_occurrences(json, "\"alloc_bytes\""),
               2 * obs::kPhaseCount);
-    // v5: the site table, the failures array, and the observed-cost
-    // re-split counters, once per suite object / scheduler object.
+    // v5: the site table and the failures array, once per suite object.
     EXPECT_EQ(count_occurrences(json, "\"alloc_sites\""), 2);
     EXPECT_EQ(count_occurrences(json, "\"failures\""), 2);
-    EXPECT_EQ(count_occurrences(json, "\"observed_cost_resplits\""), 2);
-    EXPECT_EQ(count_occurrences(json, "\"resplit_threshold_min\""), 2);
-    EXPECT_EQ(count_occurrences(json, "\"resplit_threshold_max\""), 2);
+    // v6: no re-split counter in any scheduler object, and the process's
+    // peak RSS once, in the totals object.
+    for (const char* removed :
+         {"lazy_resplits", "closed_prefix_splits", "skip_enumerations",
+          "observed_cost_resplits", "resplit_threshold_min",
+          "resplit_threshold_max"}) {
+        EXPECT_EQ(json.find(removed), std::string::npos) << removed;
+    }
+    EXPECT_EQ(count_occurrences(json, "\"peak_rss_bytes\""), 1);
+    const std::size_t totals_at = json.find("\"totals\": {");
+    const std::size_t rss_at = json.find("\"peak_rss_bytes\": ");
+    ASSERT_NE(totals_at, std::string::npos);
+    ASSERT_NE(rss_at, std::string::npos);
+    EXPECT_GT(rss_at, totals_at);
+    EXPECT_GT(std::stoull(json.substr(rss_at + 18)), 0u);
+    EXPECT_GT(obs::peak_rss_bytes(), 0u);
     for (int s = 0; s < obs::kAllocSiteCount; ++s) {
         EXPECT_NE(json.find(obs::alloc_site_name(
                       static_cast<obs::AllocSite>(s))),

@@ -4,11 +4,13 @@
 /// canonical-key index, and the engine-level determinism contract — a
 /// multi-threaded synthesize_suite run yields the exact same canonical
 /// suite (keys, order, witnesses) as jobs=1, on both backends, at every
-/// shard depth including adaptive re-splitting. This binary also runs
-/// under ThreadSanitizer in CI.
+/// shard depth, the default static rule included, whose job list does not
+/// depend on the worker count. This binary also runs under
+/// ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "obs/trace.h"
 #include "sched/scheduler.h"
 #include "sched/sharded_index.h"
+#include "spec/registry.h"
 #include "synth/engine.h"
 #include "util/stopwatch.h"
 
@@ -137,9 +140,9 @@ TEST(ThreadPool, ConcurrentGroupsTrackTheirOwnStats)
 
 TEST(ThreadPool, JobsCanSpawnIntoTheirOwnGroup)
 {
-    // The mechanism behind adaptive shard re-splitting: a job trades
-    // itself for children, and wait() only returns once the whole spawn
-    // tree has drained.
+    // The mechanism behind the engine's fault retries: a job submits
+    // follow-up jobs into its own group, and wait() only returns once the
+    // whole spawn tree has drained.
     sched::ThreadPool pool(3);
     const auto group = pool.make_group();
     std::atomic<int> leaves{0};
@@ -167,7 +170,7 @@ TEST(ThreadPool, JobsSubmittedFromAJobRunNextInSubmissionOrder)
     // One worker makes the order observable. While the parent job runs,
     // two external jobs queue behind it; the parent then submits a batch
     // of children, which must run before the external jobs, in submission
-    // order (how a re-split's children run next, in stream order).
+    // order (how a shard's fault retry runs next, before later passes).
     sched::ThreadPool pool(1);
     const auto group = pool.make_group();
     std::vector<std::string> order;  // only the one worker writes it
@@ -211,27 +214,18 @@ TEST(SchedStats, MergeSumsCountersAndMaxesOverlappingFields)
     a.workers = 2;
     a.jobs_run = 10;
     a.steals = 3;
-    a.lazy_resplits = 4;
-    a.closed_prefix_splits = 1;
-    a.skip_enumerations = 100;
     a.dedup_hits = 7;
     a.queue_wait_seconds = 0.5;
     sched::SchedulerStats b;
     b.workers = 4;
     b.jobs_run = 5;
     b.steals = 2;
-    b.lazy_resplits = 6;
-    b.closed_prefix_splits = 2;
-    b.skip_enumerations = 50;
     b.dedup_hits = 1;
     b.queue_wait_seconds = 0.25;
     a.merge(b);
     EXPECT_EQ(a.workers, 4);  // same-pool maximum, not a sum
     EXPECT_EQ(a.jobs_run, 15u);
     EXPECT_EQ(a.steals, 5u);
-    EXPECT_EQ(a.lazy_resplits, 10u);
-    EXPECT_EQ(a.closed_prefix_splits, 3u);
-    EXPECT_EQ(a.skip_enumerations, 150u);
     EXPECT_EQ(a.dedup_hits, 8u);
     EXPECT_EQ(a.queue_wait_seconds, 0.5);  // waits overlap: maximum
 }
@@ -395,7 +389,7 @@ TEST(SchedDeterminism, ObservabilityOnIsByteIdenticalAtEveryShardDepth)
 {
     // The observability layer (metrics + trace) must be purely
     // observational: same fingerprint as the uninstrumented jobs=1 run at
-    // every shard depth, adaptive included. tests/obs_test.cpp sweeps the
+    // every shard depth, the default included. tests/obs_test.cpp sweeps the
     // jobs axis; this covers the shard-depth axis.
     const mtm::Model model = mtm::x86t_elt();
     const synth::SuiteResult reference = synth::synthesize_suite(
@@ -434,14 +428,14 @@ TEST(SchedStats, CountersAreFilledAndJobsIndependent)
 TEST(AdaptiveSharding, FixedDepthsAndAdaptiveProduceIdenticalSuites)
 {
     const mtm::Model model = mtm::x86t_elt();
-    synth::SynthesisOptions adaptive =
+    synth::SynthesisOptions by_default =
         suite_options(5, 2, synth::Backend::kEnumerative);
-    adaptive.shard_depth = 0;
+    by_default.shard_depth = 0;
     const std::string reference = suite_fingerprint(
-        synth::synthesize_suite(model, "sc_per_loc", adaptive));
+        synth::synthesize_suite(model, "sc_per_loc", by_default));
     EXPECT_FALSE(reference.empty());
     for (const int depth : {1, 2, 3}) {
-        synth::SynthesisOptions fixed = adaptive;
+        synth::SynthesisOptions fixed = by_default;
         fixed.shard_depth = depth;
         EXPECT_EQ(reference,
                   suite_fingerprint(
@@ -450,50 +444,15 @@ TEST(AdaptiveSharding, FixedDepthsAndAdaptiveProduceIdenticalSuites)
     }
 }
 
-TEST(AdaptiveSharding, LazyResplitsFireAndAreJobsIndependent)
-{
-    // A tiny threshold forces the lazy re-split path even at test bounds.
-    // The abandon trigger is a deterministic candidate count, so the
-    // re-split tree (and with it jobs_run) must be a pure function of the
-    // options — identical at every worker count — and the suite must match
-    // the default-threshold run.
-    const mtm::Model model = mtm::x86t_elt();
-    synth::SynthesisOptions opt =
-        suite_options(5, 1, synth::Backend::kEnumerative);
-    opt.shard_depth = 0;
-    opt.resplit_threshold = 16;
-    const synth::SuiteResult one =
-        synth::synthesize_suite(model, "sc_per_loc", opt);
-    EXPECT_GT(one.scheduler.lazy_resplits, 0u);
-    for (const int jobs : {2, 8}) {
-        synth::SynthesisOptions parallel = opt;
-        parallel.jobs = jobs;
-        const synth::SuiteResult many =
-            synth::synthesize_suite(model, "sc_per_loc", parallel);
-        EXPECT_EQ(suite_fingerprint(one), suite_fingerprint(many))
-            << "jobs=" << jobs;
-        EXPECT_EQ(one.scheduler.lazy_resplits, many.scheduler.lazy_resplits);
-        EXPECT_EQ(one.scheduler.closed_prefix_splits,
-                  many.scheduler.closed_prefix_splits);
-        EXPECT_EQ(one.scheduler.jobs_run, many.scheduler.jobs_run);
-    }
-    synth::SynthesisOptions coarse = opt;
-    coarse.resplit_threshold = 4096;
-    EXPECT_EQ(suite_fingerprint(one),
-              suite_fingerprint(
-                  synth::synthesize_suite(model, "sc_per_loc", coarse)));
-}
-
 TEST(AdaptiveSharding, SuiteMatrixMatchesEagerProbeFixture)
 {
     // The byte-identical-suite contract across the full sweep matrix. The
     // fixture expectation is the jobs=1 / shard-depth=1 run: a single
     // worker searching the fixed depth-1 shards in submission order
-    // performs exactly the sequential enumeration the pre-PR eager-probe
-    // engine (and the paper's serial loop) performed, so its suite is the
-    // pre-PR fixture. Lazy re-splitting (depth 0, with a threshold small
-    // enough to actually fire) and every fixed depth must reproduce it at
-    // every worker count.
+    // performs exactly the sequential enumeration the eager-probe engine
+    // (and the paper's serial loop) performed, so its suite is that
+    // engine's fixture. The default depth (0) and every fixed depth must
+    // reproduce it at every worker count.
     const mtm::Model model = mtm::x86t_elt();
     for (const std::string axiom : {"sc_per_loc", "invlpg"}) {
         synth::SynthesisOptions fixture =
@@ -508,44 +467,20 @@ TEST(AdaptiveSharding, SuiteMatrixMatchesEagerProbeFixture)
                 synth::SynthesisOptions opt = fixture;
                 opt.jobs = jobs;
                 opt.shard_depth = depth;
-                opt.resplit_threshold = depth == 0 ? 32 : 0;
                 const synth::SuiteResult swept =
                     synth::synthesize_suite(model, axiom, opt);
                 EXPECT_EQ(suite_fingerprint(reference),
                           suite_fingerprint(swept))
                     << axiom << " jobs=" << jobs << " depth=" << depth;
-                // Candidates are searched exactly once under lazy
-                // splitting (skip-resume never re-visits), so the
-                // programs counter matches the sequential fixture.
+                // Every candidate is searched exactly once whatever the
+                // partition, so the programs counter matches the
+                // sequential fixture.
                 EXPECT_EQ(reference.programs_considered,
                           swept.programs_considered)
                     << axiom << " jobs=" << jobs << " depth=" << depth;
             }
         }
     }
-}
-
-TEST(AdaptiveSharding, ClosedPrefixSplitsFireOnDeepRecursion)
-{
-    // With a threshold this small the re-split recursion descends past
-    // shards whose prefix closed thread 0 — pre-PR those dead-ended
-    // (split_shard returned empty and the whole subtree stayed one job);
-    // closed-prefix splitting keeps subdividing on thread 1+ decisions.
-    // The suite must stay identical to the unsplit run regardless.
-    const mtm::Model model = mtm::x86t_elt();
-    synth::SynthesisOptions opt =
-        suite_options(5, 2, synth::Backend::kEnumerative);
-    opt.shard_depth = 0;
-    opt.resplit_threshold = 4;
-    const synth::SuiteResult deep =
-        synth::synthesize_suite(model, "sc_per_loc", opt);
-    EXPECT_GT(deep.scheduler.lazy_resplits, 0u);
-    EXPECT_GT(deep.scheduler.closed_prefix_splits, 0u);
-    synth::SynthesisOptions fixed = opt;
-    fixed.shard_depth = 1;
-    EXPECT_EQ(suite_fingerprint(
-                  synth::synthesize_suite(model, "sc_per_loc", fixed)),
-              suite_fingerprint(deep));
 }
 
 TEST(SchedStats, QueueWaitExcludedFromSuiteSeconds)
@@ -559,29 +494,28 @@ TEST(SchedStats, QueueWaitExcludedFromSuiteSeconds)
     // shows up in queue_wait_seconds. (The enumerative backend serves every
     // axiom from one pass, so there is no queue between its suites.)
     const mtm::Model model = mtm::x86t_elt();
-    synth::SynthesisOptions opt = suite_options(5, 1, synth::Backend::kSat);
-    // Force re-splits: every re-split submits children from inside a
-    // running job, and they must run before the next pass's shards or the
-    // passes' windows overlap.
-    opt.resplit_threshold = 8;
+    // The default depth gives every pass hundreds of shard jobs, so each
+    // pass's window spans many job boundaries at which another pass's
+    // jobs could cut in.
+    const synth::SynthesisOptions opt =
+        suite_options(5, 1, synth::Backend::kSat);
     util::Stopwatch watch;
     const auto suites = synth::synthesize_all_parallel(model, opt);
     const double wall = watch.elapsed_seconds();
     ASSERT_GE(suites.size(), 3u);
     double search_total = 0;
-    std::uint64_t resplits = 0;
     for (const auto& suite : suites) {
         EXPECT_GE(suite.scheduler.queue_wait_seconds, 0.0);
         EXPECT_LE(suite.scheduler.queue_wait_seconds, wall * 1.05);
         EXPECT_LE(suite.seconds, wall * 1.05) << suite.axiom;
+        EXPECT_GE(suite.scheduler.jobs_run, synth::kMinShardsPerPass)
+            << suite.axiom;
         search_total += suite.seconds;
-        resplits += suite.scheduler.lazy_resplits;
     }
-    EXPECT_GT(resplits, 0u);
     // The old accounting made this sum ~axioms x the wall clock (pass i's
     // watch ran from submission, so its seconds spanned passes 0..i). With
-    // one worker and in-job submissions at the front of the queue, each
-    // pass drains before the next one starts, so the per-pass windows
+    // one worker and each pass's jobs queued in pass order, each pass
+    // drains before the next one starts, so the per-pass windows
     // partition the wall.
     EXPECT_LE(search_total, wall * 1.05);
     // The last-submitted pass necessarily queued behind the earlier ones
@@ -605,6 +539,82 @@ TEST(AdaptiveSharding, SharedPoolSweepMatchesSerialDriver)
         EXPECT_EQ(serial[i].axiom, shared[i].axiom);
         EXPECT_EQ(suite_fingerprint(serial[i]), suite_fingerprint(shared[i]))
             << serial[i].axiom;
+    }
+}
+
+/// Jobs run by a synthesis call: every pass's count, once each.
+std::uint64_t
+total_jobs_run(const std::vector<synth::SuiteResult>& suites)
+{
+    std::uint64_t jobs = 0;
+    for (const synth::SuiteResult& suite : suites) {
+        jobs += suite.scheduler.jobs_run;
+    }
+    return jobs;
+}
+
+/// suite_fingerprint over every suite of a call, with axiom names.
+std::string
+call_fingerprint(const std::vector<synth::SuiteResult>& suites)
+{
+    std::string fp;
+    for (const synth::SuiteResult& suite : suites) {
+        fp += "== " + suite.axiom + '\n' + suite_fingerprint(suite);
+    }
+    return fp;
+}
+
+TEST(Sharding, DefaultJobTreeIsAFunctionOfTheOptions)
+{
+    // The default depth is a pure function of each pass's skeleton
+    // options, never of the worker count: the job list — jobs_run, and
+    // with it every checkpoint task id — is the same at every jobs value
+    // and equals the list of the fixed depth the rule picks, and the
+    // suites equal those of every fixed depth.
+    for (const std::string name : {"x86t_elt", "x86tso.mtm"}) {
+        std::string error;
+        const std::optional<spec::ResolvedModel> resolved =
+            spec::resolve_model(name, &error);
+        ASSERT_TRUE(resolved.has_value()) << error;
+        const mtm::Model& model = resolved->model;
+        const mtm::AxiomMask every =
+            (mtm::AxiomMask{1} << model.axioms().size()) - 1;
+        for (const synth::Backend backend :
+             {synth::Backend::kEnumerative, synth::Backend::kSat}) {
+            const std::string label =
+                name + (backend == synth::Backend::kSat ? " sat" : " enum");
+            synth::SynthesisOptions opt = suite_options(5, 1, backend);
+            opt.min_bound = model.vm_aware() ? 4 : 2;
+            const auto reference = synth::synthesize_all_parallel(model, opt);
+            const std::string fp = call_fingerprint(reference);
+            const std::uint64_t jobs_run = total_jobs_run(reference);
+            EXPECT_GT(jobs_run, 0u) << label;
+            for (const int jobs : {2, 4}) {
+                synth::SynthesisOptions parallel = opt;
+                parallel.jobs = jobs;
+                const auto suites =
+                    synth::synthesize_all_parallel(model, parallel);
+                EXPECT_EQ(total_jobs_run(suites), jobs_run)
+                    << label << " jobs=" << jobs;
+                EXPECT_EQ(call_fingerprint(suites), fp)
+                    << label << " jobs=" << jobs;
+            }
+            synth::SynthesisOptions picked = opt;
+            picked.shard_depth = synth::pass_shard_depth(model, every, opt);
+            EXPECT_EQ(total_jobs_run(
+                          synth::synthesize_all_parallel(model, picked)),
+                      jobs_run)
+                << label << " depth=" << picked.shard_depth;
+            for (int depth = 1; depth <= 5; ++depth) {
+                synth::SynthesisOptions fixed = opt;
+                fixed.jobs = 2;
+                fixed.shard_depth = depth;
+                EXPECT_EQ(call_fingerprint(
+                              synth::synthesize_all_parallel(model, fixed)),
+                          fp)
+                    << label << " depth=" << depth;
+            }
+        }
     }
 }
 

@@ -217,8 +217,9 @@ TEST(Skeleton, ShardsConcatenateToFullEnumeration)
     }
 }
 
-/// The contract adaptive re-splitting depends on: a shard's children, in
-/// list order, replay exactly the parent's program stream.
+/// The contract partition_skeletons_at_depth builds on, level by level: a
+/// shard's children, in list order, replay exactly the parent's program
+/// stream.
 TEST(Skeleton, SplitShardChildrenConcatenateToParent)
 {
     SkeletonOptions opt;
@@ -245,8 +246,8 @@ TEST(Skeleton, SplitShardChildrenConcatenateToParent)
 
 /// Closed-prefix splitting: a shard whose prefix closed thread 0 splits on
 /// thread 1+ decisions, and its children in list order replay the parent's
-/// program stream exactly — the property that lets deep adaptive re-splits
-/// keep subdividing a heavy one-slot-first-thread subtree instead of
+/// program stream exactly — the property that lets deep partitions keep
+/// subdividing a heavy one-slot-first-thread subtree instead of
 /// dead-ending.
 TEST(Skeleton, SplitShardClosedPrefixChildrenReplayParentStream)
 {
@@ -325,18 +326,6 @@ TEST(Skeleton, RecursiveSplitLeavesConcatenateToFullEnumeration)
     EXPECT_GT(max_depth, opt.num_events + 1);
 }
 
-TEST(Skeleton, CountSkeletonsProbeStopsAtLimit)
-{
-    SkeletonOptions opt;
-    opt.num_events = 5;
-    const SkeletonShard whole{opt, {}};
-    const std::uint64_t total =
-        count_skeletons(whole, std::uint64_t{1} << 32);
-    EXPECT_GT(total, 10u);
-    EXPECT_EQ(count_skeletons(whole, 10), 10u);
-    EXPECT_EQ(count_skeletons(whole, total + 100), total);
-}
-
 TEST(Skeleton, ShardVisitStopsEarly)
 {
     SkeletonOptions opt;
@@ -353,139 +342,6 @@ TEST(Skeleton, ShardVisitStopsEarly)
         EXPECT_FALSE(completed) << "depth=" << depth;
         EXPECT_EQ(count, 1) << "depth=" << depth;
     }
-}
-
-TEST(Skeleton, SearchSkeletonsSkipDropsALeadingPrefix)
-{
-    SkeletonOptions opt;
-    opt.num_events = 5;
-    const SkeletonShard whole{opt, {}};
-    std::vector<std::string> full;
-    for_each_skeleton(whole, [&](const Program& p) {
-        full.push_back(elt::program_to_string(p));
-        return true;
-    });
-    for (const std::uint64_t skip : {std::uint64_t{0}, std::uint64_t{1},
-                                     std::uint64_t{17},
-                                     static_cast<std::uint64_t>(
-                                         full.size())}) {
-        std::vector<std::string> rest;
-        const ShardSearchStop stop = search_skeletons(
-            whole, skip, /*limit=*/0, [&](const Program& p) {
-                rest.push_back(elt::program_to_string(p));
-                return true;
-            });
-        EXPECT_FALSE(stop.hit_limit);
-        EXPECT_FALSE(stop.visitor_stopped);
-        EXPECT_EQ(stop.visited, full.size() - skip);
-        EXPECT_EQ(rest,
-                  std::vector<std::string>(full.begin() +
-                                               static_cast<long>(skip),
-                                           full.end()));
-    }
-}
-
-TEST(Skeleton, SearchSkeletonsLimitReportsAResumePoint)
-{
-    SkeletonOptions opt;
-    opt.num_events = 5;
-    const SkeletonShard whole{opt, {}};
-    std::vector<std::string> full;
-    for_each_skeleton(whole, [&](const Program& p) {
-        full.push_back(elt::program_to_string(p));
-        return true;
-    });
-    ASSERT_GT(full.size(), 40u);
-    std::vector<std::string> seen;
-    const ShardSearchStop stop =
-        search_skeletons(whole, /*skip=*/0, /*limit=*/40,
-                         [&](const Program& p) {
-                             seen.push_back(elt::program_to_string(p));
-                             return true;
-                         });
-    EXPECT_TRUE(stop.hit_limit);
-    EXPECT_FALSE(stop.visitor_stopped);
-    EXPECT_EQ(stop.visited, 40u);
-    EXPECT_EQ(seen, std::vector<std::string>(full.begin(),
-                                             full.begin() + 40));
-    // Resuming from the reported child (with its skip) and then visiting
-    // the later children replays exactly the unvisited remainder — the
-    // engine's lazy-resplit resubmission in miniature.
-    const auto children = split_shard(whole);
-    std::size_t boundary = children.size();
-    for (std::size_t i = 0; i < children.size(); ++i) {
-        if (children[i].prefix.back() == stop.resume_decision) {
-            boundary = i;
-            break;
-        }
-    }
-    ASSERT_LT(boundary, children.size());
-    std::vector<std::string> remainder;
-    const auto collect = [&](const Program& p) {
-        remainder.push_back(elt::program_to_string(p));
-        return true;
-    };
-    for (std::size_t i = boundary; i < children.size(); ++i) {
-        const ShardSearchStop child_stop = search_skeletons(
-            children[i], i == boundary ? stop.resume_skip : 0,
-            /*limit=*/0, collect);
-        EXPECT_FALSE(child_stop.hit_limit);
-    }
-    EXPECT_EQ(remainder,
-              std::vector<std::string>(full.begin() + 40, full.end()));
-}
-
-TEST(Skeleton, SearchSkeletonsLimitInsideAClosedPrefixShard)
-{
-    // The same resume contract must hold when the bounded pass runs inside
-    // a shard that already closed thread 0 (children constrain thread 1).
-    SkeletonOptions opt;
-    opt.num_events = 5;
-    std::vector<SkeletonShard> closed_with_work;
-    const std::function<void(const SkeletonShard&)> gather =
-        [&](const SkeletonShard& shard) {
-            if (!shard.prefix.empty() &&
-                shard.prefix.back() == kCloseThread &&
-                !split_shard(shard).empty() &&
-                count_skeletons(shard, 30) > 20) {
-                closed_with_work.push_back(shard);
-                return;
-            }
-            for (const SkeletonShard& child : split_shard(shard)) {
-                gather(child);
-            }
-        };
-    gather({opt, {}});
-    ASSERT_FALSE(closed_with_work.empty());
-    const SkeletonShard& shard = closed_with_work.front();
-    std::vector<std::string> full;
-    for_each_skeleton(shard, [&](const Program& p) {
-        full.push_back(elt::program_to_string(p));
-        return true;
-    });
-    std::vector<std::string> replay;
-    const auto collect = [&](const Program& p) {
-        replay.push_back(elt::program_to_string(p));
-        return true;
-    };
-    const ShardSearchStop stop =
-        search_skeletons(shard, /*skip=*/0, /*limit=*/20, collect);
-    ASSERT_TRUE(stop.hit_limit);
-    const auto children = split_shard(shard);
-    ASSERT_FALSE(children.empty());
-    std::size_t boundary = children.size();
-    for (std::size_t i = 0; i < children.size(); ++i) {
-        if (children[i].prefix.back() == stop.resume_decision) {
-            boundary = i;
-            break;
-        }
-    }
-    ASSERT_LT(boundary, children.size());
-    for (std::size_t i = boundary; i < children.size(); ++i) {
-        search_skeletons(children[i], i == boundary ? stop.resume_skip : 0,
-                         /*limit=*/0, collect);
-    }
-    EXPECT_EQ(replay, full);
 }
 
 TEST(Skeleton, DirtyBitAsRmwAblationAddsRdb)

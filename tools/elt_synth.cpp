@@ -33,12 +33,10 @@
 ///                     or re-encode every candidate from scratch (off).
 ///                     The suite is byte-identical either way.
 ///   --jobs N          scheduler workers (0 = one per hardware thread)
-///   --shard-depth D   auto (default: lazy adaptive re-splitting) | fixed
-///                     prefix depth 1..32; the suite is identical either way
-///   --resplit-threshold auto|N
-///                     adaptive mode: abandon-and-split a shard after N
-///                     visited candidates (auto = cost model from the
-///                     bound/VM/dirty-bit mix)
+///   --shard-depth D   auto (default: the smallest skeleton-prefix depth
+///                     that splits the largest bound into >= 512 shards) |
+///                     fixed depth 1..32; one job per shard, and the suite
+///                     is identical either way
 ///   --progress        stderr heartbeat every ~2s while the search runs:
 ///                     shards done/submitted, candidates visited (with an
 ///                     instantaneous candidates/sec rate), pre-merge tests
@@ -50,15 +48,15 @@
 ///                     print the per-pass breakdown to stderr; also
 ///                     carried in --metrics-json reports
 ///   --stats           print scheduler counters per pass plus an
-///                     all-axiom aggregate (jobs, steals, lazy re-splits,
-///                     closed-prefix splits, skip re-enumerations, dedup
-///                     hits, queue wait); under --backend sat also the
-///                     per-pass SAT solver counters (solves, decisions,
-///                     propagations, conflicts, ..., plus the incremental
-///                     session's assumed literals, retired activation
-///                     guards, and retained learned clauses)
-///   --trace FILE      record shard jobs, suites, and re-split lineage as
-///                     spans and write a Chrome trace-event JSON file
+///                     all-axiom aggregate (jobs, steals, dedup hits, queue
+///                     wait); under --backend sat also the per-pass SAT
+///                     solver counters (solves, decisions, propagations,
+///                     conflicts, ..., plus the incremental session's
+///                     assumed literals, retired activation guards, and
+///                     retained learned clauses); then the process's peak
+///                     resident set size
+///   --trace FILE      record shard jobs and suites as spans and write a
+///                     Chrome trace-event JSON file
 ///                     (open in Perfetto or chrome://tracing); see
 ///                     docs/observability.md
 ///   --metrics-json FILE
@@ -71,9 +69,9 @@
 ///   --list-models     list every resolvable --model name and exit
 ///
 /// Robustness (docs/robustness.md):
-///   --checkpoint FILE journal every completed shard task (atomic header,
-///                     fsync'ed checksummed records) so an interrupted run
-///                     can resume
+///   --checkpoint FILE journal every completed shard task that visited a
+///                     candidate (atomic header, fsync'ed checksummed
+///                     records) so an interrupted run can resume
 ///   --resume          with --checkpoint: replay the journal's shards
 ///                     instead of re-searching them (refused when the
 ///                     journal's run configuration differs); the resumed
@@ -149,8 +147,7 @@ struct Args {
     std::string backend = "enum";
     bool sat_incremental = true;
     int jobs = 1;
-    int shard_depth = 0;                  // 0 = adaptive
-    std::uint64_t resplit_threshold = 0;  // 0 = cost model
+    int shard_depth = 0;  // 0 = the static rule (synth::pass_shard_depth)
     bool stats = false;
     bool progress = false;
     bool alloc_stats = false;
@@ -179,14 +176,10 @@ print_stats(const std::string& scope, const sched::SchedulerStats& s)
     std::fprintf(
         stderr,
         "[%s] scheduler: %d workers, %llu jobs, %llu steals, "
-        "%llu lazy re-splits (%llu closed-prefix), "
-        "%llu skip re-enumerations, %llu dedup hits, %.3fs queue wait\n",
+        "%llu dedup hits, %.3fs queue wait\n",
         scope.c_str(), s.workers,
         static_cast<unsigned long long>(s.jobs_run),
         static_cast<unsigned long long>(s.steals),
-        static_cast<unsigned long long>(s.lazy_resplits),
-        static_cast<unsigned long long>(s.closed_prefix_splits),
-        static_cast<unsigned long long>(s.skip_enumerations),
         static_cast<unsigned long long>(s.dedup_hits),
         s.queue_wait_seconds);
     if (s.shard_retries + s.shards_quarantined + s.checkpoint_shards_saved +
@@ -279,7 +272,6 @@ synthesis_options(const mtm::Model& model, const Args& args,
     options.sat_incremental = args.sat_incremental;
     options.jobs = args.jobs;
     options.shard_depth = args.shard_depth;
-    options.resplit_threshold = args.resplit_threshold;
     options.collect_metrics = collect_metrics;
     // Allocation attribution rides with --alloc-stats and (so the report
     // carries real alloc data) with --metrics-json.
@@ -311,8 +303,8 @@ progress_printer(std::string scope)
                    : 0.0;
         last->candidates = p.candidates;
         last->seconds = p.seconds;
-        // ETA from the shard completion ratio — rough by design:
-        // shards_submitted grows as lazy re-splits fire.
+        // ETA from the shard completion ratio — rough by design: shards
+        // differ in cost by orders of magnitude.
         char eta[32] = "?";
         if (p.shards_done > 0 && p.shards_submitted > p.shards_done) {
             std::snprintf(eta, sizeof eta, "~%.1fs",
@@ -493,19 +485,6 @@ main(int argc, char** argv)
                 return usage_error(flag, "'auto' or a fixed depth in 1..32",
                                    depth);
             }
-        } else if (flag == "--resplit-threshold") {
-            const std::string threshold = value();
-            if (threshold == "auto") {
-                args.resplit_threshold = 0;
-            } else if (parse_int(threshold, 1,
-                                 std::int64_t{1} << 32, &parsed)) {
-                args.resplit_threshold =
-                    static_cast<std::uint64_t>(parsed);
-            } else {
-                return usage_error(
-                    flag, "'auto' or a candidate count in 1..2^32",
-                    threshold);
-            }
         } else if (flag == "--checkpoint") {
             args.checkpoint_path = value();
             if (args.checkpoint_path.empty()) {
@@ -624,9 +603,10 @@ main(int argc, char** argv)
     // still merged, printed, and (if journaling) resumable.
     const util::CancelToken cancel = util::install_signal_cancel();
     // Checkpoint journal: the fingerprint covers everything that shapes
-    // the shard task tree or the suites. --jobs and --sat-incremental are
-    // deliberately absent — the suite and the task tree are byte-identical
-    // across them (the determinism contract), so a resume may change them.
+    // the shard task list or the suites. --jobs and --sat-incremental are
+    // deliberately absent — the suite and the task list are the same
+    // across them (the determinism contract; the default shard depth
+    // ignores --jobs), so a resume may change them.
     std::unique_ptr<synth::CheckpointJournal> journal;
     if (!args.checkpoint_path.empty()) {
         const std::string fingerprint =
@@ -634,8 +614,7 @@ main(int argc, char** argv)
             " threads=" + std::to_string(args.threads) +
             " vas=" + std::to_string(args.vas) +
             " backend=" + args.backend +
-            " shard-depth=" + std::to_string(args.shard_depth) +
-            " resplit-threshold=" + std::to_string(args.resplit_threshold);
+            " shard-depth=" + std::to_string(args.shard_depth);
         std::string journal_error;
         journal = args.resume
                       ? synth::CheckpointJournal::resume(
@@ -718,6 +697,13 @@ main(int argc, char** argv)
         if (args.alloc_stats) {
             print_alloc_stats(scope, aggregate.allocs);
         }
+    }
+    if (args.stats) {
+        const std::uint64_t rss = obs::peak_rss_bytes();
+        std::fprintf(stderr, "[%s] peak RSS: %.1f MB (%llu bytes)\n",
+                     model.name().c_str(),
+                     static_cast<double>(rss) / (1024.0 * 1024.0),
+                     static_cast<unsigned long long>(rss));
     }
     if (trace) {
         std::string error;
