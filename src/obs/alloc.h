@@ -49,7 +49,7 @@ std::uint64_t alloc_count();
 /// untagged.
 enum class AllocSite : int {
     kSiteOther = 0,       ///< no ScopedAllocSite active
-    kSiteCanonicalKey,    ///< canonical-key strings crossing the dedup index
+    kSiteCanonicalKey,    ///< canonical keys of accepted candidates
     kSiteSuiteGrowth,     ///< suite-result/test accumulation
     kSiteBlockingClause,  ///< AllSAT blocking-clause construction
     kSiteJudgeVerdict,    ///< minimality judge verdict-side allocations

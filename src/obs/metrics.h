@@ -27,17 +27,21 @@ class AllocTracker;  // obs/alloc.h
 /// The phase taxonomy. Fixed and versioned with the metrics-JSON schema
 /// (obs/report.h): every nanosecond a shard job spends is attributed to
 /// exactly one phase, so per-phase seconds sum to shard-job wall time.
+/// kDedup and kQueueWait are the two phases outside shard jobs: the
+/// engine adds them on lane 0 once a pass's workers are idle.
 enum class Phase : int {
     kSkeletonEnum = 0,  ///< skeleton/execution enumeration + shard framing
                         ///  (a shard job's wall time not claimed below)
     kSatEncode,         ///< SAT backend: building the relational encoding
     kSatSolve,          ///< SAT backend: time inside sat::Solver::solve
     kDerive,            ///< Table-I relation derivation + axiom verdicts
-    kCanonicalize,      ///< canonical-key construction (dedup gate input)
+    kCanonicalize,      ///< canonical key of each candidate that accepted
+                        ///  a witness (the merge deduplicates on it)
     kJudge,             ///< spanning-set minimality judging (verdict side)
     kRelax,             ///< relaxation rebuilds inside the judge (one
                         ///  relaxed execution per applicable relaxation)
-    kDedup,             ///< sharded canonical-key index lookups
+    kDedup,             ///< the merge's sort-and-drop of each target's
+                        ///  accepted tests: one sample per target
     kQueueWait,         ///< wall time queued on a shared pool before the
                         ///  suite's first job ran
 };

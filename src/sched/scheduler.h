@@ -34,7 +34,9 @@ struct SchedulerStats {
     /// Jobs that ran on a different worker than the job that submitted
     /// them (jobs submitted from outside the pool never count).
     std::uint64_t steals = 0;
-    std::uint64_t dedup_hits = 0;    ///< duplicate keys seen by the index
+    /// Distinct candidates whose accepted tests the engine's merge dropped
+    /// as isomorphic to an earlier candidate's.
+    std::uint64_t dedup_hits = 0;
     /// Wall time a suite's jobs spent queued on a shared pool before the
     /// first one ran (its deadline armed); excluded from
     /// SuiteResult::seconds (engine).

@@ -1,18 +1,16 @@
 /// \file
-/// Sharded concurrent canonical-key index — the deduplication point of the
-/// parallel synthesis runtime (see DESIGN.md, "Parallel synthesis
-/// runtime"). A single mutex around the sequential engine's `std::set`
-/// would serialize every worker on every candidate program; this index
-/// stripes the key space over N independently-locked hash maps so
-/// concurrent record() calls only contend when their keys hash to the same
-/// stripe.
+/// Sharded concurrent canonical-key index — formerly the deduplication
+/// point of the parallel synthesis runtime. The engine no longer uses it:
+/// it canonicalizes only accepted candidates and deduplicates at the merge
+/// (DESIGN.md, "Deduplication at the merge"). The class stays because the
+/// benchmark's replay program (perfbench/src/replay.cpp) still links
+/// against it; ROADMAP item 1 deletes both together.
 ///
-/// Each key stores the minimum *ticket* (global enumeration position) seen
-/// so far. Workers use the returned claim to decide whether to evaluate a
-/// candidate (only the current-minimum holder does), and the engine's merge
-/// step keeps, per key, exactly the test whose ticket equals the final
-/// minimum — which makes the merged suite independent of scheduling order
-/// (the determinism contract in DESIGN.md).
+/// The index stripes the key space over N independently-locked hash maps
+/// so concurrent record() calls only contend when their keys hash to the
+/// same stripe. Each key stores the minimum *ticket* (global enumeration
+/// position) seen so far; the returned claim says whether the caller holds
+/// the current minimum.
 #pragma once
 
 #include <cstdint>

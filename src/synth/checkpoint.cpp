@@ -18,9 +18,10 @@ namespace {
 /// v2: records are per pass, with one counter/test section per target
 /// axiom. v3: records lose the re-split resume point (split flag, visited
 /// count, resume decision and skip) and task ids their skip, since every
-/// task is one shard of a static partition. Journals of other versions are
-/// refused with a message naming the version.
-constexpr const char* kHeaderMagic = "transform-checkpoint v3";
+/// task is one shard of a static partition. v4: target sections lose their
+/// duplicate count, which the merge now computes from the tests. Journals
+/// of other versions are refused with a message naming the version.
+constexpr const char* kHeaderMagic = "transform-checkpoint v4";
 constexpr const char* kHeaderPrefix = "transform-checkpoint ";
 
 /// FNV-1a 64-bit over a byte string — the record payload checksum (and the
@@ -59,8 +60,8 @@ serialize_targets(
     std::ostringstream out;
     for (const CheckpointJournal::TargetRecord& target : targets) {
         out << "target " << target.programs << ' ' << target.executions
-            << ' ' << target.duplicates << ' ' << target.tests.size() << ' '
-            << target.axiom.size() << '\n'
+            << ' ' << target.tests.size() << ' ' << target.axiom.size()
+            << '\n'
             << target.axiom << '\n';
         for (const auto& [test, ticket] : target.tests) {
             const std::string xml = elt::execution_to_xml(test.witness);
@@ -145,7 +146,7 @@ parse_targets(const std::string& payload,
         CheckpointJournal::TargetRecord target;
         std::size_t n_tests = 0, name_len = 0;
         if (!(head >> tag >> target.programs >> target.executions >>
-              target.duplicates >> n_tests >> name_len) ||
+              n_tests >> name_len) ||
             tag != "target") {
             return false;
         }

@@ -42,7 +42,6 @@ class CheckpointJournal {
         std::string axiom;
         std::uint64_t programs = 0;
         std::uint64_t executions = 0;
-        std::uint64_t duplicates = 0;
         std::vector<std::pair<SynthesizedTest, std::uint64_t>> tests;
     };
 

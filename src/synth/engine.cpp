@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/scheduler.h"
-#include "sched/sharded_index.h"
 #include "synth/canonical.h"
 #include "synth/checkpoint.h"
 #include "synth/exec_enum.h"
@@ -361,7 +360,6 @@ struct PassTarget {
     mtm::AxiomMask bit = 0;  ///< the axiom's bit in the model's masks
     std::atomic<std::uint64_t> programs{0};
     std::atomic<std::uint64_t> executions{0};
-    std::atomic<std::uint64_t> duplicates{0};
     /// Accepted tests with their merge tickets (guarded by PassRun::mu).
     std::vector<std::pair<SynthesizedTest, std::uint64_t>> merged;
 };
@@ -438,7 +436,6 @@ struct PassRun {
     util::Stopwatch watch;
     std::once_flag deadline_armed;
     util::Deadline deadline;  ///< access via armed_deadline() from jobs
-    sched::ShardedKeyIndex index;
     sched::ThreadPool::GroupHandle group;
 
     /// Candidates visited, eligible for a target or not (the progress
@@ -499,12 +496,12 @@ struct PassRun {
 /// enumerated again, at no cost.
 ///
 /// Every candidate of the pass's stream takes a ticket; one eligible for
-/// no target is skipped without canonicalization. An eligible one counts
-/// toward each eligible target's suite, claims its key in the pass's one
-/// dedup index (eligibility is invariant under canonical_key's symmetries,
-/// so every candidate sharing a key is eligible for the same targets, and
-/// the key's minimum ticket is also the minimum of every eligible target's
-/// subsequence), and runs one fused witness search for all its targets.
+/// no target is skipped. An eligible one counts toward each eligible
+/// target's suite and runs one fused witness search for all its targets.
+/// Only a candidate that accepted a witness is canonicalized: its key rides
+/// on its tests to the merge, which deduplicates (finish_pass). Nothing
+/// here depends on another shard's results, so a shard's record is a pure
+/// function of the shard.
 std::uint64_t
 search_shard(PassRun* run, const ShardTask& task, int worker,
              std::uint64_t task_id)
@@ -545,33 +542,6 @@ search_shard(PassRun* run, const ShardTask& task, int worker,
         for (std::size_t k = 0; k < found.size(); ++k) {
             found[k].programs += (eligible & run->targets[k].bit) != 0;
         }
-        std::string key;
-        if (options.dedup) {
-            // Claim the key. Only the holder of the minimum ticket
-            // evaluates: any earlier candidate with this key is isomorphic
-            // and receives the same verdict, so its owner's result (or
-            // rejection) stands for ours.
-            {
-                const obs::ScopedPhase phase(metrics, worker,
-                                             obs::Phase::kCanonicalize);
-                const obs::ScopedAllocSite site(
-                    obs::AllocSite::kSiteCanonicalKey);
-                key = canonical_key(program, &scratch.canonical);
-            }
-            bool is_min = false;
-            {
-                const obs::ScopedPhase phase(metrics, worker,
-                                             obs::Phase::kDedup);
-                is_min = run->index.record(key, ticket).is_min;
-            }
-            if (!is_min) {
-                for (std::size_t k = 0; k < found.size(); ++k) {
-                    found[k].duplicates +=
-                        (eligible & run->targets[k].bit) != 0;
-                }
-                return true;
-            }
-        }
         scratch.fault_key = ticket;
         const std::uint64_t considered = find_witnesses(
             model, eligible, run->targets.front().axiom, options, program,
@@ -594,14 +564,23 @@ search_shard(PassRun* run, const ShardTask& task, int worker,
         if (timed_out || cancelled) {
             return false;
         }
+        if (scratch.accepted.empty()) {
+            return true;
+        }
+        std::string key;
+        {
+            const obs::ScopedPhase phase(metrics, worker,
+                                         obs::Phase::kCanonicalize);
+            const obs::ScopedAllocSite site(
+                obs::AllocSite::kSiteCanonicalKey);
+            key = canonical_key(program, &scratch.canonical);
+        }
         for (const AcceptedWitness& accepted : scratch.accepted) {
             const obs::ScopedAllocSite site(
                 obs::AllocSite::kSiteSuiteGrowth);
             SynthesizedTest test;
             test.witness = accepted.witness;
-            test.canonical_key =
-                options.dedup ? key : canonical_key(program,
-                                                    &scratch.canonical);
+            test.canonical_key = key;
             test.size = program.num_events();
             test.violated = model.mask_names(accepted.violated);
             for (std::size_t k = 0; k < found.size(); ++k) {
@@ -619,8 +598,6 @@ search_shard(PassRun* run, const ShardTask& task, int worker,
         target.programs.fetch_add(found[k].programs,
                                   std::memory_order_relaxed);
         target.executions.fetch_add(found[k].executions,
-                                    std::memory_order_relaxed);
-        target.duplicates.fetch_add(found[k].duplicates,
                                     std::memory_order_relaxed);
         tests_found += found[k].tests.size();
     }
@@ -676,8 +653,7 @@ describe_task(const PassRun& run, const ShardTask& task)
 /// counter bumped — or quarantines it into SuiteResult::failures once the
 /// retry budget is spent. Safe to re-run the task: the throw left no
 /// partial results (tests and counters flush only when a search pass
-/// completes), and the dedup index records the aborted pass made are
-/// idempotent under the retry's equal tickets, so a retried shard's
+/// completes, and nothing else is shared), so a retried shard's
 /// contribution is byte-identical to a fault-free run's.
 void
 recover_and_reschedule(PassRun* raw, sched::ThreadPool* pool_ptr,
@@ -727,13 +703,11 @@ recover_and_reschedule(PassRun* raw, sched::ThreadPool* pool_ptr,
 }
 
 /// Replays a journaled shard task instead of re-searching it: each target's
-/// counters and tests come from the record, and the tests' tickets are
-/// re-recorded in the dedup index. Suite byte-identity holds even when only
-/// some tasks replay: a kept test's min ticket is in the journal, and a
-/// rejected candidate's absence from the index only ever promotes an
-/// isomorphic candidate that receives the same rejection. (Counters like
-/// dedup_hits can differ in such mixed runs — they are diagnostics; at
-/// jobs=1 full replays reproduce them exactly.)
+/// counters and accepted tests, with their tickets, come from the record.
+/// A shard's record is a pure function of the shard, so the merge sees the
+/// same tests and counters whether some, all or none of the tasks replay:
+/// the suite and every counter, the merge's duplicate counts included, are
+/// those of an uninterrupted run.
 void
 replay_shard_record(PassRun* raw, const CheckpointJournal::ShardRecord& rec)
 {
@@ -749,11 +723,6 @@ replay_shard_record(PassRun* raw, const CheckpointJournal::ShardRecord& rec)
                                    std::memory_order_relaxed);
         target->executions.fetch_add(journaled.executions,
                                      std::memory_order_relaxed);
-        target->duplicates.fetch_add(journaled.duplicates,
-                                     std::memory_order_relaxed);
-        for (const auto& [test, ticket] : journaled.tests) {
-            raw->index.record(test.canonical_key, ticket);
-        }
         if (!journaled.tests.empty()) {
             raw->tests_found.fetch_add(journaled.tests.size(),
                                        std::memory_order_relaxed);
@@ -964,15 +933,59 @@ launch_pass(sched::ThreadPool& pool, const mtm::Model& model,
     return run;
 }
 
+/// The merge of one target's accepted tests: sorts them by (canonical key,
+/// ticket) and, when \p dedup is on, keeps the first test of each key —
+/// the one whose candidate comes earliest in the sequential enumeration
+/// order. Isomorphic programs get the same verdict, so that candidate is
+/// also the earliest of its key among every candidate, accepted or not,
+/// and the kept test does not depend on the worker count, the shard depth
+/// or which shards were replayed. Appends each dropped test's ticket to
+/// \p dropped and returns how many it dropped.
+std::uint64_t
+sort_and_dedup(std::vector<std::pair<SynthesizedTest, std::uint64_t>>* tests,
+               bool dedup, std::vector<std::uint64_t>* dropped)
+{
+    std::sort(tests->begin(), tests->end(),
+              [](const auto& a, const auto& b) {
+                  return std::tie(a.first.canonical_key, a.second) <
+                         std::tie(b.first.canonical_key, b.second);
+              });
+    if (!dedup) {
+        return 0;
+    }
+    const auto same_key = [](const auto& a, const auto& b) {
+        return a.first.canonical_key == b.first.canonical_key;
+    };
+    for (std::size_t i = 1; i < tests->size(); ++i) {
+        if (same_key((*tests)[i - 1], (*tests)[i])) {
+            dropped->push_back((*tests)[i].second);
+        }
+    }
+    const auto kept = std::unique(tests->begin(), tests->end(), same_key);
+    const auto count = static_cast<std::uint64_t>(tests->end() - kept);
+    tests->erase(kept, tests->end());
+    return count;
+}
+
 /// Merges a completed PassRun (its group must have been waited) into one
-/// SuiteResult per target, in axiom order. All workers have recorded all
-/// their candidates, so the per-key minimum ticket is now a pure function
-/// of the options; keeping exactly the test whose ticket equals it
-/// resolves every cross-shard race toward the sequential-enumeration-order
-/// winner. The pass's shared counters go on its first suite only.
+/// SuiteResult per target, in axiom order: each target's accepted tests go
+/// through sort_and_dedup. SchedulerStats::dedup_hits counts the distinct
+/// candidates whose tests the merge dropped. The pass's shared counters go
+/// on its first suite only.
 std::vector<SuiteResult>
 finish_pass(sched::ThreadPool& pool, PassRun& run)
 {
+    // The merge runs first so that its time, one kDedup sample per target
+    // on lane 0 (every worker quiesced when the group was waited), lands in
+    // the phase totals below.
+    std::vector<std::uint64_t> duplicates(run.targets.size());
+    std::vector<std::uint64_t> dropped;
+    for (std::size_t k = 0; k < run.targets.size(); ++k) {
+        const obs::ScopedPhase phase(run.metrics.get(), 0,
+                                     obs::Phase::kDedup);
+        duplicates[k] = sort_and_dedup(&run.targets[k].merged,
+                                       run.options.dedup, &dropped);
+    }
     SuiteResult shared;
     // Per-pass solver totals: the pass's solvers live in its private
     // worker_scratch, so summing their lifetime counters — reset() folds
@@ -1021,7 +1034,9 @@ finish_pass(sched::ThreadPool& pool, PassRun& run)
         }
     }
     shared.scheduler = pool.group_stats(run.group);
-    shared.scheduler.dedup_hits = run.index.hits();
+    std::sort(dropped.begin(), dropped.end());
+    shared.scheduler.dedup_hits = static_cast<std::uint64_t>(
+        std::unique(dropped.begin(), dropped.end()) - dropped.begin());
     shared.scheduler.queue_wait_seconds = run.queue_wait_seconds.load();
     shared.scheduler.shard_retries = run.shard_retries.load();
     shared.scheduler.shards_quarantined = run.shards_quarantined.load();
@@ -1038,34 +1053,21 @@ finish_pass(sched::ThreadPool& pool, PassRun& run)
 
     std::vector<SuiteResult> suites;
     suites.reserve(run.targets.size());
-    for (PassTarget& target : run.targets) {
+    for (std::size_t k = 0; k < run.targets.size(); ++k) {
+        PassTarget& target = run.targets[k];
         SuiteResult result =
             suites.empty() ? std::move(shared) : SuiteResult{};
         result.axiom = target.axiom;
         result.pass = run.name;
         result.programs_considered = target.programs.load();
         result.executions_considered = target.executions.load();
-        result.duplicates_rejected = target.duplicates.load();
+        result.duplicates_rejected = duplicates[k];
         result.seconds = seconds;
         result.cancelled = cancelled;
         result.complete = complete;
         result.failures = run.failures;  // group drained: no races
-
-        std::vector<std::pair<SynthesizedTest, std::uint64_t>> kept;
-        kept.reserve(target.merged.size());
+        result.tests.reserve(target.merged.size());
         for (auto& [test, ticket] : target.merged) {
-            if (!run.options.dedup ||
-                run.index.min_ticket(test.canonical_key) == ticket) {
-                kept.emplace_back(std::move(test), ticket);
-            }
-        }
-        std::sort(kept.begin(), kept.end(),
-                  [](const auto& a, const auto& b) {
-                      return std::tie(a.first.canonical_key, a.second) <
-                             std::tie(b.first.canonical_key, b.second);
-                  });
-        result.tests.reserve(kept.size());
-        for (auto& [test, ticket] : kept) {
             result.tests.push_back(std::move(test));
         }
         suites.push_back(std::move(result));

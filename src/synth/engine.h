@@ -23,10 +23,12 @@
 /// A pass runs on the parallel synthesis runtime (src/sched/): the
 /// (event-bound, skeleton-prefix) space is partitioned into independent
 /// shards, one thread pool with a single locked job queue searches them
-/// concurrently, and results are merged through one sharded canonical-key
-/// index per pass. The partition is static: one prefix depth per pass
-/// (pass_shard_depth), chosen from the pass's skeleton options alone, and
-/// each shard is one job that searches its whole shard (see
+/// concurrently, and each target's accepted tests are merged by one sort on
+/// (canonical key, ticket) that keeps the first test of each key. Only
+/// accepted candidates are canonicalized, so a run holds keys for its tests,
+/// not for its candidates. The partition is static: one prefix depth per
+/// pass (pass_shard_depth), chosen from the pass's skeleton options alone,
+/// and each shard is one job that searches its whole shard (see
 /// docs/scheduler.md, "Static sharding").
 ///
 /// Determinism contract: for a run that completes within its time budget,
@@ -102,7 +104,10 @@ struct SynthesisOptions {
     bool allow_full_flush = false;   ///< extension: INVLPGALL events
     bool dirty_bit_as_rmw = false;   ///< section III-A2 ablation
     bool require_minimal = true;     ///< spanning-set minimality pruning
-    bool dedup = true;               ///< canonical-program deduplication
+    /// Canonical-program deduplication at the merge: keep the earliest
+    /// candidate's test of each canonical key. Off keeps every accepted
+    /// test (the symmetry ablation); the search itself is the same.
+    bool dedup = true;
     /// Wall-time budget of each pass (one pass serves every target of an
     /// enumerative call); 0 = unlimited (the paper used one week).
     double time_budget_seconds = 0;
@@ -232,8 +237,10 @@ struct SynthesizedTest {
 ///
 /// The counters keep their per-axiom meaning whatever the pass's target
 /// set: programs_considered counts the candidates eligible for this axiom,
-/// duplicates_rejected the eligible duplicates, and executions_considered
-/// the executions visited before this axiom settled on each candidate.
+/// executions_considered the executions visited before this axiom settled
+/// on each candidate, and duplicates_rejected the accepted tests the merge
+/// dropped because an earlier candidate's test has the same canonical key.
+/// All three are the same at every worker count and shard depth.
 /// Work the pass shares between its targets — scheduler, solver, phases,
 /// allocs — is reported once, on the pass's first suite (the other suites
 /// of a multi-target pass carry zeros), so sums over suites count it once.

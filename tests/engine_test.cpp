@@ -4,6 +4,7 @@
 /// one-pass synthesis against the per-axiom reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <functional>
 #include <map>
@@ -232,8 +233,9 @@ TEST(Engine, EligibilityMatchesSkeletonPrunes)
 
 TEST(Engine, EligibilityIsInvariantUnderCanonicalKey)
 {
-    // One dedup index serves a whole pass only because every candidate
-    // sharing a canonical key is eligible for the same targets.
+    // One merge-time dedup serves every target of a pass only because
+    // every candidate sharing a canonical key is eligible for the same
+    // targets.
     for (const mtm::Model& model : {mtm::x86t_elt(), mtm::x86tso()}) {
         const int min_bound = model.vm_aware() ? 4 : 2;
         const int max_bound = model.vm_aware() ? 6 : 5;
@@ -260,8 +262,8 @@ TEST(Engine, EligibilityIsInvariantUnderCanonicalKey)
 
 /// One-pass synthesis against the per-axiom reference: every suite must
 /// match byte for byte, and the per-suite counters keep their per-axiom
-/// meaning (programs always; executions and duplicates depend on which
-/// duplicate is seen first, so they are compared at jobs 1).
+/// meaning at every worker count (every candidate is evaluated and the
+/// merge deduplicates, so no counter depends on scheduling).
 void
 expect_pass_matches_reference(const mtm::Model& model, int min_bound,
                               int bound)
@@ -289,14 +291,11 @@ expect_pass_matches_reference(const mtm::Model& model, int min_bound,
                     << label << " " << want.axiom;
                 EXPECT_EQ(got.programs_considered, want.programs_considered)
                     << label << " " << want.axiom;
-                if (jobs == 1) {
-                    EXPECT_EQ(got.executions_considered,
-                              want.executions_considered)
-                        << label << " " << want.axiom;
-                    EXPECT_EQ(got.duplicates_rejected,
-                              want.duplicates_rejected)
-                        << label << " " << want.axiom;
-                }
+                EXPECT_EQ(got.executions_considered,
+                          want.executions_considered)
+                    << label << " " << want.axiom;
+                EXPECT_EQ(got.duplicates_rejected, want.duplicates_rejected)
+                    << label << " " << want.axiom;
             }
             EXPECT_EQ(unique_test_count(pass), unique_test_count(reference))
                 << label;
@@ -346,6 +345,65 @@ TEST(Engine, PartialTargetSetsProjectTheSameSuites)
             EXPECT_EQ(suite.programs_considered, want.programs_considered)
                 << suite.pass << " / " << suite.axiom;
         }
+    }
+}
+
+TEST(Engine, MergeKeepsTheEarliestTestOfEachKey)
+{
+    // Deduplication happens at the merge. With it off, each target's suite
+    // holds every accepted test, sorted by canonical key and then by
+    // ticket (enumeration order); with it on, exactly the first test of
+    // each key, and duplicates_rejected counts the rest. The search is the
+    // same either way. Bound 6 is the first at which invlpg's suite has
+    // isomorphic tests.
+    const mtm::Model model = mtm::x86t_elt();
+    for (const int jobs : {1, 4}) {
+        SynthesisOptions on = small_options(4, 6);
+        on.jobs = jobs;
+        SynthesisOptions off = on;
+        off.dedup = false;
+        const std::vector<SuiteResult> deduped =
+            synthesize_all_parallel(model, on);
+        const std::vector<SuiteResult> every =
+            synthesize_all_parallel(model, off);
+        ASSERT_EQ(deduped.size(), every.size());
+        std::uint64_t dropped_sum = 0;
+        std::uint64_t dropped_max = 0;
+        for (std::size_t i = 0; i < every.size(); ++i) {
+            const std::string label =
+                every[i].axiom + " jobs=" + std::to_string(jobs);
+            SuiteResult first_of_each_key;
+            for (const SynthesizedTest& test : every[i].tests) {
+                if (first_of_each_key.tests.empty() ||
+                    first_of_each_key.tests.back().canonical_key !=
+                        test.canonical_key) {
+                    first_of_each_key.tests.push_back(test);
+                }
+            }
+            EXPECT_EQ(suite_fingerprint(deduped[i]),
+                      suite_fingerprint(first_of_each_key))
+                << label;
+            EXPECT_EQ(deduped[i].duplicates_rejected,
+                      every[i].tests.size() - deduped[i].tests.size())
+                << label;
+            EXPECT_EQ(every[i].duplicates_rejected, 0u) << label;
+            EXPECT_EQ(deduped[i].programs_considered,
+                      every[i].programs_considered)
+                << label;
+            EXPECT_EQ(deduped[i].executions_considered,
+                      every[i].executions_considered)
+                << label;
+            dropped_sum += deduped[i].duplicates_rejected;
+            dropped_max =
+                std::max(dropped_max, deduped[i].duplicates_rejected);
+        }
+        EXPECT_GT(dropped_max, 0u) << "jobs=" << jobs;
+        // dedup_hits counts distinct dropped candidates: a candidate
+        // dropped from several suites counts once.
+        const std::uint64_t hits = deduped.front().scheduler.dedup_hits;
+        EXPECT_GE(hits, dropped_max) << "jobs=" << jobs;
+        EXPECT_LE(hits, dropped_sum) << "jobs=" << jobs;
+        EXPECT_EQ(every.front().scheduler.dedup_hits, 0u) << "jobs=" << jobs;
     }
 }
 

@@ -612,16 +612,16 @@ TEST(Checkpoint, ResumeRefusesAMismatchedFingerprint)
 
 TEST(Checkpoint, ResumeRefusesAnOlderJournalFormatByName)
 {
-    const std::string path = temp_path("v2.journal");
+    const std::string path = temp_path("v3.journal");
     {
         std::ofstream old(path, std::ios::binary);
-        old << "transform-checkpoint v2\nfingerprint 3\nabc\n";
+        old << "transform-checkpoint v3\nfingerprint 3\nabc\n";
     }
     std::string error;
     auto resumed = synth::CheckpointJournal::resume(path, "abc", &error);
     EXPECT_EQ(resumed, nullptr);
-    EXPECT_NE(error.find("format v2"), std::string::npos) << error;
-    EXPECT_NE(error.find("v3"), std::string::npos) << error;
+    EXPECT_NE(error.find("format v3"), std::string::npos) << error;
+    EXPECT_NE(error.find("v4"), std::string::npos) << error;
     std::remove(path.c_str());
 }
 
@@ -662,7 +662,10 @@ TEST(Checkpoint, ResumeDropsATornTail)
 #if defined(__linux__)
 /// The acceptance test for crash safety: SIGKILL the process mid-run (via
 /// the kill-kind fault plan), then resume from the journal and get a
-/// byte-identical suite.
+/// byte-identical suite and the same counters. Bound 6 is the smallest at
+/// which the merge drops isomorphic tests (of `invlpg`), so the resumed
+/// merge must reproduce those drops from half-replayed, half-searched
+/// shards.
 TEST(Checkpoint, KillMidRunThenResumeIsByteIdentical)
 {
     const mtm::Model model = mtm::x86t_elt();
@@ -670,18 +673,24 @@ TEST(Checkpoint, KillMidRunThenResumeIsByteIdentical)
         const std::string path = temp_path("kill.journal");
         const std::string fingerprint = "fault_test kill v1";
         const std::string label = "targets=" + std::to_string(targets);
-        const std::string baseline = pass_fingerprint(
-            synth::synthesize_pass(model, targets, small_options(4, 4)));
+        const std::vector<synth::SuiteResult> uninterrupted =
+            synth::synthesize_pass(model, targets, small_options(4, 6));
+        const std::string baseline = pass_fingerprint(uninterrupted);
         ASSERT_FALSE(baseline.empty());
-        // Die at the boundary of the second shard that holds a candidate,
-        // so exactly one journaled shard finished before the kill (empty
+        std::uint64_t dropped = 0;
+        for (const synth::SuiteResult& suite : uninterrupted) {
+            dropped += suite.duplicates_rejected;
+        }
+        EXPECT_GT(dropped, 0u) << label;
+        // Die at the boundary of the middle shard that holds a candidate,
+        // so half of the journaled shards finished before the kill (empty
         // shards are not journaled).
         const std::vector<std::size_t> journaled =
-            non_empty_shards(model, targets, small_options(4, 4));
+            non_empty_shards(model, targets, small_options(4, 6));
         ASSERT_GE(journaled.size(), 2u) << label;
         const std::string kill_plan =
             "seed=1,site=shard_boundary,kind=kill,rate=1,after=" +
-            std::to_string(journaled[1]);
+            std::to_string(journaled[journaled.size() / 2]);
 
         const pid_t child = fork();
         ASSERT_GE(child, 0);
@@ -697,7 +706,7 @@ TEST(Checkpoint, KillMidRunThenResumeIsByteIdentical)
                 !util::FaultPlan::parse(kill_plan, &plan, &error)) {
                 _exit(10);
             }
-            synth::SynthesisOptions opt = small_options(4, 4);
+            synth::SynthesisOptions opt = small_options(4, 6);
             opt.jobs = 1;
             opt.checkpoint = journal.get();
             opt.fault_plan = &plan;
@@ -716,16 +725,31 @@ TEST(Checkpoint, KillMidRunThenResumeIsByteIdentical)
             synth::CheckpointJournal::resume(path, fingerprint, &error);
         ASSERT_NE(resumed, nullptr) << error;
         // The shards finished before the kill.
-        EXPECT_GE(resumed->loaded(), 1u) << label;
-        synth::SynthesisOptions opt = small_options(4, 4);
+        EXPECT_EQ(resumed->loaded(), journaled.size() / 2) << label;
+        synth::SynthesisOptions opt = small_options(4, 6);
         opt.jobs = 1;
         opt.checkpoint = resumed.get();
         const std::vector<synth::SuiteResult> suites =
             synth::synthesize_pass(model, targets, opt);
-        for (const synth::SuiteResult& suite : suites) {
-            EXPECT_TRUE(suite.complete) << label;
+        ASSERT_EQ(suites.size(), uninterrupted.size()) << label;
+        for (std::size_t i = 0; i < suites.size(); ++i) {
+            const synth::SuiteResult& want = uninterrupted[i];
+            EXPECT_TRUE(suites[i].complete) << label;
+            EXPECT_EQ(suites[i].tests.size(), want.tests.size())
+                << label << " " << want.axiom;
+            EXPECT_EQ(suites[i].duplicates_rejected, want.duplicates_rejected)
+                << label << " " << want.axiom;
+            EXPECT_EQ(suites[i].programs_considered, want.programs_considered)
+                << label << " " << want.axiom;
+            EXPECT_EQ(suites[i].executions_considered,
+                      want.executions_considered)
+                << label << " " << want.axiom;
         }
-        EXPECT_GT(suites.front().scheduler.checkpoint_shards_replayed, 0u)
+        EXPECT_EQ(suites.front().scheduler.checkpoint_shards_replayed,
+                  journaled.size() / 2)
+            << label;
+        EXPECT_EQ(suites.front().scheduler.dedup_hits,
+                  uninterrupted.front().scheduler.dedup_hits)
             << label;
         EXPECT_EQ(pass_fingerprint(suites), baseline) << label;
         std::remove(path.c_str());

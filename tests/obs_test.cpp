@@ -438,8 +438,15 @@ TEST(ObsEngine, CollectMetricsFillsPhaseTotals)
                   .total(),
               0u);
     EXPECT_GT(suite.phases.count(obs::Phase::kDerive), 0u);
-    EXPECT_GT(suite.phases.count(obs::Phase::kCanonicalize), 0u);
-    EXPECT_GT(suite.phases.count(obs::Phase::kDedup), 0u);
+    // Only accepted candidates are canonicalized: in a one-target pass
+    // each becomes one test, which the merge keeps or drops as a duplicate.
+    EXPECT_GT(suite.tests.size(), 0u);
+    EXPECT_EQ(suite.phases.count(obs::Phase::kCanonicalize),
+              suite.tests.size() + suite.duplicates_rejected);
+    EXPECT_LT(suite.phases.count(obs::Phase::kCanonicalize),
+              suite.programs_considered);
+    // The merge's sort-and-drop: one sample per target.
+    EXPECT_EQ(suite.phases.count(obs::Phase::kDedup), 1u);
     // Enumerative backend: no SAT phases, no solver calls.
     EXPECT_EQ(suite.phases.count(obs::Phase::kSatSolve), 0u);
     EXPECT_EQ(suite.solver.solve_calls, 0u);
@@ -573,13 +580,17 @@ TEST(ObsReport, MultiTargetPassCountsSharedWorkOnce)
     }
     EXPECT_EQ(totals.allocs.total_count(), lead.allocs.total_count());
 
-    // The shared work itself is done once: sc_per_loc has no structural
-    // requirement, so every candidate is eligible for it and is
-    // canonicalized once for the whole pass; and each execution is derived
+    // The shared work itself is done once: each accepted candidate is
+    // canonicalized once for the whole pass, however many suites its tests
+    // join. The merge keeps the first candidate of each key and drops the
+    // rest (dedup_hits counts the distinct dropped candidates), so the
+    // accepted candidates are the unique tests plus the dropped ones. The
+    // merge takes one kDedup sample per target. Each execution is derived
     // once, however many suites count it.
-    ASSERT_EQ(lead.axiom, "sc_per_loc");
     EXPECT_EQ(totals.phases.count(obs::Phase::kCanonicalize),
-              lead.programs_considered);
+              static_cast<std::uint64_t>(synth::unique_test_count(suites)) +
+                  lead.scheduler.dedup_hits);
+    EXPECT_EQ(totals.phases.count(obs::Phase::kDedup), suites.size());
     const std::uint64_t derived = totals.phases.count(obs::Phase::kDerive);
     EXPECT_GE(derived, executions_max);
     EXPECT_LT(derived, executions_sum);

@@ -2,7 +2,7 @@
 /// Differential synthesis tests for the `.mtm` frontend: the hardwired
 /// models and their DSL twins must synthesize byte-identical suites
 /// (canonical keys + sizes) on BOTH backends and at every worker count —
-/// the engine, the scheduler and the dedup index treat a compiled model
+/// the engine, the scheduler and the merge treat a compiled model
 /// exactly like a hardwired one. Also the zoo smoke: every registry model
 /// synthesizes end-to-end and the new (non-twin) models produce non-empty
 /// suites.

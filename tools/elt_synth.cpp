@@ -40,9 +40,9 @@
 ///   --progress        stderr heartbeat every ~2s while the search runs:
 ///                     shards done/submitted, candidates visited (with an
 ///                     instantaneous candidates/sec rate), pre-merge tests
-///                     found, checkpoint save/replay counters, and a rough
-///                     ETA from the shard completion ratio. stdout (the
-///                     suite itself) is untouched; off by default
+///                     found, checkpoint save/replay counters and elapsed
+///                     time. stdout (the suite itself) is untouched; off
+///                     by default
 ///   --alloc-stats     attribute every operator-new call to the active
 ///                     phase and call-site bucket (obs::AllocTracker) and
 ///                     print the per-pass breakdown to stderr; also
@@ -303,19 +303,9 @@ progress_printer(std::string scope)
                    : 0.0;
         last->candidates = p.candidates;
         last->seconds = p.seconds;
-        // ETA from the shard completion ratio — rough by design: shards
-        // differ in cost by orders of magnitude.
-        char eta[32] = "?";
-        if (p.shards_done > 0 && p.shards_submitted > p.shards_done) {
-            std::snprintf(eta, sizeof eta, "~%.1fs",
-                          p.seconds *
-                              static_cast<double>(p.shards_submitted -
-                                                  p.shards_done) /
-                              static_cast<double>(p.shards_done));
-        } else if (p.shards_done == p.shards_submitted &&
-                   p.shards_done > 0) {
-            std::snprintf(eta, sizeof eta, "draining");
-        }
+        // No ETA: the static partition runs small bounds and empty shards
+        // first, so the shard completion ratio says nothing about the time
+        // left.
         std::string ckpt;
         if (p.checkpoint_shards_saved + p.checkpoint_shards_replayed > 0) {
             ckpt = ", ckpt " + std::to_string(p.checkpoint_shards_saved) +
@@ -324,13 +314,13 @@ progress_printer(std::string scope)
         }
         std::fprintf(stderr,
                      "[progress] %s: shards %llu/%llu, %llu candidates "
-                     "(%.0f/s), %llu found%s, %.1fs elapsed, ETA %s\n",
+                     "(%.0f/s), %llu found%s, %.1fs elapsed\n",
                      scope.c_str(),
                      static_cast<unsigned long long>(p.shards_done),
                      static_cast<unsigned long long>(p.shards_submitted),
                      static_cast<unsigned long long>(p.candidates), rate,
                      static_cast<unsigned long long>(p.tests_found),
-                     ckpt.c_str(), p.seconds, eta);
+                     ckpt.c_str(), p.seconds);
     };
 }
 
