@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,7 +30,6 @@
 #include "rel/bool_factory.h"
 #include "rel/relation.h"
 #include "sat/solver.h"
-#include "spec/registry.h"
 #include "synth/canonical.h"
 #include "synth/engine.h"
 #include "synth/exec_enum.h"
@@ -340,25 +338,14 @@ witness_search_section()
                   "byte-identical at every worker count");
     std::printf("x86t_elt, bounds %d..%d\n\n", min_bound, bound);
 
-    const mtm::Model hardwired = mtm::x86t_elt();
-    std::string spec_error;
-    const std::optional<spec::ResolvedModel> twin =
-        spec::resolve_model("x86t_elt.mtm", &spec_error);
-    if (!twin.has_value()) {
-        std::fprintf(stderr, "cannot resolve x86t_elt.mtm: %s\n",
-                     spec_error.c_str());
-        return 1;
-    }
+    const mtm::Model model = mtm::x86t_elt();
 
     bool ok = true;
-    std::printf("%12s %10s %6s %10s %12s %14s %12s\n", "backend", "model",
-                "jobs", "wall (s)", "programs/s", "executions/s",
-                "allocs/prog");
+    std::printf("%12s %6s %10s %12s %14s %12s\n", "backend", "jobs",
+                "wall (s)", "programs/s", "executions/s", "allocs/prog");
     BackendRun sat_run;
     BackendRun sat_inc_run;
     BackendRun enum_run;
-    BackendRun spec_sat_run;
-    BackendRun spec_enum_run;
     for (const synth::Backend backend :
          {synth::Backend::kEnumerative, synth::Backend::kSat}) {
         const char* backend_name =
@@ -366,10 +353,10 @@ witness_search_section()
         BackendRun reference;
         for (const int jobs : {1, 2, 4}) {
             const BackendRun run =
-                best_of(repeats, hardwired, backend, jobs, min_bound, bound,
+                best_of(repeats, model, backend, jobs, min_bound, bound,
                         /*sat_incremental=*/false, &ok);
-            std::printf("%12s %10s %6d %10.3f %12.0f %14.0f %12.1f\n",
-                        backend_name, "builtin", jobs, run.seconds,
+            std::printf("%12s %6d %10.3f %12.0f %14.0f %12.1f\n",
+                        backend_name, jobs, run.seconds,
                         run.programs / run.seconds,
                         run.executions / run.seconds,
                         static_cast<double>(run.allocations) / run.programs);
@@ -390,29 +377,6 @@ witness_search_section()
                      ok;
             }
         }
-        // The same workload through the `.mtm` twin prices the DSL
-        // interpreter (enumerative) and the generic circuit lowering (SAT)
-        // against the hand-written axioms — and re-proves suite identity.
-        const BackendRun spec_run =
-            best_of(repeats, twin->model, backend, 1, min_bound, bound,
-                    /*sat_incremental=*/false, &ok);
-        std::printf("%12s %10s %6d %10.3f %12.0f %14.0f %12.1f\n",
-                    backend_name, "spec", 1, spec_run.seconds,
-                    spec_run.programs / spec_run.seconds,
-                    spec_run.executions / spec_run.seconds,
-                    static_cast<double>(spec_run.allocations) /
-                        spec_run.programs);
-        ok = bench::check((std::string(backend_name) +
-                           " .mtm twin test set identical to builtin")
-                              .c_str(),
-                          spec_run.key_fingerprint ==
-                              reference.key_fingerprint) &&
-             ok;
-        if (backend == synth::Backend::kSat) {
-            spec_sat_run = spec_run;
-        } else {
-            spec_enum_run = spec_run;
-        }
         if (backend != synth::Backend::kSat) {
             continue;
         }
@@ -422,10 +386,10 @@ witness_search_section()
         // count — the speedup is not allowed to change a single test.
         for (const int jobs : {1, 2, 4}) {
             const BackendRun run =
-                best_of(repeats, hardwired, backend, jobs, min_bound, bound,
+                best_of(repeats, model, backend, jobs, min_bound, bound,
                         /*sat_incremental=*/true, &ok);
-            std::printf("%12s %10s %6d %10.3f %12.0f %14.0f %12.1f\n",
-                        "sat+inc", "builtin", jobs, run.seconds,
+            std::printf("%12s %6d %10.3f %12.0f %14.0f %12.1f\n",
+                        "sat+inc", jobs, run.seconds,
                         run.programs / run.seconds,
                         run.executions / run.seconds,
                         static_cast<double>(run.allocations) / run.programs);
@@ -470,7 +434,7 @@ witness_search_section()
     // per-candidate allocations actually happen. Tracking must not perturb
     // the suite — the tracked fingerprint is held to the untracked one.
     const TrackedAllocRun tracked =
-        tracked_alloc_run(hardwired, min_bound, bound);
+        tracked_alloc_run(model, min_bound, bound);
     ok = bench::check("alloc tracking does not perturb the suite",
                       tracked.fingerprint == sat_run.fingerprint) &&
          ok;
@@ -527,16 +491,6 @@ witness_search_section()
             bench::jnum("enum_allocs_per_program",
                         static_cast<double>(enum_run.allocations) /
                             enum_run.programs),
-            bench::jnum("spec_sat_programs_per_sec",
-                        spec_sat_run.programs / spec_sat_run.seconds),
-            bench::jnum("spec_sat_allocs_per_program",
-                        static_cast<double>(spec_sat_run.allocations) /
-                            spec_sat_run.programs),
-            bench::jnum("spec_enum_programs_per_sec",
-                        spec_enum_run.programs / spec_enum_run.seconds),
-            bench::jnum("spec_enum_allocs_per_program",
-                        static_cast<double>(spec_enum_run.allocations) /
-                            spec_enum_run.programs),
         };
     pairs.insert(pairs.end(), phase_pairs.begin(), phase_pairs.end());
     pairs.push_back(bench::jbool("fingerprints_jobs_identical", ok));

@@ -6,11 +6,9 @@
 #include "mtm/encoding_detail.h"
 #include "obs/alloc.h"
 #include "rel/bool_factory.h"
-#include "rel/constraints.h"
 #include "rel/relation.h"
 #include "sat/solver.h"
 #include "spec/ast.h"
-#include "spec/eval.h"
 #include "util/logging.h"
 
 namespace transform::mtm {
@@ -50,9 +48,9 @@ struct EncodingScratch::Pool {
     std::vector<EventId> events_buf;   ///< writes / Wptes scans
     std::vector<EventId> peers_buf;    ///< same-location peers per Wdb
 
-    /// Per-query memo of lowered `.mtm` expression nodes: a let body shared
-    /// by several references (or axioms) compiles once per Build.
-    std::vector<std::pair<const spec::Expr*, RelExpr>> expr_memo;
+    /// Per-query memo of lowered `.mtm` let bodies: a body shared by
+    /// several references (or axioms) compiles once per Build.
+    ExprMemo expr_memo;
 };
 
 EncodingScratch::EncodingScratch() : pool(std::make_unique<Pool>()) {}
@@ -128,31 +126,27 @@ needs_for_expr(const spec::Expr& e, std::vector<const spec::Expr*>* visited)
 
 }  // namespace
 
-/// The relations axiom_circuit(axiom) touches. Hardwired axioms have a
-/// fixed footprint per tag; a `.mtm` axiom's footprint is read off its
-/// expression DAG.
+/// The relations axiom_circuit(axiom) touches, read off its expression
+/// DAG.
 unsigned
 needs_for(const Axiom& axiom)
 {
-    switch (axiom.tag) {
-    case AxiomTag::kScPerLoc:
-        return kNeedRf | kNeedFr | kNeedPoLoc;
-    case AxiomTag::kRmwAtomicity:
-        return kNeedFr;
-    case AxiomTag::kCausalityTso:
-    case AxiomTag::kCausalitySc:
-        return kNeedRfe | kNeedFr | kNeedPpoFenceConst;
-    case AxiomTag::kInvlpg:
-        return kNeedFrVa | kNeedPoConst | kNeedRemapConst;
-    case AxiomTag::kTlbCausality:
-        return kNeedPtwSource | kNeedRf | kNeedFr;
-    case AxiomTag::kExpr: {
-        TF_ASSERT(axiom.def != nullptr && axiom.def->expr != nullptr);
-        std::vector<const spec::Expr*> visited;
-        return needs_for_expr(*axiom.def->expr, &visited);
+    std::vector<const spec::Expr*> visited;
+    return needs_for_expr(*axiom.def->expr, &visited);
+}
+
+ExprId
+form_circuit(spec::AxiomForm form, const RelExpr& r, BoolFactory* factory)
+{
+    switch (form) {
+    case spec::AxiomForm::kAcyclic:
+        return r.acyclic(factory);
+    case spec::AxiomForm::kIrreflexive:
+        return r.irreflexive(factory);
+    case spec::AxiomForm::kEmpty:
+        return r.is_empty(factory);
     }
-    }
-    TF_PANIC("unknown axiom tag");
+    TF_PANIC("unknown axiom form");
 }
 
 /// Per-query encoding state: the witness choice variables and the
@@ -268,8 +262,8 @@ struct ProgramEncoding::Build {
     std::vector<EventId>& events_buf;
     std::vector<EventId>& peers_buf;
 
-    /// Memo for compile_expr (pooled; cleared per Build).
-    std::vector<std::pair<const spec::Expr*, RelExpr>>& expr_memo;
+    /// Memo for lower_expr (pooled; cleared per Build).
+    ExprMemo& expr_memo;
 
     void
     cl_begin()
@@ -906,8 +900,7 @@ struct ProgramEncoding::Build {
         }
         if (needs & kNeedPoMemConst) {
             // Extended program order over memory events, ghosts included —
-            // the same pairs the concrete evaluator's po_mem base and the
-            // hardwired SC causality's `full` relation enumerate.
+            // the same pairs as the concrete evaluator's po_mem base.
             po_mem_const.reset_empty(&factory, n);
             for (EventId a = 0; a < n; ++a) {
                 for (EventId b = 0; b < n; ++b) {
@@ -1073,11 +1066,8 @@ struct ProgramEncoding::Build {
     }
 
     // ------------------------------------------------------------------
-    // Generic `.mtm` expression lowering — the symbolic twin of
-    // spec/eval.cpp. Base relations map onto the circuits above; the
-    // relational operators map 1:1 onto rel::RelExpr's algebra. Nodes are
-    // memoized per Build so a let body shared by several references (the
-    // AST is a DAG) compiles once.
+    // Axiom circuits: `.mtm` expressions lowered over the circuits above
+    // (lower_expr in encoding_detail.h).
     // ------------------------------------------------------------------
 
     const RelExpr&
@@ -1089,131 +1079,20 @@ struct ProgramEncoding::Build {
         return pool.*(base_rel_info(base).circuit);
     }
 
-    RelExpr
-    set_identity(spec::EventSet set)
-    {
-        RelExpr id = RelExpr::empty(&factory, n);
-        for (EventId a = 0; a < n; ++a) {
-            if (spec::event_in_set(set, p.event(a).kind)) {
-                id.set(a, a, rel::kTrueExpr);
-            }
-        }
-        return id;
-    }
-
-    RelExpr
-    compile_expr(const spec::Expr& e)
-    {
-        for (const auto& [node, circuit] : expr_memo) {
-            if (node == &e) {
-                return circuit;
-            }
-        }
-        RelExpr result;
-        switch (e.op) {
-        case spec::ExprOp::kBase:
-            result = base_circuit(e.base);
-            break;
-        case spec::ExprOp::kEmpty:
-            result = RelExpr::empty(&factory, n);
-            break;
-        case spec::ExprOp::kIdSet:
-            result = set_identity(e.set);
-            break;
-        case spec::ExprOp::kUnion:
-            result = compile_expr(*e.lhs).rel_union(&factory,
-                                                    compile_expr(*e.rhs));
-            break;
-        case spec::ExprOp::kIntersect:
-            result = compile_expr(*e.lhs).rel_intersect(&factory,
-                                                        compile_expr(*e.rhs));
-            break;
-        case spec::ExprOp::kMinus:
-            result = compile_expr(*e.lhs).rel_minus(&factory,
-                                                    compile_expr(*e.rhs));
-            break;
-        case spec::ExprOp::kJoin:
-            result =
-                compile_expr(*e.lhs).join(&factory, compile_expr(*e.rhs));
-            break;
-        case spec::ExprOp::kTranspose:
-            result = compile_expr(*e.lhs).transpose(&factory);
-            break;
-        case spec::ExprOp::kClosure:
-            result = compile_expr(*e.lhs).closure(&factory);
-            break;
-        case spec::ExprOp::kReflexiveClosure:
-            result = compile_expr(*e.lhs).closure(&factory).rel_union(
-                &factory, RelExpr::identity(&factory, n));
-            break;
-        case spec::ExprOp::kLetRef:
-            result = compile_expr(*e.lhs);
-            break;
-        }
-        expr_memo.emplace_back(&e, result);
-        return result;
-    }
-
     /// Circuit stating that the given axiom HOLDS.
     ExprId
     axiom_circuit(const Axiom& axiom)
     {
-        if (axiom.tag == AxiomTag::kExpr) {
-            TF_ASSERT(axiom.def != nullptr && axiom.def->expr != nullptr);
-            const RelExpr r = compile_expr(*axiom.def->expr);
-            switch (axiom.def->form) {
-            case spec::AxiomForm::kAcyclic:
-                return r.acyclic(&factory);
-            case spec::AxiomForm::kIrreflexive:
-                return r.irreflexive(&factory);
-            case spec::AxiomForm::kEmpty:
-                return r.is_empty(&factory);
-            }
-            TF_PANIC("unknown axiom form");
-        }
-        switch (axiom.tag) {
-        case AxiomTag::kScPerLoc:
-            return rel::acyclic_union(&factory, {&rf, &co, &fr, &po_loc});
-        case AxiomTag::kRmwAtomicity: {
-            ExprId acc = rel::kTrueExpr;
-            for (const auto& [r, w] : p.rmw_pairs()) {
-                for (EventId mid = 0; mid < n; ++mid) {
-                    acc = factory.mk_and(
-                        acc, factory.mk_not(factory.mk_and(fr.at(r, mid),
-                                                           co.at(mid, w))));
-                }
-            }
-            return acc;
-        }
-        case AxiomTag::kCausalityTso:
-            return rel::acyclic_union(&factory,
-                                      {&rfe, &co, &fr, &ppo_const, &fence_const});
-        case AxiomTag::kCausalitySc: {
-            // Full program order preserved: use po over memory events
-            // (extended), i.e. ppo plus the write->read pairs TSO drops.
-            RelExpr full = ppo_const;
-            for (EventId a = 0; a < n; ++a) {
-                for (EventId b = 0; b < n; ++b) {
-                    if (a != b && elt::is_memory(p.event(a).kind) &&
-                        elt::is_memory(p.event(b).kind) && p.precedes(a, b)) {
-                        full.set(a, b, rel::kTrueExpr);
-                    }
-                }
-            }
-            return rel::acyclic_union(&factory,
-                                      {&rfe, &co, &fr, &full, &fence_const});
-        }
-        case AxiomTag::kInvlpg:
-            return rel::acyclic_union(&factory,
-                                      {&fr_va, &po_const, &remap_const});
-        case AxiomTag::kTlbCausality:
-            return rel::acyclic_union(&factory, {&ptw_source, &rf, &co, &fr});
-        case AxiomTag::kExpr:
-            break;  // handled above
-        }
-        TF_PANIC("unknown axiom tag");
+        return form_circuit(
+            axiom.def->form,
+            lower_expr(
+                *axiom.def->expr, p, &factory,
+                [this](spec::BaseRel base) -> const RelExpr& {
+                    return base_circuit(base);
+                },
+                &expr_memo),
+            &factory);
     }
-
 };
 
 ProgramEncoding::ProgramEncoding(Program program, const Model* model,

@@ -9,7 +9,11 @@
 #include <vector>
 
 #include "elt/event.h"
+#include "elt/program.h"
 #include "rel/bool_factory.h"
+#include "rel/relation.h"
+#include "spec/ast.h"
+#include "spec/eval.h"
 #include "util/logging.h"
 
 namespace transform::mtm {
@@ -42,6 +46,93 @@ enum RelNeed : unsigned {
 
 /// The relations axiom_circuit(axiom) touches (defined in encoding.cpp).
 unsigned needs_for(const Axiom& axiom);
+
+/// The circuit stating that \p form holds of \p r: the last step of
+/// both encoders' axiom_circuit (defined in encoding.cpp).
+rel::ExprId form_circuit(spec::AxiomForm form, const rel::RelExpr& r,
+                         rel::BoolFactory* factory);
+
+/// Per-query memo of lowered `let` bodies, keyed by body.
+using ExprMemo = std::vector<std::pair<const spec::Expr*, rel::RelExpr>>;
+
+/// Lowers a `.mtm` expression to a circuit over \p program's events — the
+/// symbolic counterpart of spec/eval.cpp, shared by both encoders. \p base
+/// maps a base relation to the encoder's circuit for it (read in place,
+/// never copied into an operand); the operators map 1:1 onto
+/// rel::RelExpr's algebra. A `let` body compiles once per query
+/// (\p memo), so an expression whose lets make it a DAG lowers in time
+/// linear in the DAG.
+template <typename Base>
+rel::RelExpr
+lower_expr(const spec::Expr& e, const elt::Program& program,
+           rel::BoolFactory* factory, const Base& base, ExprMemo* memo)
+{
+    const int n = program.num_events();
+    // An operand's circuit: a base circuit in place, anything else
+    // lowered into *storage.
+    const auto operand = [&](const spec::Expr& child,
+                             rel::RelExpr* storage) -> const rel::RelExpr& {
+        if (child.op == spec::ExprOp::kBase) {
+            return base(child.base);
+        }
+        *storage = lower_expr(child, program, factory, base, memo);
+        return *storage;
+    };
+    rel::RelExpr lhs_storage;
+    rel::RelExpr rhs_storage;
+    switch (e.op) {
+    case spec::ExprOp::kBase:
+        return base(e.base);
+    case spec::ExprOp::kEmpty:
+        return rel::RelExpr::empty(factory, n);
+    case spec::ExprOp::kIdSet: {
+        rel::RelExpr id = rel::RelExpr::empty(factory, n);
+        for (elt::EventId a = 0; a < n; ++a) {
+            if (spec::event_in_set(e.set, program.event(a).kind)) {
+                id.set(a, a, rel::kTrueExpr);
+            }
+        }
+        return id;
+    }
+    case spec::ExprOp::kUnion:
+    case spec::ExprOp::kIntersect:
+    case spec::ExprOp::kMinus:
+    case spec::ExprOp::kJoin: {
+        const rel::RelExpr& lhs = operand(*e.lhs, &lhs_storage);
+        const rel::RelExpr& rhs = operand(*e.rhs, &rhs_storage);
+        switch (e.op) {
+        case spec::ExprOp::kUnion:
+            return lhs.rel_union(factory, rhs);
+        case spec::ExprOp::kIntersect:
+            return lhs.rel_intersect(factory, rhs);
+        case spec::ExprOp::kMinus:
+            return lhs.rel_minus(factory, rhs);
+        default:
+            return lhs.join(factory, rhs);
+        }
+    }
+    case spec::ExprOp::kTranspose:
+        return operand(*e.lhs, &lhs_storage).transpose(factory);
+    case spec::ExprOp::kClosure:
+        return operand(*e.lhs, &lhs_storage).closure(factory);
+    case spec::ExprOp::kReflexiveClosure:
+        return operand(*e.lhs, &lhs_storage)
+            .closure(factory)
+            .rel_union(factory, rel::RelExpr::identity(factory, n));
+    case spec::ExprOp::kLetRef: {
+        const spec::Expr* body = e.lhs.get();
+        for (const auto& [key, circuit] : *memo) {
+            if (key == body) {
+                return circuit;
+            }
+        }
+        rel::RelExpr circuit = lower_expr(*body, program, factory, base, memo);
+        memo->emplace_back(body, circuit);
+        return circuit;
+    }
+    }
+    TF_PANIC("unknown expression op");
+}
 
 /// Flat replacement for the per-event std::map<EventId, ExprId> choice
 /// maps: every builder loop inserts keys in ascending order, so the vector

@@ -7,11 +7,9 @@
 #include "mtm/encoding_detail.h"
 #include "obs/alloc.h"
 #include "rel/bool_factory.h"
-#include "rel/constraints.h"
 #include "rel/relation.h"
 #include "sat/backend.h"
 #include "spec/ast.h"
-#include "spec/eval.h"
 #include "util/logging.h"
 
 namespace transform::mtm {
@@ -94,7 +92,7 @@ struct BaseState {
     RelExpr po_const, remap_const, ppo_const, fence_const;
     RelExpr po_mem_const, rmw_const, ghost_const;
 
-    std::vector<std::pair<const spec::Expr*, RelExpr>> expr_memo;
+    ExprMemo expr_memo;
 
     /// Activation guards whose blocking clauses are live in this base.
     /// Retirement is deferred to the base's rebuild: within the base each
@@ -1250,8 +1248,8 @@ struct IncrementalEncoding::Impl : BaseState {
     }
 
     // ------------------------------------------------------------------
-    // `.mtm` expression lowering and axiom circuits — mirrors the fresh
-    // Build, resolving base relations against this Impl's members.
+    // Axiom circuits: lower_expr (encoding_detail.h) over this base's
+    // circuits, as the fresh Build does over its own.
     // ------------------------------------------------------------------
     const RelExpr&
     base_circuit(spec::BaseRel base)
@@ -1279,127 +1277,18 @@ struct IncrementalEncoding::Impl : BaseState {
         TF_PANIC("unknown base relation");
     }
 
-    RelExpr
-    set_identity(const Program& p, spec::EventSet set)
-    {
-        RelExpr id = RelExpr::empty(&factory, n);
-        for (EventId a = 0; a < n; ++a) {
-            if (spec::event_in_set(set, p.event(a).kind)) {
-                id.set(a, a, rel::kTrueExpr);
-            }
-        }
-        return id;
-    }
-
-    RelExpr
-    compile_expr(const Program& p, const spec::Expr& e)
-    {
-        for (const auto& [node, circuit] : expr_memo) {
-            if (node == &e) {
-                return circuit;
-            }
-        }
-        RelExpr result;
-        switch (e.op) {
-        case spec::ExprOp::kBase:
-            result = base_circuit(e.base);
-            break;
-        case spec::ExprOp::kEmpty:
-            result = RelExpr::empty(&factory, n);
-            break;
-        case spec::ExprOp::kIdSet:
-            result = set_identity(p, e.set);
-            break;
-        case spec::ExprOp::kUnion:
-            result = compile_expr(p, *e.lhs)
-                         .rel_union(&factory, compile_expr(p, *e.rhs));
-            break;
-        case spec::ExprOp::kIntersect:
-            result = compile_expr(p, *e.lhs)
-                         .rel_intersect(&factory, compile_expr(p, *e.rhs));
-            break;
-        case spec::ExprOp::kMinus:
-            result = compile_expr(p, *e.lhs)
-                         .rel_minus(&factory, compile_expr(p, *e.rhs));
-            break;
-        case spec::ExprOp::kJoin:
-            result = compile_expr(p, *e.lhs)
-                         .join(&factory, compile_expr(p, *e.rhs));
-            break;
-        case spec::ExprOp::kTranspose:
-            result = compile_expr(p, *e.lhs).transpose(&factory);
-            break;
-        case spec::ExprOp::kClosure:
-            result = compile_expr(p, *e.lhs).closure(&factory);
-            break;
-        case spec::ExprOp::kReflexiveClosure:
-            result = compile_expr(p, *e.lhs).closure(&factory).rel_union(
-                &factory, RelExpr::identity(&factory, n));
-            break;
-        case spec::ExprOp::kLetRef:
-            result = compile_expr(p, *e.lhs);
-            break;
-        }
-        expr_memo.emplace_back(&e, result);
-        return result;
-    }
-
     ExprId
     axiom_circuit(const Program& p, const Axiom& ax)
     {
-        if (ax.tag == AxiomTag::kExpr) {
-            TF_ASSERT(ax.def != nullptr && ax.def->expr != nullptr);
-            const RelExpr r = compile_expr(p, *ax.def->expr);
-            switch (ax.def->form) {
-            case spec::AxiomForm::kAcyclic:
-                return r.acyclic(&factory);
-            case spec::AxiomForm::kIrreflexive:
-                return r.irreflexive(&factory);
-            case spec::AxiomForm::kEmpty:
-                return r.is_empty(&factory);
-            }
-            TF_PANIC("unknown axiom form");
-        }
-        switch (ax.tag) {
-        case AxiomTag::kScPerLoc:
-            return rel::acyclic_union(&factory, {&rf, &co, &fr, &po_loc});
-        case AxiomTag::kRmwAtomicity: {
-            ExprId acc = rel::kTrueExpr;
-            for (const auto& [r, w] : p.rmw_pairs()) {
-                for (EventId mid = 0; mid < n; ++mid) {
-                    acc = factory.mk_and(
-                        acc, factory.mk_not(factory.mk_and(
-                                 fr.at(r, mid), co.at(mid, w))));
-                }
-            }
-            return acc;
-        }
-        case AxiomTag::kCausalityTso:
-            return rel::acyclic_union(
-                &factory, {&rfe, &co, &fr, &ppo_const, &fence_const});
-        case AxiomTag::kCausalitySc: {
-            RelExpr full = ppo_const;
-            for (EventId a = 0; a < n; ++a) {
-                for (EventId b = 0; b < n; ++b) {
-                    if (a != b && elt::is_memory(p.event(a).kind) &&
-                        elt::is_memory(p.event(b).kind) && p.precedes(a, b)) {
-                        full.set(a, b, rel::kTrueExpr);
-                    }
-                }
-            }
-            return rel::acyclic_union(&factory,
-                                      {&rfe, &co, &fr, &full, &fence_const});
-        }
-        case AxiomTag::kInvlpg:
-            return rel::acyclic_union(&factory,
-                                      {&fr_va, &po_const, &remap_const});
-        case AxiomTag::kTlbCausality:
-            return rel::acyclic_union(&factory,
-                                      {&ptw_source, &rf, &co, &fr});
-        case AxiomTag::kExpr:
-            break;  // handled above
-        }
-        TF_PANIC("unknown axiom tag");
+        return form_circuit(
+            ax.def->form,
+            lower_expr(
+                *ax.def->expr, p, &factory,
+                [this](spec::BaseRel base) -> const RelExpr& {
+                    return base_circuit(base);
+                },
+                &expr_memo),
+            &factory);
     }
 
     // ------------------------------------------------------------------

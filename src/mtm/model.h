@@ -4,7 +4,11 @@
 ///
 /// A model's *transistency predicate* is the conjunction of its axioms; an
 /// execution is PERMITTED when every axiom holds and FORBIDDEN otherwise
-/// (section II-A / V-A of the paper). The predefined models are:
+/// (section II-A / V-A of the paper). Every model is a `.mtm`
+/// specification compiled by spec::compile_model: each axiom carries its
+/// parsed condition, which the SAT backend lowers to circuits, and that
+/// condition lowered once to row operations, which the verdicts run. The
+/// predefined models are the registry's embedded sources (spec/registry.h):
 ///  - x86tso():   sc_per_loc, rmw_atomicity, causality — the x86-TSO MCM;
 ///  - x86t_elt(): x86-TSO plus the transistency axioms invlpg and
 ///                tlb_causality — the paper's estimated x86 MTM;
@@ -18,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,25 +32,10 @@
 namespace transform::spec {
 struct AxiomDef;
 struct ModelSpec;
+class RowProgram;
 }  // namespace transform::spec
 
 namespace transform::mtm {
-
-/// Identifies an axiom's symbolic form for the SAT encoding backend (the
-/// concrete evaluator lives in the `holds` closure; the relational encoder
-/// must rebuild the same condition as a circuit).
-enum class AxiomTag {
-    kScPerLoc,
-    kRmwAtomicity,
-    kCausalityTso,
-    kCausalitySc,
-    kInvlpg,
-    kTlbCausality,
-    /// A user-defined axiom from a `.mtm` specification: the condition is
-    /// the relational expression in Axiom::def, which the encoding backend
-    /// lowers to circuits generically — no bespoke circuit required.
-    kExpr,
-};
 
 /// Bitset of violated axioms, indexed by a model's axiom order: bit i set
 /// means axioms()[i] is violated. 0 == the execution is permitted.
@@ -56,23 +44,16 @@ using AxiomMask = std::uint32_t;
 /// Models hold at most this many axioms (the mask width).
 inline constexpr int kMaxAxioms = 32;
 
-/// One axiom of a transistency (or consistency) predicate.
+/// One axiom of a transistency (or consistency) predicate. Both halves
+/// are shared and immutable, so copying a Model is cheap and keeps them in
+/// sync.
 struct Axiom {
     std::string name;
     std::string description;
-    AxiomTag tag;
-    /// True when the axiom HOLDS on the given derived relations. \p scratch
-    /// may be null; when supplied the `.mtm` evaluator takes its slots
-    /// from the scratch's arena instead of allocating (the builtins need
-    /// none).
-    std::function<bool(const elt::Program&, const elt::DerivedRelations&,
-                       elt::CycleScratch* scratch)>
-        holds;
-    /// For tag == kExpr: the parsed condition (form + relational
-    /// expression) both backends evaluate — `holds` runs its lowered
-    /// form. Shared and immutable, so copying a Model keeps the two in
-    /// sync.
-    std::shared_ptr<const spec::AxiomDef> def = {};
+    /// The parsed condition (form + relational expression).
+    std::shared_ptr<const spec::AxiomDef> def;
+    /// def's expression lowered to row operations: what violated_mask runs.
+    std::shared_ptr<const spec::RowProgram> program;
 };
 
 /// A memory (transistency) model: a named conjunction of axioms.
@@ -99,8 +80,8 @@ class Model {
 
     /// Bitset of the axioms the execution violates (0 => permitted). The
     /// allocation-free fast path: no strings are built, and a non-null
-    /// \p scratch makes the axiom evaluators reuse buffers too. The
-    /// execution must be well-formed (derive it first and check).
+    /// \p scratch lends the row programs its slot arena. The execution
+    /// must be well-formed (derive it first and check).
     AxiomMask violated_mask(const elt::Program& program,
                             const elt::DerivedRelations& d,
                             elt::CycleScratch* scratch = nullptr) const;
@@ -125,9 +106,8 @@ class Model {
     }
 
     /// The parsed `.mtm` specification this model was compiled from (null
-    /// for the hardwired builtins and for copies made through the 3-arg
-    /// constructor). Consulted only by the spec printers — never on the
-    /// synthesis hot path.
+    /// for copies made through the 3-arg constructor). Consulted only by
+    /// the `.mtm` printer (mtm::model_to_mtm), which requires it.
     const std::shared_ptr<const spec::ModelSpec>& source_spec() const
     {
         return source_spec_;
@@ -144,14 +124,16 @@ class Model {
     std::shared_ptr<const spec::ModelSpec> source_spec_;
 };
 
-/// The x86-TSO consistency model (sc_per_loc, rmw_atomicity, causality).
+/// The x86-TSO consistency model (sc_per_loc, rmw_atomicity, causality):
+/// the registry's x86tso.mtm.
 Model x86tso();
 
-/// The paper's estimated x86 MTM: x86-TSO plus invlpg and tlb_causality.
+/// The paper's estimated x86 MTM: x86-TSO plus invlpg and tlb_causality
+/// (x86t_elt.mtm).
 Model x86t_elt();
 
 /// A sequentially-consistent MTM (full ppo) with the transistency axioms —
-/// the paper's vocabulary applied to a different base MCM.
+/// the paper's vocabulary applied to a different base MCM (sc_t_elt.mtm).
 Model sc_t_elt();
 
 /// Names of the five x86t_elt axioms in the paper's order.

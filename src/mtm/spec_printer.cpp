@@ -58,57 +58,139 @@ fun rf_pa     { /* Wpte to accesses whose translation it provided */ }
 fun fr_pa     { /* accesses to co_pa-successors of their provenance */ }
 fun fr_va     { /* accesses to later Wptes remapping their VA */ }
 fun ptw_source{ /* walk's invoking access to other users of the entry */ }
+fun po_loc    { /* ^po pairs at one location; ghosts take their parent's
+                   position */ }
+fun po_mem    { /* ^po pairs of memory events, ghosts included */ }
+fun rfe       { /* rf between threads */ }
+fun ppo       { /* x86-TSO preserved program order: po_mem - (W->R) */ }
+fun fence     { /* pairs with an Mfence between them in po */ }
+fun rmw       { /* a read to the write of its read-modify-write */ }
+fun ghost     { /* a user event to the ghosts it invokes */ }
+// Event classes of the .mtm language: [S] prints as (S <: iden) -----------
+fun R         { Read + Rptw + Rdb }
+fun W         { Write + Wpte + Wdb }
+fun M         { MemoryEvent }
+fun D         { Read + Write }
+fun PTE       { Wpte + Rptw + Wdb + Rdb }
+fun F         { Mfence }
+fun Ghost     { Rptw + Wdb + Rdb }
+fun User      { Read + Write + Mfence }
 )";
 }
 
 namespace {
 
-std::string
-axiom_body(const Axiom& axiom)
+/// \p e with `let` references replaced by their bodies.
+const spec::Expr&
+inlined(const spec::Expr& e)
 {
-    switch (axiom.tag) {
-    case AxiomTag::kScPerLoc:
-        return "acyclic[rf + co + fr + po_loc]";
-    case AxiomTag::kRmwAtomicity:
-        return "no (fr.co & rmw)";
-    case AxiomTag::kCausalityTso:
-        return "acyclic[rfe + co + fr + ppo + fence]   -- ppo = po - (Write->Read)";
-    case AxiomTag::kCausalitySc:
-        return "acyclic[rfe + co + fr + po + fence]    -- sequential consistency";
-    case AxiomTag::kInvlpg:
-        return "acyclic[fr_va + ^po + remap]";
-    case AxiomTag::kTlbCausality:
-        return "acyclic[ptw_source + rf + co + fr]";
-    case AxiomTag::kExpr:
-        TF_ASSERT(axiom.def != nullptr);
-        return std::string(spec::axiom_form_name(axiom.def->form)) + "[" +
-               spec::expr_to_source(*axiom.def->expr) + "]";
-    }
-    TF_PANIC("unknown axiom tag");
+    return e.op == spec::ExprOp::kLetRef ? inlined(*e.lhs) : e;
 }
 
-/// The `.mtm` condition equivalent to a hardwired axiom — used when a
-/// builtin model (no attached ModelSpec) is printed as DSL source.
-std::string
-builtin_mtm_condition(AxiomTag tag)
+/// Alloy binding strength, loosest first: `+` and `-` share the loosest
+/// level, then `&`, then `.`; the prefix operators `~ ^ *` bind tightest.
+/// `po` prints as `^po` (the vocabulary's po is the immediate successor),
+/// a prefix expression.
+int
+alloy_level(const spec::Expr& e)
 {
-    switch (tag) {
-    case AxiomTag::kScPerLoc:
-        return "acyclic(rf | co | fr | po_loc)";
-    case AxiomTag::kRmwAtomicity:
-        return "empty((fr ; co) & rmw)";
-    case AxiomTag::kCausalityTso:
-        return "acyclic(rfe | co | fr | ppo | fence)";
-    case AxiomTag::kCausalitySc:
-        return "acyclic(rfe | co | fr | po_mem | fence)";
-    case AxiomTag::kInvlpg:
-        return "acyclic(fr_va | po | remap)";
-    case AxiomTag::kTlbCausality:
-        return "acyclic(ptw_source | rf | co | fr)";
-    case AxiomTag::kExpr:
-        break;  // handled by the caller through axiom.def
+    switch (e.op) {
+    case spec::ExprOp::kUnion:
+    case spec::ExprOp::kMinus:
+        return 1;
+    case spec::ExprOp::kIntersect:
+        return 2;
+    case spec::ExprOp::kJoin:
+        return 3;
+    case spec::ExprOp::kTranspose:
+    case spec::ExprOp::kClosure:
+    case spec::ExprOp::kReflexiveClosure:
+        return 4;
+    case spec::ExprOp::kBase:
+        return e.base == spec::BaseRel::kPo ? 4 : 5;
+    case spec::ExprOp::kEmpty:
+    case spec::ExprOp::kIdSet:
+        return 5;
+    case spec::ExprOp::kLetRef:
+        return alloy_level(inlined(e));
     }
-    TF_PANIC("axiom tag has no builtin .mtm condition");
+    TF_PANIC("unknown expression op");
+}
+
+/// Prints \p e as an Alloy expression, `let` references inlined. Binary
+/// operators are left-associative: the right operand must bind strictly
+/// tighter than its parent to keep the tree, unless both are the same
+/// associative operator (`+`, `&` or `.`).
+void
+print_alloy(const spec::Expr& e, int min_level, std::ostream& out)
+{
+    const spec::Expr& node = inlined(e);
+    const int level = alloy_level(node);
+    if (level < min_level) {
+        out << "(";
+    }
+    switch (node.op) {
+    case spec::ExprOp::kUnion:
+    case spec::ExprOp::kIntersect:
+    case spec::ExprOp::kMinus:
+    case spec::ExprOp::kJoin: {
+        const bool regroups = node.op != spec::ExprOp::kMinus &&
+                              inlined(*node.rhs).op == node.op;
+        print_alloy(*node.lhs, level, out);
+        out << (node.op == spec::ExprOp::kUnion       ? " + "
+                : node.op == spec::ExprOp::kIntersect ? " & "
+                : node.op == spec::ExprOp::kMinus     ? " - "
+                                                      : ".");
+        print_alloy(*node.rhs, regroups ? level : level + 1, out);
+        break;
+    }
+    case spec::ExprOp::kTranspose:
+    case spec::ExprOp::kClosure:
+    case spec::ExprOp::kReflexiveClosure:
+        out << (node.op == spec::ExprOp::kTranspose ? "~"
+                : node.op == spec::ExprOp::kClosure ? "^"
+                                                    : "*");
+        print_alloy(*node.lhs, level, out);
+        break;
+    case spec::ExprOp::kBase:
+        out << (node.base == spec::BaseRel::kPo
+                    ? "^po"
+                    : spec::base_rel_name(node.base));
+        break;
+    case spec::ExprOp::kEmpty:
+        out << "(none -> none)";
+        break;
+    case spec::ExprOp::kIdSet:
+        // The vocabulary's Invlpg sig leaves out the full flush.
+        out << "("
+            << (node.set == spec::EventSet::kInvlpg
+                    ? "(Invlpg + InvlpgAll)"
+                    : spec::event_set_name(node.set))
+            << " <: iden)";
+        break;
+    case spec::ExprOp::kLetRef:
+        break;  // inlined() never returns one
+    }
+    if (level < min_level) {
+        out << ")";
+    }
+}
+
+/// The body of an axiom's Alloy predicate.
+std::string
+alloy_condition(const spec::AxiomDef& def)
+{
+    std::ostringstream out;
+    if (def.form == spec::AxiomForm::kEmpty) {
+        out << "no (";
+        print_alloy(*def.expr, 0, out);
+        out << ")";
+    } else {
+        out << spec::axiom_form_name(def.form) << "[";
+        print_alloy(*def.expr, 0, out);
+        out << "]";
+    }
+    return out.str();
 }
 
 }  // namespace
@@ -124,7 +206,7 @@ model_to_alloy(const Model& model)
         << " predicate of " << model.name() << ") ---------------------\n";
     for (const Axiom& axiom : model.axioms()) {
         out << "// " << axiom.description << "\n";
-        out << "pred " << axiom.name << " { " << axiom_body(axiom)
+        out << "pred " << axiom.name << " { " << alloy_condition(*axiom.def)
             << " }\n\n";
     }
     out << "pred " << model.name() << "_predicate {\n";
@@ -138,28 +220,8 @@ model_to_alloy(const Model& model)
 std::string
 model_to_mtm(const Model& model)
 {
-    if (model.source_spec() != nullptr) {
-        return spec::model_to_source(*model.source_spec());
-    }
-    std::ostringstream out;
-    out << "model " << model.name() << "\n";
-    out << "vm " << (model.vm_aware() ? "on" : "off") << "\n\n";
-    for (const Axiom& axiom : model.axioms()) {
-        out << "axiom " << axiom.name;
-        if (!axiom.description.empty()) {
-            out << " \"" << axiom.description << "\"";
-        }
-        out << ": ";
-        if (axiom.tag == AxiomTag::kExpr) {
-            TF_ASSERT(axiom.def != nullptr);
-            out << spec::axiom_form_name(axiom.def->form) << "("
-                << spec::expr_to_source(*axiom.def->expr) << ")";
-        } else {
-            out << builtin_mtm_condition(axiom.tag);
-        }
-        out << "\n";
-    }
-    return out.str();
+    TF_ASSERT(model.source_spec() != nullptr);
+    return spec::model_to_source(*model.source_spec());
 }
 
 }  // namespace transform::mtm

@@ -233,6 +233,21 @@ append_suite(std::string* out, const std::string& indent,
 std::uint64_t
 peak_rss_bytes()
 {
+    // VmHWM is the high-water mark of this address space alone.
+    // ru_maxrss also keeps the peak of the image exec replaced, so a
+    // process spawned by a large parent would report the parent's peak.
+    if (std::FILE* status = std::fopen("/proc/self/status", "r")) {
+        char line[256];
+        unsigned long long kib = 0;
+        bool found = false;
+        while (!found && std::fgets(line, sizeof line, status) != nullptr) {
+            found = std::sscanf(line, "VmHWM: %llu kB", &kib) == 1;
+        }
+        std::fclose(status);
+        if (found) {
+            return static_cast<std::uint64_t>(kib) * 1024;
+        }
+    }
     struct rusage usage {};
     if (::getrusage(RUSAGE_SELF, &usage) != 0 || usage.ru_maxrss < 0) {
         return 0;

@@ -44,8 +44,10 @@ namespace transform::obs {
 /// totals object gained peak_rss_bytes.
 inline constexpr int kMetricsSchemaVersion = 6;
 
-/// The process's peak resident set size so far, in bytes
-/// (getrusage(RUSAGE_SELF)); 0 when the kernel does not report it.
+/// The process's peak resident set size so far, in bytes: VmHWM from
+/// /proc/self/status, which covers this process's own address space, or
+/// getrusage's ru_maxrss where /proc is missing (that one also counts the
+/// peak of the process that exec'd this one); 0 when neither reports it.
 std::uint64_t peak_rss_bytes();
 
 /// One suite's slice of the report.

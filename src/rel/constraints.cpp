@@ -33,24 +33,4 @@ assert_acyclic_with_order(BoolFactory* f, sat::Solver* solver, const RelExpr& r)
     }
 }
 
-RelExpr
-union_all(BoolFactory* f, int universe_size,
-          const std::vector<const RelExpr*>& parts)
-{
-    RelExpr acc = RelExpr::empty(f, universe_size);
-    for (const RelExpr* part : parts) {
-        TF_ASSERT(part != nullptr);
-        acc = acc.rel_union(f, *part);
-    }
-    return acc;
-}
-
-ExprId
-acyclic_union(BoolFactory* f, const std::vector<const RelExpr*>& parts)
-{
-    TF_ASSERT(!parts.empty());
-    const int n = parts[0]->size();
-    return union_all(f, n, parts).acyclic(f);
-}
-
 }  // namespace transform::rel

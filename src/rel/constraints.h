@@ -7,8 +7,6 @@
 /// cheaper. Both styles are provided; tests check they agree.
 #pragma once
 
-#include <vector>
-
 #include "rel/bool_factory.h"
 #include "rel/relation.h"
 
@@ -19,14 +17,5 @@ namespace transform::rel {
 /// digraph is acyclic iff it embeds in a strict total order.)
 void assert_acyclic_with_order(BoolFactory* f, sat::Solver* solver,
                                const RelExpr& r);
-
-/// Returns a formula stating that the union of the given relations is
-/// acyclic (closure-based, usable under negation to *violate* an axiom).
-ExprId acyclic_union(BoolFactory* f, const std::vector<const RelExpr*>& parts);
-
-/// Returns the union of the given relations (empty list yields the empty
-/// relation over \p universe_size).
-RelExpr union_all(BoolFactory* f, int universe_size,
-                  const std::vector<const RelExpr*>& parts);
 
 }  // namespace transform::rel

@@ -17,25 +17,16 @@ compile_model(const ModelSpec& spec)
     std::vector<mtm::Axiom> axioms;
     axioms.reserve(shared->axioms.size());
     for (const AxiomDef& def : shared->axioms) {
-        // Alias the shared spec so one control block owns every axiom's AST.
-        auto held =
-            std::shared_ptr<const AxiomDef>(shared, &def);
         mtm::Axiom axiom;
         axiom.name = def.name;
         axiom.description = def.description.empty()
                                 ? std::string(axiom_form_name(def.form)) +
                                       "(" + expr_to_source(*def.expr) + ")"
                                 : def.description;
-        axiom.tag = mtm::AxiomTag::kExpr;
-        axiom.def = held;
+        // Alias the shared spec so one control block owns every axiom's AST.
+        axiom.def = std::shared_ptr<const AxiomDef>(shared, &def);
         // Lowered once here; every evaluation runs the same row program.
-        auto lowered = std::make_shared<const RowProgram>(*def.expr);
-        axiom.holds = [form = def.form, lowered](
-                          const elt::Program& program,
-                          const elt::DerivedRelations& d,
-                          elt::CycleScratch* scratch) {
-            return axiom_holds(form, *lowered, program, d, scratch);
-        };
+        axiom.program = std::make_shared<const RowProgram>(*def.expr);
         axioms.push_back(std::move(axiom));
     }
     mtm::Model model(spec.name, spec.vm, std::move(axioms));

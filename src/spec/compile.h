@@ -1,14 +1,12 @@
 /// \file
 /// Compiles a parsed `.mtm` specification into an mtm::Model whose axioms
 /// run on BOTH execution-space backends:
-///  - concretely, through spec/eval.h closures tagged AxiomTag::kExpr
-///    that run each axiom's expression lowered once into a RowProgram (the
-///    enumerative backend and the minimality judge call these millions of
-///    times — they are scratch-threaded like the hardwired closures);
+///  - concretely, through each axiom's expression lowered once into a
+///    spec::RowProgram (the enumerative backend and the minimality judge
+///    run these millions of times, scratch-threaded and allocation-free);
 ///  - symbolically, because each Axiom carries its AxiomDef and
 ///    mtm::ProgramEncoding lowers that AST to rel::RelExpr circuits
-///    generically (mtm/encoding.cpp), so user-defined models need no
-///    hand-written circuit.
+///    (mtm/encoding.cpp, mtm/incremental.cpp).
 #pragma once
 
 #include "mtm/model.h"

@@ -72,6 +72,34 @@ static_assert(static_cast<int>(BaseRel::kPtwSource) == kNumBases - 1);
 
 constexpr int kNumEventKinds = static_cast<int>(EventKind::kRdb) + 1;
 
+/// A union ORs its operands into dst this many at a time; a short last
+/// group reads kZeroRows for the missing operands.
+constexpr int kUnionGroup = 4;
+constexpr BitRows kZeroRows{};
+
+/// dst = the union of \p count operands, whose rows \p rows resolves, row
+/// by row and kUnionGroup operands at a time, each operand resolved once.
+/// The first group reads row a of each operand before it writes dst's row
+/// a, so dst may be the first operand.
+template <typename Rows>
+void
+or_operands(BitRow* dst, const int* operands, int count, int n,
+            const Rows& rows)
+{
+    static_assert(kUnionGroup == 4);
+    for (int begin = 0; begin < count; begin += kUnionGroup) {
+        const BitRow* o[kUnionGroup];
+        for (int i = 0; i < kUnionGroup; ++i) {
+            o[i] = begin + i < count ? rows(operands[begin + i])
+                                     : kZeroRows.data();
+        }
+        for (EventId a = 0; a < n; ++a) {
+            dst[a] = (begin == 0 ? 0 : dst[a]) | o[0][a] | o[1][a] | o[2][a] |
+                     o[3][a];
+        }
+    }
+}
+
 /// Transitive closure in place (Warshall's algorithm on rows): after step
 /// k, row a reaches everything reachable through intermediate nodes 0..k.
 void
@@ -85,6 +113,26 @@ close_transitively(BitRow* rows, int n)
             }
         }
     }
+}
+
+/// True when \p form holds of the relation \p rows over \p n events.
+bool
+form_holds(AxiomForm form, const BitRow* rows, int n)
+{
+    switch (form) {
+    case AxiomForm::kAcyclic:
+        return !elt::rows_have_cycle(rows, n);
+    case AxiomForm::kIrreflexive:
+        for (EventId a = 0; a < n; ++a) {
+            if (rows[a] & (BitRow{1} << a)) {
+                return false;
+            }
+        }
+        return true;
+    case AxiomForm::kEmpty:
+        return std::all_of(rows, rows + n, [](BitRow row) { return row == 0; });
+    }
+    TF_PANIC("unknown axiom form");
 }
 
 }  // namespace
@@ -171,6 +219,29 @@ struct RowProgram::Lowering {
         }
     }
 
+    /// \p e with inlined let references stripped.
+    const Expr&
+    through_inlined(const Expr& e)
+    {
+        return inlined(e) ? through_inlined(*e.lhs) : e;
+    }
+
+    /// `(A ; B) & C` as one operation that joins only the rows C keeps.
+    /// Row a reads A's and C's row a and every row of B, so A's or C's
+    /// slot can take the result, never B's.
+    int
+    lower_masked_join(const Expr& join, const Expr& mask)
+    {
+        const int lhs = lower(*join.lhs);
+        const int rhs = lower(*join.rhs);
+        const int keep = lower(mask);
+        const int dst = is_temp(lhs)    ? lhs
+                        : is_temp(keep) ? keep
+                                        : new_slot();
+        out.ops_.push_back({Code::kMaskedJoin, dst, lhs, rhs, keep});
+        return dst;
+    }
+
     int
     lower(const Expr& e)
     {
@@ -196,10 +267,19 @@ struct RowProgram::Lowering {
         case ExprOp::kUnion: {
             std::vector<int> leaves;
             union_leaves(e, &leaves);
+            // A temporary operand takes the result in place. It goes
+            // first: run() ORs the operands in groups, and only the first
+            // group may read dst.
             const auto temp = std::find_if(
                 leaves.begin(), leaves.end(),
                 [this](int operand) { return is_temp(operand); });
-            const int dst = temp != leaves.end() ? *temp : new_slot();
+            int dst = 0;
+            if (temp != leaves.end()) {
+                std::iter_swap(leaves.begin(), temp);
+                dst = leaves.front();
+            } else {
+                dst = new_slot();
+            }
             const int begin = static_cast<int>(out.union_operands_.size());
             out.union_operands_.insert(out.union_operands_.end(),
                                        leaves.begin(), leaves.end());
@@ -207,7 +287,17 @@ struct RowProgram::Lowering {
                  static_cast<int>(out.union_operands_.size()));
             return dst;
         }
-        case ExprOp::kIntersect:
+        case ExprOp::kIntersect: {
+            const Expr& lhs = through_inlined(*e.lhs);
+            const Expr& rhs = through_inlined(*e.rhs);
+            if (lhs.op == ExprOp::kJoin) {
+                return lower_masked_join(lhs, rhs);
+            }
+            if (rhs.op == ExprOp::kJoin) {
+                return lower_masked_join(rhs, lhs);
+            }
+            [[fallthrough]];
+        }
         case ExprOp::kMinus:
         case ExprOp::kJoin: {
             const int lhs = lower(*e.lhs);
@@ -297,15 +387,12 @@ RowProgram::run(const Program& program, const DerivedRelations& d,
                 dst[a] = (op.lhs >> kind) & 1 ? BitRow{1} << a : 0;
             }
             break;
-        case Code::kUnion:
-            for (EventId a = 0; a < n; ++a) {
-                BitRow row = 0;
-                for (int i = op.lhs; i < op.rhs; ++i) {
-                    row |= rows(union_operands_[i])[a];
-                }
-                dst[a] = row;
-            }
+        case Code::kUnion: {
+            // The lowering puts dst first when it is an operand.
+            or_operands(dst, union_operands_.data() + op.lhs, op.rhs - op.lhs,
+                        n, rows);
             break;
+        }
         case Code::kIntersect: {
             const BitRow* lhs = rows(op.lhs);
             const BitRow* rhs = rows(op.rhs);
@@ -332,6 +419,21 @@ RowProgram::run(const Program& program, const DerivedRelations& d,
                     joined |= rhs[std::countr_zero(bits)];
                 }
                 dst[a] = joined;
+            }
+            break;
+        }
+        case Code::kMaskedJoin: {
+            const BitRow* lhs = rows(op.lhs);
+            const BitRow* rhs = rows(op.rhs);
+            const BitRow* keep = rows(op.mask);
+            for (EventId a = 0; a < n; ++a) {
+                BitRow joined = 0;
+                if (keep[a] != 0) {
+                    for (BitRow bits = lhs[a]; bits != 0; bits &= bits - 1) {
+                        joined |= rhs[std::countr_zero(bits)];
+                    }
+                }
+                dst[a] = joined & keep[a];
             }
             break;
         }
@@ -365,35 +467,19 @@ RowProgram::run(const Program& program, const DerivedRelations& d,
 }
 
 bool
-axiom_holds(AxiomForm form, const RowProgram& expr, const Program& program,
-            const DerivedRelations& d, CycleScratch* scratch)
+RowProgram::holds(AxiomForm form, const Program& program,
+                  const DerivedRelations& d, CycleScratch* scratch) const
 {
-    CycleScratch local;
-    const int n = program.num_events();
-    const BitRow* rows =
-        expr.run(program, d, scratch != nullptr ? scratch : &local);
-    switch (form) {
-    case AxiomForm::kAcyclic:
-        return !elt::rows_have_cycle(rows, n);
-    case AxiomForm::kIrreflexive:
-        for (EventId a = 0; a < n; ++a) {
-            if (rows[a] & (BitRow{1} << a)) {
-                return false;
-            }
-        }
-        return true;
-    case AxiomForm::kEmpty:
-        return std::all_of(rows, rows + n, [](BitRow row) { return row == 0; });
-    }
-    TF_PANIC("unknown axiom form");
+    return form_holds(form, run(program, d, scratch), program.num_events());
 }
 
 bool
 axiom_holds(const AxiomDef& axiom, const Program& program,
             const DerivedRelations& d, CycleScratch* scratch)
 {
-    return axiom_holds(axiom.form, RowProgram(*axiom.expr), program, d,
-                       scratch);
+    CycleScratch local;
+    return RowProgram(*axiom.expr)
+        .holds(axiom.form, program, d, scratch != nullptr ? scratch : &local);
 }
 
 void

@@ -3,22 +3,24 @@
 /// expression over one candidate execution's elt::DerivedRelations and
 /// decides the axiom's condition (acyclic / irreflexive / empty).
 ///
-/// This is the DSL counterpart of the hand-written axiom closures in
-/// mtm/model.cpp and runs in the same place — the synthesis engine's
-/// per-candidate hot path. An expression is lowered once, when its model
-/// is compiled, into a RowProgram: a straight-line list of row operations
-/// over the relations' 64-bit adjacency rows (elt::BitRows; bit b of row a
-/// means a -> b). Base relations are read in place from DerivedRelations;
-/// every intermediate relation is a slot of the CycleScratch::spec_pool
-/// arena, reused across evaluations, so a compiled axiom evaluates without
-/// allocating in steady state.
+/// Every model's verdicts run here, on the synthesis engine's
+/// per-candidate hot path (mtm::Model::violated_mask). An expression is
+/// lowered once, when its model is compiled, into a RowProgram: a
+/// straight-line list of row operations over the relations' 64-bit
+/// adjacency rows (elt::BitRows; bit b of row a means a -> b). Base
+/// relations are read in place from DerivedRelations; every intermediate
+/// relation is a slot of the CycleScratch::spec_pool arena, reused across
+/// evaluations, so a compiled axiom evaluates without allocating in
+/// steady state.
 ///
 /// Lowering flattens nested unions into one operation, evaluates each
 /// `let` body used more than once a single time per evaluation (a body
 /// used once is inlined), and overwrites an operand's slot in place when
-/// nothing else reads it. `|`, `&` and `\` work row by row; `;` ORs the
-/// rhs rows each lhs row selects; `^-1` transposes; `^+` is Warshall's
-/// algorithm on rows and `^*` adds the diagonal; `[S]` sets diagonal bits.
+/// nothing else reads it. `|`, `&` and `\` work row by row (a union four
+/// operands at a time, each operand's rows resolved once); `;` ORs the
+/// rhs rows each lhs row selects, and `(A ; B) & C` joins only the rows
+/// where C is non-empty; `^-1` transposes; `^+` is Warshall's algorithm
+/// on rows and `^*` adds the diagonal; `[S]` sets diagonal bits.
 /// `acyclic` peels sinks (elt::rows_have_cycle), `irreflexive` tests the
 /// diagonal and `empty` tests for all-zero rows.
 #pragma once
@@ -53,6 +55,15 @@ class RowProgram {
                            const elt::DerivedRelations& d,
                            elt::CycleScratch* scratch) const;
 
+    /// True when \p form holds of the expression over one well-formed
+    /// execution: run() and the form's check in one call, the verdicts'
+    /// hot path (mtm::Model::violated_mask). \p scratch must not be null;
+    /// passing the worker's scratch makes repeated evaluations
+    /// allocation-free.
+    bool holds(AxiomForm form, const elt::Program& program,
+               const elt::DerivedRelations& d,
+               elt::CycleScratch* scratch) const;
+
   private:
     enum class Code : unsigned char {
         kZero,      ///< dst = 0
@@ -61,6 +72,7 @@ class RowProgram {
         kIntersect,
         kMinus,
         kJoin,       ///< dst = lhs ; rhs (dst may be lhs, never rhs)
+        kMaskedJoin,  ///< dst = (lhs ; rhs) & mask (dst is never rhs)
         kTranspose,  ///< dst = lhs^-1 (dst is never lhs)
         kClosure,    ///< dst = lhs^+
         kReflexiveClosure,
@@ -72,6 +84,7 @@ class RowProgram {
         int dst;
         int lhs = 0;
         int rhs = 0;
+        int mask = 0;
     };
     struct Lowering;
 
@@ -81,16 +94,10 @@ class RowProgram {
     int num_slots_ = 0;
 };
 
-/// True when \p form holds on the rows \p expr evaluates to over the
-/// derived relations of one well-formed execution. \p scratch may be null
-/// (a local scratch is used); passing the worker's scratch makes repeated
-/// evaluations allocation-free.
-bool axiom_holds(AxiomForm form, const RowProgram& expr,
-                 const elt::Program& program, const elt::DerivedRelations& d,
-                 elt::CycleScratch* scratch);
-
-/// As above, lowering the axiom's expression first — the debugging and
-/// testing entry point (compiled models lower once).
+/// True when \p axiom holds over the derived relations of one well-formed
+/// execution, lowering its expression first — the debugging and testing
+/// entry point (compiled models lower once and call RowProgram::holds).
+/// \p scratch may be null (a local scratch is used).
 bool axiom_holds(const AxiomDef& axiom, const elt::Program& program,
                  const elt::DerivedRelations& d, elt::CycleScratch* scratch);
 

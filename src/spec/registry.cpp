@@ -16,12 +16,12 @@ namespace {
 /// newline that opens each raw literal for readability.
 const std::vector<RegistryEntry> kRegistry = {
     {"x86tso.mtm",
-     "x86-TSO MCM (DSL twin of the builtin x86tso)",
+     "x86-TSO MCM (sc_per_loc, rmw_atomicity, causality)",
      R"MTM(
 // x86-TSO, the baseline memory consistency model (paper section II-A):
 // per-location coherence, RMW atomicity, and causality over the TSO
-// preserved program order. DSL twin of the hardwired mtm::x86tso() —
-// the differential tests hold the two to identical synthesized suites.
+// preserved program order. This file is the library's x86tso model:
+// mtm::x86tso() and `--model x86tso` compile it.
 model x86tso
 vm off
 
@@ -35,13 +35,12 @@ axiom causality "acyclic(rfe + co + fr + ppo + fence) (TSO ppo)":
   acyclic(rfe | co | fr | ppo | fence)
 )MTM" + 1},
     {"x86t_elt.mtm",
-     "the paper's estimated x86 MTM (DSL twin of the builtin x86t_elt)",
+     "the paper's estimated x86 MTM (the default model)",
      R"MTM(
 // x86t_elt — the paper's estimated x86 memory transistency model
 // (section V): x86-TSO plus the transistency axioms invlpg and
-// tlb_causality over the Table-I VM relations. DSL twin of the hardwired
-// mtm::x86t_elt() — the differential tests hold the two to identical
-// synthesized suites on both backends.
+// tlb_causality over the Table-I VM relations. This file is the library's
+// default model: mtm::x86t_elt() and `--model x86t_elt` compile it.
 model x86t_elt
 vm on
 
@@ -59,13 +58,13 @@ axiom tlb_causality "diagnostic: acyclic(ptw_source + rf + co + fr)":
   acyclic(ptw_source | com)
 )MTM" + 1},
     {"sc_t_elt.mtm",
-     "sequentially-consistent MTM (DSL twin of the builtin sc_t_elt)",
+     "sequentially-consistent MTM (full program order)",
      R"MTM(
 // sc_t_elt — a sequentially-consistent MTM: the paper's transistency
 // vocabulary applied to an SC base model (the "define your own MTM"
 // example). The causality axiom preserves the full extended program order
-// over memory events (po_mem), ghosts included. DSL twin of the hardwired
-// mtm::sc_t_elt().
+// over memory events (po_mem), ghosts included. mtm::sc_t_elt() and
+// `--model sc_t_elt` compile this file.
 model sc_t_elt
 vm on
 
@@ -123,8 +122,8 @@ axiom causality "acyclic(rfe + co + fr + ppo_pso + fence) (W->R and W->W relaxed
      R"MTM(
 // pso_t_elt — transistency over a PSO-style base: the x86t_elt VM axioms
 // (invlpg, tlb_causality) kept intact while the consistency causality
-// relaxes both W->R and W->W ordering. A new synthesis workload no
-// hardwired model covers: ELTs that survive the weaker store ordering.
+// relaxes both W->R and W->W ordering. A synthesis workload no other zoo
+// model covers: ELTs that survive the weaker store ordering.
 model pso_t_elt
 vm on
 
@@ -213,24 +212,6 @@ axiom tlb_causality "diagnostic: acyclic(ptw_source + rf + co + fr)":
 )MTM" + 1},
 };
 
-/// The hardwired C++ builtins stay the first resolution tier: `--model
-/// x86t_elt` must keep meaning the original closures (they are the oracle
-/// the DSL twins are differentially tested against).
-std::optional<mtm::Model>
-builtin_model(const std::string& name)
-{
-    if (name == "x86tso") {
-        return mtm::x86tso();
-    }
-    if (name == "x86t_elt") {
-        return mtm::x86t_elt();
-    }
-    if (name == "sc_t_elt") {
-        return mtm::sc_t_elt();
-    }
-    return std::nullopt;
-}
-
 std::optional<ResolvedModel>
 compile_source(const std::string& source, const std::string& origin,
                std::string* error)
@@ -243,8 +224,7 @@ compile_source(const std::string& source, const std::string& origin,
         }
         return std::nullopt;
     }
-    ResolvedModel resolved{compile_model(*spec), /*from_spec=*/true, origin};
-    return resolved;
+    return ResolvedModel{compile_model(*spec), origin};
 }
 
 }  // namespace
@@ -258,10 +238,6 @@ registry_entries()
 std::optional<ResolvedModel>
 resolve_model(const std::string& name_or_path, std::string* error)
 {
-    if (std::optional<mtm::Model> builtin = builtin_model(name_or_path)) {
-        return ResolvedModel{std::move(*builtin), /*from_spec=*/false,
-                             "builtin"};
-    }
     for (const RegistryEntry& entry : kRegistry) {
         if (name_or_path == entry.name ||
             name_or_path + ".mtm" == entry.name) {
@@ -286,8 +262,7 @@ resolve_model(const std::string& name_or_path, std::string* error)
     if (error != nullptr) {
         std::ostringstream out;
         out << "unknown model '" << name_or_path
-            << "' (not a builtin, a registry entry, or a readable .mtm "
-               "file)\n";
+            << "' (not a registry entry or a readable .mtm file)\n";
         out << list_models_text();
         *error = out.str();
     }
@@ -298,13 +273,8 @@ std::string
 list_models_text()
 {
     std::ostringstream out;
-    out << "builtin models (hardwired C++):\n";
-    out << "  x86tso     x86-TSO MCM (sc_per_loc, rmw_atomicity, "
-           "causality)\n";
-    out << "  x86t_elt   the paper's estimated x86 MTM (default)\n";
-    out << "  sc_t_elt   sequentially-consistent MTM\n";
     out << "registry models (.mtm specifications; addressable with or "
-           "without the suffix):\n";
+           "without the suffix; x86t_elt is the default):\n";
     for (const RegistryEntry& entry : kRegistry) {
         out << "  " << entry.name << "\n      " << entry.summary << "\n";
     }

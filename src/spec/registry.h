@@ -2,14 +2,14 @@
 /// The model registry: one place that resolves `--model <name|path>` for
 /// every tool and test.
 ///
-/// Three tiers, searched in order:
-///  1. the hardwired C++ builtins (x86tso, x86t_elt, sc_t_elt) — kept as
-///     the defaults and as the cross-check oracles for their DSL twins;
-///  2. the embedded `.mtm` zoo (the same sources checked in under
+/// Two tiers, searched in order:
+///  1. the embedded `.mtm` zoo (the same sources checked in under
 ///     examples/models/; a golden test keeps file and embedding identical),
 ///     addressable with or without the `.mtm` suffix — e.g. `sc` or
-///     `sc.mtm`;
-///  3. the filesystem: anything else is read as a path to a `.mtm` file.
+///     `sc.mtm`. The predefined models are entries here: `x86t_elt` (the
+///     default), `x86tso` and `sc_t_elt`, which mtm::x86t_elt() and its
+///     siblings resolve;
+///  2. the filesystem: anything else is read as a path to a `.mtm` file.
 ///
 /// Parse failures come back as positioned diagnostics
 /// (`origin:line:col: error: ...`), which the tools print to stderr before
@@ -38,11 +38,10 @@ const std::vector<RegistryEntry>& registry_entries();
 /// A resolved model plus where it came from.
 struct ResolvedModel {
     mtm::Model model;
-    bool from_spec = false;  ///< true when compiled from a `.mtm` source
-    std::string origin;      ///< "builtin", "registry:<name>", or the path
+    std::string origin;  ///< "registry:<name>" or the path
 };
 
-/// Resolves \p name_or_path through the three tiers. On failure returns
+/// Resolves \p name_or_path through the two tiers. On failure returns
 /// nullopt and sets \p error to a printable message (positioned for parse
 /// errors, "unknown model" + the available names otherwise).
 std::optional<ResolvedModel> resolve_model(const std::string& name_or_path,

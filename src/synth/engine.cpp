@@ -5,8 +5,10 @@
 #include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/scheduler.h"
+#include "spec/ast.h"
 #include "synth/canonical.h"
 #include "synth/checkpoint.h"
 #include "synth/exec_enum.h"
@@ -48,20 +51,122 @@ struct AxiomRequirements {
     bool shared_walk = false;
 };
 
-AxiomRequirements
-axiom_requirements(const std::string& axiom)
+constexpr unsigned
+base_bits(std::initializer_list<spec::BaseRel> bases)
 {
-    AxiomRequirements req;
-    if (axiom == "invlpg") {
-        // fr_va and remap edges both start/end at a PTE write.
-        req.wpte = true;
-    } else if (axiom == "rmw_atomicity") {
-        req.rmw = true;
-    } else if (axiom == "tlb_causality") {
-        // ptw_source needs a walk with a second user: a TLB hit.
-        req.shared_walk = true;
+    unsigned bits = 0;
+    for (const spec::BaseRel base : bases) {
+        bits |= 1u << static_cast<int>(base);
     }
-    return req;
+    return bits;
+}
+
+/// The relations that are empty in every execution of a program without
+/// the feature.
+constexpr unsigned kWpteRelations =
+    base_bits({spec::BaseRel::kFrVa, spec::BaseRel::kRemap,
+               spec::BaseRel::kRfPa, spec::BaseRel::kCoPa,
+               spec::BaseRel::kFrPa});
+constexpr unsigned kRmwRelations = base_bits({spec::BaseRel::kRmw});
+constexpr unsigned kTlbHitRelations = base_bits({spec::BaseRel::kPtwSource});
+
+/// Groups whose unions are acyclic in every well-formed execution:
+/// communication (one coherence order per location, which reads follow)
+/// and the subrelations of the extended program order.
+constexpr unsigned kCommunication =
+    base_bits({spec::BaseRel::kRf, spec::BaseRel::kRfe, spec::BaseRel::kCo,
+               spec::BaseRel::kFr});
+constexpr unsigned kProgramOrder =
+    base_bits({spec::BaseRel::kPo, spec::BaseRel::kPpo,
+               spec::BaseRel::kPoMem, spec::BaseRel::kPoLoc,
+               spec::BaseRel::kFence});
+
+/// What remains of an expression once the base relations in \p emptied
+/// are empty, with emptiness propagated through the operators: a union of
+/// base relations, one bit per spec::BaseRel (0 is the empty relation),
+/// or nullopt for anything else. Memoized per node (\p memo): `let`
+/// bodies make the expression a DAG.
+std::optional<unsigned>
+remainder(const spec::Expr& e, unsigned emptied,
+          std::vector<std::pair<const spec::Expr*, std::optional<unsigned>>>*
+              memo)
+{
+    for (const auto& [node, known] : *memo) {
+        if (node == &e) {
+            return known;
+        }
+    }
+    const auto sub = [&](const spec::ExprPtr& operand) {
+        return remainder(*operand, emptied, memo);
+    };
+    std::optional<unsigned> out;  // anything else, unless a case decides
+    switch (e.op) {
+    case spec::ExprOp::kBase:
+        out = base_bits({e.base}) & ~emptied;
+        break;
+    case spec::ExprOp::kEmpty:
+        out = 0;
+        break;
+    case spec::ExprOp::kLetRef:
+        out = sub(e.lhs);
+        break;
+    case spec::ExprOp::kUnion: {
+        const std::optional<unsigned> lhs = sub(e.lhs);
+        const std::optional<unsigned> rhs = sub(e.rhs);
+        if (lhs == 0u || rhs == 0u || (lhs && rhs)) {
+            out = lhs == 0u ? rhs : rhs == 0u ? lhs : *lhs | *rhs;
+        }
+        break;
+    }
+    case spec::ExprOp::kIntersect:
+    case spec::ExprOp::kJoin:
+        if (sub(e.lhs) == 0u || sub(e.rhs) == 0u) {
+            out = 0;
+        }
+        break;
+    case spec::ExprOp::kMinus: {
+        const std::optional<unsigned> lhs = sub(e.lhs);
+        if (lhs == 0u || sub(e.rhs) == 0u) {
+            out = lhs;
+        }
+        break;
+    }
+    case spec::ExprOp::kTranspose:
+    case spec::ExprOp::kClosure:
+        if (sub(e.lhs) == 0u) {
+            out = 0;
+        }
+        break;
+    case spec::ExprOp::kIdSet:
+    case spec::ExprOp::kReflexiveClosure:  // r^* holds the identity
+        break;
+    }
+    memo->emplace_back(&e, out);
+    return out;
+}
+
+/// True when \p axiom holds in every execution in which the relations of
+/// \p emptied are empty: a program lacking the feature those relations
+/// need cannot violate it.
+bool
+holds_without(const mtm::Axiom& axiom, unsigned emptied)
+{
+    std::vector<std::pair<const spec::Expr*, std::optional<unsigned>>> memo;
+    const std::optional<unsigned> rest =
+        remainder(*axiom.def->expr, emptied, &memo);
+    if (rest == 0u) {
+        return true;
+    }
+    return axiom.def->form != spec::AxiomForm::kEmpty && rest.has_value() &&
+           ((*rest & ~kCommunication) == 0 || (*rest & ~kProgramOrder) == 0);
+}
+
+AxiomRequirements
+axiom_requirements(const mtm::Axiom& axiom)
+{
+    return {holds_without(axiom, kWpteRelations),
+            holds_without(axiom, kRmwRelations),
+            holds_without(axiom, kTlbHitRelations)};
 }
 
 void
@@ -86,7 +191,7 @@ class Eligibility {
         for (std::size_t i = 0; i < model.axioms().size(); ++i) {
             const mtm::AxiomMask bit = mtm::AxiomMask{1} << i;
             const AxiomRequirements req =
-                axiom_requirements(model.axioms()[i].name);
+                axiom_requirements(model.axioms()[i]);
             all_ |= bit;
             need_wpte_ |= req.wpte ? bit : 0;
             need_rmw_ |= req.rmw ? bit : 0;
@@ -1269,9 +1374,10 @@ engine_skeleton_options(const mtm::Model& model,
                         const std::string& axiom_name,
                         const SynthesisOptions& options, int size)
 {
-    SkeletonOptions skeleton = base_skeleton_options(model, options, size);
-    set_axiom_requirements(axiom_requirements(axiom_name), &skeleton);
-    return skeleton;
+    const int index = model.axiom_index(axiom_name);
+    TF_ASSERT(index >= 0);
+    return engine_skeleton_options(model, mtm::AxiomMask{1} << index,
+                                   options, size);
 }
 
 SkeletonOptions
@@ -1283,8 +1389,7 @@ engine_skeleton_options(const mtm::Model& model, mtm::AxiomMask targets,
         if ((targets >> i & 1) == 0) {
             continue;
         }
-        const AxiomRequirements req =
-            axiom_requirements(model.axioms()[i].name);
+        const AxiomRequirements req = axiom_requirements(model.axioms()[i]);
         shared.wpte = shared.wpte && req.wpte;
         shared.rmw = shared.rmw && req.rmw;
         shared.shared_walk = shared.shared_walk && req.shared_walk;

@@ -340,12 +340,18 @@ SkeletonOptions engine_skeleton_options(const mtm::Model& model,
 
 /// Per-axiom eligibility bits of a candidate: bit i is set when \p program
 /// has every structural feature a violation of model.axioms()[i]
-/// necessarily requires — a PTE write for `invlpg`, an rmw pair for
-/// `rmw_atomicity`, a data access without a page-table walk (a TLB hit) for
-/// `tlb_causality`; axioms without requirements are always eligible. The
-/// same predicate the skeleton prunes of engine_skeleton_options apply, so
-/// a one-target pruned stream is exactly the unpruned stream filtered by
-/// the axiom's bit. Invariant under canonical_key's symmetries.
+/// necessarily requires. The features are a PTE write, an rmw pair and a
+/// data access without a page-table walk (a TLB hit). An axiom requires a
+/// feature when it holds trivially once the relations that need the
+/// feature are empty (fr_va, remap, rf_pa, co_pa and fr_pa; rmw;
+/// ptw_source): its expression then reduces to nothing, or, under
+/// acyclic or irreflexive, to a union within {rf, rfe, co, fr} or within
+/// {po, ppo, po_mem, po_loc, fence}. In x86t_elt that is invlpg,
+/// rmw_atomicity and tlb_causality; axioms without requirements are always
+/// eligible. The same predicate the skeleton prunes of
+/// engine_skeleton_options apply, so a one-target pruned stream is exactly
+/// the unpruned stream filtered by the axiom's bit. Invariant under
+/// canonical_key's symmetries.
 mtm::AxiomMask eligible_axioms(const mtm::Model& model,
                                const elt::Program& program);
 

@@ -15,6 +15,8 @@
 
 #include "elt/fixtures.h"
 #include "elt/serialize.h"
+#include "spec/compile.h"
+#include "spec/parser.h"
 #include "spec/registry.h"
 #include "synth/canonical.h"
 #include "synth/engine.h"
@@ -229,6 +231,60 @@ TEST(Engine, EligibilityMatchesSkeletonPrunes)
         6);
     expect_eligibility_matches_prunes(mtm::x86tso(), {"rmw_atomicity"}, 2,
                                       5);
+}
+
+mtm::Model
+parsed_model(const std::string& source)
+{
+    spec::Diagnostic diag;
+    const auto parsed = spec::parse_model(source, &diag);
+    EXPECT_TRUE(parsed.has_value()) << diag.to_string("<model>");
+    return spec::compile_model(*parsed);
+}
+
+TEST(Engine, SkeletonPrunesFollowTheAxiomNotItsName)
+{
+    // One body under four names, three of which x86t_elt gives axioms
+    // with structural requirements. The body needs no PTE write, rmw pair
+    // or TLB hit, so no prune applies and the four suites are one suite.
+    std::string source = "model fourbody\nvm on\n";
+    for (const char* name :
+         {"sc_per_loc", "invlpg", "tlb_causality", "rmw_atomicity"}) {
+        source += std::string("axiom ") + name +
+                  ": acyclic(rf | co | fr | po_loc)\n";
+    }
+    const mtm::Model model = parsed_model(source);
+    SynthesisOptions options = small_options(4, 6);
+    options.jobs = 2;
+    const std::vector<SuiteResult> suites =
+        synthesize_all_parallel(model, options);
+    ASSERT_EQ(suites.size(), 4u);
+    ASSERT_FALSE(suites[0].tests.empty());
+    for (const SuiteResult& suite : suites) {
+        ASSERT_EQ(suite.tests.size(), suites[0].tests.size()) << suite.axiom;
+        EXPECT_EQ(suite.programs_considered, suites[0].programs_considered)
+            << suite.axiom;
+        for (std::size_t i = 0; i < suite.tests.size(); ++i) {
+            EXPECT_EQ(suite.tests[i].canonical_key,
+                      suites[0].tests[i].canonical_key)
+                << suite.axiom;
+        }
+    }
+
+    // And a body that only PTE writes can violate gets the PTE-write prune
+    // under any name.
+    const mtm::Model renamed = parsed_model(
+        "model renamed\nvm on\naxiom ordering: acyclic(fr_va | po | remap)\n"
+        "axiom atomic: empty((fr ; co) & rmw)\n"
+        "axiom walks: acyclic(ptw_source | rfe | co | fr)\n");
+    const SkeletonOptions ordering =
+        engine_skeleton_options(renamed, "ordering", options, 5);
+    EXPECT_TRUE(ordering.require_wpte);
+    EXPECT_FALSE(ordering.require_rmw || ordering.require_shared_walk);
+    EXPECT_TRUE(
+        engine_skeleton_options(renamed, "atomic", options, 5).require_rmw);
+    EXPECT_TRUE(engine_skeleton_options(renamed, "walks", options, 5)
+                    .require_shared_walk);
 }
 
 TEST(Engine, EligibilityIsInvariantUnderCanonicalKey)

@@ -7,9 +7,12 @@
 /// changes NOTHING about the synthesized suites (byte-identical
 /// fingerprints across backends and job counts, obs on vs off).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -726,6 +729,55 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV6Json)
 
 // ---------------------------------------------------------------------------
 // Latency histograms: log2 buckets, exact concurrent merges.
+
+/// Run only as the child of PeakRssExcludesTheSpawnersPeak, which reads
+/// the line it prints.
+TEST(ObsPeakRss, DISABLED_PrintOwnPeak)
+{
+    std::printf("peak_rss_bytes=%llu\n",
+                static_cast<unsigned long long>(obs::peak_rss_bytes()));
+}
+
+TEST(ObsPeakRss, PeakRssExcludesTheSpawnersPeak)
+{
+    // A parent holding 128 MiB spawns a small child: the child's report is
+    // its own peak, not the parent's (getrusage's ru_maxrss keeps the
+    // larger image exec replaced).
+    constexpr std::size_t kBallast = std::size_t{128} << 20;
+    std::vector<char> ballast(kBallast, 1);
+    char self[] = "/proc/self/exe";
+    char also_disabled[] = "--gtest_also_run_disabled_tests";
+    char filter[] = "--gtest_filter=ObsPeakRss.DISABLED_PrintOwnPeak";
+    char* argv[] = {self, also_disabled, filter, nullptr};
+    int out[2];
+    ASSERT_EQ(::pipe(out), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        ::dup2(out[1], STDOUT_FILENO);
+        ::close(out[0]);
+        ::close(out[1]);
+        ::execv(self, argv);
+        ::_exit(127);
+    }
+    ::close(out[1]);
+    std::string text;
+    char buffer[4096];
+    for (ssize_t got; (got = ::read(out[0], buffer, sizeof buffer)) > 0;) {
+        text.append(buffer, static_cast<std::size_t>(got));
+    }
+    ::close(out[0]);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << text;
+    const std::size_t at = text.find("peak_rss_bytes=");
+    ASSERT_NE(at, std::string::npos) << text;
+    const unsigned long long child_peak = std::stoull(text.substr(at + 15));
+    EXPECT_GT(child_peak, 0u);
+    EXPECT_LT(child_peak, kBallast / 2);
+    EXPECT_GE(obs::peak_rss_bytes(), kBallast);
+    EXPECT_EQ(ballast[kBallast / 2], 1);
+}
 
 TEST(LatencyHistogram, BucketEdgesAndPercentiles)
 {

@@ -255,17 +255,5 @@ TEST(SetExpr, AlgebraOnConstants)
     EXPECT_EQ(a.subset_of(&f, a.set_union(&f, b)), kTrueExpr);
 }
 
-TEST(UnionAll, CombinesParts)
-{
-    BoolFactory f;
-    const RelExpr a = RelExpr::constant(&f, 3, {{0, 1}});
-    const RelExpr b = RelExpr::constant(&f, 3, {{1, 2}});
-    const RelExpr u = union_all(&f, 3, {&a, &b});
-    EXPECT_EQ(u.at(0, 1), kTrueExpr);
-    EXPECT_EQ(u.at(1, 2), kTrueExpr);
-    EXPECT_EQ(u.at(2, 0), kFalseExpr);
-    EXPECT_EQ(acyclic_union(&f, {&a, &b}), kTrueExpr);
-}
-
 }  // namespace
 }  // namespace transform::rel

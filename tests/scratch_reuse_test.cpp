@@ -26,7 +26,7 @@
 #include "mtm/model.h"
 #include "mtm/relax.h"
 #include "obs/alloc.h"
-#include "spec/registry.h"
+#include "spec/eval.h"
 #include "synth/canonical.h"
 #include "synth/exec_enum.h"
 #include "synth/minimality.h"
@@ -160,12 +160,9 @@ TEST(DeriveScratchDifferential, ProgramFactsFollowContentNotAddress)
     // address repeats while its content changes, so facts keyed by address
     // would be stale. Every result must equal a fresh derive(), and the
     // model's verdict on it the verdict on the fresh relations.
-    std::string error;
-    const auto twin = spec::resolve_model("x86t_elt.mtm", &error);
-    ASSERT_TRUE(twin.has_value()) << error;
     const mtm::Model x86t_elt = mtm::x86t_elt();
     const mtm::Model x86tso = mtm::x86tso();
-    for (const mtm::Model* model : {&x86t_elt, &x86tso, &twin->model}) {
+    for (const mtm::Model* model : {&x86t_elt, &x86tso}) {
         const bool vm = model->vm_aware();
         const Execution a = vm ? elt::fixtures::fig10a_ptwalk2()
                                : elt::fixtures::fig2a_sb_mcm();
@@ -393,9 +390,10 @@ TEST(ViolatedMask, MatchesStringShimOnFixtures)
         // Mask bit positions follow axiom order.
         for (std::size_t i = 0; i < model.axioms().size(); ++i) {
             const bool bit = (mask & (mtm::AxiomMask{1} << i)) != 0;
-            const bool holds = model.axioms()[i].holds(e.program, derived,
-                                                       &scratch.cycle);
-            EXPECT_EQ(bit, !holds) << model.axioms()[i].name;
+            const mtm::Axiom& axiom = model.axioms()[i];
+            const bool holds = axiom.program->holds(
+                axiom.def->form, e.program, derived, &scratch.cycle);
+            EXPECT_EQ(bit, !holds) << axiom.name;
         }
     }
 }
@@ -421,19 +419,14 @@ TEST(SteadyState, DeriveMaskAndJudgeAllocateNothing)
     // fig4 has two Wptes and fig10b one: Program::validate's per-core
     // Invlpg count once allocated per Wpte on every derivation. Every
     // execution of each fixture program is derived, masked and judged
-    // twice; the second sweep must not allocate. The .mtm twins cover the
-    // interpreter's arena, sc_t_elt its causality axiom (which once
-    // assembled an edge-set union), and the MCM models run on the MCM
+    // twice; the second sweep must not allocate. rmw_atomicity's masked
+    // join covers the row programs' arena, sc_t_elt its causality axiom
+    // (which once assembled an edge-set union), and x86tso runs on the MCM
     // fixtures.
-    std::string error;
-    const auto twin = spec::resolve_model("x86t_elt.mtm", &error);
-    ASSERT_TRUE(twin.has_value()) << error;
-    const auto tso_twin = spec::resolve_model("x86tso.mtm", &error);
-    ASSERT_TRUE(tso_twin.has_value()) << error;
-    const mtm::Model builtin = mtm::x86t_elt();
+    const mtm::Model x86t_elt = mtm::x86t_elt();
     const mtm::Model sc = mtm::sc_t_elt();
-    for (const mtm::Model* model :
-         {&builtin, &twin->model, &sc, &tso_twin->model}) {
+    const mtm::Model x86tso = mtm::x86tso();
+    for (const mtm::Model* model : {&x86t_elt, &sc, &x86tso}) {
         const auto fixtures =
             model->vm_aware()
                 ? std::vector<Execution (*)()>{elt::fixtures::fig4_remap_chain,

@@ -238,18 +238,16 @@ TEST(SpecRegistry, EmbeddedSourcesMatchZooFiles)
 TEST(SpecRegistry, ResolveTiers)
 {
     std::string error;
-    // Builtins stay hardwired C++.
-    const auto builtin = resolve_model("x86t_elt", &error);
-    ASSERT_TRUE(builtin.has_value()) << error;
-    EXPECT_FALSE(builtin->from_spec);
-    EXPECT_EQ(builtin->model.axioms()[0].tag, mtm::AxiomTag::kScPerLoc);
-    // Registry names resolve with or without the suffix.
-    for (const char* name : {"sc", "sc.mtm"}) {
+    // Registry names resolve with or without the suffix; the predefined
+    // models are registry entries too.
+    for (const char* name : {"sc", "sc.mtm", "x86t_elt", "x86t_elt.mtm"}) {
         const auto zoo = resolve_model(name, &error);
         ASSERT_TRUE(zoo.has_value()) << error;
-        EXPECT_TRUE(zoo->from_spec);
-        EXPECT_EQ(zoo->model.name(), "sc");
-        EXPECT_EQ(zoo->model.axioms()[0].tag, mtm::AxiomTag::kExpr);
+        const std::string stem =
+            std::string(name).substr(0, std::string(name).find('.'));
+        EXPECT_EQ(zoo->model.name(), stem);
+        EXPECT_EQ(zoo->origin, "registry:" + stem + ".mtm");
+        EXPECT_NE(zoo->model.source_spec(), nullptr);
     }
     // Unknown names fail with the catalogue in the message.
     EXPECT_FALSE(resolve_model("nope", &error).has_value());

@@ -13,8 +13,8 @@
 ///   elt_check --jobs 0 suites/invlpg/*.litmus
 ///   elt_check --backend sat --sat-incremental off test.litmus
 ///
-/// --model accepts the same names as elt_synth: a hardwired builtin, a
-/// registry `.mtm` model, or a path to a `.mtm` specification file
+/// --model accepts the same names as elt_synth: a registry `.mtm` model
+/// (x86t_elt by default) or a path to a `.mtm` specification file
 /// (malformed files exit 2 with a file:line:col diagnostic).
 ///
 /// --backend enum|sat picks how a litmus program's execution space is
@@ -350,7 +350,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "%s\n", model_error.c_str());
         return 2;
     }
-    // One shared model: the axiom closures are stateless, so concurrent
+    // One shared model: its lowered axioms are immutable, so concurrent
     // checks through a const reference are safe.
     const mtm::Model& model = resolved->model;
 

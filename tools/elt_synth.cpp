@@ -12,8 +12,8 @@
 ///   elt_synth --list-axioms
 ///
 /// Flags:
-///   --model NAME|PATH x86t_elt (default) | any builtin or registry model
-///                     name | a path to a .mtm specification file (see
+///   --model NAME|PATH x86t_elt (default) | any registry model name | a
+///                     path to a .mtm specification file (see
 ///                     docs/models.md; malformed files exit 2 with a
 ///                     file:line:col diagnostic)
 ///   --axiom NAME      target axiom (default: every axiom, as --all)
