@@ -52,7 +52,7 @@ main()
 
     bench::banner("parallel_scaling",
                   "synthesis-loop scaling (TransForm section IV at scale)",
-                  "one shared pool sweeps all axioms; suites are identical "
+                  "one pass sweeps all axioms; suites are identical "
                   "at every job count and shard depth");
     std::printf("model %s, bounds %d..%d, %u hardware thread(s)\n\n",
                 model.name().c_str(), model.vm_aware() ? 4 : 2, bound, hw);

@@ -183,8 +183,8 @@ struct BackendRun {
     std::uint64_t programs = 0;
     std::uint64_t executions = 0;
     std::uint64_t allocations = 0;
-    std::uint64_t bases_built = 0;   ///< incremental SAT: structure bases
-    std::uint64_t bases_reused = 0;  ///< incremental SAT: base-cache hits
+    std::uint64_t bases_built = 0;   ///< SAT probe sessions: structure bases
+    std::uint64_t bases_reused = 0;  ///< SAT probe sessions: base-cache hits
     int tests = 0;
     std::string fingerprint;       ///< keys + sizes + violated
     std::string key_fingerprint;   ///< keys + sizes only
@@ -195,14 +195,13 @@ struct BackendRun {
 /// one backend at the given worker count.
 BackendRun
 run_workload(const mtm::Model& model, synth::Backend backend, int jobs,
-             int min_bound, int bound, bool sat_incremental = false)
+             int min_bound, int bound)
 {
     synth::SynthesisOptions opt;
     opt.min_bound = min_bound;
     opt.bound = bound;
     opt.jobs = jobs;
     opt.backend = backend;
-    opt.sat_incremental = sat_incremental;
     BackendRun run;
     std::vector<synth::SuiteResult> suites;
     const std::uint64_t allocations_before = obs::alloc_count();
@@ -234,13 +233,12 @@ run_workload(const mtm::Model& model, synth::Backend backend, int jobs,
 /// reject.
 BackendRun
 best_of(int repeats, const mtm::Model& model, synth::Backend backend,
-        int jobs, int min_bound, int bound, bool sat_incremental, bool* ok)
+        int jobs, int min_bound, int bound, bool* ok)
 {
-    BackendRun best =
-        run_workload(model, backend, jobs, min_bound, bound, sat_incremental);
+    BackendRun best = run_workload(model, backend, jobs, min_bound, bound);
     for (int rep = 1; rep < repeats; ++rep) {
-        BackendRun run = run_workload(model, backend, jobs, min_bound,
-                                      bound, sat_incremental);
+        BackendRun run =
+            run_workload(model, backend, jobs, min_bound, bound);
         if (run.fingerprint != best.fingerprint) {
             *ok = bench::check("repeat runs byte-identical", false) && *ok;
         }
@@ -344,7 +342,6 @@ witness_search_section()
     std::printf("%12s %6s %10s %12s %14s %12s\n", "backend", "jobs",
                 "wall (s)", "programs/s", "executions/s", "allocs/prog");
     BackendRun sat_run;
-    BackendRun sat_inc_run;
     BackendRun enum_run;
     for (const synth::Backend backend :
          {synth::Backend::kEnumerative, synth::Backend::kSat}) {
@@ -352,9 +349,8 @@ witness_search_section()
             backend == synth::Backend::kSat ? "sat" : "enumerative";
         BackendRun reference;
         for (const int jobs : {1, 2, 4}) {
-            const BackendRun run =
-                best_of(repeats, model, backend, jobs, min_bound, bound,
-                        /*sat_incremental=*/false, &ok);
+            const BackendRun run = best_of(repeats, model, backend, jobs,
+                                           min_bound, bound, &ok);
             std::printf("%12s %6d %10.3f %12.0f %14.0f %12.1f\n",
                         backend_name, jobs, run.seconds,
                         run.programs / run.seconds,
@@ -377,32 +373,6 @@ witness_search_section()
                      ok;
             }
         }
-        if (backend != synth::Backend::kSat) {
-            continue;
-        }
-        // The assumption-based incremental SAT path (one live solver per
-        // worker, per-candidate placement by assumptions): suites must be
-        // byte-identical to the fresh-encoding rows above at every worker
-        // count — the speedup is not allowed to change a single test.
-        for (const int jobs : {1, 2, 4}) {
-            const BackendRun run =
-                best_of(repeats, model, backend, jobs, min_bound, bound,
-                        /*sat_incremental=*/true, &ok);
-            std::printf("%12s %6d %10.3f %12.0f %14.0f %12.1f\n",
-                        "sat+inc", jobs, run.seconds,
-                        run.programs / run.seconds,
-                        run.executions / run.seconds,
-                        static_cast<double>(run.allocations) / run.programs);
-            if (jobs == 1) {
-                sat_inc_run = run;
-            }
-            ok = bench::check(("sat incremental suite byte-identical to "
-                               "fresh at jobs=" +
-                               std::to_string(jobs))
-                                  .c_str(),
-                              run.fingerprint == reference.fingerprint) &&
-                 ok;
-        }
     }
     // The synthesized test SET (keys + sizes) is backend-independent: a
     // program enters the suite iff some qualifying witness exists, which
@@ -411,19 +381,20 @@ witness_search_section()
                       sat_run.key_fingerprint == enum_run.key_fingerprint) &&
          ok;
 
-    // Structure-base economy of the jobs=1 incremental run: how many base
-    // encodings the session actually built vs how many structure revisits
-    // the cache absorbed. builds/program is the gated ratio — a broken
-    // cache shows up as it jumping toward the structure-change count.
+    // Structure-base economy of the jobs=1 SAT run: how many base
+    // encodings the probe sessions actually built vs how many structure
+    // revisits the cache absorbed. builds/program is the gated ratio — a
+    // broken cache shows up as it jumping toward the structure-change
+    // count.
     const double base_builds_per_program =
-        static_cast<double>(sat_inc_run.bases_built) /
-        static_cast<double>(sat_inc_run.programs);
-    std::printf("\nsat+inc structure bases: built %" PRIu64
-                ", reused %" PRIu64 " (%.4f builds/prog)\n",
-                sat_inc_run.bases_built, sat_inc_run.bases_reused,
+        static_cast<double>(sat_run.bases_built) /
+        static_cast<double>(sat_run.programs);
+    std::printf("\nsat structure bases: built %" PRIu64 ", reused %" PRIu64
+                " (%.4f builds/prog)\n",
+                sat_run.bases_built, sat_run.bases_reused,
                 base_builds_per_program);
-    ok = bench::check("incremental session reuses structure bases",
-                      sat_inc_run.bases_reused > 0) &&
+    ok = bench::check("probe sessions reuse structure bases",
+                      sat_run.bases_reused > 0) &&
          ok;
 
     const double judge_allocs = minimality_allocs_per_witness();
@@ -463,24 +434,19 @@ witness_search_section()
             bench::jint("bound", static_cast<std::uint64_t>(bound)),
             bench::jint("programs", sat_run.programs),
             bench::jint("tests", static_cast<std::uint64_t>(sat_run.tests)),
-            bench::jnum("sat_programs_per_sec",
+            // The SAT rows keep their sat_incremental_ names, so that
+            // they stay comparable with the baselines recorded while the
+            // backend also had a fresh-encoding route.
+            bench::jnum("sat_incremental_programs_per_sec",
                         sat_run.programs / sat_run.seconds),
-            bench::jnum("sat_executions_per_sec",
+            bench::jnum("sat_incremental_executions_per_sec",
                         sat_run.executions / sat_run.seconds),
-            bench::jnum("sat_allocs_per_program",
+            bench::jnum("sat_incremental_allocs_per_program",
                         static_cast<double>(sat_run.allocations) /
                             sat_run.programs),
-            bench::jnum("sat_incremental_programs_per_sec",
-                        sat_inc_run.programs / sat_inc_run.seconds),
-            bench::jnum("sat_incremental_executions_per_sec",
-                        sat_inc_run.executions / sat_inc_run.seconds),
-            bench::jnum("sat_incremental_allocs_per_program",
-                        static_cast<double>(sat_inc_run.allocations) /
-                            sat_inc_run.programs),
-            bench::jint("sat_incremental_bases_built",
-                        sat_inc_run.bases_built),
+            bench::jint("sat_incremental_bases_built", sat_run.bases_built),
             bench::jint("sat_incremental_bases_reused",
-                        sat_inc_run.bases_reused),
+                        sat_run.bases_reused),
             bench::jnum("sat_incremental_base_builds_per_program",
                         base_builds_per_program),
             bench::jnum("minimality_allocs_per_witness", judge_allocs),

@@ -8,7 +8,6 @@
 #include "obs/alloc.h"
 #include "rel/bool_factory.h"
 #include "rel/relation.h"
-#include "sat/backend.h"
 #include "spec/ast.h"
 #include "util/logging.h"
 
@@ -50,7 +49,7 @@ struct TemplateEdge {
 };
 
 /// The swappable per-structure slice of a session: one built base — its
-/// solver backend, circuit factory, structure key, selector/choice rows,
+/// solver, circuit factory, structure key, selector/choice rows,
 /// derived relations, frozen projection templates, and the deferred
 /// activation guards of candidates already served from it. The session's
 /// base cache stashes whole BaseStates and swaps one back in when the
@@ -59,7 +58,9 @@ struct TemplateEdge {
 /// pointers owned by the Model, so a swapped-out base stays internally
 /// consistent with no pointer fixups.
 struct BaseState {
-    std::unique_ptr<sat::SolverBackend> backend;
+    /// Behind a pointer so that stash swaps move one pointer, not the
+    /// solver's clause database.
+    std::unique_ptr<sat::Solver> solver;
     BoolFactory factory;
 
     std::vector<int> structure_key;  ///< empty = no base built in this slot
@@ -140,9 +141,8 @@ struct IncrementalEncoding::Impl : BaseState {
     bool vm = false;
     int max_vas = 0;
     int max_pas = 0;
-    std::string backend_name = "cdcl";
     bool timing = false;
-    /// Robustness configuration, applied (like timing) to every backend
+    /// Robustness configuration, applied (like timing) to every solver
     /// the session holds or later creates: 0 = no conflict budget; an
     /// empty interrupt = never interrupted.
     std::int64_t conflict_budget = 0;
@@ -150,9 +150,8 @@ struct IncrementalEncoding::Impl : BaseState {
     std::function<void(std::uint64_t)> solve_observer;
 
     SessionStats stats;
-    /// Counters of backends this session destroyed (stash shrink,
-    /// configure with a different backend): folded here so
-    /// lifetime_stats() never loses an epoch.
+    /// Counters of solvers this session destroyed (stash shrink,
+    /// configure): folded here so lifetime_stats() never loses an epoch.
     sat::SolverStats retired_stats;
 
     // ------------------------------------------------------------------
@@ -184,16 +183,8 @@ struct IncrementalEncoding::Impl : BaseState {
     /// blocking_clause() per model only reads polarities.
     std::vector<sat::Lit> block_tmpl;
 
-    sat::Solver&
-    native()
-    {
-        sat::Solver* s = backend->native();
-        TF_ASSERT(s != nullptr);  // circuit encodings need a native solver
-        return *s;
-    }
-
     // Direct clause emission, as in the fresh Build (see encoding.cpp for
-    // the rationale); clauses go through the backend seam.
+    // the rationale).
     void
     cl_begin()
     {
@@ -207,7 +198,7 @@ struct IncrementalEncoding::Impl : BaseState {
         if (e == rel::kTrueExpr) {
             clause_sat = true;
         } else if (e != rel::kFalseExpr) {
-            clause_buf.push_back(factory.compile(e, &native()));
+            clause_buf.push_back(factory.compile(e, solver.get()));
         }
     }
 
@@ -217,7 +208,7 @@ struct IncrementalEncoding::Impl : BaseState {
         if (e == rel::kFalseExpr) {
             clause_sat = true;
         } else if (e != rel::kTrueExpr) {
-            clause_buf.push_back(~factory.compile(e, &native()));
+            clause_buf.push_back(~factory.compile(e, solver.get()));
         }
     }
 
@@ -225,7 +216,7 @@ struct IncrementalEncoding::Impl : BaseState {
     cl_end()
     {
         if (!clause_sat) {
-            backend->add_clause(clause_buf.data(), clause_buf.size());
+            solver->add_clause(clause_buf.data(), clause_buf.size());
         }
     }
 
@@ -250,7 +241,7 @@ struct IncrementalEncoding::Impl : BaseState {
     ExprId
     var()
     {
-        return factory.mk_var(backend->new_var());
+        return factory.mk_var(solver->new_var());
     }
 
     /// Lazy va_eq: the pair's OR-of-ANDs circuit is created by the first
@@ -394,12 +385,12 @@ struct IncrementalEncoding::Impl : BaseState {
     // ------------------------------------------------------------------
     /// Flushes deferred guard retirements (observability: this is where
     /// the retirement/retention counters accumulate) — called when the
-    /// guards' clauses are about to die anyway at a backend reset.
+    /// guards' clauses are about to die anyway at a solver reset.
     void
     retire_spent_acts()
     {
         for (const sat::Lit act : spent_acts) {
-            backend->retire_activation(act);
+            solver->retire_activation(act);
         }
         spent_acts.clear();
     }
@@ -410,7 +401,7 @@ struct IncrementalEncoding::Impl : BaseState {
         ++stats.bases_built;
         n = p.num_events();
         retire_spent_acts();
-        backend->reset();
+        solver->reset();
         factory.reset();
         expr_memo.clear();
         build_selectors(p);
@@ -420,19 +411,15 @@ struct IncrementalEncoding::Impl : BaseState {
         build_derived(p, needs);
         if (axiom != nullptr) {
             factory.assert_true(factory.mk_not(axiom_circuit(p, *axiom)),
-                                &native());
+                                solver.get());
         }
         freeze_projection(p);
     }
 
-    std::unique_ptr<sat::SolverBackend>
-    make_session_backend() const
+    std::unique_ptr<sat::Solver>
+    make_session_solver() const
     {
-        std::unique_ptr<sat::SolverBackend> made =
-            sat::make_backend(backend_name);
-        if (made == nullptr) {
-            made = sat::make_backend("cdcl");
-        }
+        auto made = std::make_unique<sat::Solver>();
         made->set_timing(timing);
         made->set_conflict_budget(conflict_budget);
         made->set_interrupt(interrupt);
@@ -440,17 +427,17 @@ struct IncrementalEncoding::Impl : BaseState {
         return made;
     }
 
-    /// Permanently drops a base slot, folding its backend's lifetime
+    /// Permanently drops a base slot, folding its solver's lifetime
     /// counters into retired_stats first (after flushing the slot's
     /// deferred retirements, so the retention counters are complete).
     void
     fold_and_drop(BaseState* slot)
     {
-        if (slot->backend != nullptr) {
+        if (slot->solver != nullptr) {
             for (const sat::Lit act : slot->spent_acts) {
-                slot->backend->retire_activation(act);
+                slot->solver->retire_activation(act);
             }
-            retired_stats.merge(slot->backend->lifetime_stats());
+            retired_stats.merge(slot->solver->lifetime_stats());
         }
         *slot = BaseState();
     }
@@ -490,12 +477,12 @@ struct IncrementalEncoding::Impl : BaseState {
         if (cache_capacity > 1 && !structure_key.empty()) {
             if (static_cast<int>(stash.size()) + 1 < cache_capacity) {
                 // Stash the live base in a new slot; the live slice is now
-                // empty and gets a fresh backend below.
+                // empty and gets a fresh solver below.
                 stash.emplace_back();
                 std::swap(static_cast<BaseState&>(*this), stash.back());
             } else {
                 // Stash the live base into the LRU slot, recycling that
-                // slot's backend (build_base resets it) for the build.
+                // slot's solver (build_base resets it) for the build.
                 std::size_t lru = 0;
                 for (std::size_t i = 1; i < stash.size(); ++i) {
                     if (stash[i].last_used < stash[lru].last_used) {
@@ -505,8 +492,8 @@ struct IncrementalEncoding::Impl : BaseState {
                 std::swap(static_cast<BaseState&>(*this), stash[lru]);
             }
         }
-        if (backend == nullptr) {
-            backend = make_session_backend();
+        if (solver == nullptr) {
+            solver = make_session_solver();
         }
         build_base(p);
         structure_key = key_buf;
@@ -523,7 +510,7 @@ struct IncrementalEncoding::Impl : BaseState {
     void
     freeze_projection(const Program& p)
     {
-        sat::Solver& s = native();
+        sat::Solver& s = *solver;
         ext_rf.clear();
         ext_ptw.clear();
         ext_co.clear();
@@ -699,7 +686,7 @@ struct IncrementalEncoding::Impl : BaseState {
                 // superset.
                 const ExprId* choice = ptw_choice[e].find(own);
                 TF_ASSERT(choice != nullptr);
-                factory.assert_true(*choice, &native());
+                factory.assert_true(*choice, solver.get());
             }
         }
     }
@@ -1347,7 +1334,8 @@ struct IncrementalEncoding::Impl : BaseState {
                 continue;
             }
             TF_ASSERT(ev.va >= 0 && ev.va < max_vas);
-            assumptions.push_back(factory.compile(s_va[e][ev.va], &native()));
+            assumptions.push_back(
+                factory.compile(s_va[e][ev.va], solver.get()));
         }
         if (!vm) {
             return;
@@ -1359,7 +1347,7 @@ struct IncrementalEncoding::Impl : BaseState {
             }
             TF_ASSERT(ev.map_pa >= 0 && ev.map_pa < max_pas);
             assumptions.push_back(
-                factory.compile(pa[e][ev.map_pa], &native()));
+                factory.compile(pa[e][ev.map_pa], solver.get()));
         }
     }
 
@@ -1372,7 +1360,7 @@ struct IncrementalEncoding::Impl : BaseState {
     build_block_template(const Program& p)
     {
         block_tmpl.clear();
-        sat::Solver& s = native();
+        sat::Solver& s = *solver;
         auto block = [&](ExprId e) {
             block_tmpl.push_back(factory.compile(e, &s));
         };
@@ -1413,7 +1401,7 @@ struct IncrementalEncoding::Impl : BaseState {
     blocking_clause(std::vector<sat::Lit>* clause)
     {
         clause->clear();
-        sat::Solver& s = native();
+        sat::Solver& s = *solver;
         for (const sat::Lit l : block_tmpl) {
             clause->push_back(s.model_literal_true(l) ? ~l : l);
         }
@@ -1426,7 +1414,7 @@ struct IncrementalEncoding::Impl : BaseState {
         out->co_pos.assign(n, kNone);
         out->ptw_src.assign(n, kNone);
         out->co_pa_pos.assign(n, kNone);
-        sat::Solver& s = native();
+        sat::Solver& s = *solver;
         // The freeze_projection() templates resolve every guard to its
         // Tseitin literal (the compiler emits the full biconditional, so
         // the literal's model value is the circuit's) — the per-model loop
@@ -1477,10 +1465,6 @@ struct IncrementalEncoding::Impl : BaseState {
 
 IncrementalEncoding::IncrementalEncoding() : impl_(std::make_unique<Impl>())
 {
-    // A default backend from construction keeps backend() total — callers
-    // read stats or toggle timing on sessions that never get configured
-    // (e.g. a worker scratch under the enumerative backend).
-    impl_->backend = sat::make_backend("cdcl");
 }
 
 IncrementalEncoding::~IncrementalEncoding() = default;
@@ -1493,8 +1477,7 @@ IncrementalEncoding::operator=(IncrementalEncoding&&) noexcept = default;
 
 void
 IncrementalEncoding::configure(const Model* model, std::string axiom_name,
-                               int max_vas, int max_pas,
-                               std::string_view backend_name)
+                               int max_vas, int max_pas)
 {
     TF_ASSERT(model != nullptr);
     Impl& im = *impl_;
@@ -1509,15 +1492,10 @@ IncrementalEncoding::configure(const Model* model, std::string axiom_name,
     im.vm = model->vm_aware();
     im.max_vas = std::max(max_vas, 1);
     im.max_pas = std::max(max_pas, 1);
-    if (im.backend != nullptr) {
-        im.retire_spent_acts();  // flush counters before any backend swap
-    }
-    im.backend_name = std::string(backend_name);
-    if (im.backend == nullptr || im.backend->name() != backend_name) {
-        if (im.backend != nullptr) {
-            im.retired_stats.merge(im.backend->lifetime_stats());
-        }
-        im.backend = im.make_session_backend();
+    if (im.solver == nullptr) {
+        im.solver = im.make_session_solver();
+    } else {
+        im.retire_spent_acts();  // the next enumerate rebuilds the base
     }
     im.structure_key.clear();  // drop any live base
     // Stale cached bases encode the previous model/axiom/bounds; drop them
@@ -1528,31 +1506,17 @@ IncrementalEncoding::configure(const Model* model, std::string axiom_name,
     im.stash.clear();
 }
 
-sat::SolverBackend&
-IncrementalEncoding::backend()
-{
-    TF_ASSERT(impl_->backend != nullptr);  // configure() first
-    return *impl_->backend;
-}
-
-const sat::SolverBackend&
-IncrementalEncoding::backend() const
-{
-    TF_ASSERT(impl_->backend != nullptr);
-    return *impl_->backend;
-}
-
 void
 IncrementalEncoding::set_timing(bool enabled)
 {
     Impl& im = *impl_;
     im.timing = enabled;
-    if (im.backend != nullptr) {
-        im.backend->set_timing(enabled);
+    if (im.solver != nullptr) {
+        im.solver->set_timing(enabled);
     }
     for (BaseState& slot : im.stash) {
-        if (slot.backend != nullptr) {
-            slot.backend->set_timing(enabled);
+        if (slot.solver != nullptr) {
+            slot.solver->set_timing(enabled);
         }
     }
 }
@@ -1562,12 +1526,12 @@ IncrementalEncoding::set_conflict_budget(std::int64_t budget)
 {
     Impl& im = *impl_;
     im.conflict_budget = budget;
-    if (im.backend != nullptr) {
-        im.backend->set_conflict_budget(budget);
+    if (im.solver != nullptr) {
+        im.solver->set_conflict_budget(budget);
     }
     for (BaseState& slot : im.stash) {
-        if (slot.backend != nullptr) {
-            slot.backend->set_conflict_budget(budget);
+        if (slot.solver != nullptr) {
+            slot.solver->set_conflict_budget(budget);
         }
     }
 }
@@ -1577,12 +1541,12 @@ IncrementalEncoding::set_interrupt(std::function<bool()> poll)
 {
     Impl& im = *impl_;
     im.interrupt = std::move(poll);
-    if (im.backend != nullptr) {
-        im.backend->set_interrupt(im.interrupt);
+    if (im.solver != nullptr) {
+        im.solver->set_interrupt(im.interrupt);
     }
     for (BaseState& slot : im.stash) {
-        if (slot.backend != nullptr) {
-            slot.backend->set_interrupt(im.interrupt);
+        if (slot.solver != nullptr) {
+            slot.solver->set_interrupt(im.interrupt);
         }
     }
 }
@@ -1593,12 +1557,12 @@ IncrementalEncoding::set_solve_observer(
 {
     Impl& im = *impl_;
     im.solve_observer = std::move(observer);
-    if (im.backend != nullptr) {
-        im.backend->set_solve_observer(im.solve_observer);
+    if (im.solver != nullptr) {
+        im.solver->set_solve_observer(im.solve_observer);
     }
     for (BaseState& slot : im.stash) {
-        if (slot.backend != nullptr) {
-            slot.backend->set_solve_observer(im.solve_observer);
+        if (slot.solver != nullptr) {
+            slot.solver->set_solve_observer(im.solve_observer);
         }
     }
 }
@@ -1608,12 +1572,12 @@ IncrementalEncoding::lifetime_stats() const
 {
     const Impl& im = *impl_;
     sat::SolverStats out = im.retired_stats;
-    if (im.backend != nullptr) {
-        out.merge(im.backend->lifetime_stats());
+    if (im.solver != nullptr) {
+        out.merge(im.solver->lifetime_stats());
     }
     for (const BaseState& slot : im.stash) {
-        if (slot.backend != nullptr) {
-            out.merge(slot.backend->lifetime_stats());
+        if (slot.solver != nullptr) {
+            out.merge(slot.solver->lifetime_stats());
         }
     }
     out.bases_built += im.stats.bases_built;
@@ -1663,12 +1627,12 @@ IncrementalEncoding::enumerate(const elt::Program& program,
     // deepest assumption level: blocking clauses carry ~act, and the
     // assumption-establishment machinery keeps act pinned true across
     // every backjump of the continued search.
-    const sat::Lit act(im.backend->new_var(), false);
+    const sat::Lit act(im.solver->new_var(), false);
     im.assumptions.push_back(act);
     bool act_used = false;
     bool completed = true;
     bool have_template = false;
-    sat::SolveResult verdict = im.backend->solve(im.assumptions);
+    sat::SolveResult verdict = im.solver->solve(im.assumptions);
     while (verdict == sat::SolveResult::kSat) {
         im.extract_into(program, &im.current);
         if (!visit(im.current)) {
@@ -1687,7 +1651,7 @@ IncrementalEncoding::enumerate(const elt::Program& program,
         }
         act_used = true;
         im.block_buf.push_back(~act);
-        verdict = im.backend->block_and_resolve(
+        verdict = im.solver->block_and_resolve(
             im.block_buf.data(), im.block_buf.size(), im.assumptions);
     }
     if (act_used) {
@@ -1704,7 +1668,7 @@ IncrementalEncoding::enumerate(const elt::Program& program,
         // The guard was parked above, so the session stays consistent
         // whether the caller retries (fresh session after a shard fault)
         // or unwinds (cancellation).
-        if (im.backend->unknown_cause() ==
+        if (im.solver->unknown_cause() ==
             sat::UnknownCause::kConflictBudget) {
             throw sat::BudgetExhausted();
         }

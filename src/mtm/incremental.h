@@ -1,9 +1,9 @@
 /// \file
 /// Incremental assumption-based twin of ProgramEncoding (the tentpole of
-/// the incremental-SAT work): one live SolverBackend per synthesis worker
-/// hosts a *structure-lifetime* base encoding shared by every candidate
-/// program with the same skeleton structure, and each candidate is solved
-/// purely under assumptions — no per-candidate clause emission at all.
+/// the incremental-SAT work): one live sat::Solver per probe session hosts
+/// a *structure-lifetime* base encoding shared by every candidate program
+/// with the same skeleton structure, and each candidate is solved purely
+/// under assumptions — no per-candidate clause emission at all.
 ///
 /// The split exploits how the skeleton enumerator orders candidates:
 /// siblings differing only in VA assignment and Wpte target-PA choice are
@@ -36,14 +36,15 @@
 /// lazily, on the first constraint that touches a pair — all before the
 /// projection freeze, so the no-clauses-after-freeze discipline holds.
 ///
-/// Contract against the fresh path (asserted by tests/sat_incremental_test
-/// and the engine's replay discipline): for every candidate, the verdict
-/// (does a violating execution exist / how many are there) and the set of
-/// enumerated executions match ProgramEncoding::enumerate exactly; only
-/// the *order* models stream in may differ, because the live solver's
-/// heuristic state carries over. Callers that need the fresh path's
-/// first-found witness byte-for-byte (the synthesis engine) replay
-/// accepted candidates through ProgramEncoding.
+/// Contract against a fresh ProgramEncoding (asserted by
+/// tests/sat_incremental_test and the engine's replay discipline): for
+/// every candidate, the verdict (does a violating execution exist / how
+/// many are there) and the set of enumerated executions match
+/// ProgramEncoding::enumerate exactly; only the *order* models stream in
+/// may differ, because the live solver's heuristic state carries over.
+/// Callers that need a first-found witness that depends on the program
+/// alone (the synthesis engine) replay accepted candidates through
+/// ProgramEncoding.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +55,12 @@
 #include "elt/execution.h"
 #include "elt/program.h"
 #include "mtm/model.h"
-#include "sat/backend.h"
+#include "sat/solver.h"
 
 namespace transform::mtm {
 
-/// One worker's incremental encoding session. Not shareable between
-/// concurrent queries; the synthesis engine owns one per WorkerScratch.
+/// One incremental encoding session. Not shareable between concurrent
+/// queries; each synthesis worker owns one per target axiom.
 class IncrementalEncoding {
   public:
     IncrementalEncoding();
@@ -78,11 +79,12 @@ class IncrementalEncoding {
     /// axiom filter, enumerate all well-formed executions), and the
     /// symbolic-domain bounds every candidate must fit in — \p max_vas
     /// bounds every event's VA index, \p max_pas bounds num_pas() and
-    /// every Wpte's map_pa. Drops any live base encoding. \p backend_name
-    /// selects the solver backend ("cdcl"); unknown names fall back to
-    /// the default CDCL backend.
+    /// every Wpte's map_pa. Drops any live or cached base encoding, so the
+    /// next enumerate() starts from a freshly built base; the session's
+    /// timing, conflict budget, interrupt, observer and cache capacity
+    /// stay as set.
     void configure(const Model* model, std::string axiom_name, int max_vas,
-                   int max_pas, std::string_view backend_name = "cdcl");
+                   int max_pas);
 
     /// Streams every well-formed execution of \p program violating the
     /// configured axiom. Verdict and model count match
@@ -92,35 +94,28 @@ class IncrementalEncoding {
     /// model's VM-awareness and fit the configured domain bounds.
     bool enumerate(const elt::Program& program, const ExecutionVisitor& visit);
 
-    /// The live base's solver backend. With the base cache each cached
-    /// base owns its own backend, so session-wide concerns (timing,
-    /// stats) go through set_timing()/lifetime_stats() below; this
-    /// accessor serves tests that poke the current solver directly.
-    sat::SolverBackend& backend();
-    const sat::SolverBackend& backend() const;
-
-    /// Enables/disables solve-wall-clock accounting on every backend the
+    /// Enables/disables solve-wall-clock accounting on every solver the
     /// session holds or later creates (cached bases included).
     void set_timing(bool enabled);
 
     /// Applies a persistent per-solve conflict budget (0 = unlimited) to
-    /// every backend the session holds or later creates. A budget-exhausted
+    /// every solver the session holds or later creates. A budget-exhausted
     /// candidate query makes enumerate() throw sat::BudgetExhausted — the
     /// engine treats that as a retryable shard fault (docs/robustness.md).
     void set_conflict_budget(std::int64_t budget);
 
     /// Installs a cooperative interrupt hook (see sat::Solver::set_interrupt)
-    /// on every backend the session holds or later creates. An interrupted
+    /// on every solver the session holds or later creates. An interrupted
     /// candidate query makes enumerate() return false, like a visitor veto;
     /// the cancelled caller discards the partial result.
     void set_interrupt(std::function<bool()> poll);
 
     /// Installs a per-solve latency observer (see
-    /// sat::Solver::set_solve_observer) on every backend the session holds
+    /// sat::Solver::set_solve_observer) on every solver the session holds
     /// or later creates. Fires only under set_timing(true).
     void set_solve_observer(std::function<void(std::uint64_t)> observer);
 
-    /// Merged lifetime counters across every backend the session ever
+    /// Merged lifetime counters across every solver the session ever
     /// owned (live base, cached bases, evicted bases' folded epochs),
     /// plus the session's bases_built/bases_reused. This is what the
     /// engine merges into SuiteResult::solver.

@@ -27,8 +27,8 @@ class AllocTracker;  // obs/alloc.h
 /// The phase taxonomy. Fixed and versioned with the metrics-JSON schema
 /// (obs/report.h): every nanosecond a shard job spends is attributed to
 /// exactly one phase, so per-phase seconds sum to shard-job wall time.
-/// kDedup and kQueueWait are the two phases outside shard jobs: the
-/// engine adds them on lane 0 once a pass's workers are idle.
+/// kDedup is the phase outside shard jobs: the engine adds it on lane 0
+/// once a pass's workers are idle.
 enum class Phase : int {
     kSkeletonEnum = 0,  ///< skeleton/execution enumeration + shard framing
                         ///  (a shard job's wall time not claimed below)
@@ -42,8 +42,10 @@ enum class Phase : int {
                         ///  relaxed execution per applicable relaxation)
     kDedup,             ///< the merge's sort-and-drop of each target's
                         ///  accepted tests: one sample per target
-    kQueueWait,         ///< wall time queued on a shared pool before the
-                        ///  suite's first job ran
+    kQueueWait,         ///< always 0: a pass has its call's pool to
+                        ///  itself, so nothing queues ahead of it. Kept
+                        ///  for the metrics-JSON v6 schema until the next
+                        ///  benchmark change (ROADMAP item 1)
 };
 
 /// Number of phases in the taxonomy (kQueueWait is the last).

@@ -73,12 +73,6 @@ TraceCollector::TraceCollector(int worker_lanes,
     }
 }
 
-std::uint64_t
-TraceCollector::next_flow_id()
-{
-    return next_flow_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void
 TraceCollector::set_lane_name(int lane, std::string name)
 {
@@ -130,30 +124,6 @@ TraceCollector::record_instant(int lane, std::string name,
     event.kind = Event::Kind::kInstant;
     event.name = std::move(name);
     event.ts_ns = ts_ns;
-    push(lane, std::move(event));
-}
-
-void
-TraceCollector::record_async_begin(int lane, std::string name,
-                                   std::uint64_t id, std::uint64_t ts_ns)
-{
-    Event event;
-    event.kind = Event::Kind::kAsyncBegin;
-    event.name = std::move(name);
-    event.ts_ns = ts_ns;
-    event.flow_id = id;
-    push(lane, std::move(event));
-}
-
-void
-TraceCollector::record_async_end(int lane, std::string name,
-                                 std::uint64_t id, std::uint64_t ts_ns)
-{
-    Event event;
-    event.kind = Event::Kind::kAsyncEnd;
-    event.name = std::move(name);
-    event.ts_ns = ts_ns;
-    event.flow_id = id;
     push(lane, std::move(event));
 }
 
@@ -252,18 +222,6 @@ TraceCollector::chrome_json() const
                        "\"name\":\"";
                 append_escaped(&out, event.name);
                 out += "\",\"pid\":1,\"tid\":" + std::to_string(lane) +
-                       ",\"ts\":";
-                append_us(&out, ts);
-                out += "}";
-                break;
-            case Event::Kind::kAsyncBegin:
-            case Event::Kind::kAsyncEnd:
-                out += event.kind == Event::Kind::kAsyncBegin
-                           ? "{\"ph\":\"b\",\"cat\":\"suite\",\"name\":\""
-                           : "{\"ph\":\"e\",\"cat\":\"suite\",\"name\":\"";
-                append_escaped(&out, event.name);
-                out += "\",\"id\":" + std::to_string(event.flow_id) +
-                       ",\"pid\":1,\"tid\":" + std::to_string(lane) +
                        ",\"ts\":";
                 append_us(&out, ts);
                 out += "}";

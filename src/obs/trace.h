@@ -6,17 +6,17 @@
 ///
 /// Writers record *complete* spans (begin + duration in one event, so a
 /// truncated ring can never produce unbalanced begin/end pairs), instant
-/// markers, async span pairs, and counter samples. Storage is one ring
-/// buffer per lane; a lane has exactly one
-/// writer (pool worker w writes lane w, the submitting thread writes the
-/// lane returned by main_lane()), so recording is lock- and wait-free.
+/// markers and counter samples. Storage is one ring buffer per lane; a
+/// lane has exactly one writer (pool worker w writes lane w, the
+/// submitting thread writes the lane returned by main_lane()), so
+/// recording is lock- and wait-free.
 /// When the ring wraps, the oldest events are overwritten and counted in
 /// dropped() — a bounded trace of the most recent activity, never
 /// unbounded memory.
 ///
 /// Export (chrome_json / write) must not run concurrently with recording;
-/// the engine's contract is "export after every job group has been
-/// wait()ed", which is also when ring contents are settled.
+/// the engine's contract is "export after the synthesis call returned",
+/// which is also when ring contents are settled.
 #pragma once
 
 #include <atomic>
@@ -54,9 +54,6 @@ class TraceCollector {
     /// The extra lane reserved for the submitting thread.
     int main_lane() const { return lanes() - 1; }
 
-    /// A fresh process-unique id for an async span pair (never 0).
-    std::uint64_t next_flow_id();
-
     /// Labels a lane in the exported trace (defaults to "worker N" /
     /// "main").
     void set_lane_name(int lane, std::string name);
@@ -70,15 +67,6 @@ class TraceCollector {
 
     /// Records an instant marker.
     void record_instant(int lane, std::string name, std::uint64_t ts_ns);
-
-    /// Records an async span pair (Chrome "b"/"e" events, rendered on
-    /// their own track). Async spans may overlap freely — used for
-    /// per-suite spans, which interleave on a shared pool. Pair the two
-    /// calls with the same \p id (next_flow_id() is a fine source).
-    void record_async_begin(int lane, std::string name, std::uint64_t id,
-                            std::uint64_t ts_ns);
-    void record_async_end(int lane, std::string name, std::uint64_t id,
-                          std::uint64_t ts_ns);
 
     /// Records a counter sample (Chrome "C" event, rendered as a stacked
     /// chart of the arg series). Used for per-phase latency percentiles
@@ -107,8 +95,6 @@ class TraceCollector {
         enum class Kind : std::uint8_t {
             kComplete,
             kInstant,
-            kAsyncBegin,
-            kAsyncEnd,
             kCounter,
         };
         Kind kind = Kind::kComplete;
@@ -116,7 +102,6 @@ class TraceCollector {
         std::string name;
         std::uint64_t ts_ns = 0;
         std::uint64_t dur_ns = 0;
-        std::uint64_t flow_id = 0;
         Arg args[3] = {};
     };
 
@@ -133,7 +118,6 @@ class TraceCollector {
     std::vector<Lane> lanes_;
     std::size_t capacity_;
     std::uint64_t epoch_ns_;
-    std::atomic_uint64_t next_flow_{1};
     std::atomic_uint64_t invalid_lane_drops_{0};
 };
 

@@ -38,25 +38,12 @@ resolve_jobs(int jobs)
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-/// A wait-able set of jobs with per-group counters, all guarded by the
-/// pool's mutex. `pending` counts submitted-but-unfinished jobs; a job's
-/// spawns increment it before the job's own decrement, so `pending == 0`
-/// is only observable once the whole spawn tree has finished.
-class ThreadPool::JobGroup {
-  public:
-    std::uint64_t pending = 0;
-    std::uint64_t jobs_run = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t job_faults = 0;
-};
-
 namespace {
 
-/// One queued job: the closure, its group, and the worker whose job
-/// submitted it (-1 = submitted from outside the pool).
+/// One queued job: the closure and the worker whose job submitted it (-1 =
+/// submitted from outside the pool).
 struct QueuedJob {
     ThreadPool::Job fn;
-    ThreadPool::GroupHandle group;
     int submitter = -1;
 };
 
@@ -102,26 +89,25 @@ struct ThreadPool::Impl {
         threads.clear();  // std::jthread joins on destruction
     }
 
-    /// Queues \p jobs for \p group: at the back from outside the pool, at
-    /// the front (keeping their order) from inside a job running on it.
+    /// Queues \p jobs: at the back from outside the pool, at the front
+    /// (keeping their order) from inside a job running on it.
     void
-    enqueue(const GroupHandle& group, std::vector<Job>& jobs)
+    enqueue(std::vector<Job>& jobs)
     {
-        TF_ASSERT(group != nullptr);
         if (jobs.empty()) {
             return;
         }
         const int submitter = tls_pool == this ? tls_worker : -1;
         {
             std::lock_guard<std::mutex> lock(mu);
-            group->pending += jobs.size();
+            pending += jobs.size();
             if (submitter < 0) {
                 for (Job& job : jobs) {
-                    queue.push_back({std::move(job), group, submitter});
+                    queue.push_back({std::move(job), submitter});
                 }
             } else {
                 for (auto job = jobs.rbegin(); job != jobs.rend(); ++job) {
-                    queue.push_front({std::move(*job), group, submitter});
+                    queue.push_front({std::move(*job), submitter});
                 }
             }
         }
@@ -133,7 +119,7 @@ struct ThreadPool::Impl {
     }
 
     /// The worker loop: take the front job, run it outside the lock, then
-    /// settle its group's counters; block while the queue is empty.
+    /// settle the counters; block while the queue is empty.
     void
     work(int self)
     {
@@ -156,26 +142,32 @@ struct ThreadPool::Impl {
             }
             job.fn = nullptr;  // release the closure outside the lock
             lock.lock();
-            JobGroup& group = *job.group;
-            ++group.jobs_run;
+            ++jobs_run;
             if (job.submitter >= 0 && job.submitter != self) {
-                ++group.steals;
+                ++steals;
             }
             if (!ok) {
-                ++group.job_faults;
+                ++job_faults;
             }
-            if (--group.pending == 0) {
+            if (--pending == 0) {
                 done_cv.notify_all();
             }
         }
     }
 
     const int worker_count;
-    std::mutex mu;  ///< guards queue, stop and every group's counters
+    std::mutex mu;  ///< guards queue, stop and the counters below
     std::condition_variable work_cv;  ///< idle workers wait for jobs
-    std::condition_variable done_cv;  ///< wait() callers wait for groups
+    std::condition_variable done_cv;  ///< wait() callers wait for pending
     std::deque<QueuedJob> queue;
     bool stop = false;
+    /// Submitted-but-unfinished jobs. A job's spawns increment it before
+    /// the job's own decrement, so 0 is only observable once every spawn
+    /// has finished too.
+    std::uint64_t pending = 0;
+    std::uint64_t jobs_run = 0;
+    std::uint64_t steals = 0;
+    std::uint64_t job_faults = 0;
     /// Optional span collector (set_trace); jobs are recorded as complete
     /// spans on the executing worker's lane.
     std::atomic<obs::TraceCollector*> trace{nullptr};
@@ -197,40 +189,25 @@ ThreadPool::ThreadPool(int workers)
 
 ThreadPool::~ThreadPool() = default;
 
-ThreadPool::GroupHandle
-ThreadPool::make_group()
-{
-    return std::make_shared<JobGroup>();
-}
-
 void
-ThreadPool::submit(const GroupHandle& group, Job job)
+ThreadPool::submit(Job job)
 {
     std::vector<Job> jobs;
     jobs.push_back(std::move(job));
-    impl_->enqueue(group, jobs);
+    impl_->enqueue(jobs);
 }
 
 void
-ThreadPool::submit(const GroupHandle& group, std::vector<Job> jobs)
+ThreadPool::submit(std::vector<Job> jobs)
 {
-    impl_->enqueue(group, jobs);
+    impl_->enqueue(jobs);
 }
 
 void
-ThreadPool::wait(const GroupHandle& group)
+ThreadPool::wait()
 {
-    TF_ASSERT(group != nullptr);
     std::unique_lock<std::mutex> lock(impl_->mu);
-    impl_->done_cv.wait(lock, [&group] { return group->pending == 0; });
-}
-
-void
-ThreadPool::run_batch(std::vector<Job> jobs)
-{
-    const GroupHandle group = make_group();
-    submit(group, std::move(jobs));
-    wait(group);
+    impl_->done_cv.wait(lock, [this] { return impl_->pending == 0; });
 }
 
 int
@@ -246,15 +223,14 @@ ThreadPool::set_trace(obs::TraceCollector* trace)
 }
 
 SchedulerStats
-ThreadPool::group_stats(const GroupHandle& group) const
+ThreadPool::stats() const
 {
-    TF_ASSERT(group != nullptr);
     SchedulerStats stats;
     stats.workers = workers();
     std::lock_guard<std::mutex> lock(impl_->mu);
-    stats.jobs_run = group->jobs_run;
-    stats.steals = group->steals;
-    stats.job_faults = group->job_faults;
+    stats.jobs_run = impl_->jobs_run;
+    stats.steals = impl_->steals;
+    stats.job_faults = impl_->job_faults;
     return stats;
 }
 

@@ -25,8 +25,7 @@ namespace transform::sched {
 /// scheduler workers concurrently (each call locks only its key's stripe).
 /// The read-side accessors (min_ticket, hits, size) are themselves
 /// thread-safe but return settled values only after every writer has
-/// finished — the engine reads them in its merge step, after
-/// ThreadPool::wait() on the suite's job group.
+/// finished — after ThreadPool::wait() on the pool whose jobs record.
 class ShardedKeyIndex {
   public:
     /// Outcome of one record() call.

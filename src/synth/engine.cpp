@@ -252,14 +252,12 @@ base_skeleton_options(const mtm::Model& model,
     return skeleton;
 }
 
-/// A witness the fused search accepted for a candidate: the execution, the
+/// A witness the search accepted for a candidate: the execution, the
 /// targets it settles (violated, eligible, and without a witness until
-/// it), its full violated mask, and how many executions the search had
-/// visited when it was found.
+/// it), and its full violated mask.
 struct AcceptedWitness {
     mtm::AxiomMask targets = 0;
     mtm::AxiomMask violated = 0;
-    std::uint64_t executions = 0;
     Execution witness;
 };
 
@@ -272,13 +270,21 @@ struct WorkerScratch {
     elt::DeriveScratch derive;
     JudgeScratch judge;
     CanonicalScratch canonical;
-    mtm::EncodingScratch encoding;  ///< SAT backend: factory + solver reuse
-    /// SAT backend with sat_incremental: the worker's live solver session
-    /// (configured per pass by launch_pass; idle otherwise).
-    mtm::IncrementalEncoding incremental;
+    /// SAT backend: the replay encoding's factory + solver, reused across
+    /// every candidate of the worker.
+    mtm::EncodingScratch encoding;
+    /// SAT backend: the worker's probe sessions, one per axiom of the
+    /// model, each a live solver reused across candidates. launch_pass
+    /// configures the pass's targets' sessions; the others stay idle.
+    /// Empty under the enumerative backend.
+    std::vector<mtm::IncrementalEncoding> sessions;
     /// The current candidate's accepted witnesses (find_witnesses clears
     /// it per candidate; only an acceptance copies an execution in).
     std::vector<AcceptedWitness> accepted;
+    /// Per axiom of the model: the executions the current candidate's
+    /// search visited until that axiom settled (find_witnesses sets the
+    /// entry of every eligible target).
+    std::vector<std::uint64_t> executions;
     /// Fault injection (docs/robustness.md): the pass's plan plus the
     /// probe identity of the candidate under evaluation — set per job and
     /// per candidate by search_shard, so firing is a pure function of
@@ -292,28 +298,44 @@ struct WorkerScratch {
 /// Searches \p program's execution space for the first violating,
 /// interesting, minimal witness of every target in \p eligible (any one
 /// witness per target suffices: minimality and dedup are program-level
-/// once a forbidden witness exists). Each execution is derived and masked
-/// once. It is judged only when it violates a target that has no witness
-/// yet, reusing that derivation; minimality does not depend on the axiom,
-/// so a minimal execution is the witness of every target it violates that
-/// is still open. The search stops once every eligible target is settled.
-/// Accepted witnesses land in scratch->accepted, the search's only copies
-/// of an execution. Returns the executions visited; a target without a
-/// witness settled only when the search ended. \p sat_axiom names the
-/// (single) target under the SAT backend.
-std::uint64_t
+/// once a forbidden witness exists). Accepted witnesses land in
+/// scratch->accepted, the search's only copies of an execution, and
+/// scratch->executions[i] receives, for every target i in \p eligible, the
+/// executions visited until it settled: at its witness, or at the end of
+/// its search.
+///
+/// The enumerative backend searches all targets at once. Each execution
+/// is derived and masked once. It is judged only when it violates a
+/// target that has no witness yet, reusing that derivation; minimality
+/// does not depend on the axiom, so a minimal execution is the witness of
+/// every target it violates that is still open. The search stops once
+/// every eligible target is settled.
+///
+/// The SAT backend's query names one axiom, so it runs one query per
+/// eligible target, in axiom order, each exactly as a search for that
+/// target alone runs it: the target's witness and execution count never
+/// depend on the other targets.
+void
 find_witnesses(const mtm::Model& model, mtm::AxiomMask eligible,
-               const std::string& sat_axiom, const SynthesisOptions& options,
-               const Program& program, const util::Deadline& deadline,
-               WorkerScratch* scratch, obs::MetricsRegistry* metrics,
-               int worker, bool* timed_out, bool* cancelled)
+               const SynthesisOptions& options, const Program& program,
+               const util::Deadline& deadline, WorkerScratch* scratch,
+               obs::MetricsRegistry* metrics, int worker, bool* timed_out,
+               bool* cancelled)
 {
     scratch->accepted.clear();
+    std::uint64_t considered = 0;
+    // Sets the execution count of every target in \p targets.
+    const auto settle = [&](mtm::AxiomMask targets, std::uint64_t count) {
+        for (; targets != 0; targets &= targets - 1) {
+            scratch->executions[static_cast<std::size_t>(
+                std::countr_zero(targets))] = count;
+        }
+    };
     if (!contains_write(program)) {
-        return 0;  // never interesting: skip the whole execution space
+        settle(eligible, 0);
+        return;  // never interesting: skip the whole execution space
     }
     mtm::AxiomMask open = eligible;
-    std::uint64_t considered = 0;
     auto consider = [&](const Execution& execution) {
         ++considered;
         if (deadline.expired()) {
@@ -359,26 +381,31 @@ find_witnesses(const mtm::Model& model, mtm::AxiomMask eligible,
                 return true;
             }
         }
-        scratch->accepted.push_back({settles, violated, considered,
-                                     execution});
+        scratch->accepted.push_back({settles, violated, execution});
+        settle(settles, considered);
         open &= ~settles;
         return open != 0;  // stop once every target has its witness
     };
 
+    if (options.backend == Backend::kEnumerative) {
+        for_each_execution(program, model.vm_aware(), consider);
+        settle(open, considered);
+        return;
+    }
+
     // Streaming AllSAT: consider() returning false stops the solver at
     // the first accepted witness instead of materializing the whole
-    // violating space. The worker's factory/solver pair is reused across
-    // every program of the shard. With sat_incremental, the search first
-    // PROBES through the worker's live assumption-based session (no
-    // per-candidate encoding; candidate order within a structure reuses
-    // one solver and its learned clauses). A probe acceptance only proves
-    // existence — the live solver's model order differs from a fresh
-    // solver's — so accepted candidates (the rare case) REPLAY through
-    // the fresh per-program encoding, reproducing the non-incremental
-    // witness and executions_considered byte for byte. Rejected
-    // candidates enumerate the same violating set either way, so the
-    // probe's execution count stands.
-    auto sat_search = [&]() {
+    // violating space. Each query first PROBES through the target's live
+    // assumption-based session (no per-candidate encoding; candidate order
+    // within a structure reuses one solver and its learned clauses). A
+    // probe acceptance only proves existence — the live solver's model
+    // order depends on the candidates it served before — so accepted
+    // candidates (the rare case) REPLAY through a fresh per-program
+    // encoding, whose first accepted witness and execution count are a
+    // function of the program alone. Rejected candidates enumerate the
+    // same violating set either way, so the probe's execution count
+    // stands.
+    const auto sat_search = [&]() {
         // Allocations of the encode/solve machinery land in kSatEncode
         // (the time split between encode and solve comes from the solver's
         // gated clock; the alloc split is not worth a second seam).
@@ -389,62 +416,72 @@ find_witnesses(const mtm::Model& model, mtm::AxiomMask eligible,
                                             scratch->fault_key,
                                             scratch->fault_attempt);
         }
-        if (options.sat_incremental) {
-            scratch->incremental.enumerate(program, consider);
-            if (scratch->accepted.empty() || *timed_out) {
+        for (mtm::AxiomMask rest = eligible; rest != 0; rest &= rest - 1) {
+            const int index = std::countr_zero(rest);
+            const mtm::AxiomMask target = mtm::AxiomMask{1} << index;
+            open = target;
+            considered = 0;
+            scratch->sessions[static_cast<std::size_t>(index)].enumerate(
+                program, consider);
+            if (open != target) {
+                // The replay recounts from scratch. It re-derives and
+                // re-judges the executions the probe already visited:
+                // derive/judge phase totals honestly include that
+                // duplicated work (~4% of candidates accept).
+                scratch->accepted.pop_back();
+                open = target;
+                considered = 0;
+                mtm::ProgramEncoding encoding(program, &model,
+                                              &scratch->encoding);
+                encoding.enumerate(model.axioms()[index].name, consider);
+            }
+            if (open == target) {
+                settle(target, considered);  // no witness
+            }
+            if (*timed_out || *cancelled) {
                 return;
             }
-            // The replay recounts from scratch.
-            considered = 0;
-            open = eligible;
-            scratch->accepted.clear();
-            // Note the replay re-derives and re-judges the executions the
-            // probe already visited: derive/judge phase totals honestly
-            // include that duplicated work (~4% of candidates accept).
         }
-        mtm::ProgramEncoding encoding(program, &model, &scratch->encoding);
-        encoding.enumerate(sat_axiom, consider);
     };
 
-    if (options.backend == Backend::kEnumerative) {
-        for_each_execution(program, model.vm_aware(), consider);
-    } else if (metrics == nullptr) {
+    if (metrics == nullptr) {
         sat_search();
-    } else {
-        // Same search, with phase attribution. kSatSolve comes from the
-        // solvers' own gated clocks (set_timing) — the fresh per-program
-        // solver plus, under sat_incremental, the live session's backend —
-        // and kSatEncode is the remaining wall time of the encode+enumerate
-        // pair after subtracting solve time and the derive/judge time
-        // consider() already claimed above — so the phases never
-        // double-count.
-        auto solve_nanos = [&]() {
-            std::uint64_t nanos =
-                scratch->encoding.solver.lifetime_stats().solve_nanos;
-            if (options.sat_incremental) {
-                // Session-level: sums the live base's backend and every
-                // cached base's.
-                nanos += scratch->incremental.lifetime_stats().solve_nanos;
-            }
-            return nanos;
-        };
-        const auto inner_nanos = [&]() {
-            return metrics->worker_phase_nanos(worker, obs::Phase::kDerive) +
-                   metrics->worker_phase_nanos(worker, obs::Phase::kJudge) +
-                   metrics->worker_phase_nanos(worker, obs::Phase::kRelax);
-        };
-        const std::uint64_t start = obs::now_nanos();
-        const std::uint64_t inner_before = inner_nanos();
-        const std::uint64_t solve_before = solve_nanos();
-        sat_search();
-        const std::uint64_t wall = obs::now_nanos() - start;
-        const std::uint64_t solve = solve_nanos() - solve_before;
-        const std::uint64_t inner = inner_nanos() - inner_before;
-        metrics->add(worker, obs::Phase::kSatSolve, solve);
-        metrics->add(worker, obs::Phase::kSatEncode,
-                     wall > solve + inner ? wall - solve - inner : 0);
+        return;
     }
-    return considered;
+    // Same search, with phase attribution. kSatSolve comes from the
+    // solvers' own gated clocks (set_timing) — the replay solver and the
+    // eligible targets' sessions — and kSatEncode is the remaining wall
+    // time of the search after subtracting solve time and the
+    // derive/judge time consider() already claimed above — so the phases
+    // never double-count.
+    const auto solve_nanos = [&]() {
+        std::uint64_t nanos =
+            scratch->encoding.solver.lifetime_stats().solve_nanos;
+        for (mtm::AxiomMask rest = eligible; rest != 0; rest &= rest - 1) {
+            // Session-level: sums the live base's solver and every cached
+            // base's.
+            nanos += scratch->sessions[static_cast<std::size_t>(
+                                           std::countr_zero(rest))]
+                         .lifetime_stats()
+                         .solve_nanos;
+        }
+        return nanos;
+    };
+    const auto inner_nanos = [&]() {
+        return metrics->worker_phase_nanos(worker, obs::Phase::kDerive) +
+               metrics->worker_phase_nanos(worker, obs::Phase::kJudge) +
+               metrics->worker_phase_nanos(worker, obs::Phase::kRelax);
+    };
+    const std::uint64_t start = obs::now_nanos();
+    const std::uint64_t inner_before = inner_nanos();
+    const std::uint64_t solve_before = solve_nanos();
+    sat_search();
+    const std::uint64_t wall = obs::now_nanos() - start;
+    const std::uint64_t solve = solve_nanos() - solve_before;
+    const std::uint64_t inner = inner_nanos() - inner_before;
+    metrics->add(worker, obs::Phase::kSatSolve, solve);
+    metrics->add(worker, obs::Phase::kSatEncode,
+                 wall > solve + inner ? wall - solve - inner : 0);
 }
 
 /// One unit of search: a skeleton shard of the pass's static partition
@@ -470,9 +507,7 @@ struct PassTarget {
 };
 
 /// All in-flight state of one pass: the job closures reference it, so it
-/// outlives the group (launch_pass ... pool.wait ... finish_pass). One
-/// PassRun maps to one sched job group; several PassRuns can share one
-/// pool (the SAT backend's per-axiom passes).
+/// outlives the jobs (launch_pass ... pool.wait ... finish_pass).
 struct PassRun {
     PassRun(const mtm::Model& source, mtm::AxiomMask target_mask,
             const SynthesisOptions& opts)
@@ -494,32 +529,6 @@ struct PassRun {
         }
     }
 
-    /// The per-pass time budget starts ticking when the pass's FIRST
-    /// shard job actually runs, not at submission: on a shared pool (the
-    /// SAT backend's per-axiom passes) a later pass's jobs queue behind
-    /// earlier passes', and charging that queue wait against the budget
-    /// would starve late passes. (Once running, the budget is still wall
-    /// time and may overlap other passes' shards — the budget bounds
-    /// latency, not dedicated compute.)
-    ///
-    /// SuiteResult::seconds follows the same clock: the watch restarts
-    /// here, so a queued pass reports its search time, not search + queue
-    /// wait; the wait is reported separately as
-    /// SchedulerStats::queue_wait_seconds. Safe despite running on a
-    /// worker thread: call_once orders it against every other job, and
-    /// finish_pass reads the watch only after pool.wait() on the group.
-    const util::Deadline&
-    armed_deadline()
-    {
-        std::call_once(deadline_armed, [this] {
-            queue_wait_seconds.store(watch.elapsed_seconds(),
-                                     std::memory_order_relaxed);
-            watch.restart();
-            deadline = util::Deadline(options.time_budget_seconds);
-        });
-        return deadline;
-    }
-
     /// One private copy per pass; every shard job of the pass shares it by
     /// const reference — the axiom closures are stateless, so concurrent
     /// evaluation through one Model is safe without per-job deep copies.
@@ -538,16 +547,14 @@ struct PassRun {
     /// Phase-attributed counters (options.collect_metrics); null when
     /// metrics are off — the instrumentation's disabled fast path.
     std::unique_ptr<obs::MetricsRegistry> metrics;
-    util::Stopwatch watch;
-    std::once_flag deadline_armed;
-    util::Deadline deadline;  ///< access via armed_deadline() from jobs
-    sched::ThreadPool::GroupHandle group;
+    /// The pass's clock and time budget, both started at launch: the pass
+    /// has the call's pool to itself, so nothing queues ahead of it.
+    const util::Stopwatch watch;
+    const util::Deadline deadline;
 
     /// Candidates visited, eligible for a target or not (the progress
     /// heartbeat's count; suites count their eligible ones).
     std::atomic<std::uint64_t> candidates{0};
-    std::atomic<double> queue_wait_seconds{0.0};
-    std::atomic<double> search_seconds{0.0};
     std::atomic<bool> timed_out{false};
     std::atomic<bool> cancelled{false};
     std::atomic<std::uint64_t> shard_retries{0};
@@ -567,22 +574,6 @@ struct PassRun {
     std::atomic<std::uint64_t> jobs_done{0};
     std::atomic<std::uint64_t> tests_found{0};
 
-    /// Every shard job calls this on completion, so search_seconds ends up
-    /// holding arm-to-last-job wall time — finish_pass cannot read the
-    /// watch itself, because on a shared pool it only runs after EVERY
-    /// pass's group drained, which would charge an early pass for the later
-    /// passes' tail.
-    void
-    note_job_finished()
-    {
-        const double elapsed = watch.elapsed_seconds();
-        double prev = search_seconds.load(std::memory_order_relaxed);
-        while (prev < elapsed &&
-               !search_seconds.compare_exchange_weak(
-                   prev, elapsed, std::memory_order_relaxed)) {
-        }
-    }
-
     std::mutex mu;  ///< guards the targets' merged tests + failures
     std::vector<ShardFailure> failures;  ///< quarantined shards
 
@@ -590,6 +581,22 @@ struct PassRun {
     /// running jobs, so it lives here rather than on the launch_pass stack.
     std::function<sched::ThreadPool::Job(ShardTask)> make_job;
 };
+
+/// (Re)configures \p scratch's probe session of every target of \p run for
+/// the pass: the model pointer must be the run's own copy, which outlives
+/// every job. The domain bounds cover every candidate the skeleton
+/// enumerator can produce (VAs < max_vas; PAs < initial frames + fresh
+/// Wpte targets).
+void
+configure_sessions(const PassRun& run, WorkerScratch* scratch)
+{
+    for (const PassTarget& target : run.targets) {
+        scratch->sessions[static_cast<std::size_t>(
+                              std::countr_zero(target.bit))]
+            .configure(&run.model, target.axiom, run.options.max_vas,
+                       run.options.max_vas + run.options.max_fresh_pas);
+    }
+}
 
 /// Runs the actual search of one shard, splices its results into the run,
 /// and — when the run journals and the search completed — appends the
@@ -619,7 +626,7 @@ search_shard(PassRun* run, const ShardTask& task, int worker,
     scratch.fault_plan = run->options.fault_plan;
     scratch.fault_attempt = task.attempt;
     const SynthesisOptions& options = run->options;
-    const util::Deadline& deadline = run->armed_deadline();
+    const util::Deadline& deadline = run->deadline;
     // This job's share of each target's suite, in run->targets order.
     std::vector<CheckpointJournal::TargetRecord> found(run->targets.size());
     std::uint64_t candidates = 0;
@@ -648,23 +655,14 @@ search_shard(PassRun* run, const ShardTask& task, int worker,
             found[k].programs += (eligible & run->targets[k].bit) != 0;
         }
         scratch.fault_key = ticket;
-        const std::uint64_t considered = find_witnesses(
-            model, eligible, run->targets.front().axiom, options, program,
-            deadline, &scratch, metrics, worker, &timed_out, &cancelled);
-        // Each eligible target counts the executions visited until it
-        // settled: at its witness, or at the end of the search.
+        find_witnesses(model, eligible, options, program, deadline,
+                       &scratch, metrics, worker, &timed_out, &cancelled);
         for (std::size_t k = 0; k < found.size(); ++k) {
-            const mtm::AxiomMask bit = run->targets[k].bit;
-            if ((eligible & bit) == 0) {
-                continue;
+            const PassTarget& target = run->targets[k];
+            if ((eligible & target.bit) != 0) {
+                found[k].executions += scratch.executions[static_cast<
+                    std::size_t>(std::countr_zero(target.bit))];
             }
-            std::uint64_t executions = considered;
-            for (const AcceptedWitness& accepted : scratch.accepted) {
-                if ((accepted.targets & bit) != 0) {
-                    executions = accepted.executions;
-                }
-            }
-            found[k].executions += executions;
         }
         if (timed_out || cancelled) {
             return false;
@@ -766,22 +764,18 @@ recover_and_reschedule(PassRun* raw, sched::ThreadPool* pool_ptr,
 {
     const SynthesisOptions& options = raw->options;
     WorkerScratch& scratch = raw->worker_scratch[worker];
-    // The fresh-path solver may be mid-encoding and the incremental
-    // session mid-enumeration; reset both so the worker's next job starts
+    // The replay solver may be mid-encoding and any probe session
+    // mid-enumeration; reset them all so the worker's next job starts
     // clean. configure() keeps session configuration (timing, conflict
     // budget, interrupt, cache capacity) and rebuilds the solver state.
     scratch.encoding.solver.reset();
-    if (options.backend == Backend::kSat && options.sat_incremental) {
-        scratch.incremental.configure(&raw->model,
-                                      raw->targets.front().axiom,
-                                      options.max_vas,
-                                      options.max_vas +
-                                          options.max_fresh_pas);
+    if (options.backend == Backend::kSat) {
+        configure_sessions(*raw, &scratch);
     }
     obs::TraceCollector* trace = options.trace;
     if (options.cancel.requested()) {
         raw->cancelled.store(true, std::memory_order_relaxed);
-    } else if (raw->armed_deadline().expired()) {
+    } else if (raw->deadline.expired()) {
         raw->timed_out.store(true, std::memory_order_relaxed);
     } else if (task.attempt < options.shard_retry_limit) {
         raw->shard_retries.fetch_add(1, std::memory_order_relaxed);
@@ -792,7 +786,7 @@ recover_and_reschedule(PassRun* raw, sched::ThreadPool* pool_ptr,
         ShardTask retry = task;
         retry.attempt = task.attempt + 1;
         raw->jobs_submitted.fetch_add(1, std::memory_order_relaxed);
-        pool_ptr->submit(raw->group, raw->make_job(std::move(retry)));
+        pool_ptr->submit(raw->make_job(std::move(retry)));
     } else {
         raw->shards_quarantined.fetch_add(1, std::memory_order_relaxed);
         if (trace != nullptr) {
@@ -804,7 +798,6 @@ recover_and_reschedule(PassRun* raw, sched::ThreadPool* pool_ptr,
         raw->failures.push_back(
             {describe_task(*raw, task), what, task.attempt + 1});
     }
-    raw->note_job_finished();
 }
 
 /// Replays a journaled shard task instead of re-searching it: each target's
@@ -816,7 +809,6 @@ recover_and_reschedule(PassRun* raw, sched::ThreadPool* pool_ptr,
 void
 replay_shard_record(PassRun* raw, const CheckpointJournal::ShardRecord& rec)
 {
-    raw->armed_deadline();
     for (const CheckpointJournal::TargetRecord& journaled : rec.targets) {
         const auto target = std::find_if(
             raw->targets.begin(), raw->targets.end(),
@@ -838,7 +830,6 @@ replay_shard_record(PassRun* raw, const CheckpointJournal::ShardRecord& rec)
         }
     }
     raw->ckpt_replayed.fetch_add(1, std::memory_order_relaxed);
-    raw->note_job_finished();
 }
 
 /// The body of one shard job: replay its journal record or search the
@@ -850,10 +841,7 @@ execute_shard_task(PassRun* raw, sched::ThreadPool* pool_ptr,
                    const ShardTask& task, int worker)
 {
     if (raw->options.cancel.requested()) {
-        // A cancelled run drains its remaining queue without searching —
-        // and without arming the deadline or the search clock, so a suite
-        // cancelled before its first real job reports ~0 searched seconds
-        // rather than its queue wait.
+        // A cancelled run drains its remaining queue without searching.
         raw->cancelled.store(true, std::memory_order_relaxed);
         return 0;
     }
@@ -882,36 +870,28 @@ execute_shard_task(PassRun* raw, sched::ThreadPool* pool_ptr,
         recover_and_reschedule(raw, pool_ptr, task, worker, e.what());
         return 0;
     }
-    raw->note_job_finished();
     return visited;
 }
 
 /// Builds a PassRun over \p targets and submits its initial shard tasks to
-/// \p pool as one job group. The caller must pool.wait(run->group) and
-/// then finish_pass().
+/// \p pool. The caller must pool.wait() and then finish_pass().
 std::unique_ptr<PassRun>
 launch_pass(sched::ThreadPool& pool, const mtm::Model& model,
             mtm::AxiomMask targets, const SynthesisOptions& options)
 {
     auto run = std::make_unique<PassRun>(model, targets, options);
-    // The SAT witness query is per axiom (synthesize_pass splits).
-    TF_ASSERT(options.backend == Backend::kEnumerative ||
-              run->targets.size() == 1);
     run->worker_scratch.resize(pool.workers());
-    if (options.backend == Backend::kSat && options.sat_incremental) {
-        // One live incremental session per worker for the whole pass; the
-        // model pointer must be the run's own copy, which outlives every
-        // job. The domain bounds cover every candidate the skeleton
-        // enumerator can produce (VAs < max_vas; PAs < initial frames +
-        // fresh Wpte targets).
-        for (WorkerScratch& scratch : run->worker_scratch) {
-            scratch.incremental.configure(&run->model,
-                                          run->targets.front().axiom,
-                                          options.max_vas,
-                                          options.max_vas +
-                                              options.max_fresh_pas);
-            scratch.incremental.set_base_cache_capacity(
-                options.sat_base_cache_capacity);
+    for (WorkerScratch& scratch : run->worker_scratch) {
+        scratch.executions.resize(run->model.axioms().size());
+        if (options.backend == Backend::kSat) {
+            // One live probe session per worker and target for the whole
+            // pass.
+            scratch.sessions.resize(run->model.axioms().size());
+            for (mtm::IncrementalEncoding& session : scratch.sessions) {
+                session.set_base_cache_capacity(
+                    options.sat_base_cache_capacity);
+            }
+            configure_sessions(*run, &scratch);
         }
     }
     if (options.collect_metrics) {
@@ -925,45 +905,48 @@ launch_pass(sched::ThreadPool& pool, const mtm::Model& model,
         obs::MetricsRegistry* metrics = run->metrics.get();
         for (int w = 0; w < pool.workers(); ++w) {
             WorkerScratch& scratch = run->worker_scratch[w];
-            scratch.encoding.solver.set_timing(true);
-            scratch.incremental.set_timing(true);
             const auto observe = [metrics, w](std::uint64_t nanos) {
                 metrics->record_latency(w, obs::Phase::kSatSolve, nanos);
             };
+            scratch.encoding.solver.set_timing(true);
             scratch.encoding.solver.set_solve_observer(observe);
-            scratch.incremental.set_solve_observer(observe);
+            for (mtm::IncrementalEncoding& session : scratch.sessions) {
+                session.set_timing(true);
+                session.set_solve_observer(observe);
+            }
         }
     }
     if (options.track_allocs) {
         run->allocs = std::make_unique<obs::AllocTracker>(pool.workers());
     }
     run->journal = options.checkpoint;
-    run->group = pool.make_group();
     PassRun* raw = run.get();
     sched::ThreadPool* pool_ptr = &pool;
     if (options.sat_conflict_budget > 0) {
-        // Per-solve conflict cap on every per-worker solver (fresh path
-        // and incremental sessions). Exhaustion raises BudgetExhausted out
-        // of the search, which the fault-containment boundary treats like
-        // any other shard fault.
+        // Per-solve conflict cap on every per-worker solver (replay and
+        // probe sessions). Exhaustion raises BudgetExhausted out of the
+        // search, which the fault-containment boundary treats like any
+        // other shard fault.
         for (WorkerScratch& scratch : run->worker_scratch) {
             scratch.encoding.solver.set_conflict_budget(
                 options.sat_conflict_budget);
-            scratch.incremental.set_conflict_budget(
-                options.sat_conflict_budget);
+            for (mtm::IncrementalEncoding& session : scratch.sessions) {
+                session.set_conflict_budget(options.sat_conflict_budget);
+            }
         }
     }
     if (options.cancel.valid() || options.time_budget_seconds > 0) {
         // Solver-level interrupt: a long single solve polls cancellation
         // and the deadline every ~1k conflicts, bounding cancel latency
-        // even mid-solve. Reading raw->deadline here is safe — every job
-        // arms it (call_once) before its first solve runs.
+        // even mid-solve.
         const auto poll = [raw] {
             return raw->options.cancel.requested() || raw->deadline.expired();
         };
         for (WorkerScratch& scratch : run->worker_scratch) {
             scratch.encoding.solver.set_interrupt(poll);
-            scratch.incremental.set_interrupt(poll);
+            for (mtm::IncrementalEncoding& session : scratch.sessions) {
+                session.set_interrupt(poll);
+            }
         }
     }
 
@@ -1034,7 +1017,7 @@ launch_pass(sched::ThreadPool& pool, const mtm::Model& model,
         }
     }
     run->jobs_submitted.fetch_add(jobs.size(), std::memory_order_relaxed);
-    pool.submit(run->group, std::move(jobs));
+    pool.submit(std::move(jobs));
     return run;
 }
 
@@ -1072,16 +1055,19 @@ sort_and_dedup(std::vector<std::pair<SynthesizedTest, std::uint64_t>>* tests,
     return count;
 }
 
-/// Merges a completed PassRun (its group must have been waited) into one
+/// Merges a completed PassRun (the pool must have been waited) into one
 /// SuiteResult per target, in axiom order: each target's accepted tests go
 /// through sort_and_dedup. SchedulerStats::dedup_hits counts the distinct
 /// candidates whose tests the merge dropped. The pass's shared counters go
 /// on its first suite only.
 std::vector<SuiteResult>
-finish_pass(sched::ThreadPool& pool, PassRun& run)
+finish_pass(const sched::ThreadPool& pool, PassRun& run)
 {
+    // Launch-to-last-job wall time: every job finished when the pool was
+    // waited.
+    const double seconds = run.watch.elapsed_seconds();
     // The merge runs first so that its time, one kDedup sample per target
-    // on lane 0 (every worker quiesced when the group was waited), lands in
+    // on lane 0 (every worker quiesced when the pool was waited), lands in
     // the phase totals below.
     std::vector<std::uint64_t> duplicates(run.targets.size());
     std::vector<std::uint64_t> dropped;
@@ -1098,17 +1084,13 @@ finish_pass(sched::ThreadPool& pool, PassRun& run)
     // pass's solver work. All-zero under the enumerative backend.
     for (const WorkerScratch& scratch : run.worker_scratch) {
         shared.solver.merge(scratch.encoding.solver.lifetime_stats());
-        // The incremental sessions (all-zero when the pass ran
-        // fresh-per-candidate or enumerative); session-level, so cached
-        // bases' backends and base build/reuse counts are included.
-        shared.solver.merge(scratch.incremental.lifetime_stats());
+        // Session-level, so cached bases' solvers and base build/reuse
+        // counts are included.
+        for (const mtm::IncrementalEncoding& session : scratch.sessions) {
+            shared.solver.merge(session.lifetime_stats());
+        }
     }
     if (run.metrics != nullptr) {
-        // Safe single-threaded write into lane 0: every worker quiesced
-        // when the group was waited, before finish_pass ran.
-        run.metrics->add(0, obs::Phase::kQueueWait,
-                         static_cast<std::uint64_t>(
-                             run.queue_wait_seconds.load() * 1e9));
         shared.phases = run.metrics->merged();
     }
     if (run.allocs != nullptr) {
@@ -1138,20 +1120,14 @@ finish_pass(sched::ThreadPool& pool, PassRun& run)
             }
         }
     }
-    shared.scheduler = pool.group_stats(run.group);
+    shared.scheduler = pool.stats();
     std::sort(dropped.begin(), dropped.end());
     shared.scheduler.dedup_hits = static_cast<std::uint64_t>(
         std::unique(dropped.begin(), dropped.end()) - dropped.begin());
-    shared.scheduler.queue_wait_seconds = run.queue_wait_seconds.load();
     shared.scheduler.shard_retries = run.shard_retries.load();
     shared.scheduler.shards_quarantined = run.shards_quarantined.load();
     shared.scheduler.checkpoint_shards_saved = run.ckpt_saved.load();
     shared.scheduler.checkpoint_shards_replayed = run.ckpt_replayed.load();
-    // Arm-to-last-job wall time (the watch restarted when the deadline
-    // armed, and every job recorded its completion); the queue wait is
-    // reported separately above. Zero for a pass that ran no jobs —
-    // including one cancelled before its first job searched.
-    const double seconds = run.search_seconds.load();
     const bool cancelled = run.cancelled.load();
     const bool complete =
         !run.timed_out.load() && !cancelled && run.failures.empty();
@@ -1170,7 +1146,7 @@ finish_pass(sched::ThreadPool& pool, PassRun& run)
         result.seconds = seconds;
         result.cancelled = cancelled;
         result.complete = complete;
-        result.failures = run.failures;  // group drained: no races
+        result.failures = run.failures;  // pool drained: no races
         result.tests.reserve(target.merged.size());
         for (auto& [test, ticket] : target.merged) {
             result.tests.push_back(std::move(test));
@@ -1206,8 +1182,7 @@ class ProgressHeartbeat {
     ProgressHeartbeat& operator=(const ProgressHeartbeat&) = delete;
 
     /// Joins the sampler and fires the final snapshot. Call after the
-    /// job groups drained (pool.wait) so the snapshot is settled;
-    /// idempotent.
+    /// pool drained (pool.wait) so the snapshot is settled; idempotent.
     void
     stop()
     {
@@ -1258,82 +1233,38 @@ synthesize_pass(const mtm::Model& model, mtm::AxiomMask targets,
     const int axioms = static_cast<int>(model.axioms().size());
     TF_ASSERT(targets != 0 &&
               static_cast<int>(std::bit_width(targets)) <= axioms);
-    // The enumerative backend serves every target from one pass. The SAT
-    // backend's witness query names one axiom, so it runs one single-target
-    // pass per axiom, all on the same pool: the passes queue in axiom
-    // order, and workers that run out of one pass's shards move on to the
-    // next pass's.
-    std::vector<mtm::AxiomMask> passes;
-    if (options.backend == Backend::kEnumerative) {
-        passes.push_back(targets);
-    } else {
-        for (int i = 0; i < axioms; ++i) {
-            if ((targets >> i & 1) != 0) {
-                passes.push_back(mtm::AxiomMask{1} << i);
-            }
-        }
-    }
     sched::ThreadPool pool(options.jobs);
     pool.set_trace(options.trace);
-    obs::TraceCollector* trace = options.trace;
-    std::vector<std::unique_ptr<PassRun>> runs;
-    std::vector<std::uint64_t> trace_ids;
-    runs.reserve(passes.size());
-    for (const mtm::AxiomMask pass : passes) {
-        const std::uint64_t launched = obs::now_nanos();
-        runs.push_back(launch_pass(pool, model, pass, options));
-        if (trace != nullptr) {
-            // Async spans ("b"/"e"): passes overlap on the shared pool, so
-            // they cannot be nested complete spans on the main lane.
-            trace_ids.push_back(trace->next_flow_id());
-            trace->record_async_begin(trace->main_lane(),
-                                      "suite " + runs.back()->name,
-                                      trace_ids.back(), launched);
-        }
-    }
-    const std::uint64_t t0 = obs::now_nanos();
+    const std::uint64_t launched = obs::now_nanos();
+    const std::unique_ptr<PassRun> run =
+        launch_pass(pool, model, targets, options);
     std::atomic<int> suites_done{0};  // outlives the heartbeat below
-    ProgressHeartbeat heartbeat(options, [&runs, t0, &suites_done, targets] {
-        // Aggregate snapshot across the passes: the runs vector is settled
-        // (all launched) before the heartbeat starts, and each field is a
-        // relaxed counter read.
+    ProgressHeartbeat heartbeat(options, [&run, launched, &suites_done] {
         SynthesisProgress p;
-        for (const std::unique_ptr<PassRun>& run : runs) {
-            p.shards_done += run->jobs_done.load(std::memory_order_relaxed);
-            p.shards_submitted +=
-                run->jobs_submitted.load(std::memory_order_relaxed);
-            p.candidates += run->candidates.load(std::memory_order_relaxed);
-            p.tests_found +=
-                run->tests_found.load(std::memory_order_relaxed);
-            p.checkpoint_shards_saved +=
-                run->ckpt_saved.load(std::memory_order_relaxed);
-            p.checkpoint_shards_replayed +=
-                run->ckpt_replayed.load(std::memory_order_relaxed);
-        }
+        p.shards_done = run->jobs_done.load(std::memory_order_relaxed);
+        p.shards_submitted =
+            run->jobs_submitted.load(std::memory_order_relaxed);
+        p.candidates = run->candidates.load(std::memory_order_relaxed);
+        p.tests_found = run->tests_found.load(std::memory_order_relaxed);
+        p.checkpoint_shards_saved =
+            run->ckpt_saved.load(std::memory_order_relaxed);
+        p.checkpoint_shards_replayed =
+            run->ckpt_replayed.load(std::memory_order_relaxed);
         p.suites_done = suites_done.load(std::memory_order_relaxed);
-        p.suites_total = std::popcount(targets);
-        p.seconds = static_cast<double>(obs::now_nanos() - t0) * 1e-9;
+        p.suites_total = static_cast<int>(run->targets.size());
+        p.seconds = static_cast<double>(obs::now_nanos() - launched) * 1e-9;
         return p;
     });
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        pool.wait(runs[i]->group);
-        suites_done.fetch_add(static_cast<int>(runs[i]->targets.size()),
-                              std::memory_order_relaxed);
-        if (trace != nullptr) {
-            trace->record_async_end(trace->main_lane(),
-                                    "suite " + runs[i]->name, trace_ids[i],
-                                    obs::now_nanos());
-        }
+    pool.wait();
+    suites_done.store(static_cast<int>(run->targets.size()),
+                      std::memory_order_relaxed);
+    if (options.trace != nullptr) {
+        options.trace->record_complete(options.trace->main_lane(),
+                                       "suite " + run->name, launched,
+                                       obs::now_nanos());
     }
     heartbeat.stop();
-    std::vector<SuiteResult> suites;
-    suites.reserve(static_cast<std::size_t>(std::popcount(targets)));
-    for (const std::unique_ptr<PassRun>& run : runs) {
-        for (SuiteResult& suite : finish_pass(pool, *run)) {
-            suites.push_back(std::move(suite));
-        }
-    }
-    return suites;
+    return finish_pass(pool, *run);
 }
 
 SuiteResult

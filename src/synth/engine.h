@@ -17,8 +17,9 @@
 /// target, and the candidate stops once all of its eligible targets are
 /// settled. Each per-axiom suite is a projection of the pass: the same
 /// tests, witnesses and counters a search for that axiom alone finds.
-/// The SAT backend's witness query is per axiom, so under it a multi-target
-/// call runs one single-target pass per axiom on a shared pool.
+/// The SAT backend walks the same one stream; its witness query names one
+/// axiom, so an eligible candidate runs one query per eligible target, in
+/// axiom order, each through that target's own probe session.
 ///
 /// A pass runs on the parallel synthesis runtime (src/sched/): the
 /// (event-bound, skeleton-prefix) space is partitioned into independent
@@ -108,23 +109,14 @@ struct SynthesisOptions {
     /// candidate's test of each canonical key. Off keeps every accepted
     /// test (the symmetry ablation); the search itself is the same.
     bool dedup = true;
-    /// Wall-time budget of each pass (one pass serves every target of an
-    /// enumerative call); 0 = unlimited (the paper used one week).
+    /// Wall-time budget of the synthesis call, which is one pass over
+    /// every target on either backend; 0 = unlimited (the paper used one
+    /// week).
     double time_budget_seconds = 0;
     Backend backend = Backend::kEnumerative;
 
-    /// SAT backend only: reuse one live solver per worker across candidates
-    /// (assumption-based incremental solving — see mtm/incremental.h).
-    /// Candidates sharing a skeleton structure share one base encoding and
-    /// one learned-clause database; accepted candidates are replayed
-    /// through the fresh per-program encoding, so the synthesized suite is
-    /// byte-identical with this on or off (tests/sat_incremental_test.cpp).
-    /// Off = build a fresh encoding per candidate (the pre-incremental
-    /// behavior, kept as an escape hatch: --sat-incremental off).
-    bool sat_incremental = true;
-
-    /// Incremental SAT only: how many structure bases each worker session
-    /// caches, the live one included (see
+    /// SAT backend only: how many structure bases each probe session
+    /// (mtm/incremental.h) caches, the live one included (see
     /// mtm::IncrementalEncoding::set_base_cache_capacity; 0 and 1 both
     /// disable caching). Purely a performance knob — the synthesized suite
     /// is byte-identical for every capacity (the differential tests sweep
@@ -166,10 +158,11 @@ struct SynthesisOptions {
     std::function<void(const SynthesisProgress&)> progress;
     double progress_interval_seconds = 2.0;
 
-    /// When non-null, shard jobs and suites are recorded as spans and
-    /// async spans. The collector must have at
-    /// least resolve_jobs(jobs) worker lanes plus the main lane and must
-    /// outlive the synthesis call. nullptr (default) disables recording.
+    /// When non-null, shard jobs are recorded as spans on their workers'
+    /// lanes and the pass as one span on the main lane. The collector must
+    /// have at least resolve_jobs(jobs) worker lanes plus the main lane
+    /// and must outlive the synthesis call. nullptr (default) disables
+    /// recording.
     obs::TraceCollector* trace = nullptr;
 
     /// Robustness knobs (docs/robustness.md). All default to off / inert,
@@ -210,8 +203,7 @@ struct SynthesisOptions {
     /// Crash-safe checkpointing: when non-null, every completed shard task
     /// that visited a candidate is journaled, and tasks found in the
     /// journal (from a previous run of the same configuration) are replayed
-    /// instead of re-searched. Shared across passes; must outlive the
-    /// synthesis call.
+    /// instead of re-searched. Must outlive the synthesis call.
     CheckpointJournal* checkpoint = nullptr;
 };
 
@@ -257,10 +249,8 @@ struct SuiteResult {
     std::uint64_t programs_considered = 0;
     std::uint64_t executions_considered = 0;
     std::uint64_t duplicates_rejected = 0;
-    /// Search wall time of the pass, measured from when its first shard job
-    /// ran (the moment its time budget armed) — on a shared pool the wait
-    /// behind other passes is excluded and reported as
-    /// scheduler.queue_wait_seconds instead.
+    /// Search wall time of the pass: from its launch, when its time budget
+    /// starts, until its last shard job finished.
     double seconds = 0.0;
     /// False when the suite is partial: the time budget expired, the run
     /// was cancelled, or shards were quarantined after repeated faults.
@@ -288,11 +278,10 @@ struct SuiteResult {
 /// Synthesizes the suite of unique, minimal, interesting ELT programs whose
 /// executions can violate each target axiom in \p targets (a nonzero mask
 /// over model.axioms()), over all sizes in [min_bound, bound], and returns
-/// the suites in axiom order. The enumerative backend searches every
-/// target in one pass; the SAT backend runs one single-target pass per
-/// axiom on the same pool. Builds a private options.jobs-worker pool for
-/// the run; each suite is independent of the worker count, the shard depth
-/// and the rest of the target set (see the determinism contract above).
+/// the suites in axiom order, from one pass over every target on either
+/// backend. Builds a private options.jobs-worker pool for the pass; each
+/// suite is independent of the worker count, the shard depth and the rest
+/// of the target set (see the determinism contract above).
 /// Thread-safe for concurrent calls with distinct models.
 std::vector<SuiteResult> synthesize_pass(const mtm::Model& model,
                                          mtm::AxiomMask targets,

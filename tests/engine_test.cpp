@@ -316,17 +316,24 @@ TEST(Engine, EligibilityIsInvariantUnderCanonicalKey)
     }
 }
 
-/// One-pass synthesis against the per-axiom reference: every suite must
-/// match byte for byte, and the per-suite counters keep their per-axiom
-/// meaning at every worker count (every candidate is evaluated and the
-/// merge deduplicates, so no counter depends on scheduling).
+/// One-pass synthesis against the per-axiom reference on \p backend: every
+/// suite must match byte for byte, and the per-suite counters keep their
+/// per-axiom meaning at every worker count (every candidate is evaluated
+/// and the merge deduplicates, so no counter depends on scheduling). Every
+/// suite names the one pass, '+'-joined in axiom order, and only the first
+/// carries the pass's jobs.
 void
 expect_pass_matches_reference(const mtm::Model& model, int min_bound,
-                              int bound)
+                              int bound, Backend backend)
 {
-    const SynthesisOptions base = small_options(min_bound, bound);
+    SynthesisOptions base = small_options(min_bound, bound);
+    base.backend = backend;
     const std::vector<SuiteResult> reference = synthesize_all(model, base);
     ASSERT_EQ(reference.size(), model.axioms().size());
+    std::string pass_name;
+    for (const mtm::Axiom& axiom : model.axioms()) {
+        pass_name += (pass_name.empty() ? "" : "+") + axiom.name;
+    }
     for (const int jobs : {1, 2, 4}) {
         for (const int depth : {0, 2}) {
             SynthesisOptions options = base;
@@ -334,14 +341,22 @@ expect_pass_matches_reference(const mtm::Model& model, int min_bound,
             options.shard_depth = depth;
             const std::vector<SuiteResult> pass =
                 synthesize_all_parallel(model, options);
-            const std::string label = model.name() + " jobs=" +
-                                      std::to_string(jobs) +
-                                      " depth=" + std::to_string(depth);
+            const std::string label =
+                model.name() +
+                (backend == Backend::kSat ? " sat" : " enum") +
+                " jobs=" + std::to_string(jobs) +
+                " depth=" + std::to_string(depth);
             ASSERT_EQ(pass.size(), reference.size()) << label;
+            EXPECT_GT(pass.front().scheduler.jobs_run, 0u) << label;
             for (std::size_t i = 0; i < pass.size(); ++i) {
                 const SuiteResult& want = reference[i];
                 const SuiteResult& got = pass[i];
                 EXPECT_EQ(got.axiom, want.axiom) << label;
+                EXPECT_EQ(got.pass, pass_name) << label;
+                if (i > 0) {
+                    EXPECT_EQ(got.scheduler.jobs_run, 0u)
+                        << label << " " << want.axiom;
+                }
                 EXPECT_TRUE(got.complete) << label;
                 EXPECT_EQ(suite_fingerprint(got), suite_fingerprint(want))
                     << label << " " << want.axiom;
@@ -361,12 +376,23 @@ expect_pass_matches_reference(const mtm::Model& model, int min_bound,
 
 TEST(Engine, ParallelDriverMatchesSerial)
 {
-    expect_pass_matches_reference(mtm::x86t_elt(), 4, 6);
+    expect_pass_matches_reference(mtm::x86t_elt(), 4, 6,
+                                  Backend::kEnumerative);
     std::string error;
     const std::optional<spec::ResolvedModel> tso =
         spec::resolve_model("x86tso.mtm", &error);
     ASSERT_TRUE(tso.has_value()) << error;
-    expect_pass_matches_reference(tso->model, 2, 5);
+    expect_pass_matches_reference(tso->model, 2, 5, Backend::kEnumerative);
+}
+
+TEST(Engine, SatPassMatchesThePerAxiomPasses)
+{
+    expect_pass_matches_reference(mtm::x86t_elt(), 4, 5, Backend::kSat);
+    std::string error;
+    const std::optional<spec::ResolvedModel> tso =
+        spec::resolve_model("x86tso.mtm", &error);
+    ASSERT_TRUE(tso.has_value()) << error;
+    expect_pass_matches_reference(tso->model, 2, 5, Backend::kSat);
 }
 
 TEST(Engine, PartialTargetSetsProjectTheSameSuites)

@@ -295,20 +295,20 @@ TEST(SolverBudget, InterruptHookStopsTheSearch)
 TEST(PoolFaults, ThrowingJobIsContainedAndCounted)
 {
     sched::ThreadPool pool(2);
-    const auto faulty = pool.make_group();
-    pool.submit(faulty, {[](int) { throw std::runtime_error("job boom"); },
-                         [](int) { /* healthy sibling */ }});
-    pool.wait(faulty);
-    EXPECT_EQ(pool.group_stats(faulty).job_faults, 1u);
-    EXPECT_EQ(pool.group_stats(faulty).jobs_run, 2u);
-    // The pool stays serviceable afterwards.
+    pool.submit({[](int) { throw std::runtime_error("job boom"); },
+                 [](int) { /* healthy sibling */ }});
+    pool.wait();
+    EXPECT_EQ(pool.stats().job_faults, 1u);
+    EXPECT_EQ(pool.stats().jobs_run, 2u);
+    // The pool stays serviceable afterwards, and healthy jobs add no
+    // faults.
     std::atomic<int> ran{0};
-    const auto healthy = pool.make_group();
-    pool.submit(healthy, {[&ran](int) { ran.fetch_add(1); },
-                          [&ran](int) { ran.fetch_add(1); }});
-    pool.wait(healthy);
+    pool.submit({[&ran](int) { ran.fetch_add(1); },
+                 [&ran](int) { ran.fetch_add(1); }});
+    pool.wait();
     EXPECT_EQ(ran.load(), 2);
-    EXPECT_EQ(pool.group_stats(healthy).job_faults, 0u);
+    EXPECT_EQ(pool.stats().job_faults, 1u);
+    EXPECT_EQ(pool.stats().jobs_run, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,14 +322,18 @@ TEST(Cancellation, PreRequestedTokenYieldsEmptyCancelledSuite)
     synth::SynthesisOptions opt = small_options(4, 4);
     opt.cancel = source.token();
     opt.jobs = 2;
+    const auto called = std::chrono::steady_clock::now();
     const synth::SuiteResult suite =
         synth::synthesize_suite(model, "invlpg", opt);
+    const std::chrono::duration<double> call =
+        std::chrono::steady_clock::now() - called;
     EXPECT_TRUE(suite.cancelled);
     EXPECT_FALSE(suite.complete);
     EXPECT_TRUE(suite.tests.empty());
-    // The seconds fix: a suite cancelled before any shard ran reports ~0
-    // searched time, not the queue wait.
-    EXPECT_LT(suite.seconds, 0.01);
+    // Every shard job returned before searching, and the pass's clock ran
+    // from its launch inside the call until its jobs drained.
+    EXPECT_EQ(suite.programs_considered, 0u);
+    EXPECT_LE(suite.seconds, call.count());
 }
 
 TEST(Cancellation, MidRunRequestStopsWithinTheRun)
@@ -401,27 +405,44 @@ TEST(FaultMatrix, TransientFaultsPreserveTheSuiteAtEverySite)
 
 TEST(FaultMatrix, TransientSatSolveFaultPreservesTheSuite)
 {
+    // The SAT backend on one target and on every target. A sat_solve fault
+    // fires before the candidate's first query; a derive fault fires inside
+    // a probe session's enumeration, which the retry must not inherit:
+    // recovery reconfigures every target's session of the worker.
     const mtm::Model model = mtm::x86t_elt();
     synth::SynthesisOptions base = small_options(4, 4);
     base.backend = synth::Backend::kSat;
-    const std::string baseline =
-        suite_fingerprint(synth::synthesize_suite(model, "invlpg", base));
-    ASSERT_FALSE(baseline.empty());
-    for (const int jobs : {1, 2}) {
-        util::FaultPlan plan;
-        std::string error;
-        ASSERT_TRUE(util::FaultPlan::parse(
-            "seed=7,site=sat_solve,rate=1,mode=transient", &plan, &error))
-            << error;
-        synth::SynthesisOptions opt = base;
-        opt.jobs = jobs;
-        opt.fault_plan = &plan;
-        const synth::SuiteResult suite =
-            synth::synthesize_suite(model, "invlpg", opt);
-        EXPECT_TRUE(suite.complete) << "jobs=" << jobs;
-        EXPECT_GT(plan.fired(), 0u) << "jobs=" << jobs;
-        EXPECT_GT(suite.scheduler.shard_retries, 0u) << "jobs=" << jobs;
-        EXPECT_EQ(suite_fingerprint(suite), baseline) << "jobs=" << jobs;
+    for (const mtm::AxiomMask targets : target_sets(model)) {
+        const std::string baseline = pass_fingerprint(
+            synth::synthesize_pass(model, targets, base));
+        ASSERT_FALSE(baseline.empty());
+        for (const char* site : {"sat_solve", "derive"}) {
+            for (const int jobs : {1, 2}) {
+                util::FaultPlan plan;
+                std::string error;
+                ASSERT_TRUE(util::FaultPlan::parse(
+                    std::string("seed=7,site=") + site +
+                        ",rate=1,mode=transient",
+                    &plan, &error))
+                    << error;
+                synth::SynthesisOptions opt = base;
+                opt.jobs = jobs;
+                opt.fault_plan = &plan;
+                const std::vector<synth::SuiteResult> suites =
+                    synth::synthesize_pass(model, targets, opt);
+                const std::string label =
+                    std::string(site) + " targets=" +
+                    std::to_string(targets) + " jobs=" +
+                    std::to_string(jobs);
+                for (const synth::SuiteResult& suite : suites) {
+                    EXPECT_TRUE(suite.complete) << label;
+                }
+                EXPECT_GT(plan.fired(), 0u) << label;
+                EXPECT_GT(suites.front().scheduler.shard_retries, 0u)
+                    << label;
+                EXPECT_EQ(pass_fingerprint(suites), baseline) << label;
+            }
+        }
     }
 }
 

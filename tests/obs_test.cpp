@@ -1,8 +1,8 @@
 /// \file
 /// Tests for the observability layer (src/obs/): the phase-attributed
 /// MetricsRegistry (exact merges under concurrent hammering, out-of-range
-/// drops), the TraceCollector (valid Chrome trace JSON, paired async
-/// spans, bounded rings), the metrics-JSON report, the scheduler's job
+/// drops), the TraceCollector (valid Chrome trace JSON, every event kind,
+/// bounded rings), the metrics-JSON report, the scheduler's job and pass
 /// spans — and the layer's central promise: turning observability on
 /// changes NOTHING about the synthesized suites (byte-identical
 /// fingerprints across backends and job counts, obs on vs off).
@@ -255,8 +255,8 @@ TEST(TraceCollector, ChromeJsonIsValidAndCarriesEveryKind)
     trace.record_complete(0, "span \"quoted\"", t0, t0 + 1000,
                           {{"visited", 7}});
     trace.record_instant(1, "marker", t0 + 500);
-    trace.record_async_begin(trace.main_lane(), "suite x", 42, t0);
-    trace.record_async_end(trace.main_lane(), "suite x", 42, t0 + 2000);
+    trace.record_counter(trace.main_lane(), "latency_us x", t0 + 2000,
+                         {{"p50", 3}, {"p90", 5}});
 
     const std::string json = trace.chrome_json();
     EXPECT_TRUE(is_valid_json(json)) << json;
@@ -264,8 +264,7 @@ TEST(TraceCollector, ChromeJsonIsValidAndCarriesEveryKind)
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"M\""), 3);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), 1);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"i\""), 1);
-    EXPECT_EQ(count_occurrences(json, "\"ph\":\"b\""), 1);
-    EXPECT_EQ(count_occurrences(json, "\"ph\":\"e\""), 1);
+    EXPECT_EQ(count_occurrences(json, "\"ph\":\"C\""), 1);
     EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
     EXPECT_NE(json.find("\"visited\":7"), std::string::npos);
     EXPECT_EQ(trace.dropped(), 0u);
@@ -321,14 +320,16 @@ TEST(SchedulerTrace, PoolRecordsJobSpansWhenAttached)
     for (int i = 0; i < 16; ++i) {
         jobs.push_back([&ran](int) { ++ran; });
     }
-    pool.run_batch(std::move(jobs));
+    pool.submit(std::move(jobs));
+    pool.wait();
     pool.set_trace(nullptr);
     EXPECT_EQ(ran.load(), 16);
     const std::string json = trace.chrome_json();
     EXPECT_TRUE(is_valid_json(json));
     EXPECT_EQ(count_occurrences(json, "\"name\":\"job\""), 16);
     // Detached: further jobs record nothing.
-    pool.run_batch({[](int) {}});
+    pool.submit([](int) {});
+    pool.wait();
     EXPECT_EQ(count_occurrences(trace.chrome_json(), "\"name\":\"job\""),
               16);
 }
@@ -484,6 +485,33 @@ TEST(ObsEngine, SatBackendAggregatesSolverStatsPerSuite)
     EXPECT_GT(timed.phases.count(obs::Phase::kSatEncode), 0u);
 }
 
+TEST(ObsEngine, OnePassIsOneSpanOnTheMainLane)
+{
+    // Every target of a call shares one pass on either backend, so the
+    // trace holds one complete span for it, named after its targets.
+    const mtm::Model model = mtm::x86t_elt();
+    for (const synth::Backend backend :
+         {synth::Backend::kEnumerative, synth::Backend::kSat}) {
+        synth::SynthesisOptions options = obs_options(2, backend);
+        options.bound = 4;
+        obs::TraceCollector trace(2);
+        options.trace = &trace;
+        const std::vector<synth::SuiteResult> suites =
+            synth::synthesize_all_parallel(model, options);
+        const std::string json = trace.chrome_json();
+        EXPECT_TRUE(is_valid_json(json));
+        const std::string span = "{\"ph\":\"X\",\"cat\":\"synth\","
+                                 "\"name\":\"suite " +
+                                 suites.front().pass + "\",\"pid\":1,"
+                                 "\"tid\":" +
+                                 std::to_string(trace.main_lane()) + ",";
+        EXPECT_EQ(count_occurrences(json, span), 1)
+            << "backend=" << static_cast<int>(backend);
+        EXPECT_EQ(count_occurrences(json, "\"name\":\"suite "), 1)
+            << "backend=" << static_cast<int>(backend);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Metrics-JSON report
 
@@ -525,10 +553,9 @@ TEST(ObsReport, ReportJsonIsValidVersionedAndTotalled)
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-session counters: one live solver spanning many candidates
-// must surface its assumption/retirement/retention economy through the
-// same SuiteResult.solver accumulator (and metrics-JSON) as the fresh
-// path — with the suite itself byte-identical either way.
+// Probe-session counters: one live solver spanning many candidates must
+// surface its assumption/retirement/retention economy through the
+// SuiteResult.solver accumulator (and metrics-JSON).
 
 TEST(ObsReport, MultiTargetPassCountsSharedWorkOnce)
 {
@@ -608,14 +635,6 @@ TEST(ObsEngine, IncrementalSatSurfacesSessionCounters)
     // spent; one bound up the enumeration visits non-qualifying models
     // and the retirement path actually runs.
     options.bound = 5;
-    options.sat_incremental = false;
-    const synth::SuiteResult fresh =
-        synth::synthesize_suite(model, "invlpg", options);
-    // The fresh-per-candidate path never retires an activation literal.
-    EXPECT_EQ(fresh.solver.retired_activations, 0u);
-    EXPECT_EQ(fresh.solver.retained_clauses, 0u);
-
-    options.sat_incremental = true;
     const synth::SuiteResult live =
         synth::synthesize_suite(model, "invlpg", options);
     // Per-candidate work is pure assumptions; candidate advances retire
@@ -623,9 +642,8 @@ TEST(ObsEngine, IncrementalSatSurfacesSessionCounters)
     EXPECT_GT(live.solver.assumed_literals, 0u);
     EXPECT_GT(live.solver.retired_activations, 0u);
     EXPECT_GT(live.solver.retained_clauses, 0u);
-    // Structure bases are session-built; the fresh path never builds one.
+    // Structure bases are session-built.
     EXPECT_GT(live.solver.bases_built, 0u);
-    EXPECT_EQ(fresh.solver.bases_built, 0u);
     // Base-cache hits need a structure-key revisit, which the invlpg
     // workload's require_wpte pruning squeezes out at this bound (every
     // rmw-markable pair is pinned to one VA assignment). sc_per_loc at
@@ -637,8 +655,6 @@ TEST(ObsEngine, IncrementalSatSurfacesSessionCounters)
     const synth::SuiteResult reuse =
         synth::synthesize_suite(model, "sc_per_loc", reuse_options);
     EXPECT_GT(reuse.solver.bases_reused, 0u);
-    // The counters are observability only: suites stay byte-identical.
-    EXPECT_EQ(suite_fingerprint(fresh), suite_fingerprint(live));
 }
 
 TEST(ObsReport, SolverSessionCountersAppearInSchemaV6Json)
@@ -662,7 +678,6 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV6Json)
     report.jobs = 1;
     synth::SynthesisOptions options = obs_options(1, synth::Backend::kSat);
     options.bound = 5;  // deep enough for guard retirement to occur
-    options.sat_incremental = true;
     options.collect_metrics = true;
     report.suites.push_back(obs::suite_report(
         synth::synthesize_suite(model, "invlpg", options)));

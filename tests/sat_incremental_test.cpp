@@ -1,17 +1,17 @@
 /// \file
 /// Differential battery for the assumption-based incremental SAT path
-/// (mtm/incremental.h): the live per-worker session must be
-/// observationally indistinguishable from the fresh per-candidate
-/// encoding at every level —
+/// (mtm/incremental.h), which the SAT backend probes every candidate
+/// through —
 ///
-///  - per candidate: the enumerated model set over the projection
-///    variables matches the fresh ProgramEncoding exactly, across the
-///    whole embedded model zoo, every axiom (plus unfiltered
+///  - per candidate: a live session's enumerated model set over the
+///    projection variables matches the fresh ProgramEncoding exactly,
+///    across the whole embedded model zoo, every axiom (plus unfiltered
 ///    enumeration), and several event bounds;
-///  - per suite: synthesize_suite output is byte-identical (tests, their
-///    order, witnesses, violated sets, and the search counters) with
-///    sat_incremental on or off, for every model of the zoo and across
-///    the jobs x shard-depth matrix.
+///  - per suite: the one SAT pass over every axiom is byte-identical
+///    (tests, their order, witnesses, violated sets, and the search
+///    counters) to one single-axiom pass per axiom, for every model of the
+///    zoo, and across the jobs x shard-depth matrix and the base-cache
+///    capacity.
 ///
 /// These tests run under TSan/ASan in CI (see .github/workflows), so the
 /// bounds are chosen to keep each case in the hundreds of milliseconds.
@@ -47,8 +47,7 @@ execution_key(const elt::Execution& e)
 
 /// Full byte-level signature of a suite sequence: program events, witness
 /// vectors, violated sets, and the counters the determinism contract
-/// covers. Any divergence between the incremental and fresh paths shows
-/// up here.
+/// covers.
 std::string
 suite_signature(const std::vector<synth::SuiteResult>& suites)
 {
@@ -165,7 +164,7 @@ TEST(SatIncremental, PerCandidateModelsMatchFreshBuiltinsBound5)
     check_per_candidate(mtm::x86t_elt(), 5);
 }
 
-TEST(SatIncremental, SuitesByteIdenticalAcrossZoo)
+TEST(SatIncremental, OnePassMatchesThePerAxiomPassesAcrossZoo)
 {
     for (const std::string& name : zoo_names()) {
         const mtm::Model model = zoo_model(name);
@@ -173,13 +172,11 @@ TEST(SatIncremental, SuitesByteIdenticalAcrossZoo)
         options.min_bound = 2;
         options.bound = 4;
         options.backend = synth::Backend::kSat;
-        options.sat_incremental = false;
-        const std::string fresh =
+        const std::string per_axiom =
             suite_signature(synth::synthesize_all(model, options));
-        options.sat_incremental = true;
-        const std::string live =
-            suite_signature(synth::synthesize_all(model, options));
-        EXPECT_EQ(fresh, live) << name;
+        const std::string one_pass =
+            suite_signature(synth::synthesize_all_parallel(model, options));
+        EXPECT_EQ(per_axiom, one_pass) << name;
     }
 }
 
@@ -190,18 +187,16 @@ TEST(SatIncremental, SuitesByteIdenticalAcrossJobsAndShardDepth)
     options.min_bound = 3;
     options.bound = 5;
     options.backend = synth::Backend::kSat;
-    options.sat_incremental = false;
     options.jobs = 1;
     const std::string reference =
         suite_signature(synth::synthesize_all(model, options));
-    options.sat_incremental = true;
     for (const int jobs : {1, 2, 4}) {
         for (const int shard_depth : {0, 1, 2}) {
             options.jobs = jobs;
             options.shard_depth = shard_depth;
-            const std::string live =
+            const std::string swept =
                 suite_signature(synth::synthesize_all(model, options));
-            EXPECT_EQ(reference, live)
+            EXPECT_EQ(reference, swept)
                 << "jobs=" << jobs << " shard_depth=" << shard_depth;
         }
     }
@@ -276,7 +271,6 @@ TEST(SatIncremental, SuitesByteIdenticalWithBaseCacheOnOrOff)
         options.min_bound = 2;
         options.bound = 4;
         options.backend = synth::Backend::kSat;
-        options.sat_incremental = true;
         options.sat_base_cache_capacity = 0;
         const std::string uncached =
             suite_signature(synth::synthesize_all(model, options));
@@ -290,7 +284,6 @@ TEST(SatIncremental, SuitesByteIdenticalWithBaseCacheOnOrOff)
     options.min_bound = 3;
     options.bound = 5;
     options.backend = synth::Backend::kSat;
-    options.sat_incremental = true;
     options.sat_base_cache_capacity = 0;
     options.jobs = 1;
     const std::string reference =

@@ -1,6 +1,6 @@
 /// \file
-/// Tests for the parallel synthesis runtime: the thread pool (job groups,
-/// in-job spawning, queue order, reuse across batches), the sharded
+/// Tests for the parallel synthesis runtime: the thread pool (in-job
+/// spawning, queue order, reuse across batches, its counters), the sharded
 /// canonical-key index, and the engine-level determinism contract — a
 /// multi-threaded synthesize_suite run yields the exact same canonical
 /// suite (keys, order, witnesses) as jobs=1, on both backends, at every
@@ -23,7 +23,6 @@
 #include "sched/sharded_index.h"
 #include "spec/registry.h"
 #include "synth/engine.h"
-#include "util/stopwatch.h"
 
 namespace transform {
 namespace {
@@ -52,13 +51,12 @@ TEST(ThreadPool, RunsEveryJobExactlyOnce)
                 runs[static_cast<std::size_t>(i)].fetch_add(1);
             });
         }
-        const auto group = pool.make_group();
-        pool.submit(group, std::move(jobs));
-        pool.wait(group);
+        pool.submit(std::move(jobs));
+        pool.wait();
         for (int i = 0; i < kJobs; ++i) {
             EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << i;
         }
-        const sched::SchedulerStats stats = pool.group_stats(group);
+        const sched::SchedulerStats stats = pool.stats();
         EXPECT_EQ(stats.workers, workers);
         EXPECT_EQ(stats.jobs_run, static_cast<std::uint64_t>(kJobs));
         // Jobs submitted from outside the pool never count as steals.
@@ -69,11 +67,9 @@ TEST(ThreadPool, RunsEveryJobExactlyOnce)
 TEST(ThreadPool, EmptyBatchIsANoOp)
 {
     sched::ThreadPool pool(4);
-    pool.run_batch({});
-    const auto group = pool.make_group();
-    pool.submit(group, std::vector<sched::ThreadPool::Job>{});
-    pool.wait(group);
-    EXPECT_EQ(pool.group_stats(group).jobs_run, 0u);
+    pool.submit(std::vector<sched::ThreadPool::Job>{});
+    pool.wait();
+    EXPECT_EQ(pool.stats().jobs_run, 0u);
 }
 
 TEST(ThreadPool, UnevenJobsAllComplete)
@@ -93,13 +89,15 @@ TEST(ThreadPool, UnevenJobsAllComplete)
             total.fetch_add(1);
         });
     }
-    pool.run_batch(std::move(jobs));
+    pool.submit(std::move(jobs));
+    pool.wait();
     EXPECT_EQ(total.load(), 64u);
 }
 
 TEST(ThreadPool, PersistsAcrossBatches)
 {
-    // Workers block between batches and serve any number of them.
+    // Workers block between batches and serve any number of them; the
+    // counters accumulate over the pool's lifetime.
     sched::ThreadPool pool(2);
     std::atomic<int> total{0};
     for (int batch = 0; batch < 5; ++batch) {
@@ -107,44 +105,20 @@ TEST(ThreadPool, PersistsAcrossBatches)
         for (int i = 0; i < 20; ++i) {
             jobs.push_back([&total](int) { total.fetch_add(1); });
         }
-        const auto group = pool.make_group();
-        pool.submit(group, std::move(jobs));
-        pool.wait(group);
+        pool.submit(std::move(jobs));
+        pool.wait();
         EXPECT_EQ(total.load(), 20 * (batch + 1));
-        EXPECT_EQ(pool.group_stats(group).jobs_run, 20u);
+        EXPECT_EQ(pool.stats().jobs_run,
+                  static_cast<std::uint64_t>(20 * (batch + 1)));
     }
 }
 
-TEST(ThreadPool, ConcurrentGroupsTrackTheirOwnStats)
-{
-    sched::ThreadPool pool(4);
-    const auto small = pool.make_group();
-    const auto large = pool.make_group();
-    std::atomic<int> small_runs{0};
-    std::atomic<int> large_runs{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit(small, [&small_runs](int) { small_runs.fetch_add(1); });
-    }
-    std::vector<sched::ThreadPool::Job> batch;
-    for (int i = 0; i < 40; ++i) {
-        batch.push_back([&large_runs](int) { large_runs.fetch_add(1); });
-    }
-    pool.submit(large, std::move(batch));
-    pool.wait(small);
-    EXPECT_EQ(small_runs.load(), 8);
-    pool.wait(large);
-    EXPECT_EQ(large_runs.load(), 40);
-    EXPECT_EQ(pool.group_stats(small).jobs_run, 8u);
-    EXPECT_EQ(pool.group_stats(large).jobs_run, 40u);
-}
-
-TEST(ThreadPool, JobsCanSpawnIntoTheirOwnGroup)
+TEST(ThreadPool, JobsCanSpawnJobs)
 {
     // The mechanism behind the engine's fault retries: a job submits
-    // follow-up jobs into its own group, and wait() only returns once the
-    // whole spawn tree has drained.
+    // follow-up jobs, and wait() only returns once the whole spawn tree
+    // has drained.
     sched::ThreadPool pool(3);
-    const auto group = pool.make_group();
     std::atomic<int> leaves{0};
     std::function<void(int, int)> fan_out = [&](int depth, int) {
         if (depth == 0) {
@@ -152,15 +126,15 @@ TEST(ThreadPool, JobsCanSpawnIntoTheirOwnGroup)
             return;
         }
         for (int c = 0; c < 3; ++c) {
-            pool.submit(group, [&fan_out, depth](int worker) {
+            pool.submit([&fan_out, depth](int worker) {
                 fan_out(depth - 1, worker);
             });
         }
     };
-    pool.submit(group, [&fan_out](int worker) { fan_out(3, worker); });
-    pool.wait(group);
+    pool.submit([&fan_out](int worker) { fan_out(3, worker); });
+    pool.wait();
     EXPECT_EQ(leaves.load(), 27);  // 3^3 leaves
-    const sched::SchedulerStats stats = pool.group_stats(group);
+    const sched::SchedulerStats stats = pool.stats();
     EXPECT_EQ(stats.jobs_run, 1u + 3u + 9u + 27u);
     EXPECT_LE(stats.steals, stats.jobs_run);
 }
@@ -170,15 +144,15 @@ TEST(ThreadPool, JobsSubmittedFromAJobRunNextInSubmissionOrder)
     // One worker makes the order observable. While the parent job runs,
     // two external jobs queue behind it; the parent then submits a batch
     // of children, which must run before the external jobs, in submission
-    // order (how a shard's fault retry runs next, before later passes).
+    // order (how a shard's fault retry runs next, before the shards
+    // queued behind it).
     sched::ThreadPool pool(1);
-    const auto group = pool.make_group();
     std::vector<std::string> order;  // only the one worker writes it
     const auto note = [&order](std::string name) {
         return [&order, name](int) { order.push_back(name); };
     };
     std::atomic<bool> externals_queued{false};
-    pool.submit(group, [&](int) {
+    pool.submit([&](int) {
         while (!externals_queued.load()) {
             std::this_thread::yield();
         }
@@ -186,26 +160,25 @@ TEST(ThreadPool, JobsSubmittedFromAJobRunNextInSubmissionOrder)
         for (const char* name : {"child0", "child1", "child2"}) {
             children.push_back(note(name));
         }
-        pool.submit(group, std::move(children));
+        pool.submit(std::move(children));
     });
-    pool.submit(group, note("external0"));
-    pool.submit(group, note("external1"));
+    pool.submit(note("external0"));
+    pool.submit(note("external1"));
     externals_queued.store(true);
-    pool.wait(group);
+    pool.wait();
     const std::vector<std::string> expected = {
         "child0", "child1", "child2", "external0", "external1"};
     EXPECT_EQ(order, expected);
-    const sched::SchedulerStats stats = pool.group_stats(group);
+    const sched::SchedulerStats stats = pool.stats();
     EXPECT_EQ(stats.jobs_run, 6u);
     EXPECT_EQ(stats.steals, 0u);  // one worker: nothing ran elsewhere
 }
 
-TEST(ThreadPool, WaitOnEmptyGroupReturnsImmediately)
+TEST(ThreadPool, WaitWithNothingPendingReturnsImmediately)
 {
     sched::ThreadPool pool(2);
-    const auto group = pool.make_group();
-    pool.wait(group);
-    EXPECT_EQ(pool.group_stats(group).jobs_run, 0u);
+    pool.wait();
+    EXPECT_EQ(pool.stats().jobs_run, 0u);
 }
 
 TEST(SchedStats, MergeSumsCountersAndMaxesOverlappingFields)
@@ -481,47 +454,6 @@ TEST(AdaptiveSharding, SuiteMatrixMatchesEagerProbeFixture)
             }
         }
     }
-}
-
-TEST(SchedStats, QueueWaitExcludedFromSuiteSeconds)
-{
-    // The SAT backend runs one single-target pass per axiom, all on one
-    // shared pool. On one worker the passes run back to back, so under the
-    // old accounting (watch from run construction) each suite reported
-    // nearly the whole sweep's wall time and the per-suite seconds summed
-    // to ~axioms x wall. With the watch restarted when the deadline arms,
-    // the per-pass seconds partition the wall time instead, and the wait
-    // shows up in queue_wait_seconds. (The enumerative backend serves every
-    // axiom from one pass, so there is no queue between its suites.)
-    const mtm::Model model = mtm::x86t_elt();
-    // The default depth gives every pass hundreds of shard jobs, so each
-    // pass's window spans many job boundaries at which another pass's
-    // jobs could cut in.
-    const synth::SynthesisOptions opt =
-        suite_options(5, 1, synth::Backend::kSat);
-    util::Stopwatch watch;
-    const auto suites = synth::synthesize_all_parallel(model, opt);
-    const double wall = watch.elapsed_seconds();
-    ASSERT_GE(suites.size(), 3u);
-    double search_total = 0;
-    for (const auto& suite : suites) {
-        EXPECT_GE(suite.scheduler.queue_wait_seconds, 0.0);
-        EXPECT_LE(suite.scheduler.queue_wait_seconds, wall * 1.05);
-        EXPECT_LE(suite.seconds, wall * 1.05) << suite.axiom;
-        EXPECT_GE(suite.scheduler.jobs_run, synth::kMinShardsPerPass)
-            << suite.axiom;
-        search_total += suite.seconds;
-    }
-    // The old accounting made this sum ~axioms x the wall clock (pass i's
-    // watch ran from submission, so its seconds spanned passes 0..i). With
-    // one worker and each pass's jobs queued in pass order, each pass
-    // drains before the next one starts, so the per-pass windows
-    // partition the wall.
-    EXPECT_LE(search_total, wall * 1.05);
-    // The last-submitted pass necessarily queued behind the earlier ones
-    // on the single worker; its wait must be visible in the new counter
-    // (the old accounting folded it into `seconds`).
-    EXPECT_GT(suites.back().scheduler.queue_wait_seconds, 0.0);
 }
 
 TEST(AdaptiveSharding, SharedPoolSweepMatchesSerialDriver)

@@ -11,24 +11,22 @@
 ///   elt_check --model sc_t_elt execution.xml
 ///   elt_check --model examples/models/pso.mtm test.litmus
 ///   elt_check --jobs 0 suites/invlpg/*.litmus
-///   elt_check --backend sat --sat-incremental off test.litmus
+///   elt_check --backend sat test.litmus
 ///
 /// --model accepts the same names as elt_synth: a registry `.mtm` model
 /// (x86t_elt by default) or a path to a `.mtm` specification file
 /// (malformed files exit 2 with a file:line:col diagnostic).
 ///
 /// --backend enum|sat picks how a litmus program's execution space is
-/// swept: the explicit enumerator (default) or the SAT encoding's AllSAT
-/// loop; --sat-incremental on|off (default on) additionally routes the
-/// SAT sweep through the assumption-based live-solver session that the
-/// synthesis engine uses. The verdicts and counts are identical under
-/// every combination — the flags exist to cross-check exactly that from
-/// the command line.
+/// swept: the explicit enumerator (default) or the AllSAT loop of the
+/// assumption-based solver session the synthesis engine probes with. The
+/// verdicts and counts are identical under both — the flag exists to
+/// cross-check exactly that from the command line.
 ///
 /// Several files are checked concurrently on the runtime's thread pool
-/// (src/sched/; --jobs N workers, 0 = one per hardware thread) as a single
-/// job group; reports are buffered and printed in input order, so the
-/// output does not depend on --jobs.
+/// (src/sched/; --jobs N workers, 0 = one per hardware thread); reports
+/// are buffered and printed in input order, so the output does not depend
+/// on --jobs.
 ///
 /// --trace FILE records each file's check as a span on its worker's lane
 /// and writes a Chrome trace-event JSON file (Perfetto /
@@ -37,8 +35,7 @@
 /// --metrics-json FILE writes the same versioned metrics-JSON document as
 /// elt_synth (obs::report_to_json, docs/observability.md): one suite row
 /// per input file (axiom = the file path) carrying the execution counts,
-/// wall seconds, and — on the incremental SAT backend — the session's
-/// solver counters, plus the merged totals object. Failure parity with
+/// wall seconds, and — on the SAT backend — the session's solver counters, plus the merged totals object. Failure parity with
 /// elt_synth: a file whose check was cut short (conflict budget) or whose
 /// input was unreadable/malformed lands in that suite row's "failures"
 /// array ({shard, error, attempts}), exactly like a quarantined synthesis
@@ -67,7 +64,6 @@
 #include "elt/litmus.h"
 #include "elt/printer.h"
 #include "elt/serialize.h"
-#include "mtm/encoding.h"
 #include "mtm/incremental.h"
 #include "mtm/model.h"
 #include "obs/metrics.h"
@@ -87,7 +83,6 @@ using namespace transform;
 /// How check_program sweeps a litmus program's execution space.
 struct CheckOptions {
     bool sat = false;              ///< --backend sat
-    bool sat_incremental = true;   ///< --sat-incremental on|off
     bool metrics = false;          ///< --metrics-json (enables solver timing)
     long long sat_conflict_budget = 0;  ///< per-solve cap (0 = unlimited)
     util::CancelToken cancel;      ///< SIGINT/SIGTERM (inert by default)
@@ -142,7 +137,7 @@ check_program(const mtm::Model& model, const elt::Program& program,
     try {
         if (!options.sat) {
             synth::for_each_execution(program, model.vm_aware(), consider);
-        } else if (options.sat_incremental) {
+        } else {
             // The live-solver session sizes its VA/PA selector domains up
             // front; a checked program's addresses are fixed, so its own
             // maxima are the exact domains.
@@ -159,11 +154,6 @@ check_program(const mtm::Model& model, const elt::Program& program,
             session.set_conflict_budget(options.sat_conflict_budget);
             session.enumerate(program, consider);
             suite->solver.merge(session.lifetime_stats());
-        } else {
-            mtm::EncodingScratch scratch;
-            scratch.solver.set_conflict_budget(options.sat_conflict_budget);
-            mtm::ProgramEncoding encoding(program, &model, &scratch);
-            encoding.enumerate("", consider);
         }
     } catch (const sat::BudgetExhausted& e) {
         appendf(out, "check cut short: %s\n", e.what());
@@ -296,15 +286,6 @@ main(int argc, char** argv)
             } else {
                 return tools::usage_error(flag, "'enum' or 'sat'", text);
             }
-        } else if (flag == "--sat-incremental") {
-            const std::string text = value();
-            if (text == "on") {
-                options.sat_incremental = true;
-            } else if (text == "off") {
-                options.sat_incremental = false;
-            } else {
-                return tools::usage_error(flag, "'on' or 'off'", text);
-            }
         } else if (flag == "--sat-conflict-budget") {
             const std::string text = value();
             long long parsed = 0;
@@ -339,8 +320,7 @@ main(int argc, char** argv)
     if (paths.empty()) {
         std::fprintf(stderr,
                      "usage: elt_check [--model NAME] [--backend enum|sat] "
-                     "[--sat-incremental on|off] [--jobs N] "
-                     "[--sat-conflict-budget N] "
+                     "[--jobs N] [--sat-conflict-budget N] "
                      "[--trace FILE] [--metrics-json FILE] <file>...\n");
         return 2;
     }
@@ -401,7 +381,8 @@ main(int argc, char** argv)
             }
         });
     }
-    pool.run_batch(std::move(batch));
+    pool.submit(std::move(batch));
+    pool.wait();
     if (trace) {
         pool.set_trace(nullptr);
         std::string error;

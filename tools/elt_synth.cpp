@@ -22,16 +22,10 @@
 ///                     at most 64: one bit per event in the axiom kernel)
 ///   --threads N       max cores (default 2)
 ///   --vas N           max data VAs (default 2)
-///   --budget SECONDS  time budget of the search (default unlimited); with
-///                     --all the enumerative backend searches every axiom
-///                     in one pass, the SAT backend one pass per axiom
+///   --budget SECONDS  time budget of the search (default unlimited); one
+///                     budget for the whole call, since --all searches
+///                     every axiom in one pass on either backend
 ///   --backend NAME    enum (default) | sat
-///   --sat-incremental on|off
-///                     under --backend sat: keep one live solver per
-///                     worker across candidates (assumption-based
-///                     placement, learned clauses retained; default on)
-///                     or re-encode every candidate from scratch (off).
-///                     The suite is byte-identical either way.
 ///   --jobs N          scheduler workers (0 = one per hardware thread)
 ///   --shard-depth D   auto (default: the smallest skeleton-prefix depth
 ///                     that splits the largest bound into >= 512 shards) |
@@ -48,14 +42,14 @@
 ///                     print the per-pass breakdown to stderr; also
 ///                     carried in --metrics-json reports
 ///   --stats           print scheduler counters per pass plus an
-///                     all-axiom aggregate (jobs, steals, dedup hits, queue
-///                     wait); under --backend sat also the per-pass SAT
+///                     all-axiom aggregate (jobs, steals, dedup hits);
+///                     under --backend sat also the per-pass SAT
 ///                     solver counters (solves, decisions, propagations,
-///                     conflicts, ..., plus the incremental session's
-///                     assumed literals, retired activation guards, and
-///                     retained learned clauses); then the process's peak
-///                     resident set size
-///   --trace FILE      record shard jobs and suites as spans and write a
+///                     conflicts, ..., plus the probe sessions' assumed
+///                     literals, retired activation guards, and retained
+///                     learned clauses); then the process's peak resident
+///                     set size
+///   --trace FILE      record shard jobs and the pass as spans and write a
 ///                     Chrome trace-event JSON file
 ///                     (open in Perfetto or chrome://tracing); see
 ///                     docs/observability.md
@@ -145,7 +139,6 @@ struct Args {
     int vas = 2;
     double budget = 0;
     std::string backend = "enum";
-    bool sat_incremental = true;
     int jobs = 1;
     int shard_depth = 0;  // 0 = the static rule (synth::pass_shard_depth)
     bool stats = false;
@@ -176,12 +169,11 @@ print_stats(const std::string& scope, const sched::SchedulerStats& s)
     std::fprintf(
         stderr,
         "[%s] scheduler: %d workers, %llu jobs, %llu steals, "
-        "%llu dedup hits, %.3fs queue wait\n",
+        "%llu dedup hits\n",
         scope.c_str(), s.workers,
         static_cast<unsigned long long>(s.jobs_run),
         static_cast<unsigned long long>(s.steals),
-        static_cast<unsigned long long>(s.dedup_hits),
-        s.queue_wait_seconds);
+        static_cast<unsigned long long>(s.dedup_hits));
     if (s.shard_retries + s.shards_quarantined + s.checkpoint_shards_saved +
             s.checkpoint_shards_replayed + s.job_faults >
         0) {
@@ -269,7 +261,6 @@ synthesis_options(const mtm::Model& model, const Args& args,
     options.time_budget_seconds = args.budget;
     options.backend = args.backend == "sat" ? synth::Backend::kSat
                                             : synth::Backend::kEnumerative;
-    options.sat_incremental = args.sat_incremental;
     options.jobs = args.jobs;
     options.shard_depth = args.shard_depth;
     options.collect_metrics = collect_metrics;
@@ -451,15 +442,6 @@ main(int argc, char** argv)
             }
         } else if (flag == "--backend") {
             args.backend = value();
-        } else if (flag == "--sat-incremental") {
-            const std::string text = value();
-            if (text == "on") {
-                args.sat_incremental = true;
-            } else if (text == "off") {
-                args.sat_incremental = false;
-            } else {
-                return usage_error(flag, "'on' or 'off'", text);
-            }
         } else if (flag == "--jobs") {
             const std::string text = value();
             if (!tools::parse_jobs(text, &args.jobs)) {
@@ -593,10 +575,10 @@ main(int argc, char** argv)
     // still merged, printed, and (if journaling) resumable.
     const util::CancelToken cancel = util::install_signal_cancel();
     // Checkpoint journal: the fingerprint covers everything that shapes
-    // the shard task list or the suites. --jobs and --sat-incremental are
-    // deliberately absent — the suite and the task list are the same
-    // across them (the determinism contract; the default shard depth
-    // ignores --jobs), so a resume may change them.
+    // the shard task list or the suites. --jobs is deliberately absent —
+    // the suite and the task list are the same at every worker count (the
+    // determinism contract; the default shard depth ignores --jobs), so a
+    // resume may change it.
     std::unique_ptr<synth::CheckpointJournal> journal;
     if (!args.checkpoint_path.empty()) {
         const std::string fingerprint =
@@ -641,8 +623,8 @@ main(int argc, char** argv)
         report->jobs = sched::resolve_jobs(args.jobs);
     }
 
-    // One synthesis call serves the whole invocation: with --all the
-    // enumerative backend searches every axiom in one pass.
+    // One synthesis call serves the whole invocation: with --all it
+    // searches every axiom in one pass.
     synth::SynthesisOptions options = synthesis_options(
         model, args, cancel, fault_plan ? &*fault_plan : nullptr,
         journal.get(), trace ? &*trace : nullptr, report.has_value());
@@ -676,8 +658,8 @@ main(int argc, char** argv)
     if (suites.size() > 1) {
         const std::string scope = model.name() + " / all axioms";
         if (args.stats) {
-            // Counters sum across suites; `workers` and the queue wait
-            // (which overlap rather than add) take the maximum — see
+            // Counters sum across suites (each pass's sit on its first
+            // suite); `workers` takes the maximum — see
             // SchedulerStats::merge.
             print_stats(scope, aggregate.scheduler);
             if (aggregate.solver.solve_calls > 0) {
