@@ -55,6 +55,23 @@ Model::violated_mask(const elt::Program& program,
     return mask;
 }
 
+bool
+Model::violates_any(const elt::Program& program,
+                    const elt::DerivedRelations& d,
+                    elt::CycleScratch* scratch) const
+{
+    if (scratch == nullptr) {
+        elt::CycleScratch local;
+        return violates_any(program, d, &local);
+    }
+    for (const Axiom& axiom : axioms_) {
+        if (!axiom.program->holds(axiom.def->form, program, d, scratch)) {
+            return true;
+        }
+    }
+    return false;
+}
+
 std::vector<std::string>
 Model::mask_names(AxiomMask mask) const
 {

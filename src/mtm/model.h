@@ -86,6 +86,13 @@ class Model {
                             const elt::DerivedRelations& d,
                             elt::CycleScratch* scratch = nullptr) const;
 
+    /// True when the execution violates some axiom: violated_mask(...) != 0,
+    /// but stops at the first violated axiom in axiom order. The judge's
+    /// relaxed verdicts only need this bit.
+    bool violates_any(const elt::Program& program,
+                      const elt::DerivedRelations& d,
+                      elt::CycleScratch* scratch = nullptr) const;
+
     /// Names for the set bits of \p mask, in axiom order.
     std::vector<std::string> mask_names(AxiomMask mask) const;
 

@@ -5,6 +5,7 @@
 #include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
@@ -262,10 +263,14 @@ struct AcceptedWitness {
 };
 
 /// Per-worker reusable buffers for the candidate-evaluation hot path:
-/// derivation output + scratch, the judge's buffers, and the
-/// canonicalizer's tables. One per (pass, worker); a worker runs one job
-/// at a time, so jobs index into the pass's vector with their worker id.
+/// the execution enumerator's state, derivation output + scratch, the
+/// judge's buffers, and the canonicalizer's tables. One per (pass,
+/// worker); a worker runs one job at a time, so jobs index into the pass's
+/// vector with their worker id.
 struct WorkerScratch {
+    /// Enumerative backend: the execution under construction and the
+    /// candidate's choice tables.
+    ExecEnumScratch exec_enum;
     elt::DerivedRelations derived;
     elt::DeriveScratch derive;
     JudgeScratch judge;
@@ -387,8 +392,12 @@ find_witnesses(const mtm::Model& model, mtm::AxiomMask eligible,
         return open != 0;  // stop once every target has its witness
     };
 
+    // The visitors below take consider by reference: a std::function
+    // holding a reference_wrapper stores it inline, where the lambda
+    // itself would be copied to the heap on every call.
     if (options.backend == Backend::kEnumerative) {
-        for_each_execution(program, model.vm_aware(), consider);
+        for_each_execution(program, model.vm_aware(), std::ref(consider),
+                           &scratch->exec_enum);
         settle(open, considered);
         return;
     }
@@ -422,7 +431,7 @@ find_witnesses(const mtm::Model& model, mtm::AxiomMask eligible,
             open = target;
             considered = 0;
             scratch->sessions[static_cast<std::size_t>(index)].enumerate(
-                program, consider);
+                program, std::ref(consider));
             if (open != target) {
                 // The replay recounts from scratch. It re-derives and
                 // re-judges the executions the probe already visited:
@@ -433,7 +442,8 @@ find_witnesses(const mtm::Model& model, mtm::AxiomMask eligible,
                 considered = 0;
                 mtm::ProgramEncoding encoding(program, &model,
                                               &scratch->encoding);
-                encoding.enumerate(model.axioms()[index].name, consider);
+                encoding.enumerate(model.axioms()[index].name,
+                                   std::ref(consider));
             }
             if (open == target) {
                 settle(target, considered);  // no witness

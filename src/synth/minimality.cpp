@@ -88,11 +88,13 @@ judge_impl(const mtm::Model& model, const elt::Execution& execution,
                          &scratch->relaxed[i]);
         // An ill-formed relaxed execution is trivially permitted (the
         // string API reported it as the "well_formed" pseudo-axiom, which
-        // the old code did not count as still-forbidden either).
+        // the old code did not count as still-forbidden either). Which
+        // axioms a relaxation violates does not matter, so the verdict
+        // stops at the first one.
         const bool still_forbidden =
             scratch->derived.well_formed &&
-            model.violated_mask(relaxed->program, scratch->derived,
-                                &scratch->derive.cycle) != 0;
+            model.violates_any(relaxed->program, scratch->derived,
+                               &scratch->derive.cycle);
         if (still_forbidden) {
             if (diagnostics) {
                 verdict.blocking_relaxation =

@@ -104,17 +104,15 @@ available_slots(const SkeletonOptions& opt)
     return out;
 }
 
-/// Serializes a thread's slot list for the lexicographic thread-symmetry
-/// pruning (threads are emitted with non-increasing slot strings).
-std::vector<int>
-slot_signature(const std::vector<SlotInfo>& slots)
+/// The lexicographic thread-symmetry order: true when thread \p a's slot
+/// string sorts before \p b's (threads are emitted with non-increasing slot
+/// strings).
+bool
+slots_less(const std::vector<SlotInfo>& a, const std::vector<SlotInfo>& b)
 {
-    std::vector<int> out;
-    out.reserve(slots.size());
-    for (const SlotInfo& s : slots) {
-        out.push_back(static_cast<int>(s.slot));
-    }
-    return out;
+    return std::lexicographical_compare(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const SlotInfo& x, const SlotInfo& y) { return x.slot < y.slot; });
 }
 
 /// One placed non-ghost event while materializing (creation order).
@@ -124,15 +122,26 @@ struct Placed {
     int thread;
 };
 
-/// Reusable storage for materialize_into: the candidate Program handed to
-/// the visitor plus the placement bookkeeping. One per enumerator — the
-/// shard search emits millions of candidates, and rebuilding into pooled
-/// vectors keeps the emit path allocation-free in steady state.
+/// A WPTE or INVLPG slot of the draft, for remap linking.
+struct SlotRef {
+    int thread;
+    int index;
+    int global;  // Wpte global index (wptes) / claimed-by (invlpgs)
+};
+
+/// Reusable storage for one enumerator: the candidate Program handed to
+/// the visitor, the placement bookkeeping of materialize_into, and the
+/// per-structure tables of the Linker and Assigner stages. The shard
+/// search emits millions of candidates, and rebuilding into pooled vectors
+/// keeps the emit path allocation-free in steady state.
 struct MaterializePool {
     Program program;
     std::vector<Placed> placed;
     std::vector<EventId> wpte_ids;  // by global Wpte index
     std::vector<int> wpte_vas;      // Assigner: WPTE VAs by global index
+    std::vector<SlotRef> wptes;     // Linker: WPTE slots, draft order
+    std::vector<SlotRef> invlpgs;   // Linker: INVLPG slots, draft order
+    std::vector<SlotInfo*> ordered;  // Assigner: every slot, draft order
 };
 
 /// Builds the final Program from a fully-assigned draft, into the pool.
@@ -226,8 +235,10 @@ class Assigner {
     Assigner(Draft* draft, const SkeletonOptions& opt,
              const std::function<bool(const Program&)>& visit,
              MaterializePool* pool)
-        : draft_(draft), opt_(opt), visit_(visit), pool_(pool)
+        : draft_(draft), opt_(opt), visit_(visit), pool_(pool),
+          ordered_(pool->ordered)
     {
+        ordered_.clear();
         for (auto& thread : draft_->threads) {
             for (auto& slot : thread) {
                 ordered_.push_back(&slot);
@@ -454,7 +465,7 @@ class Assigner {
     const SkeletonOptions& opt_;
     const std::function<bool(const Program&)>& visit_;
     MaterializePool* pool_;
-    std::vector<SlotInfo*> ordered_;
+    std::vector<SlotInfo*>& ordered_;  ///< pooled
 };
 
 /// Stage 3: remap linking. Each WPTE (global index) must claim exactly one
@@ -465,8 +476,11 @@ class Linker {
     Linker(Draft* draft, const SkeletonOptions& opt,
            const std::function<bool(const Program&)>& visit,
            MaterializePool* pool)
-        : draft_(draft), opt_(opt), visit_(visit), pool_(pool)
+        : draft_(draft), opt_(opt), visit_(visit), pool_(pool),
+          wptes_(pool->wptes), invlpgs_(pool->invlpgs)
     {
+        wptes_.clear();
+        invlpgs_.clear();
         int wpte_index = 0;
         for (std::size_t t = 0; t < draft->threads.size(); ++t) {
             for (std::size_t i = 0; i < draft->threads[t].size(); ++i) {
@@ -492,12 +506,6 @@ class Linker {
     }
 
   private:
-    struct Ref {
-        int thread;
-        int index;
-        int global;  // Wpte global index (wptes_) / claimed-by (invlpgs_)
-    };
-
     /// Assigns, for wpte `w`, an invlpg on thread `t`; advances through the
     /// (wpte, thread) grid.
     bool
@@ -509,8 +517,8 @@ class Linker {
         if (t == draft_->threads.size()) {
             return link(w + 1, 0);
         }
-        const Ref& wpte = wptes_[w];
-        for (Ref& inv : invlpgs_) {
+        const SlotRef& wpte = wptes_[w];
+        for (SlotRef& inv : invlpgs_) {
             if (inv.thread != static_cast<int>(t) || inv.global != -1) {
                 continue;
             }
@@ -540,8 +548,8 @@ class Linker {
     const SkeletonOptions& opt_;
     const std::function<bool(const Program&)>& visit_;
     MaterializePool* pool_;
-    std::vector<Ref> wptes_;
-    std::vector<Ref> invlpgs_;
+    std::vector<SlotRef>& wptes_;    ///< pooled
+    std::vector<SlotRef>& invlpgs_;  ///< pooled
 };
 
 /// Sentinel for "no forced decision" while replaying a shard prefix.
@@ -588,8 +596,17 @@ class SlotEnumerator {
             remaining <= 0) {
             return true;
         }
-        draft.threads.emplace_back();
+        // Closed threads' slot vectors wait in spare_threads_ for the next
+        // thread to open, so their capacity is reused.
+        if (spare_threads_.empty()) {
+            draft.threads.emplace_back();
+        } else {
+            draft.threads.push_back(std::move(spare_threads_.back()));
+            spare_threads_.pop_back();
+        }
         const bool keep = enumerate_slots(draft, remaining, /*budget_used=*/0);
+        draft.threads.back().clear();
+        spare_threads_.push_back(std::move(draft.threads.back()));
         draft.threads.pop_back();
         return keep;
     }
@@ -609,8 +626,7 @@ class SlotEnumerator {
             // Thread-symmetry pruning: signatures non-increasing.
             const std::size_t k = draft.threads.size();
             if (k < 2 ||
-                slot_signature(draft.threads[k - 2]) >=
-                    slot_signature(draft.threads[k - 1])) {
+                !slots_less(draft.threads[k - 2], draft.threads[k - 1])) {
                 ++depth_;
                 const bool keep = enumerate_threads(draft, remaining);
                 --depth_;
@@ -664,6 +680,7 @@ class SlotEnumerator {
     const std::function<bool(const Program&)>& visit_;
     std::vector<Slot> slots_;
     MaterializePool pool_;  ///< candidate Program + placement, reused
+    std::vector<std::vector<SlotInfo>> spare_threads_;  ///< cleared, reused
     std::size_t depth_ = 0;  ///< decisions made on the current path
 };
 

@@ -2,6 +2,9 @@
 /// Unit tests for the explicit execution enumerator.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "elt/derive.h"
 #include "elt/fixtures.h"
 #include "synth/exec_enum.h"
@@ -163,6 +166,114 @@ TEST(ExecEnum, PtwalkProgramContainsForbiddenWitness)
         return true;
     });
     EXPECT_TRUE(found_stale);
+}
+
+bool
+same_execution(const Execution& a, const Execution& b)
+{
+    return a.program == b.program && a.rf_src == b.rf_src &&
+           a.co_pos == b.co_pos && a.ptw_src == b.ptw_src &&
+           a.co_pa_pos == b.co_pa_pos;
+}
+
+/// Every execution \p scratch's enumeration of \p p visits, in order.
+std::vector<Execution>
+visited(const Program& p, bool vm, ExecEnumScratch* scratch,
+        ExecEnumStats* stats = nullptr)
+{
+    std::vector<Execution> out;
+    for_each_execution(
+        p, vm,
+        [&](const Execution& e) {
+            out.push_back(e);
+            return true;
+        },
+        scratch, stats);
+    return out;
+}
+
+void
+expect_same_sequence(const std::vector<Execution>& fresh,
+                     const std::vector<Execution>& reused,
+                     const std::string& context)
+{
+    ASSERT_EQ(fresh.size(), reused.size()) << context;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_TRUE(same_execution(fresh[i], reused[i]))
+            << context << ": execution " << i;
+    }
+}
+
+TEST(ExecEnum, ReusedScratchVisitsTheFreshSequence)
+{
+    // fig4 has two Wptes aliasing x and y to one PA (a two-member co_pa
+    // class) and a PTE coherence class per VA; in fig2c a remap decides
+    // whether the two data writes share a coherence class, so the data
+    // classes change with the resolution; fig10b adds a dirty-bit write
+    // to its PTE class; the MCM program has two two-write coherence
+    // classes. One scratch serves them in turn, programs coming back
+    // after others, and must visit exactly what a fresh call visits.
+    ProgramBuilder mcm;
+    mcm.thread();
+    mcm.W(0);
+    mcm.W(1);
+    mcm.R(0);
+    mcm.thread();
+    mcm.W(1);
+    mcm.W(0);
+    mcm.R(1);
+    struct Case {
+        const char* name;
+        Program program;
+        bool vm;
+    };
+    const std::vector<Case> cases = {
+        {"fig4", elt::fixtures::fig4_remap_chain().program, true},
+        {"mcm", mcm.build(), false},
+        {"fig2c", elt::fixtures::fig2c_sb_elt_aliased().program, true},
+        {"fig10b", elt::fixtures::fig10b_dirtybit3().program, true},
+        {"fig4 again", elt::fixtures::fig4_remap_chain().program, true},
+        {"mcm again", mcm.build(), false},
+    };
+    ExecEnumScratch scratch;
+    for (const Case& c : cases) {
+        ExecEnumStats fresh_stats;
+        ExecEnumStats reused_stats;
+        std::vector<Execution> fresh;
+        for_each_execution(
+            c.program, c.vm,
+            [&](const Execution& e) {
+                fresh.push_back(e);
+                return true;
+            },
+            &fresh_stats);
+        ASSERT_GT(fresh.size(), 1u) << c.name;
+        expect_same_sequence(fresh,
+                             visited(c.program, c.vm, &scratch, &reused_stats),
+                             c.name);
+        EXPECT_EQ(fresh_stats.executions, reused_stats.executions) << c.name;
+        EXPECT_EQ(fresh_stats.rejected, reused_stats.rejected) << c.name;
+
+        // Stopping at the k-th execution leaves the classes mid-permutation
+        // and the witness fields set; the next call must not see either.
+        for (std::size_t k = 1; k <= fresh.size(); ++k) {
+            std::size_t seen = 0;
+            const bool completed = for_each_execution(
+                c.program, c.vm,
+                [&](const Execution& e) {
+                    EXPECT_TRUE(same_execution(fresh[seen], e))
+                        << c.name << ": stop at " << k << ", execution "
+                        << seen;
+                    return ++seen < k;
+                },
+                &scratch);
+            EXPECT_FALSE(completed) << c.name;
+            EXPECT_EQ(seen, k) << c.name;
+            expect_same_sequence(fresh, visited(c.program, c.vm, &scratch),
+                                 std::string(c.name) + " after a stop at " +
+                                     std::to_string(k));
+        }
+    }
 }
 
 }  // namespace

@@ -14,9 +14,12 @@
 ///  - a DeriveScratch's cached program facts follow the program's content,
 ///    not its address;
 ///  - a second derive_into, violated_mask and mask-taking judge on the
-///    same execution allocate nothing.
+///    same execution allocate nothing, and neither does a second sweep of
+///    for_each_execution through a reused ExecEnumScratch;
+///  - violates_any agrees with violated_mask != 0 for every zoo model.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "mtm/relax.h"
 #include "obs/alloc.h"
 #include "spec/eval.h"
+#include "spec/registry.h"
 #include "synth/canonical.h"
 #include "synth/exec_enum.h"
 #include "synth/minimality.h"
@@ -414,6 +418,21 @@ message_passing()
     return Execution::empty_for(b.build());
 }
 
+/// CoRR (W x | R x; R x): the second read seeing the initial value after
+/// the first saw the write breaks per-location coherence, which every zoo
+/// model forbids (message passing is allowed under PSO).
+Execution
+coherence_read_read()
+{
+    elt::ProgramBuilder b;
+    b.thread();
+    b.W(0);
+    b.thread();
+    b.R(0);
+    b.R(0);
+    return Execution::empty_for(b.build());
+}
+
 TEST(SteadyState, DeriveMaskAndJudgeAllocateNothing)
 {
     // fig4 has two Wptes and fig10b one: Program::validate's per-core
@@ -464,6 +483,97 @@ TEST(SteadyState, DeriveMaskAndJudgeAllocateNothing)
             EXPECT_GT(violating, 0) << model->name();  // judge relaxes some
         }
     }
+}
+
+TEST(SteadyState, ExecutionEnumerationAllocatesNothing)
+{
+    // Two Wpte fixtures (two PTE classes and a co_pa class in fig4, a
+    // dirty-bit write in fig10b) and an MCM program with three data
+    // writes. The second sweep through the same scratch must not
+    // allocate: the tables, the coherence classes and the execution keep
+    // their capacity from the first.
+    struct Case {
+        elt::Program program;
+        bool vm;
+    };
+    const std::vector<Case> cases = {
+        {elt::fixtures::fig4_remap_chain().program, true},
+        {elt::fixtures::fig10b_dirtybit3().program, true},
+        {elt::fixtures::fig8_non_minimal_mcm().program, false},
+    };
+    synth::ExecEnumScratch scratch;
+    std::uint64_t visits = 0;
+    const std::function<bool(const Execution&)> visit =
+        [&](const Execution&) {
+            ++visits;
+            return true;
+        };
+    const auto sweep = [&] {
+        for (const Case& c : cases) {
+            synth::for_each_execution(c.program, c.vm, visit, &scratch);
+        }
+    };
+    sweep();  // grows every buffer to these programs' sizes
+    const std::uint64_t first = visits;
+    const std::uint64_t before = obs::alloc_count();
+    sweep();
+    EXPECT_EQ(obs::alloc_count() - before, 0u);
+    EXPECT_EQ(visits, 2 * first);
+    EXPECT_GT(first, 0u);
+}
+
+TEST(ViolatedMask, ViolatesAnyAgreesOnEveryZooModel)
+{
+    // Every execution of every fixture program, judged by every zoo
+    // model of the matching vocabulary: the early-exit verdict must equal
+    // the full mask's non-emptiness, on violating and permitted
+    // executions alike.
+    const std::vector<Execution (*)()> vm_fixtures = {
+        elt::fixtures::fig2b_sb_elt,        elt::fixtures::fig2c_sb_elt_aliased,
+        elt::fixtures::fig4_remap_chain,    elt::fixtures::fig5a_shared_walk,
+        elt::fixtures::fig5b_invlpg_forces_walk,
+        elt::fixtures::fig6_remap_disambiguation,
+        elt::fixtures::fig10a_ptwalk2,      elt::fixtures::fig10b_dirtybit3,
+        elt::fixtures::fig11_new_elt,
+    };
+    const std::vector<Execution (*)()> mcm_fixtures = {
+        elt::fixtures::fig2a_sb_mcm, elt::fixtures::sb_both_reads_zero_mcm,
+        elt::fixtures::fig8_non_minimal_mcm, message_passing,
+        coherence_read_read,
+    };
+    int models = 0;
+    for (const spec::RegistryEntry& entry : spec::registry_entries()) {
+        std::string error;
+        const auto resolved = spec::resolve_model(entry.name, &error);
+        ASSERT_TRUE(resolved.has_value()) << entry.name << ": " << error;
+        const mtm::Model& model = resolved->model;
+        ++models;
+        int violating = 0;
+        int permitted = 0;
+        DerivedRelations derived;
+        elt::DeriveScratch scratch;
+        for (const auto make : model.vm_aware() ? vm_fixtures : mcm_fixtures) {
+            synth::for_each_execution(
+                make().program, model.vm_aware(), [&](const Execution& e) {
+                    elt::derive_into(e, model.derive_options(), &derived,
+                                     &scratch);
+                    if (!derived.well_formed) {
+                        return true;
+                    }
+                    const mtm::AxiomMask mask = model.violated_mask(
+                        e.program, derived, &scratch.cycle);
+                    EXPECT_EQ(model.violates_any(e.program, derived,
+                                                 &scratch.cycle),
+                              mask != 0)
+                        << entry.name;
+                    ++(mask != 0 ? violating : permitted);
+                    return true;
+                });
+        }
+        EXPECT_GT(violating, 0) << entry.name;
+        EXPECT_GT(permitted, 0) << entry.name;
+    }
+    EXPECT_GT(models, 0);
 }
 
 }  // namespace
