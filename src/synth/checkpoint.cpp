@@ -19,9 +19,12 @@ namespace {
 /// axiom. v3: records lose the re-split resume point (split flag, visited
 /// count, resume decision and skip) and task ids their skip, since every
 /// task is one shard of a static partition. v4: target sections lose their
-/// duplicate count, which the merge now computes from the tests. Journals
-/// of other versions are refused with a message naming the version.
-constexpr const char* kHeaderMagic = "transform-checkpoint v4";
+/// duplicate count, which the merge now computes from the tests. v5: a
+/// target's programs and executions skip the candidates proven barren for
+/// it (barren_axioms), so a v4 section's counts mean something else.
+/// Journals of other versions are refused with a message naming the
+/// version.
+constexpr const char* kHeaderMagic = "transform-checkpoint v5";
 constexpr const char* kHeaderPrefix = "transform-checkpoint ";
 
 /// FNV-1a 64-bit over a byte string — the record payload checksum (and the

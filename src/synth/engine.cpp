@@ -234,6 +234,169 @@ class Eligibility {
     mtm::AxiomMask need_shared_walk_ = 0;
 };
 
+constexpr unsigned
+set_bits(std::initializer_list<spec::EventSet> sets)
+{
+    unsigned bits = 0;
+    for (const spec::EventSet set : sets) {
+        bits |= 1u << static_cast<int>(set);
+    }
+    return bits;
+}
+
+/// What an event the judge removes in isolation is visible through: the
+/// base relations holding pairs that touch it or depend on it, and the
+/// event classes containing it. `^*` sees every event through its
+/// identity. An MFENCE is a po node and separates `fence` pairs; a
+/// spurious INVLPG or an INVLPGALL is only a po node (remap holds
+/// remap-invoked INVLPGs only, and no other relation touches a
+/// non-memory event).
+constexpr unsigned kFenceRelations =
+    base_bits({spec::BaseRel::kPo, spec::BaseRel::kFence});
+constexpr unsigned kFenceSets =
+    set_bits({spec::EventSet::kFence, spec::EventSet::kUser});
+constexpr unsigned kInvlpgRelations = base_bits({spec::BaseRel::kPo});
+constexpr unsigned kInvlpgSets = set_bits({spec::EventSet::kInvlpg});
+
+/// True when \p e reads a base relation in \p relations, an event class in
+/// \p sets, or a reflexive closure. \p seen holds the nodes already
+/// visited: `let` bodies make the expression a DAG.
+bool
+reads_any(const spec::Expr& e, unsigned relations, unsigned sets,
+          std::vector<const spec::Expr*>* seen)
+{
+    if (std::find(seen->begin(), seen->end(), &e) != seen->end()) {
+        return false;
+    }
+    seen->push_back(&e);
+    switch (e.op) {
+    case spec::ExprOp::kBase:
+        return (relations & base_bits({e.base})) != 0;
+    case spec::ExprOp::kIdSet:
+        return (sets & set_bits({e.set})) != 0;
+    case spec::ExprOp::kReflexiveClosure:
+        return true;
+    default:
+        break;
+    }
+    return (e.lhs != nullptr && reads_any(*e.lhs, relations, sets, seen)) ||
+           (e.rhs != nullptr && reads_any(*e.rhs, relations, sets, seen));
+}
+
+/// Which isolated removals keep every violation of an axiom. The judge
+/// deletes an MFENCE, a spurious INVLPG or an INVLPGALL alone: nothing
+/// else goes with it, every witness is restricted unchanged, and the
+/// relaxed execution stays well-formed (the only rule it can lose is "no
+/// TLB use across an INVLPG"). Every other relation is the same on the
+/// surviving events. So when the axiom's verdict cannot see the event,
+/// every execution violating the axiom stays forbidden under that
+/// relaxation and is not minimal: a candidate holding such an event can
+/// never yield a test for the axiom (section IV-B).
+struct IsolatedRemovals {
+    bool invlpg = false;  ///< any spurious INVLPG or INVLPGALL
+    bool fence = false;   ///< any MFENCE
+    /// An MFENCE that orders no write-like -> read-like pair.
+    bool unordering_fence = false;
+};
+
+/// The verdict cannot see the event when the expression reads nothing
+/// that sees it, or when the axiom is acyclic over a plain union of base
+/// relations whose only members touching the event are po and, for a
+/// fence, `fence`: po is transitive, so a cycle through the event's po
+/// node bypasses it, and `fence` pairs lie inside po_mem, and inside ppo
+/// unless the fence orders a write-like -> read-like pair.
+IsolatedRemovals
+isolated_removals(const mtm::Axiom& axiom)
+{
+    const spec::Expr& expr = *axiom.def->expr;
+    const auto reads = [&](unsigned relations, unsigned sets) {
+        std::vector<const spec::Expr*> seen;
+        return reads_any(expr, relations, sets, &seen);
+    };
+    IsolatedRemovals out;
+    out.invlpg = !reads(kInvlpgRelations, kInvlpgSets);
+    out.fence = !reads(kFenceRelations, kFenceSets);
+    if (axiom.def->form == spec::AxiomForm::kAcyclic) {
+        std::vector<std::pair<const spec::Expr*, std::optional<unsigned>>>
+            memo;
+        const std::optional<unsigned> bases = remainder(expr, 0, &memo);
+        if (bases.has_value()) {
+            const auto has = [&](spec::BaseRel base) {
+                return (*bases & base_bits({base})) != 0;
+            };
+            out.invlpg = true;
+            out.fence = out.fence || !has(spec::BaseRel::kFence) ||
+                        has(spec::BaseRel::kPoMem);
+            out.unordering_fence = has(spec::BaseRel::kPpo);
+        }
+    }
+    out.unordering_fence = out.unordering_fence || out.fence;
+    return out;
+}
+
+/// True when MFENCE \p fence orders a write-like -> read-like pair: some
+/// write-like event precedes it in its thread's extended order and some
+/// read-like event follows it. Ghosts take their parent's position and
+/// count, but Program::thread lists none, so this walks every event.
+bool
+orders_write_read(const Program& program, elt::EventId fence)
+{
+    bool write_before = false;
+    bool read_after = false;
+    for (elt::EventId id = 0; id < program.num_events(); ++id) {
+        const elt::EventKind kind = program.event(id).kind;
+        write_before = write_before || (elt::is_write_like(kind) &&
+                                        program.precedes(id, fence));
+        read_after = read_after || (elt::is_read_like(kind) &&
+                                    program.precedes(fence, id));
+    }
+    return write_before && read_after;
+}
+
+/// The per-candidate form of isolated_removals: the axioms for which a
+/// program holds an event whose removal keeps every violation, so that
+/// no execution of it is a minimal violation of them. It reads event
+/// kinds and one thread's order, so it is invariant under the thread, VA
+/// and PA renamings canonical_key factors out.
+class Barrenness {
+  public:
+    explicit Barrenness(const mtm::Model& model)
+    {
+        for (std::size_t i = 0; i < model.axioms().size(); ++i) {
+            const mtm::AxiomMask bit = mtm::AxiomMask{1} << i;
+            const IsolatedRemovals removals =
+                isolated_removals(model.axioms()[i]);
+            invlpg_ |= removals.invlpg ? bit : 0;
+            fence_ |= removals.fence ? bit : 0;
+            unordering_fence_ |= removals.unordering_fence ? bit : 0;
+        }
+    }
+
+    mtm::AxiomMask
+    of(const Program& program) const
+    {
+        mtm::AxiomMask barren = 0;
+        for (elt::EventId id = 0; id < program.num_events(); ++id) {
+            const elt::Event& event = program.event(id);
+            if (event.kind == elt::EventKind::kInvlpgAll ||
+                (event.kind == elt::EventKind::kInvlpg &&
+                 event.remap_src == elt::kNone)) {
+                barren |= invlpg_;
+            } else if (event.kind == elt::EventKind::kMfence &&
+                       (unordering_fence_ & ~barren) != 0) {
+                barren |= orders_write_read(program, id) ? fence_
+                                                         : unordering_fence_;
+            }
+        }
+        return barren;
+    }
+
+  private:
+    mtm::AxiomMask invlpg_ = 0;
+    mtm::AxiomMask fence_ = 0;
+    mtm::AxiomMask unordering_fence_ = 0;  ///< holds fence_
+};
+
 /// The synthesis knobs of a skeleton search at event bound \p size, with
 /// no per-axiom prunes.
 SkeletonOptions
@@ -523,7 +686,8 @@ struct PassRun {
             const SynthesisOptions& opts)
         : model(source.name(), source.vm_aware(), source.axioms()),
           targets(static_cast<std::size_t>(std::popcount(target_mask))),
-          mask(target_mask), eligibility(model), options(opts),
+          mask(target_mask), eligibility(model), barrenness(model),
+          options(opts),
           deadline(opts.time_budget_seconds)
     {
         std::size_t k = 0;
@@ -550,6 +714,7 @@ struct PassRun {
     /// traces and quarantine records (the axiom itself for one target).
     std::string name;
     const Eligibility eligibility;
+    const Barrenness barrenness;
     const SynthesisOptions options;
     /// Per-worker evaluation scratch, indexed by the pool worker id a job
     /// runs on (sized workers() at launch; a worker runs one job at a time).
@@ -617,9 +782,11 @@ configure_sessions(const PassRun& run, WorkerScratch* scratch)
 /// A shard that visited none is not journaled: on resume it is simply
 /// enumerated again, at no cost.
 ///
-/// Every candidate of the pass's stream takes a ticket; one eligible for
-/// no target is skipped. An eligible one counts toward each eligible
-/// target's suite and runs one fused witness search for all its targets.
+/// Every candidate of the pass's stream takes a ticket. Under minimality a
+/// target the candidate is proven barren for (barren_axioms) drops out of
+/// its eligible targets, and one left with none is skipped. Each remaining
+/// target counts the candidate toward its suite, and one fused witness
+/// search runs for all of them.
 /// Only a candidate that accepted a witness is canonicalized: its key rides
 /// on its tests to the merge, which deduplicates (finish_pass). Nothing
 /// here depends on another shard's results, so a shard's record is a pure
@@ -656,10 +823,12 @@ search_shard(PassRun* run, const ShardTask& task, int worker,
                      << " candidates in one shard)");
         }
         const std::uint64_t ticket = task.ticket_base + candidates++;
-        const mtm::AxiomMask eligible =
-            run->eligibility.of(program) & run->mask;
+        mtm::AxiomMask eligible = run->eligibility.of(program) & run->mask;
+        if (eligible != 0 && options.require_minimal) {
+            eligible &= ~run->barrenness.of(program);
+        }
         if (eligible == 0) {
-            return true;  // no target can be violated by this program
+            return true;  // no target can get a test from this program
         }
         for (std::size_t k = 0; k < found.size(); ++k) {
             found[k].programs += (eligible & run->targets[k].bit) != 0;
@@ -1367,6 +1536,12 @@ mtm::AxiomMask
 eligible_axioms(const mtm::Model& model, const Program& program)
 {
     return Eligibility(model).of(program);
+}
+
+mtm::AxiomMask
+barren_axioms(const mtm::Model& model, const Program& program)
+{
+    return Barrenness(model).of(program);
 }
 
 int

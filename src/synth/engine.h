@@ -10,13 +10,15 @@
 /// One pass serves every target (synthesize_pass). It walks one candidate
 /// stream; each candidate carries per-axiom eligibility bits (the
 /// structural features a violation of the axiom requires, see
-/// eligible_axioms), and each execution of an eligible candidate is
-/// derived and masked once. An execution is judged only when it violates
-/// an eligible target that has no witness yet; minimality does not depend
-/// on the axiom, so a minimal execution becomes the witness of every such
-/// target, and the candidate stops once all of its eligible targets are
-/// settled. Each per-axiom suite is a projection of the pass: the same
-/// tests, witnesses and counters a search for that axiom alone finds.
+/// eligible_axioms), less the targets it is proven barren for (an event
+/// whose isolated removal keeps every violation, see barren_axioms), and
+/// each execution of a candidate with a target left is derived and masked
+/// once. An execution is judged only when it violates an eligible target
+/// that has no witness yet; minimality does not depend on the axiom, so a
+/// minimal execution becomes the witness of every such target, and the
+/// candidate stops once all of its eligible targets are settled. Each
+/// per-axiom suite is a projection of the pass: the same tests, witnesses
+/// and counters a search for that axiom alone finds.
 /// The SAT backend walks the same one stream; its witness query names one
 /// axiom, so an eligible candidate runs one query per eligible target, in
 /// axiom order, each through that target's own probe session.
@@ -228,10 +230,12 @@ struct SynthesizedTest {
 /// it.
 ///
 /// The counters keep their per-axiom meaning whatever the pass's target
-/// set: programs_considered counts the candidates eligible for this axiom,
-/// executions_considered the executions visited before this axiom settled
-/// on each candidate, and duplicates_rejected the accepted tests the merge
-/// dropped because an earlier candidate's test has the same canonical key.
+/// set: programs_considered counts the candidates searched for this axiom
+/// (eligible for it and, under require_minimal, not barren for it: see
+/// barren_axioms), executions_considered the executions visited before
+/// this axiom settled on each of them, and duplicates_rejected the
+/// accepted tests the merge dropped because an earlier candidate's test
+/// has the same canonical key.
 /// All three are the same at every worker count and shard depth.
 /// Work the pass shares between its targets — scheduler, solver, phases,
 /// allocs — is reported once, on the pass's first suite (the other suites
@@ -343,6 +347,25 @@ SkeletonOptions engine_skeleton_options(const mtm::Model& model,
 /// canonical_key's symmetries.
 mtm::AxiomMask eligible_axioms(const mtm::Model& model,
                                const elt::Program& program);
+
+/// Per-axiom barrenness bits of a candidate: bit i is set when \p program
+/// holds an event whose isolated removal keeps every violation of
+/// model.axioms()[i], so no execution of it is a minimal violation of
+/// that axiom and it can never yield a test for it. The judge removes an
+/// MFENCE, a spurious INVLPG or an INVLPGALL alone, and the relaxed
+/// execution stays well-formed. Such a removal keeps the axiom's verdict
+/// when the axiom reads nothing that sees the event (po, `fence`, `[F]`,
+/// `[User]` or `^*` for a fence; po, `[Invlpg]` or `^*` for an INVLPG), or
+/// when it is acyclic over a plain union of base relations whose only
+/// members touching the event are po and, for a fence, `fence` with
+/// po_mem in the union, or with ppo in the union when the fence orders no
+/// write-like -> read-like pair of its thread. Read off each axiom's
+/// expression, like eligible_axioms, and invariant under canonical_key's
+/// symmetries. Under SynthesisOptions::require_minimal a pass searches a
+/// candidate only for its eligible targets that are not barren. Kept out
+/// of eligible_axioms, which equals the skeleton prunes.
+mtm::AxiomMask barren_axioms(const mtm::Model& model,
+                             const elt::Program& program);
 
 /// Ticket stride between shards: shard i of a pass numbers its candidates
 /// from i * kTicketStride, so ticket order across all shards equals the

@@ -20,6 +20,7 @@
 #include "spec/registry.h"
 #include "synth/canonical.h"
 #include "synth/engine.h"
+#include "synth/exec_enum.h"
 #include "synth/minimality.h"
 
 namespace transform::synth {
@@ -290,30 +291,259 @@ TEST(Engine, SkeletonPrunesFollowTheAxiomNotItsName)
 TEST(Engine, EligibilityIsInvariantUnderCanonicalKey)
 {
     // One merge-time dedup serves every target of a pass only because
-    // every candidate sharing a canonical key is eligible for the same
-    // targets.
+    // every candidate sharing a canonical key is searched for the same
+    // targets: it is eligible for, and barren for, the same axioms.
     for (const mtm::Model& model : {mtm::x86t_elt(), mtm::x86tso()}) {
         const int min_bound = model.vm_aware() ? 4 : 2;
         const int max_bound = model.vm_aware() ? 6 : 5;
         const SynthesisOptions options = small_options(min_bound, max_bound);
-        std::map<std::string, mtm::AxiomMask> seen;
+        std::map<std::string, std::pair<mtm::AxiomMask, mtm::AxiomMask>>
+            seen;
         std::size_t shared_keys = 0;
+        std::size_t barren = 0;
         for (int size = min_bound; size <= max_bound; ++size) {
             for_each_skeleton(
                 engine_skeleton_options(model, "sc_per_loc", options, size),
                 [&](const elt::Program& program) {
-                    const mtm::AxiomMask mask =
-                        eligible_axioms(model, program);
+                    const std::pair<mtm::AxiomMask, mtm::AxiomMask> masks{
+                        eligible_axioms(model, program),
+                        barren_axioms(model, program)};
                     const auto [it, fresh] =
-                        seen.emplace(canonical_key(program), mask);
+                        seen.emplace(canonical_key(program), masks);
                     shared_keys += fresh ? 0 : 1;
-                    EXPECT_EQ(it->second, mask)
+                    barren += masks.second != 0 ? 1 : 0;
+                    EXPECT_EQ(it->second, masks)
                         << model.name() << ": " << it->first;
                     return true;
                 });
         }
         EXPECT_GT(shared_keys, 0u) << model.name();
+        EXPECT_GT(barren, 0u) << model.name();
     }
+}
+
+/// The candidates of \p model's unpruned skeleton stream, at the zoo
+/// bounds (VM models 4-6, MCMs 2-5), visited in stream order.
+void
+for_each_unpruned_candidate(const mtm::Model& model,
+                            const std::function<void(const elt::Program&)>&
+                                visit)
+{
+    const int min_bound = model.vm_aware() ? 4 : 2;
+    const int max_bound = model.vm_aware() ? 6 : 5;
+    const SynthesisOptions options = small_options(min_bound, max_bound);
+    const mtm::AxiomMask all =
+        (mtm::AxiomMask{1} << model.axioms().size()) - 1;
+    for (int size = min_bound; size <= max_bound; ++size) {
+        SkeletonOptions skeleton =
+            engine_skeleton_options(model, all, options, size);
+        skeleton.require_wpte = false;
+        skeleton.require_rmw = false;
+        skeleton.require_shared_walk = false;
+        for_each_skeleton(skeleton, [&](const elt::Program& program) {
+            visit(program);
+            return true;
+        });
+    }
+}
+
+TEST(Engine, BarrenTargetsHaveNoMinimalViolation)
+{
+    // The engine skips a (candidate, target) pair that barren_axioms
+    // proves barren. The proof: the judge's own relaxation removing the
+    // fence or the spurious INVLPG keeps the target violated. So the judge
+    // must find every execution violating a barren target non-minimal.
+    for (const spec::RegistryEntry& entry : spec::registry_entries()) {
+        std::string error;
+        const auto resolved = spec::resolve_model(entry.name, &error);
+        ASSERT_TRUE(resolved.has_value()) << error;
+        const mtm::Model& model = resolved->model;
+        JudgeScratch scratch;
+        std::size_t barren_pairs = 0;
+        std::size_t judged = 0;
+        for_each_unpruned_candidate(model, [&](const elt::Program& program) {
+            const mtm::AxiomMask barren = barren_axioms(model, program);
+            if (barren == 0) {
+                return;
+            }
+            barren_pairs += static_cast<std::size_t>(std::popcount(barren));
+            for_each_execution(
+                program, model.vm_aware(),
+                [&](const elt::Execution& execution) {
+                    const MinimalityVerdict verdict =
+                        judge(model, execution, &scratch);
+                    if ((verdict.violated_mask & barren) != 0) {
+                        ++judged;
+                        EXPECT_FALSE(verdict.minimal)
+                            << entry.name << ": a minimal violation of "
+                            << model.mask_names(verdict.violated_mask & barren)
+                                   .front()
+                            << " in\n"
+                            << elt::execution_to_xml(execution, "w");
+                    }
+                    return true;
+                });
+        });
+        EXPECT_GT(barren_pairs, 0u) << entry.name;
+        EXPECT_GT(judged, 0u) << entry.name;
+    }
+}
+
+/// \p model's axiom \p name as a one-bit mask.
+mtm::AxiomMask
+axiom_bit(const mtm::Model& model, const std::string& name)
+{
+    const int index = model.axiom_index(name);
+    EXPECT_GE(index, 0) << model.name() << " has no axiom " << name;
+    return index < 0 ? 0 : mtm::AxiomMask{1} << index;
+}
+
+mtm::Model
+registry_model(const std::string& name)
+{
+    std::string error;
+    auto resolved = spec::resolve_model(name, &error);
+    EXPECT_TRUE(resolved.has_value()) << error;
+    return std::move(resolved->model);
+}
+
+TEST(Engine, BarrenRuleStaysOffWhereItCannotCoverTheAxiom)
+{
+    // An MCM program whose fences order reads only: under TSO causality
+    // (ppo | fence) they add no pair ppo lacks.
+    elt::ProgramBuilder mcm;
+    mcm.thread();
+    mcm.R(0);
+    mcm.mfence();
+    mcm.R(1);
+    mcm.thread();
+    mcm.W(1);
+    mcm.mfence();
+    mcm.W(0);
+    const elt::Program reads = mcm.build();
+
+    const mtm::Model tso = mtm::x86tso();
+    EXPECT_NE(barren_axioms(tso, reads) & axiom_bit(tso, "causality"), 0u);
+    EXPECT_NE(barren_axioms(tso, reads) & axiom_bit(tso, "sc_per_loc"), 0u);
+
+    // x86tso_star states the same causality as irreflexive(tso ; tso^*):
+    // the reflexive closure sees every event.
+    const mtm::Model star = registry_model("x86tso_star");
+    EXPECT_EQ(barren_axioms(star, reads) & axiom_bit(star, "causality"), 0u);
+    EXPECT_NE(barren_axioms(star, reads) & axiom_bit(star, "sc_per_loc"),
+              0u);
+
+    // pso's causality reads `fence` beside ppo \ ([W] ; po_mem ; [W]).
+    const mtm::Model pso = registry_model("pso");
+    EXPECT_EQ(barren_axioms(pso, reads) & axiom_bit(pso, "causality"), 0u);
+    EXPECT_NE(barren_axioms(pso, reads) & axiom_bit(pso, "sc_per_loc"), 0u);
+
+    // An axiom that reaches through the fence itself, po ; [F] ; po, is
+    // not a plain union; the same union with po alone is.
+    const mtm::Model inline_model = parsed_model(
+        "model through\nvm off\n"
+        "axiom via_fence: acyclic(rf | co | fr | (po ; [F] ; po))\n"
+        "axiom via_po: acyclic(rf | co | fr | po)\n");
+    EXPECT_EQ(barren_axioms(inline_model, reads),
+              axiom_bit(inline_model, "via_po"));
+
+    // A VM program with a fence between two reads and a spurious INVLPG.
+    elt::ProgramBuilder vm;
+    vm.thread();
+    const elt::EventId r0 = vm.R(0);
+    vm.rptw(r0);
+    vm.mfence();
+    const elt::EventId r1 = vm.R(1);
+    vm.rptw(r1);
+    vm.thread();
+    const elt::EventId w1 = vm.W(1);
+    vm.wdb(w1);
+    vm.rptw(w1);
+    const elt::Program fenced = vm.build();
+    ASSERT_TRUE(fenced.validate().empty());
+
+    // x86t_elt's invlpg is acyclic(fr_va | po | remap): the fence is a po
+    // node only. x86t_elt_fence_invlpg's is acyclic(fr_va | fence | remap):
+    // `fence` without ppo or po_mem.
+    const mtm::Model elt_model = mtm::x86t_elt();
+    EXPECT_NE(barren_axioms(elt_model, fenced) &
+                  axiom_bit(elt_model, "invlpg"),
+              0u);
+    const mtm::Model fence_invlpg = registry_model("x86t_elt_fence_invlpg");
+    EXPECT_EQ(barren_axioms(fence_invlpg, fenced) &
+                  axiom_bit(fence_invlpg, "invlpg"),
+              0u);
+    EXPECT_NE(barren_axioms(fence_invlpg, fenced) &
+                  axiom_bit(fence_invlpg, "causality"),
+              0u);
+}
+
+TEST(Engine, SpuriousInvlpgIsBarrenOnlyWhereTheAxiomCannotSeeIt)
+{
+    elt::ProgramBuilder b;
+    b.thread();
+    const elt::EventId r0 = b.R(0);
+    b.rptw(r0);
+    b.invlpg(0);
+    const elt::EventId r1 = b.R(0);
+    b.rptw(r1);
+    b.thread();
+    const elt::EventId w = b.W(0);
+    b.wdb(w);
+    b.rptw(w);
+    const elt::Program program = b.build();
+    ASSERT_TRUE(program.validate().empty());
+
+    // Every x86t_elt axiom is a plain acyclic union or reads no po.
+    const mtm::Model elt_model = mtm::x86t_elt();
+    EXPECT_EQ(barren_axioms(elt_model, program),
+              (mtm::AxiomMask{1} << elt_model.axioms().size()) - 1);
+
+    const mtm::Model model = parsed_model(
+        "model sees_invlpg\nvm on\n"
+        "axiom through: irreflexive(po ; [Invlpg] ; po ; fr)\n"
+        "axiom around: acyclic(po | fr)\n");
+    EXPECT_EQ(barren_axioms(model, program), axiom_bit(model, "around"));
+}
+
+TEST(Engine, FenceBeforeAWritesWalkOrdersAWriteReadPair)
+{
+    // W x ; MFENCE ; W y: the only read-like event after the fence is the
+    // page-table walk of W y, a ghost. The fence orders W x -> that walk,
+    // a write -> read pair TSO's ppo lacks, so causality can see it.
+    elt::ProgramBuilder walks;
+    walks.thread();
+    const elt::EventId wx = walks.W(0);
+    walks.wdb(wx);
+    walks.rptw(wx);
+    walks.mfence();
+    const elt::EventId wy = walks.W(1);
+    walks.wdb(wy);
+    walks.rptw(wy);
+    const elt::Program walked = walks.build();
+    ASSERT_TRUE(walked.validate().empty());
+
+    const mtm::Model model = mtm::x86t_elt();
+    const mtm::AxiomMask causality = axiom_bit(model, "causality");
+    EXPECT_EQ(barren_axioms(model, walked) & causality, 0u);
+    EXPECT_NE(barren_axioms(model, walked) & axiom_bit(model, "sc_per_loc"),
+              0u);
+
+    // When W y hits the TLB entry of an earlier R y instead, nothing
+    // read-like follows the fence, and causality cannot see it.
+    elt::ProgramBuilder hit;
+    hit.thread();
+    const elt::EventId ry = hit.R(1);
+    hit.rptw(ry);
+    const elt::EventId hx = hit.W(0);
+    hit.wdb(hx);
+    hit.rptw(hx);
+    hit.mfence();
+    const elt::EventId hy = hit.W(1);
+    hit.wdb(hy);
+    const elt::Program hitting = hit.build();
+    ASSERT_TRUE(hitting.validate().empty());
+    EXPECT_NE(barren_axioms(model, hitting) & causality, 0u);
 }
 
 /// One-pass synthesis against the per-axiom reference on \p backend: every

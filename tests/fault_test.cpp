@@ -633,16 +633,17 @@ TEST(Checkpoint, ResumeRefusesAMismatchedFingerprint)
 
 TEST(Checkpoint, ResumeRefusesAnOlderJournalFormatByName)
 {
-    const std::string path = temp_path("v3.journal");
+    // v4 sections counted the candidates v5 skips as barren.
+    const std::string path = temp_path("v4.journal");
     {
         std::ofstream old(path, std::ios::binary);
-        old << "transform-checkpoint v3\nfingerprint 3\nabc\n";
+        old << "transform-checkpoint v4\nfingerprint 3\nabc\n";
     }
     std::string error;
     auto resumed = synth::CheckpointJournal::resume(path, "abc", &error);
     EXPECT_EQ(resumed, nullptr);
-    EXPECT_NE(error.find("format v3"), std::string::npos) << error;
-    EXPECT_NE(error.find("v4"), std::string::npos) << error;
+    EXPECT_NE(error.find("format v4"), std::string::npos) << error;
+    EXPECT_NE(error.find("v5"), std::string::npos) << error;
     std::remove(path.c_str());
 }
 

@@ -47,8 +47,9 @@
 ///                     solver counters (solves, decisions, propagations,
 ///                     conflicts, ..., plus the probe sessions' assumed
 ///                     literals, retired activation guards, and retained
-///                     learned clauses); then the process's peak resident
-///                     set size
+///                     learned clauses; the solve seconds only with
+///                     --metrics-json, which runs the solvers' clock);
+///                     then the process's peak resident set size
 ///   --trace FILE      record shard jobs and the pass as spans and write a
 ///                     Chrome trace-event JSON file
 ///                     (open in Perfetto or chrome://tracing); see
@@ -93,6 +94,11 @@
 /// Suite content (test listings, --out files) goes to stdout/disk; summary
 /// and stats diagnostics go to stderr. Within a time budget the suite is
 /// deterministic, so stdout is byte-identical for every --jobs value.
+/// Each suite's summary line counts the programs searched for its axiom
+/// (eligible for it, and not proven barren for it: a candidate holding an
+/// MFENCE or a spurious INVLPG whose removal keeps every violation of the
+/// axiom is skipped, see synth::barren_axioms) and the executions those
+/// searches visited until the axiom settled.
 ///
 /// Exit codes: 0 = every suite complete; 1 = I/O error; 2 = usage error;
 /// 3 = at least one suite incomplete (budget hit, cancelled, or shards
@@ -190,18 +196,26 @@ print_stats(const std::string& scope, const sched::SchedulerStats& s)
     }
 }
 
+/// Prints a pass's solver counters. The solvers' clock runs only when the
+/// run collects metrics (sat::Solver::set_timing), so the solve seconds
+/// appear only when \p timed says it ran.
 void
-print_solver_stats(const std::string& scope, const sat::SolverStats& s)
+print_solver_stats(const std::string& scope, const sat::SolverStats& s,
+                   bool timed)
 {
+    char seconds[32] = "";
+    if (timed) {
+        std::snprintf(seconds, sizeof seconds, " (%.3fs)",
+                      static_cast<double>(s.solve_nanos) * 1e-9);
+    }
     std::fprintf(
         stderr,
-        "[%s] solver: %llu solves (%.3fs), %llu decisions, "
+        "[%s] solver: %llu solves%s, %llu decisions, "
         "%llu propagations, %llu conflicts, %llu restarts, "
         "%llu learned (%llu deleted), %llu assumed, "
         "%llu retired guards (%llu clauses retained)\n",
         scope.c_str(),
-        static_cast<unsigned long long>(s.solve_calls),
-        static_cast<double>(s.solve_nanos) * 1e-9,
+        static_cast<unsigned long long>(s.solve_calls), seconds,
         static_cast<unsigned long long>(s.decisions),
         static_cast<unsigned long long>(s.propagations),
         static_cast<unsigned long long>(s.conflicts),
@@ -354,7 +368,8 @@ report_suite(const mtm::Model& model, const synth::SuiteResult& suite,
         if (args.stats) {
             print_stats(scope, suite.scheduler);
             if (suite.solver.solve_calls > 0) {
-                print_solver_stats(scope, suite.solver);
+                print_solver_stats(scope, suite.solver,
+                                   !args.metrics_json.empty());
             }
         }
         if (args.alloc_stats) {
@@ -663,7 +678,8 @@ main(int argc, char** argv)
             // SchedulerStats::merge.
             print_stats(scope, aggregate.scheduler);
             if (aggregate.solver.solve_calls > 0) {
-                print_solver_stats(scope, aggregate.solver);
+                print_solver_stats(scope, aggregate.solver,
+                                   !args.metrics_json.empty());
             }
         }
         if (args.alloc_stats) {
