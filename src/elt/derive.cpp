@@ -66,6 +66,22 @@ DerivedRelations::clear()
     num_events = 0;
 }
 
+void
+restrict_relations(const DerivedRelations& from, BitRow survivors,
+                   DerivedRelations* out)
+{
+    out->clear();
+    out->well_formed = from.well_formed;
+    out->num_events = from.num_events;
+    for (BitRows DerivedRelations::*relation : kRelations) {
+        const BitRows& rows = from.*relation;
+        BitRows& kept = out->*relation;
+        for (EventId a = 0; a < from.num_events; ++a) {
+            kept[a] = (survivors & bit(a)) != 0 ? rows[a] & survivors : 0;
+        }
+    }
+}
+
 EdgeSet
 edges_of(const BitRows& rows, int num_events)
 {
@@ -358,21 +374,12 @@ is_permutation(BitRow members, const std::vector<int>& positions)
     return ok;
 }
 
-/// The row with bits [0, num_nodes) set. At 64 nodes that is the full
-/// word: shifting by 64 would be undefined.
-BitRow
-live_mask(int num_nodes)
-{
-    return num_nodes == kMaxBitEvents ? ~BitRow{0}
-                                      : (BitRow{1} << num_nodes) - 1;
-}
-
 }  // namespace
 
 bool
 rows_have_cycle(const BitRow* rows, int num_nodes)
 {
-    BitRow live = live_mask(num_nodes);
+    BitRow live = event_mask(num_nodes);
     // Sweep from the highest event down, dropping each sink as it is found,
     // so a chain ordered by event id (po, mostly) peels in one sweep. A
     // sweep that drops nothing leaves only nodes with a live successor.
@@ -388,6 +395,26 @@ rows_have_cycle(const BitRow* rows, int num_nodes)
         if (live == before) {
             return live != 0;
         }
+    }
+}
+
+BitRow
+rows_cycle_core(const BitRow* rows, int num_nodes)
+{
+    BitRow live = event_mask(num_nodes);
+    for (;;) {
+        BitRow has_successor = 0;
+        BitRow has_predecessor = 0;
+        for_each_bit(live, [&](int node) {
+            const BitRow successors = rows[node] & live;
+            has_successor |= successors != 0 ? bit(node) : 0;
+            has_predecessor |= successors;
+        });
+        const BitRow core = live & has_successor & has_predecessor;
+        if (core == live) {
+            return live;
+        }
+        live = core;
     }
 }
 

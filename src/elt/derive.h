@@ -48,6 +48,18 @@ using BitRow = std::uint64_t;
 /// A relation over at most kMaxBitEvents events as adjacency rows.
 using BitRows = std::array<BitRow, kMaxBitEvents>;
 
+/// The event set holding every event of any program.
+inline constexpr BitRow kAllEvents = ~BitRow{0};
+
+/// The events [0, num_events) as a set. At kMaxBitEvents that is the full
+/// word: shifting by 64 would be undefined.
+constexpr BitRow
+event_mask(int num_events)
+{
+    return num_events == kMaxBitEvents ? kAllEvents
+                                       : (BitRow{1} << num_events) - 1;
+}
+
 /// The edges of the first \p num_events rows, row by row (sorted and
 /// duplicate-free) — how printers and tests read a relation.
 EdgeSet edges_of(const BitRows& rows, int num_events);
@@ -101,6 +113,13 @@ struct DerivedRelations {
     bool operator==(const DerivedRelations&) const = default;
 };
 
+/// Replaces \p out's relations with those of \p from restricted to the
+/// events of \p survivors: the rows and columns of every other event are
+/// cleared. \p out takes from's num_events and well_formed; its problems,
+/// resolved_pa and provenance stay empty.
+void restrict_relations(const DerivedRelations& from, BitRow survivors,
+                        DerivedRelations* out);
+
 /// Options controlling derivation (the MCM-only baseline of prior work runs
 /// with VM modelling disabled; see synth::Options::enable_vm).
 struct DeriveOptions {
@@ -114,6 +133,12 @@ struct DeriveOptions {
 /// cycle (a self-loop counts). Peels sinks — live nodes with no live
 /// successor — until none is left; a cycle exists iff live nodes remain.
 bool rows_have_cycle(const BitRow* rows, int num_nodes);
+
+/// The graph's cycle core: the nodes left once sinks and sources are
+/// peeled until none is left. Every node left has a successor and a
+/// predecessor among them, so the core holds a cycle, and it is empty iff
+/// the graph has none.
+BitRow rows_cycle_core(const BitRow* rows, int num_nodes);
 
 /// Reusable state for the axiom evaluators, threaded through
 /// mtm::Model::violated_mask.

@@ -48,7 +48,8 @@ Model::violated_mask(const elt::Program& program,
     AxiomMask mask = 0;
     for (std::size_t i = 0; i < axioms_.size(); ++i) {
         const Axiom& axiom = axioms_[i];
-        if (!axiom.program->holds(axiom.def->form, program, d, scratch)) {
+        if (!axiom.program->holds(axiom.def->form, program, d,
+                                  elt::kAllEvents, scratch)) {
             mask |= AxiomMask{1} << i;
         }
     }
@@ -57,15 +58,16 @@ Model::violated_mask(const elt::Program& program,
 
 bool
 Model::violates_any(const elt::Program& program,
-                    const elt::DerivedRelations& d,
-                    elt::CycleScratch* scratch) const
+                    const elt::DerivedRelations& d, elt::CycleScratch* scratch,
+                    elt::BitRow survivors) const
 {
     if (scratch == nullptr) {
         elt::CycleScratch local;
-        return violates_any(program, d, &local);
+        return violates_any(program, d, &local, survivors);
     }
     for (const Axiom& axiom : axioms_) {
-        if (!axiom.program->holds(axiom.def->form, program, d, scratch)) {
+        if (!axiom.program->holds(axiom.def->form, program, d, survivors,
+                                  scratch)) {
             return true;
         }
     }

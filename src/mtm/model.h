@@ -54,6 +54,10 @@ struct Axiom {
     std::shared_ptr<const spec::AxiomDef> def;
     /// def's expression lowered to row operations: what violated_mask runs.
     std::shared_ptr<const spec::RowProgram> program;
+    /// When the axiom is `acyclic` over a plain union of base relations,
+    /// those relations, one bit per spec::BaseRel (spec::base_union);
+    /// otherwise 0. The minimality judge reads a violation's cycle off it.
+    unsigned acyclic_union = 0;
 };
 
 /// A memory (transistency) model: a named conjunction of axioms.
@@ -88,10 +92,14 @@ class Model {
 
     /// True when the execution violates some axiom: violated_mask(...) != 0,
     /// but stops at the first violated axiom in axiom order. The judge's
-    /// relaxed verdicts only need this bit.
+    /// relaxed verdicts only need this bit. With \p survivors, the
+    /// verdict is that of the execution \p d restricted to those events
+    /// (spec::RowProgram::holds): \p d must then hold no pair touching
+    /// another event.
     bool violates_any(const elt::Program& program,
                       const elt::DerivedRelations& d,
-                      elt::CycleScratch* scratch = nullptr) const;
+                      elt::CycleScratch* scratch = nullptr,
+                      elt::BitRow survivors = elt::kAllEvents) const;
 
     /// Names for the set bits of \p mask, in axiom order.
     std::vector<std::string> mask_names(AxiomMask mask) const;

@@ -80,11 +80,49 @@ applicable_relaxations(const Program& program)
 
 namespace {
 
-/// Computes the closure of a removal request into scratch->removed:
-/// ghosts follow their parents, remap Invlpgs follow their Wpte, and
-/// spurious Invlpgs whose justifying later same-VA access disappears are
-/// cascaded away. Walks whose TLB entry still has surviving users are
-/// spared (re-parented later).
+/// Marks the removal group of \p seeds in \p group (one flag per event):
+/// the seeds, the ghosts of removed user events, the remap Invlpgs of
+/// removed Wptes, and the spurious invalidations left without a later
+/// same-core (same-VA for a targeted Invlpg) access. Only seeds remove
+/// data accesses and Wptes, so one sweep settles every rule: the group
+/// depends on the program alone.
+void
+removal_group_into(const Program& p, const EventId* seeds,
+                   std::size_t num_seeds, std::vector<char>* group)
+{
+    const int n = p.num_events();
+    std::vector<char>& removed = *group;
+    removed.assign(n, 0);
+    for (std::size_t i = 0; i < num_seeds; ++i) {
+        removed[seeds[i]] = 1;
+    }
+    for (EventId id = 0; id < n; ++id) {
+        const Event& e = p.event(id);
+        if (elt::is_ghost(e.kind) && removed[e.parent]) {
+            removed[id] = 1;
+        }
+        if (e.kind == EventKind::kInvlpg && e.remap_src != kNone &&
+            removed[e.remap_src]) {
+            removed[id] = 1;
+        }
+        if ((e.kind == EventKind::kInvlpg && e.remap_src == kNone) ||
+            e.kind == EventKind::kInvlpgAll) {
+            bool useful = false;
+            for (EventId other = 0; other < n && !useful; ++other) {
+                const Event& o = p.event(other);
+                useful = !removed[other] && elt::is_data_access(o.kind) &&
+                         o.thread == e.thread &&
+                         (e.kind == EventKind::kInvlpgAll || o.va == e.va) &&
+                         p.precedes(id, other);
+            }
+            removed[id] = removed[id] || !useful;
+        }
+    }
+}
+
+/// The events a removal request deletes, into scratch->removed: the
+/// removal group, except a walk that followed its parent while some
+/// surviving access still reads through it (rebuild_into re-parents it).
 void
 removal_closure_into(const Execution& exec, const EventId* seeds,
                      std::size_t num_seeds, RelaxScratch* scratch)
@@ -92,60 +130,17 @@ removal_closure_into(const Execution& exec, const EventId* seeds,
     const Program& p = exec.program;
     const int n = p.num_events();
     std::vector<char>& removed = scratch->removed;
-    removed.assign(n, 0);
-    for (std::size_t i = 0; i < num_seeds; ++i) {
-        removed[seeds[i]] = 1;
-    }
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (EventId id = 0; id < n; ++id) {
-            if (removed[id]) {
-                continue;
-            }
-            const Event& e = p.event(id);
-            // Ghosts follow their parents — except a walk some surviving
-            // access still reads through.
-            if (elt::is_ghost(e.kind) && removed[e.parent]) {
-                bool keep = false;
-                if (e.kind == EventKind::kRptw) {
-                    for (EventId user = 0; user < n; ++user) {
-                        if (!removed[user] && exec.ptw_src[user] == id) {
-                            keep = true;
-                            break;
-                        }
-                    }
-                }
-                if (!keep) {
-                    removed[id] = 1;
-                    changed = true;
-                }
-            }
-            // Remap Invlpgs follow their Wpte.
-            if (e.kind == EventKind::kInvlpg && e.remap_src != kNone &&
-                removed[e.remap_src]) {
-                removed[id] = 1;
-                changed = true;
-            }
-            // Spurious invalidations must keep a later (same-VA for
-            // targeted INVLPG, any for a full flush) access on their core.
-            if ((e.kind == EventKind::kInvlpg && e.remap_src == kNone) ||
-                e.kind == EventKind::kInvlpgAll) {
-                bool useful = false;
-                for (EventId other = 0; other < n; ++other) {
-                    const Event& o = p.event(other);
-                    if (!removed[other] && elt::is_data_access(o.kind) &&
-                        o.thread == e.thread &&
-                        (e.kind == EventKind::kInvlpgAll || o.va == e.va) &&
-                        p.precedes(id, other)) {
-                        useful = true;
-                        break;
-                    }
-                }
-                if (!useful) {
-                    removed[id] = 1;
-                    changed = true;
-                }
+    removal_group_into(p, seeds, num_seeds, &removed);
+    for (EventId id = 0; id < n; ++id) {
+        const Event& e = p.event(id);
+        if (!removed[id] || e.kind != EventKind::kRptw ||
+            std::find(seeds, seeds + num_seeds, id) != seeds + num_seeds) {
+            continue;
+        }
+        for (EventId user = 0; user < n; ++user) {
+            if (!removed[user] && exec.ptw_src[user] == id) {
+                removed[id] = 0;
+                break;
             }
         }
     }
@@ -349,6 +344,23 @@ rebuild_into(const Execution& exec, int dropped_rmw_index, bool vm_enabled,
 }
 
 }  // namespace
+
+elt::BitRow
+removal_group(const Program& program, const Relaxation& relaxation,
+              RelaxScratch* scratch)
+{
+    TF_ASSERT(program.num_events() <= elt::kMaxBitEvents);
+    if (relaxation.kind == Relaxation::Kind::kDropRmw) {
+        return 0;
+    }
+    const EventId seed = relaxation.target;
+    removal_group_into(program, &seed, 1, &scratch->removed);
+    elt::BitRow group = 0;
+    for (EventId id = 0; id < program.num_events(); ++id) {
+        group |= scratch->removed[id] ? elt::BitRow{1} << id : 0;
+    }
+    return group;
+}
 
 const Execution&
 remove_events_into(const Execution& execution,

@@ -12,6 +12,10 @@
 ///  - a spurious Invlpg or an Mfence is removed in isolation;
 ///  - an rmw dependency may be dropped without removing events.
 ///
+/// The events a relaxation deletes depend on the program alone (its
+/// removal group, removal_group) but for one exception: a walk that a
+/// surviving access still translates through is kept.
+///
 /// After removal, witnesses are restricted and repaired deterministically:
 /// reads sourced by a removed write fall back to the initial state,
 /// coherence positions are re-compacted preserving order, and rf edges
@@ -65,10 +69,6 @@ struct RelaxScratch {
     /// The relaxed execution (output slot, rebuilt in place per call).
     elt::Execution relaxed;
 
-    /// Pooled enumeration for applicable_relaxations_into callers (the
-    /// judge); not touched by the apply/remove twins themselves.
-    std::vector<Relaxation> relaxations;
-
     // Rebuild working set (removal closure, id remapping, coherence
     // re-compaction rows) — internal to the twins.
     std::vector<char> removed;
@@ -85,6 +85,16 @@ struct RelaxScratch {
     elt::ResolutionResult resolution;
     elt::DeriveScratch resolve;
 };
+
+/// The removal group of \p relaxation, one bit per event of \p program:
+/// the events it deletes before the exception above. The seed goes; the
+/// ghosts of a removed user event follow it; the remap INVLPGs of a
+/// removed Wpte follow it; a spurious INVLPG or an INVLPGALL follows when
+/// no surviving same-core access (of its VA, for a targeted INVLPG) comes
+/// after it. kDropRmw deletes nothing. \p program has at most
+/// elt::kMaxBitEvents events; \p scratch lends its working rows.
+elt::BitRow removal_group(const elt::Program& program,
+                          const Relaxation& relaxation, RelaxScratch* scratch);
 
 /// Applies one relaxation, producing the relaxed execution (with witnesses
 /// restricted and repaired as described above). \p vm_enabled must match

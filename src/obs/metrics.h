@@ -37,9 +37,12 @@ enum class Phase : int {
     kDerive,            ///< Table-I relation derivation + axiom verdicts
     kCanonicalize,      ///< canonical key of each candidate that accepted
                         ///  a witness (the merge deduplicates on it)
-    kJudge,             ///< spanning-set minimality judging (verdict side)
-    kRelax,             ///< relaxation rebuilds inside the judge (one
-                        ///  relaxed execution per applicable relaxation)
+    kJudge,             ///< spanning-set minimality judging (verdict
+                        ///  side): one entry per call plus one per
+                        ///  rebuilt relaxation's derivation
+    kRelax,             ///< relaxation rebuilds inside the judge (the
+                        ///  relaxations it cannot decide on the
+                        ///  execution's own relations)
     kDedup,             ///< the merge's sort-and-drop of each target's
                         ///  accepted tests: one sample per target
     kQueueWait,         ///< always 0: a pass has its call's pool to

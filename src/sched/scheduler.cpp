@@ -19,6 +19,7 @@ SchedulerStats::merge(const SchedulerStats& other)
     jobs_run += other.jobs_run;
     steals += other.steals;
     dedup_hits += other.dedup_hits;
+    candidates += other.candidates;
     queue_wait_seconds = std::max(queue_wait_seconds,
                                   other.queue_wait_seconds);
     job_faults += other.job_faults;

@@ -35,6 +35,10 @@ struct SchedulerStats {
     /// Distinct candidates whose accepted tests the engine's merge dropped
     /// as isomorphic to an earlier candidate's.
     std::uint64_t dedup_hits = 0;
+    /// Candidates the pass generated, eligible for a target or not (the
+    /// progress heartbeat's count). Shards replayed from a checkpoint
+    /// journal generate none. Not in the metrics JSON.
+    std::uint64_t candidates = 0;
     /// Jobs whose closure escaped with an exception and were contained by
     /// the pool's job-boundary backstop. The synthesis engine catches and
     /// retries its own shard faults before they reach the pool, so a

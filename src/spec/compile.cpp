@@ -27,6 +27,9 @@ compile_model(const ModelSpec& spec)
         axiom.def = std::shared_ptr<const AxiomDef>(shared, &def);
         // Lowered once here; every evaluation runs the same row program.
         axiom.program = std::make_shared<const RowProgram>(*def.expr);
+        if (def.form == AxiomForm::kAcyclic) {
+            axiom.acyclic_union = base_union(*def.expr).value_or(0);
+        }
         axioms.push_back(std::move(axiom));
     }
     mtm::Model model(spec.name, spec.vm, std::move(axioms));

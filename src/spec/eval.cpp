@@ -468,9 +468,96 @@ RowProgram::run(const Program& program, const DerivedRelations& d,
 
 bool
 RowProgram::holds(AxiomForm form, const Program& program,
-                  const DerivedRelations& d, CycleScratch* scratch) const
+                  const DerivedRelations& d, BitRow survivors,
+                  CycleScratch* scratch) const
 {
-    return form_holds(form, run(program, d, scratch), program.num_events());
+    const int n = program.num_events();
+    const BitRow* rows = run(program, d, scratch);
+    if ((survivors & elt::event_mask(n)) == elt::event_mask(n)) {
+        return form_holds(form, rows, n);
+    }
+    BitRow restricted[elt::kMaxBitEvents];
+    for (EventId a = 0; a < n; ++a) {
+        restricted[a] = (survivors >> a) & 1 ? rows[a] & survivors : 0;
+    }
+    return form_holds(form, restricted, n);
+}
+
+namespace {
+
+constexpr unsigned
+base_bit(BaseRel base)
+{
+    return 1u << static_cast<int>(base);
+}
+
+using UnionMemo = std::vector<std::pair<const Expr*, std::optional<unsigned>>>;
+
+/// base_union, memoized per node: `let` bodies make the expression a DAG.
+std::optional<unsigned>
+remainder(const Expr& e, unsigned emptied, UnionMemo* memo)
+{
+    for (const auto& [node, known] : *memo) {
+        if (node == &e) {
+            return known;
+        }
+    }
+    const auto sub = [&](const ExprPtr& operand) {
+        return remainder(*operand, emptied, memo);
+    };
+    std::optional<unsigned> out;  // anything else, unless a case decides
+    switch (e.op) {
+    case ExprOp::kBase:
+        out = base_bit(e.base) & ~emptied;
+        break;
+    case ExprOp::kEmpty:
+        out = 0;
+        break;
+    case ExprOp::kLetRef:
+        out = sub(e.lhs);
+        break;
+    case ExprOp::kUnion: {
+        const std::optional<unsigned> lhs = sub(e.lhs);
+        const std::optional<unsigned> rhs = sub(e.rhs);
+        if (lhs == 0u || rhs == 0u || (lhs && rhs)) {
+            out = lhs == 0u ? rhs : rhs == 0u ? lhs : *lhs | *rhs;
+        }
+        break;
+    }
+    case ExprOp::kIntersect:
+    case ExprOp::kJoin:
+        if (sub(e.lhs) == 0u || sub(e.rhs) == 0u) {
+            out = 0;
+        }
+        break;
+    case ExprOp::kMinus: {
+        const std::optional<unsigned> lhs = sub(e.lhs);
+        if (lhs == 0u || sub(e.rhs) == 0u) {
+            out = lhs;
+        }
+        break;
+    }
+    case ExprOp::kTranspose:
+    case ExprOp::kClosure:
+        if (sub(e.lhs) == 0u) {
+            out = 0;
+        }
+        break;
+    case ExprOp::kIdSet:
+    case ExprOp::kReflexiveClosure:  // r^* holds the identity
+        break;
+    }
+    memo->emplace_back(&e, out);
+    return out;
+}
+
+}  // namespace
+
+std::optional<unsigned>
+base_union(const Expr& expr, unsigned emptied)
+{
+    UnionMemo memo;
+    return remainder(expr, emptied, &memo);
 }
 
 bool
@@ -479,7 +566,8 @@ axiom_holds(const AxiomDef& axiom, const Program& program,
 {
     CycleScratch local;
     return RowProgram(*axiom.expr)
-        .holds(axiom.form, program, d, scratch != nullptr ? scratch : &local);
+        .holds(axiom.form, program, d, elt::kAllEvents,
+               scratch != nullptr ? scratch : &local);
 }
 
 void

@@ -23,8 +23,13 @@
 /// on rows and `^*` adds the diagonal; `[S]` sets diagonal bits.
 /// `acyclic` peels sinks (elt::rows_have_cycle), `irreflexive` tests the
 /// diagonal and `empty` tests for all-zero rows.
+///
+/// The minimality judge also runs a RowProgram over the rows of an
+/// execution restricted to a subset of its events, its survivors: the
+/// form is then checked on the survivors alone (see RowProgram::holds).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "elt/derive.h"
@@ -57,11 +62,17 @@ class RowProgram {
 
     /// True when \p form holds of the expression over one well-formed
     /// execution: run() and the form's check in one call, the verdicts'
-    /// hot path (mtm::Model::violated_mask). \p scratch must not be null;
-    /// passing the worker's scratch makes repeated evaluations
-    /// allocation-free.
+    /// hot path (mtm::Model::violated_mask). The check reads only the
+    /// pairs between events of \p survivors (elt::kAllEvents for a whole
+    /// execution). Over relations that hold no pair touching a removed
+    /// event, every operator keeps that so, except `[S]` and `^*`, which
+    /// add the diagonal pair of a removed event; a pair that touches a
+    /// removed event is then that event's diagonal pair, so it never links
+    /// two survivors. The check thus decides the form of the execution
+    /// restricted to the survivors. \p scratch must not be null; passing
+    /// the worker's scratch makes repeated evaluations allocation-free.
     bool holds(AxiomForm form, const elt::Program& program,
-               const elt::DerivedRelations& d,
+               const elt::DerivedRelations& d, elt::BitRow survivors,
                elt::CycleScratch* scratch) const;
 
   private:
@@ -93,6 +104,12 @@ class RowProgram {
     int result_ = 0;
     int num_slots_ = 0;
 };
+
+/// What remains of \p expr once the base relations in \p emptied (one bit
+/// per BaseRel) are empty, with emptiness propagated through the
+/// operators: a plain union of base relations, as their bits (0 is the
+/// empty relation), or nullopt for anything else.
+std::optional<unsigned> base_union(const Expr& expr, unsigned emptied = 0);
 
 /// True when \p axiom holds over the derived relations of one well-formed
 /// execution, lowering its expression first — the debugging and testing

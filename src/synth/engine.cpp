@@ -23,6 +23,7 @@
 #include "obs/trace.h"
 #include "sched/scheduler.h"
 #include "spec/ast.h"
+#include "spec/eval.h"
 #include "synth/canonical.h"
 #include "synth/checkpoint.h"
 #include "synth/exec_enum.h"
@@ -82,79 +83,14 @@ constexpr unsigned kProgramOrder =
                spec::BaseRel::kPoMem, spec::BaseRel::kPoLoc,
                spec::BaseRel::kFence});
 
-/// What remains of an expression once the base relations in \p emptied
-/// are empty, with emptiness propagated through the operators: a union of
-/// base relations, one bit per spec::BaseRel (0 is the empty relation),
-/// or nullopt for anything else. Memoized per node (\p memo): `let`
-/// bodies make the expression a DAG.
-std::optional<unsigned>
-remainder(const spec::Expr& e, unsigned emptied,
-          std::vector<std::pair<const spec::Expr*, std::optional<unsigned>>>*
-              memo)
-{
-    for (const auto& [node, known] : *memo) {
-        if (node == &e) {
-            return known;
-        }
-    }
-    const auto sub = [&](const spec::ExprPtr& operand) {
-        return remainder(*operand, emptied, memo);
-    };
-    std::optional<unsigned> out;  // anything else, unless a case decides
-    switch (e.op) {
-    case spec::ExprOp::kBase:
-        out = base_bits({e.base}) & ~emptied;
-        break;
-    case spec::ExprOp::kEmpty:
-        out = 0;
-        break;
-    case spec::ExprOp::kLetRef:
-        out = sub(e.lhs);
-        break;
-    case spec::ExprOp::kUnion: {
-        const std::optional<unsigned> lhs = sub(e.lhs);
-        const std::optional<unsigned> rhs = sub(e.rhs);
-        if (lhs == 0u || rhs == 0u || (lhs && rhs)) {
-            out = lhs == 0u ? rhs : rhs == 0u ? lhs : *lhs | *rhs;
-        }
-        break;
-    }
-    case spec::ExprOp::kIntersect:
-    case spec::ExprOp::kJoin:
-        if (sub(e.lhs) == 0u || sub(e.rhs) == 0u) {
-            out = 0;
-        }
-        break;
-    case spec::ExprOp::kMinus: {
-        const std::optional<unsigned> lhs = sub(e.lhs);
-        if (lhs == 0u || sub(e.rhs) == 0u) {
-            out = lhs;
-        }
-        break;
-    }
-    case spec::ExprOp::kTranspose:
-    case spec::ExprOp::kClosure:
-        if (sub(e.lhs) == 0u) {
-            out = 0;
-        }
-        break;
-    case spec::ExprOp::kIdSet:
-    case spec::ExprOp::kReflexiveClosure:  // r^* holds the identity
-        break;
-    }
-    memo->emplace_back(&e, out);
-    return out;
-}
-
 /// True when \p axiom holds in every execution in which the relations of
 /// \p emptied are empty: a program lacking the feature those relations
 /// need cannot violate it.
 bool
 holds_without(const mtm::Axiom& axiom, unsigned emptied)
 {
-    std::vector<std::pair<const spec::Expr*, std::optional<unsigned>>> memo;
     const std::optional<unsigned> rest =
-        remainder(*axiom.def->expr, emptied, &memo);
+        spec::base_union(*axiom.def->expr, emptied);
     if (rest == 0u) {
         return true;
     }
@@ -317,9 +253,7 @@ isolated_removals(const mtm::Axiom& axiom)
     out.invlpg = !reads(kInvlpgRelations, kInvlpgSets);
     out.fence = !reads(kFenceRelations, kFenceSets);
     if (axiom.def->form == spec::AxiomForm::kAcyclic) {
-        std::vector<std::pair<const spec::Expr*, std::optional<unsigned>>>
-            memo;
-        const std::optional<unsigned> bases = remainder(expr, 0, &memo);
+        const std::optional<unsigned> bases = spec::base_union(expr);
         if (bases.has_value()) {
             const auto has = [&](spec::BaseRel base) {
                 return (*bases & base_bits({base})) != 0;
@@ -544,7 +478,8 @@ find_witnesses(const mtm::Model& model, mtm::AxiomMask eligible,
             // The judge attributes its own phases (kJudge for verdicts,
             // kRelax for relaxation rebuilds) via scratch->judge.metrics,
             // set per job in search_shard.
-            if (!judge(model, execution, violated, &scratch->judge)
+            if (!judge(model, execution, scratch->derived, violated,
+                       &scratch->judge)
                      .minimal) {
                 return true;
             }
@@ -1303,6 +1238,7 @@ finish_pass(const sched::ThreadPool& pool, PassRun& run)
     std::sort(dropped.begin(), dropped.end());
     shared.scheduler.dedup_hits = static_cast<std::uint64_t>(
         std::unique(dropped.begin(), dropped.end()) - dropped.begin());
+    shared.scheduler.candidates = run.candidates.load();
     shared.scheduler.shard_retries = run.shard_retries.load();
     shared.scheduler.shards_quarantined = run.shards_quarantined.load();
     shared.scheduler.checkpoint_shards_saved = run.ckpt_saved.load();

@@ -347,6 +347,36 @@ for_each_unpruned_candidate(const mtm::Model& model,
     }
 }
 
+TEST(Engine, SchedulerCountsEveryGeneratedCandidate)
+{
+    // SchedulerStats::candidates counts the pass's stream, barren and
+    // ineligible candidates included: what CI divides the enumeration's
+    // allocations by. Suites count only the candidates they searched.
+    const mtm::Model model = mtm::x86t_elt();
+    SynthesisOptions options = small_options(4, 6);
+    options.jobs = 2;
+    const std::vector<SuiteResult> suites =
+        synthesize_all_parallel(model, options);
+    const mtm::AxiomMask all =
+        (mtm::AxiomMask{1} << model.axioms().size()) - 1;
+    std::uint64_t generated = 0;
+    for (int size = 4; size <= 6; ++size) {
+        for_each_skeleton(engine_skeleton_options(model, all, options, size),
+                          [&](const elt::Program&) {
+                              ++generated;
+                              return true;
+                          });
+    }
+    std::uint64_t counted = 0;
+    std::uint64_t most_programs = 0;
+    for (const SuiteResult& suite : suites) {
+        counted += suite.scheduler.candidates;
+        most_programs = std::max(most_programs, suite.programs_considered);
+    }
+    EXPECT_EQ(counted, generated);
+    EXPECT_GT(generated, most_programs);
+}
+
 TEST(Engine, BarrenTargetsHaveNoMinimalViolation)
 {
     // The engine skips a (candidate, target) pair that barren_axioms

@@ -672,7 +672,8 @@ TEST(KernelDiff, SharedLetsMatchReferenceAcrossAxioms)
             for (const int i : {1, 0}) {
                 const mtm::Axiom& axiom = model.axioms()[i];
                 EXPECT_EQ(
-                    axiom.program->holds(axiom.def->form, p, d, &scratch),
+                    axiom.program->holds(axiom.def->form, p, d,
+                                         elt::kAllEvents, &scratch),
                     i == 0 ? twice_holds : once_holds);
             }
             expect_matches_reference(*twice.expr, p, d, &scratch, "twice");

@@ -188,18 +188,21 @@ TEST(SchedStats, MergeSumsCountersAndMaxesOverlappingFields)
     a.jobs_run = 10;
     a.steals = 3;
     a.dedup_hits = 7;
+    a.candidates = 100;
     a.queue_wait_seconds = 0.5;
     sched::SchedulerStats b;
     b.workers = 4;
     b.jobs_run = 5;
     b.steals = 2;
     b.dedup_hits = 1;
+    b.candidates = 20;
     b.queue_wait_seconds = 0.25;
     a.merge(b);
     EXPECT_EQ(a.workers, 4);  // same-pool maximum, not a sum
     EXPECT_EQ(a.jobs_run, 15u);
     EXPECT_EQ(a.steals, 5u);
     EXPECT_EQ(a.dedup_hits, 8u);
+    EXPECT_EQ(a.candidates, 120u);
     EXPECT_EQ(a.queue_wait_seconds, 0.5);  // waits overlap: maximum
 }
 

@@ -395,8 +395,9 @@ TEST(ViolatedMask, MatchesStringShimOnFixtures)
         for (std::size_t i = 0; i < model.axioms().size(); ++i) {
             const bool bit = (mask & (mtm::AxiomMask{1} << i)) != 0;
             const mtm::Axiom& axiom = model.axioms()[i];
-            const bool holds = axiom.program->holds(
-                axiom.def->form, e.program, derived, &scratch.cycle);
+            const bool holds =
+                axiom.program->holds(axiom.def->form, e.program, derived,
+                                     elt::kAllEvents, &scratch.cycle);
             EXPECT_EQ(bit, !holds) << axiom.name;
         }
     }
@@ -472,7 +473,7 @@ TEST(SteadyState, DeriveMaskAndJudgeAllocateNothing)
                         e.program, derived, &derive.cycle);
                     if (derived.well_formed && mask != 0) {
                         ++violating;
-                        synth::judge(*model, e, mask, &judge);
+                        synth::judge(*model, e, derived, mask, &judge);
                     }
                 }
             };

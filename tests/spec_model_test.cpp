@@ -67,8 +67,8 @@ TEST(SpecEval, ScratchAndScratchlessEvaluationAgree)
     ASSERT_TRUE(d.well_formed);
     elt::CycleScratch scratch;
     for (const mtm::Axiom& axiom : model.axioms()) {
-        const bool with =
-            axiom.program->holds(axiom.def->form, e.program, d, &scratch);
+        const bool with = axiom.program->holds(axiom.def->form, e.program,
+                                               d, elt::kAllEvents, &scratch);
         const bool without = axiom_holds(*axiom.def, e.program, d, nullptr);
         EXPECT_EQ(with, without) << axiom.name;
         EXPECT_EQ(with, axiom_holds(*axiom.def, e.program, d, &scratch))

@@ -175,11 +175,12 @@ print_stats(const std::string& scope, const sched::SchedulerStats& s)
     std::fprintf(
         stderr,
         "[%s] scheduler: %d workers, %llu jobs, %llu steals, "
-        "%llu dedup hits\n",
+        "%llu dedup hits, %llu candidates\n",
         scope.c_str(), s.workers,
         static_cast<unsigned long long>(s.jobs_run),
         static_cast<unsigned long long>(s.steals),
-        static_cast<unsigned long long>(s.dedup_hits));
+        static_cast<unsigned long long>(s.dedup_hits),
+        static_cast<unsigned long long>(s.candidates));
     if (s.shard_retries + s.shards_quarantined + s.checkpoint_shards_saved +
             s.checkpoint_shards_replayed + s.job_faults >
         0) {
@@ -672,15 +673,16 @@ main(int argc, char** argv)
     }
     if (suites.size() > 1) {
         const std::string scope = model.name() + " / all axioms";
-        if (args.stats) {
-            // Counters sum across suites (each pass's sit on its first
-            // suite); `workers` takes the maximum — see
-            // SchedulerStats::merge.
+        // Counters sum across suites (each pass's sit on its first suite);
+        // `workers` takes the maximum — see SchedulerStats::merge. The
+        // allocation report prints the scheduler line too: its candidate
+        // count is what the allocations are read against.
+        if (args.stats || args.alloc_stats) {
             print_stats(scope, aggregate.scheduler);
-            if (aggregate.solver.solve_calls > 0) {
-                print_solver_stats(scope, aggregate.solver,
-                                   !args.metrics_json.empty());
-            }
+        }
+        if (args.stats && aggregate.solver.solve_calls > 0) {
+            print_solver_stats(scope, aggregate.solver,
+                               !args.metrics_json.empty());
         }
         if (args.alloc_stats) {
             print_alloc_stats(scope, aggregate.allocs);
