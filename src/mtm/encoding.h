@@ -14,6 +14,10 @@
 ///    synthesis engine's SAT backend and to cross-check the explicit
 ///    enumerator (they must agree — see tests/integration).
 ///
+/// The constraints themselves come from the builder this class shares
+/// with the incremental probe session (mtm::EncodingBuilder,
+/// encoding_detail.h), fed constant placement rows read off the program.
+///
 /// Enumeration is streaming: the solver produces one model at a time and
 /// the visitor decides whether to continue, so a caller looking for the
 /// first qualifying witness (synth::find_witnesses) stops the AllSAT loop
@@ -42,28 +46,21 @@ struct EncodingStats {
     std::uint64_t models = 0;
 };
 
-/// Reusable substrate for ProgramEncoding queries: the expression arena,
-/// the CDCL solver, and the per-query Build containers (witness-choice
-/// maps, one-hot PA vectors, derived-relation RelExpr matrices), all reset
-/// with capacities kept at the start of every query. The synthesis engine
-/// owns one per worker and threads it through millions of per-program
-/// encodings; without one, each ProgramEncoding query builds and tears
-/// down everything. Not shareable between concurrent queries.
+/// Reusable substrate for ProgramEncoding queries: the expression arena
+/// and the CDCL solver, both reset with capacities kept at the start of
+/// every query. The synthesis engine owns one per worker and replays each
+/// candidate its probe session accepted through it; without one, each
+/// ProgramEncoding query builds and tears down both. Not shareable
+/// between concurrent queries.
 struct EncodingScratch {
-    EncodingScratch();
-    ~EncodingScratch();
+    EncodingScratch() = default;
     EncodingScratch(const EncodingScratch&) = delete;
     EncodingScratch& operator=(const EncodingScratch&) = delete;
-    EncodingScratch(EncodingScratch&&) noexcept;
-    EncodingScratch& operator=(EncodingScratch&&) noexcept;
+    EncodingScratch(EncodingScratch&&) noexcept = default;
+    EncodingScratch& operator=(EncodingScratch&&) noexcept = default;
 
     rel::BoolFactory factory;
     sat::Solver solver;
-
-    /// The pooled Build containers (opaque here: the layout is a private
-    /// contract of encoding.cpp).
-    struct Pool;
-    std::unique_ptr<Pool> pool;
 };
 
 /// Relational encoding of one program's execution space under a model.
@@ -109,10 +106,6 @@ class ProgramEncoding {
 
     /// Stats from the most recent query.
     const EncodingStats& stats() const { return stats_; }
-
-    /// Per-query encoding state (defined in encoding.cpp; public so the
-    /// extraction helpers there can reach it, but not part of the API).
-    struct Build;
 
   private:
     elt::Program program_;

@@ -1,23 +1,26 @@
 /// \file
-/// Incremental assumption-based twin of ProgramEncoding (the tentpole of
-/// the incremental-SAT work): one live sat::Solver per probe session hosts
-/// a *structure-lifetime* base encoding shared by every candidate program
-/// with the same skeleton structure, and each candidate is solved purely
-/// under assumptions — no per-candidate clause emission at all.
+/// The incremental assumption-based probe session: the second front-end,
+/// beside ProgramEncoding, of the one execution-space builder
+/// (mtm::EncodingBuilder, encoding_detail.h). One live sat::Solver per
+/// probe session hosts a *structure-lifetime* base encoding shared by every
+/// candidate program with the same skeleton structure, and each candidate
+/// is solved purely under assumptions — no per-candidate clause emission
+/// at all.
 ///
 /// The split exploits how the skeleton enumerator orders candidates:
 /// siblings differing only in VA assignment and Wpte target-PA choice are
 /// enumerated contiguously (the "structure" — event kinds, threads, ghost
 /// parents, remap links and rmw pairs — changes last). The session builds
-/// one superset encoding per structure in which VA and target-PA placement
-/// are one-hot *selector* variables, compiles the axiom circuit once, and
-/// pins each concrete candidate with one positive selector assumption per
-/// placement slot. Placement-validity rules that the fresh encoding bakes
-/// into its candidate sets (same-VA rf pairing, walk/INVLPG blocking,
-/// provenance VA matching, co_pa target-PA classes) are emitted once as
-/// selector-guarded base clauses, so unit propagation under the pinned
-/// selectors retires every invalid choice variable — the per-candidate
-/// assumption vector stays a handful of literals.
+/// one superset encoding per structure by handing the builder *selector*
+/// variables as its VA and target-PA placement rows where ProgramEncoding
+/// hands it constants, compiles the axiom circuit once, and pins each
+/// concrete candidate with one positive selector assumption per placement
+/// slot. Placement-validity rules that the fresh encoding's constant rows
+/// fold into its candidate sets (same-VA rf pairing, walk/INVLPG blocking,
+/// provenance VA matching, co_pa target-PA classes) stay selector-guarded
+/// base clauses here, so unit propagation under the pinned selectors
+/// retires every invalid choice variable — the per-candidate assumption
+/// vector stays a handful of literals.
 ///
 /// AllSAT blocking clauses are the only per-candidate clauses and carry a
 /// per-candidate activation literal; advancing to the next candidate

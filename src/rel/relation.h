@@ -59,8 +59,8 @@ class RelExpr {
 
     /// Re-initializes THIS relation to the empty relation over
     /// \p universe_size atoms, reusing the entry matrix's capacity — the
-    /// pooled form of empty() for callers (mtm::EncodingScratch) that
-    /// rebuild relations per query without reallocating.
+    /// pooled form of empty() for callers (mtm::EncodingBuilder) that
+    /// rebuild relations per build without reallocating.
     void reset_empty(BoolFactory* factory, int universe_size);
 
     /// A constant relation holding the listed (from, to) pairs.

@@ -97,9 +97,10 @@ class Solver {
     /// Returns the solver to its freshly-constructed state while keeping
     /// every internal buffer's capacity (clause slots, watch lists, per-var
     /// arrays, analysis scratch). A reset solver behaves bit-identically to
-    /// a new one; the synthesis engine reuses one solver per worker across
-    /// millions of per-program queries to keep the hot path allocation-free
-    /// in steady state.
+    /// a new one; the SAT encodings reset and reuse a solver for each
+    /// build (a probe base rebuilt in a recycled cache slot, a worker's
+    /// replay of an accepted candidate) to keep the hot path
+    /// allocation-free in steady state.
     void reset();
 
     /// Creates a fresh variable and returns it.

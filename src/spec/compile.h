@@ -4,9 +4,9 @@
 ///  - concretely, through each axiom's expression lowered once into a
 ///    spec::RowProgram (the enumerative backend and the minimality judge
 ///    run these millions of times, scratch-threaded and allocation-free);
-///  - symbolically, because each Axiom carries its AxiomDef and
-///    mtm::ProgramEncoding lowers that AST to rel::RelExpr circuits
-///    (mtm/encoding.cpp, mtm/incremental.cpp).
+///  - symbolically, because each Axiom carries its AxiomDef and the SAT
+///    encodings' shared builder lowers that AST to rel::RelExpr circuits
+///    (mtm/encoding_builder.cpp).
 #pragma once
 
 #include "mtm/model.h"

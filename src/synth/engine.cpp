@@ -343,8 +343,6 @@ base_skeleton_options(const mtm::Model& model,
     skeleton.max_vas = options.max_vas;
     skeleton.max_fresh_pas = options.max_fresh_pas;
     skeleton.vm_enabled = model.vm_aware();
-    skeleton.allow_rmw = options.allow_rmw;
-    skeleton.allow_fences = options.allow_fences;
     skeleton.allow_full_flush = options.allow_full_flush;
     skeleton.dirty_bit_as_rmw = options.dirty_bit_as_rmw;
     return skeleton;
@@ -1271,8 +1269,11 @@ finish_pass(const sched::ThreadPool& pool, PassRun& run)
     return suites;
 }
 
+/// Seconds between two SynthesisOptions::progress snapshots.
+constexpr double kProgressIntervalSeconds = 2.0;
+
 /// The sampling thread behind SynthesisOptions::progress: wakes every
-/// progress_interval_seconds, snapshots the run(s)' relaxed counters via
+/// kProgressIntervalSeconds, snapshots the run(s)' relaxed counters via
 /// the caller-supplied sampler, and invokes the callback. stop() fires one
 /// final snapshot after joining, so the last report the caller sees
 /// reflects the drained run. Inert (no thread) when options.progress is
@@ -1287,7 +1288,6 @@ class ProgressHeartbeat {
         }
         callback_ = options.progress;
         sampler_ = std::move(sampler);
-        interval_ = std::max(options.progress_interval_seconds, 0.01);
         thread_ = std::thread([this] { loop(); });
     }
 
@@ -1320,7 +1320,8 @@ class ProgressHeartbeat {
         std::unique_lock<std::mutex> lock(mu_);
         while (!done_) {
             if (cv_.wait_for(lock,
-                             std::chrono::duration<double>(interval_),
+                             std::chrono::duration<double>(
+                                 kProgressIntervalSeconds),
                              [this] { return done_; })) {
                 break;  // stop() reports the final snapshot
             }
@@ -1332,7 +1333,6 @@ class ProgressHeartbeat {
 
     std::function<void(const SynthesisProgress&)> callback_;
     std::function<SynthesisProgress()> sampler_;
-    double interval_ = 0.0;
     std::mutex mu_;
     std::condition_variable cv_;
     bool done_ = false;

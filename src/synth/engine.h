@@ -102,8 +102,6 @@ struct SynthesisOptions {
     int max_threads = 2;
     int max_vas = 2;
     int max_fresh_pas = 1;
-    bool allow_rmw = true;
-    bool allow_fences = true;
     bool allow_full_flush = false;   ///< extension: INVLPGALL events
     bool dirty_bit_as_rmw = false;   ///< section III-A2 ablation
     bool require_minimal = true;     ///< spanning-set minimality pruning
@@ -153,12 +151,11 @@ struct SynthesisOptions {
     bool track_allocs = false;
 
     /// Progress heartbeat: when set, a sampling thread inside the
-    /// synthesis call invokes this roughly every
-    /// progress_interval_seconds with a SynthesisProgress snapshot (and
-    /// once more when the run drains). The callback runs on that sampling
-    /// thread — keep it cheap and thread-safe. Purely observational.
+    /// synthesis call invokes this roughly every 2 s with a
+    /// SynthesisProgress snapshot (and once more when the run drains). The
+    /// callback runs on that sampling thread — keep it cheap and
+    /// thread-safe. Purely observational.
     std::function<void(const SynthesisProgress&)> progress;
-    double progress_interval_seconds = 2.0;
 
     /// When non-null, shard jobs are recorded as spans on their workers'
     /// lanes and the pass as one span on the main lane. The collector must

@@ -95,9 +95,7 @@ available_slots(const SkeletonOptions& opt)
     } else {
         out = {Slot::kReadHit, Slot::kWriteHit};
     }
-    if (opt.allow_fences) {
-        out.push_back(Slot::kFence);
-    }
+    out.push_back(Slot::kFence);
     if (opt.vm_enabled && opt.allow_full_flush) {
         out.push_back(Slot::kInvlpgAll);
     }
@@ -387,7 +385,7 @@ class Assigner {
     bool
     assign_rmw(std::size_t thread_index)
     {
-        if (!opt_.allow_rmw || !has_any_rmw_candidate()) {
+        if (!has_any_rmw_candidate()) {
             if (opt_.require_rmw) {
                 return true;  // prune: axiom needs an rmw pair
             }

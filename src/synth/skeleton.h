@@ -30,8 +30,6 @@ struct SkeletonOptions {
     int max_vas = 2;          ///< distinct data VAs
     int max_fresh_pas = 1;    ///< extra PAs beyond the initial frames
     bool vm_enabled = true;   ///< MTM (true) or plain MCM (false) vocabulary
-    bool allow_rmw = true;    ///< generate rmw-marked adjacent pairs
-    bool allow_fences = true; ///< generate MFENCE slots
     bool allow_full_flush = false;  ///< extension: INVLPGALL (full TLB flush)
     bool dirty_bit_as_rmw = false;  ///< ablation: Writes carry Rdb + Wdb
 

@@ -199,7 +199,9 @@ print_stats(const std::string& scope, const sched::SchedulerStats& s)
 
 /// Prints a pass's solver counters. The solvers' clock runs only when the
 /// run collects metrics (sat::Solver::set_timing), so the solve seconds
-/// appear only when \p timed says it ran.
+/// appear only when \p timed says it ran. retained_clauses sums the
+/// learned clauses alive at each guard retirement, so the line prints its
+/// mean per retirement.
 void
 print_solver_stats(const std::string& scope, const sat::SolverStats& s,
                    bool timed)
@@ -209,12 +211,18 @@ print_solver_stats(const std::string& scope, const sat::SolverStats& s,
         std::snprintf(seconds, sizeof seconds, " (%.3fs)",
                       static_cast<double>(s.solve_nanos) * 1e-9);
     }
+    const double retained_per_retirement =
+        s.retired_activations == 0
+            ? 0.0
+            : static_cast<double>(s.retained_clauses) /
+                  static_cast<double>(s.retired_activations);
     std::fprintf(
         stderr,
         "[%s] solver: %llu solves%s, %llu decisions, "
         "%llu propagations, %llu conflicts, %llu restarts, "
         "%llu learned (%llu deleted), %llu assumed, "
-        "%llu retired guards (%llu clauses retained)\n",
+        "%llu retired guards (%.0f learned clauses alive per "
+        "retirement)\n",
         scope.c_str(),
         static_cast<unsigned long long>(s.solve_calls), seconds,
         static_cast<unsigned long long>(s.decisions),
@@ -225,7 +233,7 @@ print_solver_stats(const std::string& scope, const sat::SolverStats& s,
         static_cast<unsigned long long>(s.deleted_clauses),
         static_cast<unsigned long long>(s.assumed_literals),
         static_cast<unsigned long long>(s.retired_activations),
-        static_cast<unsigned long long>(s.retained_clauses));
+        retained_per_retirement);
 }
 
 void
