@@ -13,9 +13,7 @@
 namespace transform::mtm {
 
 using elt::EventId;
-using elt::EventKind;
 using elt::Execution;
-using elt::kNone;
 using elt::Program;
 using rel::BoolFactory;
 using rel::ExprId;
@@ -65,103 +63,6 @@ build_for(const Program& program, bool vm, unsigned needs,
     });
 }
 
-/// Extracts a concrete Execution from a satisfying model of the encoding
-/// into \p out, resetting and reusing its witness vectors.
-void
-extract_into(const EncodingBuilder& b, const Program& program, Execution* out)
-{
-    const int n = program.num_events();
-    out->rf_src.assign(n, kNone);
-    out->co_pos.assign(n, kNone);
-    out->ptw_src.assign(n, kNone);
-    out->co_pa_pos.assign(n, kNone);
-    auto lit_true = [&](ExprId e) {
-        return b.factory->evaluate(e, [&](sat::Var v) {
-            return b.solver->model_value(v) == sat::LBool::kTrue;
-        });
-    };
-    for (EventId r = 0; r < n; ++r) {
-        for (const auto& [w, guard] : b.rf_choice[r]) {
-            if (lit_true(guard)) {
-                out->rf_src[r] = w;
-            }
-        }
-        for (const auto& [walk, guard] : b.ptw_choice[r]) {
-            if (lit_true(guard)) {
-                out->ptw_src[r] = walk;
-            }
-        }
-    }
-    // co positions: count predecessors within each class.
-    for (EventId w = 0; w < n; ++w) {
-        if (!elt::is_write_like(program.event(w).kind)) {
-            continue;
-        }
-        int predecessors = 0;
-        for (EventId w2 = 0; w2 < n; ++w2) {
-            if (w2 != w && elt::is_write_like(program.event(w2).kind) &&
-                lit_true(b.co.at(w2, w))) {
-                ++predecessors;
-            }
-        }
-        out->co_pos[w] = predecessors;
-    }
-    for (EventId w = 0; w < n; ++w) {
-        if (program.event(w).kind != EventKind::kWpte) {
-            continue;
-        }
-        int predecessors = 0;
-        for (EventId w2 = 0; w2 < n; ++w2) {
-            if (w2 != w && program.event(w2).kind == EventKind::kWpte &&
-                program.event(w2).map_pa == program.event(w).map_pa &&
-                lit_true(b.co_pa.at(w2, w))) {
-                ++predecessors;
-            }
-        }
-        out->co_pa_pos[w] = predecessors;
-    }
-}
-
-/// Collects every solver variable used by the witness choices — the
-/// projection set for AllSAT enumeration and blocking — into the reused
-/// \p clause buffer.
-void
-blocking_clause(const EncodingBuilder& b, std::vector<sat::Lit>* clause)
-{
-    clause->clear();
-    auto block = [&](ExprId e) {
-        // Choice expressions are single variables created via var(); compile
-        // is a lookup returning the underlying literal.
-        const sat::Lit l = b.factory->compile(e, b.solver);
-        const bool value = b.solver->model_literal_true(l);
-        clause->push_back(value ? ~l : l);
-    };
-    const int n = b.n;
-    for (EventId r = 0; r < n; ++r) {
-        for (const auto& [w, guard] : b.rf_choice[r]) {
-            (void)w;
-            block(guard);
-        }
-        if (elt::is_read_like(b.p->event(r).kind)) {
-            block(b.init_choice[r]);
-        }
-        for (const auto& [walk, guard] : b.ptw_choice[r]) {
-            (void)walk;
-            block(guard);
-        }
-    }
-    for (EventId a = 0; a < n; ++a) {
-        for (EventId c = 0; c < n; ++c) {
-            if (a != c && b.co.at(a, c) != rel::kFalseExpr) {
-                block(b.co.at(a, c));
-            }
-            if (a != c && b.co_pa.at(a, c) != rel::kFalseExpr) {
-                block(b.co_pa.at(a, c));
-            }
-        }
-    }
-}
-
 /// Maps a non-kSat query verdict onto the robustness contract: a
 /// budget-exhausted kUnknown is unsound to fold into "no model" and is
 /// surfaced as a retryable fault; an interrupt kUnknown reads as
@@ -202,7 +103,8 @@ ProgramEncoding::find_violating(const std::string& axiom_name)
         return std::nullopt;
     }
     Execution out = Execution::empty_for(program_);
-    extract_into(b, program_, &out);
+    b.freeze_projection();
+    b.extract_into(&out);
     return out;
 }
 
@@ -261,6 +163,7 @@ ProgramEncoding::enumerate(const std::string& violating_axiom,
     stats_.variables = solver.num_vars();
     stats_.circuit_nodes = static_cast<int>(factory.num_nodes());
     stats_.models = 0;
+    b.freeze_projection();
     Execution current = Execution::empty_for(program_);
     sat::Clause clause;
     while (true) {
@@ -271,14 +174,17 @@ ProgramEncoding::enumerate(const std::string& violating_axiom,
             // sweep like a visitor veto — the cancelled caller discards it.
             return verdict == sat::SolveResult::kUnsat;
         }
-        extract_into(b, program_, &current);
+        b.extract_into(&current);
         ++stats_.models;
         if (!visit(current)) {
             return false;  // the visitor stopped the solver
         }
         const obs::ScopedAllocSite alloc_site(
             obs::AllocSite::kSiteBlockingClause);
-        blocking_clause(b, &clause);
+        if (stats_.models == 1) {
+            b.build_block_template();
+        }
+        b.blocking_clause(&clause);
         if (clause.empty() || !solver.add_clause(clause)) {
             break;
         }

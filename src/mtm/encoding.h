@@ -16,14 +16,15 @@
 ///
 /// The constraints themselves come from the builder this class shares
 /// with the incremental probe session (mtm::EncodingBuilder,
-/// encoding_detail.h), fed constant placement rows read off the program.
+/// encoding_detail.h), fed constant placement rows read off the program;
+/// so do model extraction and the AllSAT blocking clauses.
 ///
 /// Enumeration is streaming: the solver produces one model at a time and
 /// the visitor decides whether to continue, so a caller looking for the
 /// first qualifying witness (synth::find_witnesses) stops the AllSAT loop
 /// right there instead of paying for the whole violating space up front.
 /// The vector-returning overload is a thin materializing wrapper kept for
-/// the cross-check tests and elt_check.
+/// the cross-check tests and examples/explore_executions.cpp.
 #pragma once
 
 #include <functional>

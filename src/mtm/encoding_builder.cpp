@@ -333,6 +333,9 @@ EncodingBuilder::begin(const elt::Program& program, bool vm_aware, int vas,
     prov_init.assign(n, rel::kFalseExpr);
     va_eq_tab.assign(static_cast<std::size_t>(n) * n, rel::kFalseExpr);
     va_eq_built.assign(static_cast<std::size_t>(n) * n, 0);
+    rf_guard.reset_empty(factory, n);
+    ptw_guard.reset_empty(factory, n);
+    co_pa_guard.reset_empty(factory, n);
 }
 
 void
@@ -386,6 +389,7 @@ EncodingBuilder::build_choices()
                 cl_pos(va_eq(w, r));
                 cl_end();
             }
+            rf_guard.set(w, r, same_va ? va_eq(w, r) : rel::kTrueExpr);
         }
         assert_exactly_one(options);
     }
@@ -435,6 +439,7 @@ EncodingBuilder::build_choices()
             cl_neg(choice);
             cl_pos(va_eq(w, e));
             cl_end();
+            ExprId guard = va_eq(w, e);
             for (EventId i = 0; i < n; ++i) {
                 if (p->event(i).kind == EventKind::kInvlpg &&
                     p->event(i).thread == we.thread &&
@@ -443,8 +448,11 @@ EncodingBuilder::build_choices()
                     cl_neg(choice);
                     cl_neg(va_eq(i, w));
                     cl_end();
+                    guard = factory->mk_and(guard,
+                                            factory->mk_not(va_eq(i, w)));
                 }
             }
+            ptw_guard.set(w, e, guard);
         }
         assert_exactly_one(options);
         // An access that invoked its own walk must use it (never blocked:
@@ -792,6 +800,7 @@ EncodingBuilder::build_coherence()
             // the pair) and same target PA (co_pa classes it).
             const ExprId both =
                 factory->mk_and(va_eq(a, b), pa_equal(a, b));
+            co_pa_guard.set(a, b, pa_equal(a, b));  // re-interned: no node
             cl_begin();
             cl_neg(both);
             cl_neg(co.at(a, b));
@@ -1054,6 +1063,112 @@ EncodingBuilder::axiom_circuit(const Axiom& axiom)
             },
             &expr_memo),
         factory);
+}
+
+// ----------------------------------------------------------------------
+// The projection.
+// ----------------------------------------------------------------------
+
+void
+EncodingBuilder::freeze_projection()
+{
+    using W = Projected::Witness;
+    projection.clear();
+    co_events.clear();
+    co_pa_events.clear();
+    // A choice is a solver variable, so compiling it is a lookup.
+    const auto add = [this](W witness, EventId a, EventId b, ExprId choice,
+                            ExprId guard) {
+        projection.push_back(
+            {witness, a, b, factory->compile(choice, solver), guard});
+    };
+    for (EventId r = 0; r < n; ++r) {
+        for (const auto& [w, choice] : rf_choice[r]) {
+            add(W::kRf, r, w, choice, rf_guard.at(w, r));
+        }
+        if (init_choice[r] != rel::kFalseExpr) {
+            add(W::kInit, r, kNone, init_choice[r], rel::kTrueExpr);
+        }
+        for (const auto& [walk, choice] : ptw_choice[r]) {
+            add(W::kPtw, r, walk, choice, ptw_guard.at(walk, r));
+        }
+    }
+    for (EventId a = 0; a < n; ++a) {
+        if (elt::is_write_like(p->event(a).kind)) {
+            co_events.push_back(a);
+        }
+        if (p->event(a).kind == EventKind::kWpte) {
+            co_pa_events.push_back(a);
+        }
+        for (EventId c = 0; c < n; ++c) {
+            if (co.at(a, c) != rel::kFalseExpr) {
+                add(W::kCo, a, c, co.at(a, c), rel::kTrueExpr);
+            }
+            if (co_pa.at(a, c) != rel::kFalseExpr) {
+                add(W::kCoPa, a, c, co_pa.at(a, c), co_pa_guard.at(a, c));
+            }
+        }
+    }
+}
+
+void
+EncodingBuilder::extract_into(elt::Execution* out) const
+{
+    out->rf_src.assign(n, kNone);
+    out->co_pos.assign(n, kNone);
+    out->ptw_src.assign(n, kNone);
+    out->co_pa_pos.assign(n, kNone);
+    for (const EventId w : co_events) {
+        out->co_pos[w] = 0;
+    }
+    for (const EventId w : co_pa_events) {
+        out->co_pa_pos[w] = 0;
+    }
+    // A position counts the predecessors in its order.
+    for (const Projected& c : projection) {
+        if (!solver->model_literal_true(c.lit)) {
+            continue;
+        }
+        switch (c.witness) {
+        case Projected::Witness::kRf:
+            out->rf_src[c.a] = c.b;
+            break;
+        case Projected::Witness::kInit:
+            break;
+        case Projected::Witness::kPtw:
+            out->ptw_src[c.a] = c.b;
+            break;
+        case Projected::Witness::kCo:
+            ++out->co_pos[c.b];
+            break;
+        case Projected::Witness::kCoPa:
+            ++out->co_pa_pos[c.b];
+            break;
+        }
+    }
+}
+
+void
+EncodingBuilder::build_block_template()
+{
+    const std::function<bool(sat::Var)> model = [this](sat::Var v) {
+        return solver->model_value(v) == sat::LBool::kTrue;
+    };
+    block_tmpl.clear();
+    for (const Projected& c : projection) {
+        if (factory->evaluate(c.guard, model)) {
+            block_tmpl.push_back(c.lit);
+        }
+    }
+}
+
+void
+EncodingBuilder::blocking_clause(std::vector<sat::Lit>* clause) const
+{
+    clause->clear();
+    for (const sat::Lit l : block_tmpl) {
+        clause->push_back(solver->model_literal_true(l) ? ~l : l);
+    }
 }
 
 }  // namespace transform::mtm

@@ -8,11 +8,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
 
 #include "elt/event.h"
+#include "elt/execution.h"
 #include "elt/program.h"
 #include "rel/bool_factory.h"
 #include "rel/relation.h"
@@ -213,13 +215,20 @@ has_va(elt::EventKind kind)
 /// order, and over selector rows, where only the candidate's pins decide
 /// a guard, the superset encoding's. Skipping reads the rows and builds
 /// nothing, which keeps a selector build's circuits in first-use order.
+///
+/// The builder keeps each rf, ptw and co_pa choice's guard beside it, so
+/// it alone knows which choices are witnesses of a candidate: its frozen
+/// projection is what both front-ends extract models from and block them
+/// on.
 struct EncodingBuilder {
     /// Binds \p f and \p s for one build of \p program and resets both,
     /// along with every row and circuit below. VA rows span \p vas slots,
     /// PA rows \p pas (at least \p vas: VA i initially maps to PA i). The
     /// caller fills va[e] for every has_va event, then calls build().
-    /// \p program must outlive the build's last call (axiom_circuit); the
-    /// rows, choice variables and circuits stay readable after it.
+    /// \p program must outlive the build's last calls (axiom_circuit,
+    /// freeze_projection); the rows, choice variables and circuits stay
+    /// readable after them, and extraction and blocking read only the
+    /// projection, the factory and the solver.
     void begin(const elt::Program& program, bool vm_aware, int vas, int pas,
                rel::BoolFactory* f, sat::Solver* s);
 
@@ -231,6 +240,27 @@ struct EncodingBuilder {
 
     /// Circuit stating that \p axiom holds.
     rel::ExprId axiom_circuit(const Axiom& axiom);
+
+    // The projection: the choice variables an AllSAT loop reads a model
+    // from and blocks it on.
+
+    /// Resolves every choice variable to its literal, in blocking order,
+    /// beside the witness it stands for and its guard. Call once after
+    /// build(). It compiles choice variables only, which are lookups, so
+    /// the CNF stays as the build left it.
+    void freeze_projection();
+    /// Reads the execution of the solver's current model into \p out,
+    /// resetting and reusing its witness vectors.
+    void extract_into(elt::Execution* out) const;
+    /// Sets the blocking template to the projected choices whose guard
+    /// holds in the solver's current model. A guard depends on placement
+    /// alone, which one candidate fixes, so the template built from its
+    /// first model serves all of them; over constant rows every guard is
+    /// kTrueExpr and the template is the whole projection.
+    void build_block_template();
+    /// The clause excluding the current model: each template literal,
+    /// inverted where the model satisfies it.
+    void blocking_clause(std::vector<sat::Lit>* clause) const;
 
     // Clause primitives. Nearly every placement constraint is a 2- or
     // 3-literal clause over choice variables; they go straight into the
@@ -275,6 +305,29 @@ struct EncodingBuilder {
     /// Coherence order over write-like events; alias-creation order over
     /// Wptes.
     rel::RelExpr co, co_pa;
+
+    /// Placement guards, one beside each rf, ptw and co_pa choice: what
+    /// its "variable -> guard" clauses impose, so the choice can hold
+    /// exactly when its guard does. rf_guard(w, r) is va_eq(w, r) for a
+    /// same-VA pair and kTrueExpr otherwise; ptw_guard(walk, e) is
+    /// va_eq(walk, e) with no same-VA INVLPG in between; co_pa_guard(a, b)
+    /// is pa_equal(a, b). Constant rows fold every one to kTrueExpr.
+    rel::RelExpr rf_guard, ptw_guard, co_pa_guard;
+
+    /// One projected choice (freeze_projection).
+    struct Projected {
+        enum class Witness : std::uint8_t { kRf, kInit, kPtw, kCo, kCoPa };
+        Witness witness;
+        elt::EventId a;  ///< the read, the access, or the earlier write
+        elt::EventId b;  ///< the write it reads, the walk, or the later write
+        sat::Lit lit;
+        rel::ExprId guard;
+    };
+    std::vector<Projected> projection;
+    /// Events holding a coherence / alias-creation position.
+    std::vector<elt::EventId> co_events, co_pa_events;
+    /// The current candidate's blocking literals (build_block_template).
+    std::vector<sat::Lit> block_tmpl;
 
     // Derived circuits (built as needs asks).
     rel::RelExpr rf, fr, po_loc, rfe, rf_ptw_rel, ptw_source, rf_pa, fr_pa,

@@ -16,7 +16,6 @@ using elt::Event;
 using elt::EventId;
 using elt::EventKind;
 using elt::Execution;
-using elt::kNone;
 using elt::Program;
 using rel::BoolFactory;
 using rel::ExprId;
@@ -30,24 +29,18 @@ namespace {
 /// bounds the session's memory.
 constexpr int kDefaultBaseCacheCapacity = 8;
 
-/// One edge of a flat extraction template (see BaseState::ext_rf).
-struct TemplateEdge {
-    EventId a;
-    EventId b;
-    sat::Lit lit;
-};
-
 /// The swappable per-structure slice of a session: one built base — its
 /// solver, circuit factory, structure key, the builder state (selector
-/// rows, choice variables, derived relations), frozen projection
-/// templates, and the deferred activation guards of candidates already
-/// served from it. The session's base cache stashes whole BaseStates and
-/// swaps one back in when the enumerator revisits a known signature;
-/// every RelExpr/ExprId inside indexes the co-swapped factory and
-/// expr_memo keys are stable AST pointers owned by the Model, so a
-/// swapped-out base stays internally consistent with no pointer fixups.
-/// (The builder's own program, factory and solver pointers matter only
-/// while it builds, and build_base rebinds them.)
+/// rows, choice variables, derived relations, frozen projection), and the
+/// deferred activation guards of candidates already served from it. The
+/// session's base cache stashes whole BaseStates and swaps one back in
+/// when the enumerator revisits a known signature; every RelExpr/ExprId
+/// inside indexes the co-swapped factory and expr_memo keys are stable
+/// AST pointers owned by the Model, so a swapped-out base stays
+/// internally consistent with no pointer fixups. (Every base is built
+/// live, so its builder's factory and solver pointers are the live ones
+/// whenever it is; its program pointer dangles after the build, and
+/// nothing reads it then.)
 struct BaseState {
     /// Behind a pointer so that stash swaps move one pointer, not the
     /// solver's clause database.
@@ -71,15 +64,6 @@ struct BaseState {
     /// asserting mid-session costs. Per-base, because the guards are
     /// variables of this base's solver.
     std::vector<sat::Lit> spent_acts;
-
-    /// Flat extraction templates, rebuilt per structure by
-    /// freeze_projection(): guard expressions resolved to their Tseitin
-    /// literals once, so the per-model extraction loop is array walks and
-    /// O(1) model reads instead of hash-memo probes per guard per model.
-    std::vector<TemplateEdge> ext_rf;
-    std::vector<TemplateEdge> ext_ptw;
-    std::vector<TemplateEdge> ext_co;
-    std::vector<EventId> ext_write_like;
 };
 
 }  // namespace
@@ -136,10 +120,6 @@ struct IncrementalEncoding::Impl : BaseState {
     std::vector<sat::Lit> assumptions;
     std::vector<sat::Lit> block_buf;
     Execution current;
-    /// Per-candidate projection literals (build_block_template): the
-    /// validity filtering and memo lookups run once per candidate, and
-    /// blocking_clause() per model only reads polarities.
-    std::vector<sat::Lit> block_tmpl;
 
     // ------------------------------------------------------------------
     // Structure key: everything about the program except VA assignment
@@ -193,7 +173,7 @@ struct IncrementalEncoding::Impl : BaseState {
             factory.assert_true(factory.mk_not(space.axiom_circuit(*axiom)),
                                 solver.get());
         }
-        freeze_projection(p);
+        space.freeze_projection();
     }
 
     std::unique_ptr<sat::Solver>
@@ -279,57 +259,6 @@ struct IncrementalEncoding::Impl : BaseState {
         structure_key = key_buf;
     }
 
-    /// Pre-compiles every expression extract_into() and blocking_clause()
-    /// will touch, while the trail is still at the root. Two payoffs: the
-    /// per-model hot paths become pure memo hits plus O(1) model lookups
-    /// (no clause can be added mid-enumeration, which would backtrack the
-    /// kept kSat trail), and extract_into() can read the Tseitin literal's
-    /// model value instead of re-walking the circuit DAG per guard — the
-    /// compiler emits the full biconditional, so the literal's value in
-    /// any model equals the circuit's.
-    void
-    freeze_projection(const Program& p)
-    {
-        const int n = space.n;
-        sat::Solver& s = *solver;
-        ext_rf.clear();
-        ext_ptw.clear();
-        ext_co.clear();
-        ext_write_like.clear();
-        for (EventId r = 0; r < n; ++r) {
-            for (const auto& [w, guard] : space.rf_choice[r]) {
-                ext_rf.push_back({r, w, factory.compile(guard, &s)});
-            }
-            if (elt::is_read_like(p.event(r).kind)) {
-                (void)factory.compile(space.init_choice[r], &s);
-            }
-            for (const auto& [walk, guard] : space.ptw_choice[r]) {
-                ext_ptw.push_back({r, walk, factory.compile(guard, &s)});
-            }
-        }
-        for (EventId a = 0; a < n; ++a) {
-            if (elt::is_write_like(p.event(a).kind)) {
-                ext_write_like.push_back(a);
-            }
-            for (EventId c = 0; c < n; ++c) {
-                if (a == c) {
-                    continue;
-                }
-                if (space.co.at(a, c) != rel::kFalseExpr &&
-                    elt::is_write_like(p.event(a).kind) &&
-                    elt::is_write_like(p.event(c).kind)) {
-                    ext_co.push_back(
-                        {a, c, factory.compile(space.co.at(a, c), &s)});
-                } else if (space.co.at(a, c) != rel::kFalseExpr) {
-                    (void)factory.compile(space.co.at(a, c), &s);
-                }
-                if (space.co_pa.at(a, c) != rel::kFalseExpr) {
-                    (void)factory.compile(space.co_pa.at(a, c), &s);
-                }
-            }
-        }
-    }
-
     /// Fills \p row with \p size fresh selector variables, at most one of
     /// them true. The candidate's pin supplies the at-least-one half;
     /// without the at-most-one half a free row could satisfy two slots and
@@ -366,46 +295,6 @@ struct IncrementalEncoding::Impl : BaseState {
     // Per-candidate machinery.
     // ------------------------------------------------------------------
 
-    /// The fresh encoding's membership test for a superset rf pair.
-    bool
-    rf_valid(const Program& p, EventId r, EventId w) const
-    {
-        const Event& e = p.event(r);
-        const Event& we = p.event(w);
-        const bool data_pair = elt::is_data_access(e.kind) &&
-                               we.kind == EventKind::kWrite &&
-                               (vm || we.va == e.va);
-        const bool pte_pair = elt::is_pte_access(e.kind) &&
-                              elt::is_pte_access(we.kind) &&
-                              elt::is_write_like(we.kind) && we.va == e.va;
-        return data_pair || pte_pair;
-    }
-
-    /// The fresh encoding's membership test for a superset ptw pair
-    /// (thread/walker-order/INVLPG-all screening already happened at
-    /// superset construction).
-    bool
-    ptw_valid(const Program& p, EventId e, EventId walk) const
-    {
-        const int n = space.n;
-        const Event& we = p.event(walk);
-        if (we.va != p.event(e).va) {
-            return false;
-        }
-        const EventId walker = we.parent;
-        for (EventId i = 0; i < n; ++i) {
-            const Event& inv = p.event(i);
-            const bool evicts =
-                (inv.kind == EventKind::kInvlpg && inv.va == we.va) ||
-                inv.kind == EventKind::kInvlpgAll;
-            if (evicts && inv.thread == we.thread && p.precedes(walker, i) &&
-                p.precedes(i, e)) {
-                return false;
-            }
-        }
-        return true;
-    }
-
     /// Pins the candidate: one positive selector assumption per VA slot
     /// and per Wpte target-PA slot, in event order. Everything else the
     /// fresh encoding would specialize on follows by unit propagation.
@@ -434,119 +323,6 @@ struct IncrementalEncoding::Impl : BaseState {
             TF_ASSERT(ev.map_pa >= 0 && ev.map_pa < max_pas);
             assumptions.push_back(
                 factory.compile(space.pa[e][ev.map_pa], solver.get()));
-        }
-    }
-
-    /// Resolves the candidate's *valid* projection variables — the same
-    /// variable set the fresh encoding would block on, so the enumerated
-    /// model count matches it exactly — to their literals, once per
-    /// candidate (validity is pin-dependent, so this cannot live in
-    /// freeze_projection).
-    void
-    build_block_template(const Program& p)
-    {
-        const int n = space.n;
-        block_tmpl.clear();
-        sat::Solver& s = *solver;
-        auto block = [&](ExprId e) {
-            block_tmpl.push_back(factory.compile(e, &s));
-        };
-        for (EventId r = 0; r < n; ++r) {
-            for (const auto& [w, guard] : space.rf_choice[r]) {
-                if (rf_valid(p, r, w)) {
-                    block(guard);
-                }
-            }
-            if (elt::is_read_like(p.event(r).kind)) {
-                block(space.init_choice[r]);
-            }
-            for (const auto& [walk, guard] : space.ptw_choice[r]) {
-                if (ptw_valid(p, r, walk)) {
-                    block(guard);
-                }
-            }
-        }
-        for (EventId a = 0; a < n; ++a) {
-            for (EventId c = 0; c < n; ++c) {
-                if (a == c) {
-                    continue;
-                }
-                if (space.co.at(a, c) != rel::kFalseExpr) {
-                    block(space.co.at(a, c));
-                }
-                if (space.co_pa.at(a, c) != rel::kFalseExpr &&
-                    p.event(a).map_pa == p.event(c).map_pa) {
-                    block(space.co_pa.at(a, c));
-                }
-            }
-        }
-    }
-
-    /// Projection clause for the current model: the template's literals,
-    /// each inverted where the model satisfies it.
-    void
-    blocking_clause(std::vector<sat::Lit>* clause)
-    {
-        clause->clear();
-        sat::Solver& s = *solver;
-        for (const sat::Lit l : block_tmpl) {
-            clause->push_back(s.model_literal_true(l) ? ~l : l);
-        }
-    }
-
-    void
-    extract_into(const Program& p, Execution* out)
-    {
-        const int n = space.n;
-        out->rf_src.assign(n, kNone);
-        out->co_pos.assign(n, kNone);
-        out->ptw_src.assign(n, kNone);
-        out->co_pa_pos.assign(n, kNone);
-        sat::Solver& s = *solver;
-        // The freeze_projection() templates resolve every guard to its
-        // Tseitin literal (the compiler emits the full biconditional, so
-        // the literal's model value is the circuit's) — the per-model loop
-        // is flat array walks and O(1) model reads, no DAG re-walk and no
-        // memo probe per guard.
-        for (const TemplateEdge& e : ext_rf) {
-            if (s.model_literal_true(e.lit)) {
-                out->rf_src[e.a] = e.b;
-            }
-        }
-        for (const TemplateEdge& e : ext_ptw) {
-            if (s.model_literal_true(e.lit)) {
-                out->ptw_src[e.a] = e.b;
-            }
-        }
-        for (const EventId w : ext_write_like) {
-            out->co_pos[w] = 0;
-        }
-        for (const TemplateEdge& e : ext_co) {
-            if (s.model_literal_true(e.lit)) {
-                ++out->co_pos[e.b];
-            }
-        }
-        // co_pa pairs are map_pa-gated (pin-dependent) and Wpte events are
-        // rare, so this stays a direct loop over memoized literals.
-        auto lit_true = [&](ExprId ex) {
-            if (ex == rel::kFalseExpr) {
-                return false;
-            }
-            return s.model_literal_true(factory.compile(ex, &s));
-        };
-        for (EventId w = 0; w < n; ++w) {
-            if (p.event(w).kind != EventKind::kWpte) {
-                continue;
-            }
-            int predecessors = 0;
-            for (EventId w2 = 0; w2 < n; ++w2) {
-                if (w2 != w && p.event(w2).kind == EventKind::kWpte &&
-                    p.event(w2).map_pa == p.event(w).map_pa &&
-                    lit_true(space.co_pa.at(w2, w))) {
-                    ++predecessors;
-                }
-            }
-            out->co_pa_pos[w] = predecessors;
         }
     }
 };
@@ -698,6 +474,9 @@ IncrementalEncoding::enumerate(const elt::Program& program,
     if (im.key_buf != im.structure_key) {
         im.switch_structure(program);
     }
+    // Extraction and blocking read the base through its builder's pointers.
+    TF_ASSERT(im.space.factory == &im.factory &&
+              im.space.solver == im.solver.get());
     im.last_used = ++im.use_stamp;
     im.build_assumptions(program);
 
@@ -722,18 +501,20 @@ IncrementalEncoding::enumerate(const elt::Program& program,
     bool have_template = false;
     sat::SolveResult verdict = im.solver->solve(im.assumptions);
     while (verdict == sat::SolveResult::kSat) {
-        im.extract_into(program, &im.current);
+        im.space.extract_into(&im.current);
         if (!visit(im.current)) {
             completed = false;  // the visitor stopped the enumeration
             break;
         }
-        if (!have_template) {
-            im.build_block_template(program);
-            have_template = true;
-        }
         const obs::ScopedAllocSite alloc_site(
             obs::AllocSite::kSiteBlockingClause);
-        im.blocking_clause(&im.block_buf);
+        if (!have_template) {
+            // The candidate's pins decide every guard, so its first model
+            // tells which choices are witnesses of this program.
+            im.space.build_block_template();
+            have_template = true;
+        }
+        im.space.blocking_clause(&im.block_buf);
         if (im.block_buf.empty()) {
             break;  // no projection variables: the single model is it
         }

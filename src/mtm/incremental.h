@@ -20,7 +20,10 @@
 /// provenance VA matching, co_pa target-PA classes) stay selector-guarded
 /// base clauses here, so unit propagation under the pinned selectors
 /// retires every invalid choice variable — the per-candidate assumption
-/// vector stays a handful of literals.
+/// vector stays a handful of literals. The builder keeps each choice's
+/// guard, and a candidate's models are blocked on the choices whose guard
+/// its first model satisfies: the fresh encoding's projection, read off
+/// the same circuits rather than restated here.
 ///
 /// AllSAT blocking clauses are the only per-candidate clauses and carry a
 /// per-candidate activation literal; advancing to the next candidate
@@ -33,11 +36,13 @@
 /// stages (rmw marking, linking variants) ping-pong between a handful of
 /// nearby structures. The session therefore keeps a small cache of built
 /// bases keyed by the structure signature — each base owns its solver,
-/// factory and projection templates, and revisiting a cached signature
-/// swaps the frozen base back in (bases_reused) instead of rebuilding
-/// (bases_built). The va_eq selector circuits inside a base are built
-/// lazily, on the first constraint that touches a pair — all before the
-/// projection freeze, so the no-clauses-after-freeze discipline holds.
+/// factory and builder, frozen projection included, and revisiting a
+/// cached signature swaps the frozen base back in (bases_reused) instead
+/// of rebuilding (bases_built). The va_eq selector circuits inside a base
+/// are built lazily, on the first constraint that touches a pair — all
+/// before the projection freeze, which adds no clause, and guards are
+/// read from a model, never compiled, so no clause follows the first
+/// solve but the blocking clauses.
 ///
 /// Contract against a fresh ProgramEncoding (asserted by
 /// tests/sat_incremental_test and the engine's replay discipline): for

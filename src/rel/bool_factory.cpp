@@ -111,50 +111,6 @@ BoolFactory::mk_or(ExprId a, ExprId b)
     return intern(Op::kOr, a, b);
 }
 
-ExprId
-BoolFactory::mk_xor(ExprId a, ExprId b)
-{
-    return mk_or(mk_and(a, mk_not(b)), mk_and(mk_not(a), b));
-}
-
-ExprId
-BoolFactory::mk_and(const std::vector<ExprId>& terms)
-{
-    ExprId acc = kTrueExpr;
-    for (const ExprId t : terms) {
-        acc = mk_and(acc, t);
-    }
-    return acc;
-}
-
-ExprId
-BoolFactory::mk_or(const std::vector<ExprId>& terms)
-{
-    ExprId acc = kFalseExpr;
-    for (const ExprId t : terms) {
-        acc = mk_or(acc, t);
-    }
-    return acc;
-}
-
-ExprId
-BoolFactory::mk_at_most_one(const std::vector<ExprId>& terms)
-{
-    ExprId acc = kTrueExpr;
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-        for (std::size_t j = i + 1; j < terms.size(); ++j) {
-            acc = mk_and(acc, mk_not(mk_and(terms[i], terms[j])));
-        }
-    }
-    return acc;
-}
-
-ExprId
-BoolFactory::mk_exactly_one(const std::vector<ExprId>& terms)
-{
-    return mk_and(mk_or(terms), mk_at_most_one(terms));
-}
-
 sat::Lit
 BoolFactory::compile(ExprId id, sat::Solver* solver)
 {

@@ -44,24 +44,10 @@ class BoolFactory {
     /// Constant expression.
     ExprId mk_const(bool value) { return value ? kTrueExpr : kFalseExpr; }
 
-    /// Logical connectives (binary forms fold constants and share nodes).
+    /// Logical connectives (fold constants and share nodes).
     ExprId mk_not(ExprId a);
     ExprId mk_and(ExprId a, ExprId b);
     ExprId mk_or(ExprId a, ExprId b);
-    ExprId mk_xor(ExprId a, ExprId b);
-    ExprId mk_implies(ExprId a, ExprId b) { return mk_or(mk_not(a), b); }
-    ExprId mk_iff(ExprId a, ExprId b) { return mk_not(mk_xor(a, b)); }
-
-    /// N-ary folds.
-    ExprId mk_and(const std::vector<ExprId>& terms);
-    ExprId mk_or(const std::vector<ExprId>& terms);
-
-    /// True iff exactly one of \p terms holds (pairwise encoding; the
-    /// universes here are small).
-    ExprId mk_exactly_one(const std::vector<ExprId>& terms);
-
-    /// True iff at most one of \p terms holds.
-    ExprId mk_at_most_one(const std::vector<ExprId>& terms);
 
     /// Compiles the expression to a literal in \p solver (Tseitin transform
     /// with memoization; shared subgraphs compile once).
@@ -75,7 +61,8 @@ class BoolFactory {
     std::size_t num_nodes() const { return nodes_.size(); }
 
     /// Evaluates the expression under a concrete assignment of solver
-    /// variables (used by tests and by model extraction).
+    /// variables (how mtm::EncodingBuilder reads a placement guard off a
+    /// model without compiling it).
     bool evaluate(ExprId id, const std::function<bool(sat::Var)>& value_of) const;
 
   private:

@@ -5,101 +5,6 @@
 namespace transform::rel {
 
 // ---------------------------------------------------------------------------
-// SetExpr
-// ---------------------------------------------------------------------------
-
-SetExpr
-SetExpr::empty(BoolFactory* factory, int universe_size)
-{
-    SetExpr s;
-    s.entries_.assign(universe_size, factory->mk_const(false));
-    return s;
-}
-
-SetExpr
-SetExpr::constant(BoolFactory* factory, int universe_size,
-                  const std::vector<int>& atoms)
-{
-    SetExpr s = empty(factory, universe_size);
-    for (const int atom : atoms) {
-        TF_ASSERT(atom >= 0 && atom < universe_size);
-        s.entries_[atom] = factory->mk_const(true);
-    }
-    return s;
-}
-
-SetExpr
-SetExpr::free(BoolFactory* factory, sat::Solver* solver, int universe_size)
-{
-    SetExpr s;
-    s.entries_.reserve(universe_size);
-    for (int i = 0; i < universe_size; ++i) {
-        s.entries_.push_back(factory->mk_var(solver->new_var()));
-    }
-    return s;
-}
-
-SetExpr
-SetExpr::set_union(BoolFactory* f, const SetExpr& other) const
-{
-    TF_ASSERT(size() == other.size());
-    SetExpr out = *this;
-    for (int i = 0; i < size(); ++i) {
-        out.entries_[i] = f->mk_or(entries_[i], other.entries_[i]);
-    }
-    return out;
-}
-
-SetExpr
-SetExpr::set_intersect(BoolFactory* f, const SetExpr& other) const
-{
-    TF_ASSERT(size() == other.size());
-    SetExpr out = *this;
-    for (int i = 0; i < size(); ++i) {
-        out.entries_[i] = f->mk_and(entries_[i], other.entries_[i]);
-    }
-    return out;
-}
-
-SetExpr
-SetExpr::set_minus(BoolFactory* f, const SetExpr& other) const
-{
-    TF_ASSERT(size() == other.size());
-    SetExpr out = *this;
-    for (int i = 0; i < size(); ++i) {
-        out.entries_[i] = f->mk_and(entries_[i], f->mk_not(other.entries_[i]));
-    }
-    return out;
-}
-
-ExprId
-SetExpr::is_empty(BoolFactory* f) const
-{
-    ExprId acc = f->mk_const(true);
-    for (const ExprId e : entries_) {
-        acc = f->mk_and(acc, f->mk_not(e));
-    }
-    return acc;
-}
-
-ExprId
-SetExpr::is_nonempty(BoolFactory* f) const
-{
-    return f->mk_not(is_empty(f));
-}
-
-ExprId
-SetExpr::subset_of(BoolFactory* f, const SetExpr& other) const
-{
-    TF_ASSERT(size() == other.size());
-    ExprId acc = f->mk_const(true);
-    for (int i = 0; i < size(); ++i) {
-        acc = f->mk_and(acc, f->mk_implies(entries_[i], other.entries_[i]));
-    }
-    return acc;
-}
-
-// ---------------------------------------------------------------------------
 // RelExpr
 // ---------------------------------------------------------------------------
 
@@ -218,21 +123,6 @@ RelExpr::join(BoolFactory* f, const RelExpr& other) const
     return out;
 }
 
-SetExpr
-RelExpr::join_set(BoolFactory* f, const SetExpr& s) const
-{
-    TF_ASSERT(n_ == s.size());
-    SetExpr out = SetExpr::empty(f, n_);
-    for (int a = 0; a < n_; ++a) {
-        ExprId acc = f->mk_const(false);
-        for (int b = 0; b < n_; ++b) {
-            acc = f->mk_or(acc, f->mk_and(at(a, b), s.at(b)));
-        }
-        out.set(a, acc);
-    }
-    return out;
-}
-
 RelExpr
 RelExpr::closure(BoolFactory* f) const
 {
@@ -244,50 +134,12 @@ RelExpr::closure(BoolFactory* f) const
     return acc;
 }
 
-RelExpr
-RelExpr::restrict(BoolFactory* f, const SetExpr& domain,
-                  const SetExpr& range) const
-{
-    TF_ASSERT(n_ == domain.size() && n_ == range.size());
-    RelExpr out = empty(f, n_);
-    for (int a = 0; a < n_; ++a) {
-        for (int b = 0; b < n_; ++b) {
-            out.set(a, b, f->mk_and(at(a, b), f->mk_and(domain.at(a), range.at(b))));
-        }
-    }
-    return out;
-}
-
-RelExpr
-RelExpr::product(BoolFactory* f, const SetExpr& a, const SetExpr& b)
-{
-    TF_ASSERT(a.size() == b.size());
-    RelExpr out = empty(f, a.size());
-    for (int i = 0; i < a.size(); ++i) {
-        for (int j = 0; j < b.size(); ++j) {
-            out.set(i, j, f->mk_and(a.at(i), b.at(j)));
-        }
-    }
-    return out;
-}
-
 ExprId
 RelExpr::is_empty(BoolFactory* f) const
 {
     ExprId acc = f->mk_const(true);
     for (const ExprId e : entries_) {
         acc = f->mk_and(acc, f->mk_not(e));
-    }
-    return acc;
-}
-
-ExprId
-RelExpr::subset_of(BoolFactory* f, const RelExpr& other) const
-{
-    TF_ASSERT(n_ == other.n_);
-    ExprId acc = f->mk_const(true);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        acc = f->mk_and(acc, f->mk_implies(entries_[i], other.entries_[i]));
     }
     return acc;
 }
@@ -304,58 +156,6 @@ RelExpr::irreflexive(BoolFactory* f) const
     ExprId acc = f->mk_const(true);
     for (int i = 0; i < n_; ++i) {
         acc = f->mk_and(acc, f->mk_not(at(i, i)));
-    }
-    return acc;
-}
-
-ExprId
-RelExpr::functional_on(BoolFactory* f, const SetExpr& domain,
-                       const SetExpr& range) const
-{
-    ExprId acc = f->mk_const(true);
-    for (int a = 0; a < n_; ++a) {
-        std::vector<ExprId> row;
-        row.reserve(n_);
-        for (int b = 0; b < n_; ++b) {
-            // Entries must stay inside domain x range.
-            acc = f->mk_and(acc, f->mk_implies(at(a, b),
-                                               f->mk_and(domain.at(a), range.at(b))));
-            row.push_back(at(a, b));
-        }
-        // Atoms in the domain map to exactly one target.
-        acc = f->mk_and(acc, f->mk_implies(domain.at(a), f->mk_exactly_one(row)));
-        // Atoms outside the domain map to nothing (covered above).
-    }
-    return acc;
-}
-
-ExprId
-RelExpr::strict_total_order_on(BoolFactory* f, const SetExpr& s) const
-{
-    ExprId acc = f->mk_const(true);
-    for (int a = 0; a < n_; ++a) {
-        for (int b = 0; b < n_; ++b) {
-            const ExprId in_pair = f->mk_and(s.at(a), s.at(b));
-            // Entries only between members of s.
-            acc = f->mk_and(acc, f->mk_implies(at(a, b), in_pair));
-            if (a == b) {
-                acc = f->mk_and(acc, f->mk_not(at(a, a)));
-                continue;
-            }
-            // Totality and antisymmetry over distinct members: exactly one
-            // direction holds.
-            acc = f->mk_and(
-                acc, f->mk_implies(in_pair, f->mk_xor(at(a, b), at(b, a))));
-            // Transitivity.
-            for (int c = 0; c < n_; ++c) {
-                if (c == a || c == b) {
-                    continue;
-                }
-                acc = f->mk_and(acc,
-                                f->mk_implies(f->mk_and(at(a, b), at(b, c)),
-                                              at(a, c)));
-            }
-        }
     }
     return acc;
 }

@@ -67,7 +67,6 @@ Solver::reset()
     order_heap_.clear();
     var_activity_increment_ = 1.0;
     clause_activity_increment_ = 1.0;
-    conflict_assumptions_.clear();
     // Retire the live counters into the lifetime accumulator before
     // clearing — per-suite aggregation reads lifetime_stats() off solvers
     // that reset once per query.
@@ -406,36 +405,6 @@ Solver::literal_redundant(Lit l, std::uint32_t abstract_levels)
 }
 
 void
-Solver::analyze_final(int /*conflict_index*/)
-{
-    // conflict_assumptions_ has been primed with the falsified assumption by
-    // the caller; walk the implication graph back to decisions.
-    if (decision_level() == 0 || conflict_assumptions_.empty()) {
-        return;
-    }
-    const Lit falsified = conflict_assumptions_[0];
-    seen_[falsified.var()] = true;
-    for (int i = static_cast<int>(trail_.size()) - 1;
-         i >= trail_limits_[0]; --i) {
-        const Var x = trail_[i].var();
-        if (!seen_[x]) {
-            continue;
-        }
-        if (reason_[x] == -1) {
-            conflict_assumptions_.push_back(~trail_[i]);
-        } else {
-            for (const Lit q : clauses_[reason_[x]].lits) {
-                if (q.var() != x && level_[q.var()] > 0) {
-                    seen_[q.var()] = true;
-                }
-            }
-        }
-        seen_[x] = false;
-    }
-    seen_[falsified.var()] = false;
-}
-
-void
 Solver::bump_var(Var v)
 {
     activity_[v] += var_activity_increment_;
@@ -666,7 +635,6 @@ SolveResult
 Solver::solve_impl(const std::vector<Lit>& assumptions,
                    std::int64_t conflict_budget)
 {
-    conflict_assumptions_.clear();
     unknown_cause_ = UnknownCause::kNone;
     if (conflict_budget < 0) {
         conflict_budget = default_budget_;
@@ -723,7 +691,6 @@ Solver::block_and_resolve_impl(const Lit* lits, std::size_t count,
                                const std::vector<Lit>& assumptions,
                                std::int64_t conflict_budget)
 {
-    conflict_assumptions_.clear();
     unknown_cause_ = UnknownCause::kNone;
     if (conflict_budget < 0) {
         conflict_budget = default_budget_;
@@ -879,9 +846,6 @@ Solver::search(const std::vector<Lit>& assumptions,
                 planted_.push_back(a);
                 trail_limits_.push_back(static_cast<int>(trail_.size()));
             } else if (value(a) == LBool::kFalse) {
-                conflict_assumptions_.clear();
-                conflict_assumptions_.push_back(~a);
-                analyze_final(-1);
                 // The levels established so far stay on the trail for the
                 // next solve's prefix reuse; every entry point that needs
                 // the root backtracks there itself.

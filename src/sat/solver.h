@@ -5,8 +5,8 @@
 /// pipeline (see DESIGN.md, substitutions). Features: two-watched-literal
 /// propagation, first-UIP clause learning with recursive minimization, VSIDS
 /// branching with phase saving, Luby restarts, learned-clause database
-/// reduction, and solving under assumptions (used by the AllSAT enumerator
-/// and the relational layer's incremental queries).
+/// reduction, and solving under assumptions (the incremental probe
+/// session's per-candidate pins and activation guards).
 #pragma once
 
 #include <cstdint>
@@ -169,10 +169,6 @@ class Solver {
     /// Value of \p l in the most recent satisfying model.
     bool model_literal_true(Lit l) const;
 
-    /// After an UNSAT answer under assumptions, the subset of assumptions
-    /// (negated) that formed the final conflict.
-    const std::vector<Lit>& unsat_core() const { return conflict_assumptions_; }
-
     /// Permanently asserts ~\p activation (a unit clause), retiring an
     /// activation literal the caller had been solving under: clauses
     /// guarded on \p activation become satisfied dead weight until the
@@ -279,7 +275,6 @@ class Solver {
     // Conflict analysis.
     void analyze(int conflict_index, Clause& learned, int& backtrack_level);
     bool literal_redundant(Lit l, std::uint32_t abstract_levels);
-    void analyze_final(int conflict_index);
 
     // Branching heuristics.
     void bump_var(Var v);
@@ -336,7 +331,6 @@ class Solver {
     std::vector<Lit> analyze_to_clear_;
     Clause add_scratch_;
 
-    std::vector<Lit> conflict_assumptions_;
     SolverStats stats_;
     /// Counters folded in from previous reset() epochs (lifetime_stats).
     SolverStats retired_stats_;

@@ -617,7 +617,7 @@ struct PassTarget {
 struct PassRun {
     PassRun(const mtm::Model& source, mtm::AxiomMask target_mask,
             const SynthesisOptions& opts)
-        : model(source.name(), source.vm_aware(), source.axioms()),
+        : model(source),
           targets(static_cast<std::size_t>(std::popcount(target_mask))),
           mask(target_mask), eligibility(model), barrenness(model),
           options(opts),
@@ -636,10 +636,10 @@ struct PassRun {
         }
     }
 
-    /// One private copy per pass; every shard job of the pass shares it by
-    /// const reference — the axiom closures are stateless, so concurrent
-    /// evaluation through one Model is safe without per-job deep copies.
-    const mtm::Model model;
+    /// The caller's model, borrowed: synthesize_pass returns only after
+    /// every job of the pass has drained. Every job reads it through this
+    /// const reference; evaluation never writes to a Model.
+    const mtm::Model& model;
     /// The target axioms, in axiom order; one suite each.
     std::vector<PassTarget> targets;
     const mtm::AxiomMask mask;  ///< the targets' bits
@@ -691,8 +691,8 @@ struct PassRun {
 };
 
 /// (Re)configures \p scratch's probe session of every target of \p run for
-/// the pass: the model pointer must be the run's own copy, which outlives
-/// every job. The domain bounds cover every candidate the skeleton
+/// the pass: the sessions hold a pointer to the run's model, which
+/// outlives every job. The domain bounds cover every candidate the skeleton
 /// enumerator can produce (VAs < max_vas; PAs < initial frames + fresh
 /// Wpte targets).
 void

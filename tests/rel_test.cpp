@@ -1,10 +1,12 @@
 /// \file
-/// Unit tests for the relational layer (boolean factory, relation algebra,
-/// constraint builders) against the SAT solver.
+/// Unit tests for the relational layer (boolean factory, relation algebra)
+/// against the SAT solver.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "elt/derive.h"
 #include "rel/bool_factory.h"
-#include "rel/constraints.h"
 #include "rel/relation.h"
 #include "sat/solver.h"
 
@@ -65,39 +67,6 @@ TEST(BoolFactory, AssertFalseMakesUnsat)
     EXPECT_EQ(s.solve(), sat::SolveResult::kUnsat);
 }
 
-TEST(BoolFactory, XorSemantics)
-{
-    BoolFactory f;
-    sat::Solver s;
-    const sat::Var va = s.new_var();
-    const sat::Var vb = s.new_var();
-    const ExprId a = f.mk_var(va);
-    const ExprId b = f.mk_var(vb);
-    f.assert_true(f.mk_xor(a, b), &s);
-    f.assert_true(a, &s);
-    ASSERT_EQ(s.solve(), sat::SolveResult::kSat);
-    EXPECT_EQ(s.model_value(vb), sat::LBool::kFalse);
-}
-
-TEST(BoolFactory, ExactlyOne)
-{
-    BoolFactory f;
-    sat::Solver s;
-    std::vector<ExprId> terms;
-    std::vector<sat::Var> vars;
-    for (int i = 0; i < 4; ++i) {
-        vars.push_back(s.new_var());
-        terms.push_back(f.mk_var(vars.back()));
-    }
-    f.assert_true(f.mk_exactly_one(terms), &s);
-    ASSERT_EQ(s.solve(), sat::SolveResult::kSat);
-    int trues = 0;
-    for (const sat::Var v : vars) {
-        trues += s.model_value(v) == sat::LBool::kTrue ? 1 : 0;
-    }
-    EXPECT_EQ(trues, 1);
-}
-
 TEST(BoolFactory, EvaluateMatchesSemantics)
 {
     BoolFactory f;
@@ -156,103 +125,46 @@ TEST(Relation, AcyclicDetectsCycleConstant)
     EXPECT_EQ(dag.acyclic(&f), kTrueExpr);
 }
 
-TEST(Relation, FreeRelationAcyclicAgreesWithOrderEncoding)
+TEST(Relation, FreeRelationAcyclicAgreesWithRowCycleCheck)
 {
-    // For every assignment, closure-based acyclicity and the rank-order
-    // encoding accept exactly the same relations. Enumerate a free 3x3
-    // relation constrained acyclic by the rank encoding; check the closure
-    // formula agrees on every model, and that the model count equals the
-    // number of DAGs on 3 labelled nodes (25).
-    BoolFactory f;
-    sat::Solver s;
-    const int n = 3;
-    const RelExpr r = RelExpr::free(&f, &s, n);
-    assert_acyclic_with_order(&f, &s, r);
-    const ExprId closure_acyclic = r.acyclic(&f);
-
-    std::vector<sat::Var> projection;
-    for (int a = 0; a < n; ++a) {
-        for (int b = 0; b < n; ++b) {
-            projection.push_back(a * n + b);  // entry vars are the first 9
+    // Every relation over 3 and 4 atoms, enumerated once under the closure
+    // formula and once under its negation: elt::rows_have_cycle, the
+    // verdict kernel's independent check, must agree on each model, and
+    // the acyclic sweep must find exactly the labelled DAGs.
+    const std::uint64_t dags[] = {1, 1, 3, 25, 543};
+    for (const int n : {3, 4}) {
+        for (const bool acyclic : {true, false}) {
+            BoolFactory f;
+            sat::Solver s;
+            const RelExpr r = RelExpr::free(&f, &s, n);
+            const ExprId formula = r.acyclic(&f);
+            f.assert_true(acyclic ? formula : f.mk_not(formula), &s);
+            std::uint64_t models = 0;
+            sat::Clause blocking;
+            sat::SolveResult verdict = s.solve();
+            while (verdict == sat::SolveResult::kSat) {
+                elt::BitRows rows{};
+                blocking.clear();
+                for (int a = 0; a < n; ++a) {
+                    for (int b = 0; b < n; ++b) {
+                        const sat::Var v = a * n + b;  // r.at(a, b)
+                        const bool holds =
+                            s.model_value(v) == sat::LBool::kTrue;
+                        rows[a] |= holds ? elt::BitRow{1} << b : 0;
+                        blocking.push_back(sat::Lit(v, holds));
+                    }
+                }
+                EXPECT_EQ(elt::rows_have_cycle(rows.data(), n), !acyclic)
+                    << n << " atoms, model " << models;
+                ++models;
+                verdict = s.block_and_resolve(blocking.data(),
+                                              blocking.size(), {});
+            }
+            EXPECT_EQ(verdict, sat::SolveResult::kUnsat);
+            const std::uint64_t all = std::uint64_t{1} << (n * n);
+            EXPECT_EQ(models, acyclic ? dags[n] : all - dags[n]) << n;
         }
     }
-    int models = 0;
-    while (s.solve() == sat::SolveResult::kSat) {
-        ++models;
-        EXPECT_TRUE(f.evaluate(closure_acyclic, [&](sat::Var v) {
-            return s.model_value(v) == sat::LBool::kTrue;
-        }));
-        sat::Clause blocking;
-        for (const sat::Var v : projection) {
-            blocking.push_back(
-                sat::Lit(v, s.model_value(v) == sat::LBool::kTrue));
-        }
-        if (!s.add_clause(blocking)) {
-            break;
-        }
-        if (models > 100) {
-            break;  // safety net
-        }
-    }
-    EXPECT_EQ(models, 25);  // DAGs on 3 labelled vertices
-}
-
-TEST(Relation, StrictTotalOrderCountsPermutations)
-{
-    BoolFactory f;
-    sat::Solver s;
-    const int n = 3;
-    const RelExpr r = RelExpr::free(&f, &s, n);
-    const SetExpr all = SetExpr::constant(&f, n, {0, 1, 2});
-    f.assert_true(r.strict_total_order_on(&f, all), &s);
-    int models = 0;
-    while (s.solve() == sat::SolveResult::kSat && models <= 10) {
-        ++models;
-        sat::Clause blocking;
-        for (int v = 0; v < n * n; ++v) {
-            blocking.push_back(
-                sat::Lit(v, s.model_value(v) == sat::LBool::kTrue));
-        }
-        if (!s.add_clause(blocking)) {
-            break;
-        }
-    }
-    EXPECT_EQ(models, 6);  // 3! total orders
-}
-
-TEST(Relation, FunctionalOnForcesUniqueTarget)
-{
-    BoolFactory f;
-    sat::Solver s;
-    const int n = 3;
-    const RelExpr r = RelExpr::free(&f, &s, n);
-    const SetExpr domain = SetExpr::constant(&f, n, {0});
-    const SetExpr range = SetExpr::constant(&f, n, {1, 2});
-    f.assert_true(r.functional_on(&f, domain, range), &s);
-    ASSERT_EQ(s.solve(), sat::SolveResult::kSat);
-    int targets = 0;
-    for (int b = 0; b < n; ++b) {
-        targets += s.model_value(0 * n + b) == sat::LBool::kTrue ? 1 : 0;
-    }
-    EXPECT_EQ(targets, 1);
-    // Nothing outside the domain maps anywhere.
-    for (int b = 0; b < n; ++b) {
-        EXPECT_NE(s.model_value(1 * n + b), sat::LBool::kTrue);
-        EXPECT_NE(s.model_value(2 * n + b), sat::LBool::kTrue);
-    }
-}
-
-TEST(SetExpr, AlgebraOnConstants)
-{
-    BoolFactory f;
-    const SetExpr a = SetExpr::constant(&f, 4, {0, 1});
-    const SetExpr b = SetExpr::constant(&f, 4, {1, 2});
-    EXPECT_EQ(a.set_union(&f, b).at(2), kTrueExpr);
-    EXPECT_EQ(a.set_intersect(&f, b).at(1), kTrueExpr);
-    EXPECT_EQ(a.set_intersect(&f, b).at(0), kFalseExpr);
-    EXPECT_EQ(a.set_minus(&f, b).at(0), kTrueExpr);
-    EXPECT_EQ(a.set_minus(&f, b).at(1), kFalseExpr);
-    EXPECT_EQ(a.subset_of(&f, a.set_union(&f, b)), kTrueExpr);
 }
 
 }  // namespace

@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "elt/derive.h"
 #include "elt/fixtures.h"
+#include "elt/serialize.h"
 #include "mtm/model.h"
 #include "mtm/relax.h"
+#include "spec/registry.h"
+#include "synth/engine.h"
+#include "synth/exec_enum.h"
+#include "synth/skeleton.h"
 
 namespace transform::mtm {
 namespace {
@@ -329,6 +337,184 @@ TEST(RelaxScratchDifferential, RemoveEventsIntoMatchesAcrossSeedSets)
         expect_execution_identical(fresh, pooled,
                                    "seed " + std::to_string(seed));
     }
+}
+
+// ---------------------------------------------------------------------------
+// What a relaxation deletes, against the program alone: the relaxed program
+// keeps exactly the events outside the relaxation's removal group, plus
+// each walk of the group that a surviving access still translates through.
+
+/// A program's events as a rebuild lists them: the non-ghosts thread by
+/// thread in program order, then the ghosts in id order.
+std::vector<EventId>
+listing(const elt::Program& p)
+{
+    std::vector<EventId> out;
+    for (int t = 0; t < p.num_threads(); ++t) {
+        out.insert(out.end(), p.thread(t).begin(), p.thread(t).end());
+    }
+    for (EventId id = 0; id < p.num_events(); ++id) {
+        if (elt::is_ghost(p.event(id).kind)) {
+            out.push_back(id);
+        }
+    }
+    return out;
+}
+
+/// Checks apply_relaxation(x, relaxation) event by event, matching the
+/// kept events to the relaxed program's in listing order. Each keeps its
+/// kind, thread, VA and target PA, its remap source, and its parent (a
+/// kept walk whose parent went hangs off one of its surviving users). rmw
+/// pairs survive with both ends, except a dropped one. Returns how many
+/// events of the group were kept.
+int
+expect_keeps_exactly(const Execution& x, const Relaxation& relaxation,
+                     bool vm, RelaxScratch* scratch)
+{
+    const elt::Program& p = x.program;
+    const int n = p.num_events();
+    const std::string context = relaxation.describe(p) + " in\n" +
+                                elt::execution_to_xml(x, "x");
+    const elt::BitRow group = removal_group(p, relaxation, scratch);
+    if (relaxation.kind == Relaxation::Kind::kDropRmw) {
+        EXPECT_EQ(group, 0u) << context;
+    }
+    const auto in_group = [&](EventId id) { return (group >> id) & 1; };
+    std::vector<char> kept(n, 0);
+    int group_kept = 0;
+    for (EventId id = 0; id < n; ++id) {
+        kept[id] = !in_group(id);
+        for (EventId user = 0; user < n && !kept[id]; ++user) {
+            kept[id] = p.event(id).kind == EventKind::kRptw &&
+                       !in_group(user) && x.ptw_src[user] == id;
+        }
+        group_kept += in_group(id) && kept[id];
+    }
+
+    const Execution relaxed = apply_relaxation(x, relaxation, vm);
+    const elt::Program& q = relaxed.program;
+    std::vector<EventId> expected;
+    for (const EventId id : listing(p)) {
+        if (kept[id]) {
+            expected.push_back(id);
+        }
+    }
+    const std::vector<EventId> actual = listing(q);
+    EXPECT_EQ(actual.size(), expected.size()) << context;
+    EXPECT_EQ(q.num_threads(), p.num_threads()) << context;
+    if (actual.size() != expected.size()) {
+        return group_kept;
+    }
+    std::vector<EventId> to(n, kNone);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        to[expected[i]] = actual[i];
+    }
+
+    for (EventId id = 0; id < n; ++id) {
+        if (!kept[id]) {
+            continue;
+        }
+        const elt::Event& a = p.event(id);
+        const elt::Event& b = q.event(to[id]);
+        EXPECT_EQ(b.kind, a.kind) << context << " event " << id;
+        EXPECT_EQ(b.thread, a.thread) << context << " event " << id;
+        EXPECT_EQ(b.va, a.va) << context << " event " << id;
+        EXPECT_EQ(b.map_pa, a.map_pa) << context << " event " << id;
+        EXPECT_EQ(b.remap_src,
+                  a.remap_src == kNone ? kNone : to[a.remap_src])
+            << context << " event " << id;
+        if (!elt::is_ghost(a.kind)) {
+            continue;
+        }
+        if (kept[a.parent]) {
+            EXPECT_EQ(b.parent, to[a.parent]) << context << " event " << id;
+            continue;
+        }
+        const auto user = std::find(to.begin(), to.end(), b.parent);
+        EXPECT_TRUE(user != to.end() && x.ptw_src[user - to.begin()] == id)
+            << context << " event " << id;
+    }
+
+    std::vector<std::pair<EventId, EventId>> rmw;
+    for (int i = 0; i < static_cast<int>(p.rmw_pairs().size()); ++i) {
+        const auto [r, w] = p.rmw_pairs()[i];
+        const bool dropped = relaxation.kind == Relaxation::Kind::kDropRmw &&
+                             relaxation.target == i;
+        if (!dropped && kept[r] && kept[w]) {
+            rmw.emplace_back(to[r], to[w]);
+        }
+    }
+    EXPECT_EQ(q.rmw_pairs(), rmw) << context;
+    return group_kept;
+}
+
+/// Visits the fixture executions of each zoo model's vocabulary and every
+/// execution of its unpruned candidates: VM models at bounds 4-5, MCMs at
+/// 2-4.
+void
+for_each_zoo_execution(
+    const std::function<void(const Execution&, bool vm)>& visit)
+{
+    const std::vector<Execution (*)()> vm_fixtures = {
+        elt::fixtures::fig2b_sb_elt,        elt::fixtures::fig2c_sb_elt_aliased,
+        elt::fixtures::fig4_remap_chain,    elt::fixtures::fig5a_shared_walk,
+        elt::fixtures::fig5b_invlpg_forces_walk,
+        elt::fixtures::fig6_remap_disambiguation,
+        elt::fixtures::fig10a_ptwalk2,      elt::fixtures::fig10b_dirtybit3,
+        elt::fixtures::fig11_new_elt,
+    };
+    const std::vector<Execution (*)()> mcm_fixtures = {
+        elt::fixtures::fig2a_sb_mcm, elt::fixtures::sb_both_reads_zero_mcm,
+        elt::fixtures::fig8_non_minimal_mcm,
+    };
+    for (const spec::RegistryEntry& entry : spec::registry_entries()) {
+        std::string error;
+        const auto resolved = spec::resolve_model(entry.name, &error);
+        ASSERT_TRUE(resolved.has_value()) << entry.name << ": " << error;
+        const mtm::Model& model = resolved->model;
+        const bool vm = model.vm_aware();
+        for (const auto make : vm ? vm_fixtures : mcm_fixtures) {
+            visit(make(), vm);
+        }
+        synth::SynthesisOptions options;
+        options.max_threads = 2;
+        options.max_vas = 2;
+        options.max_fresh_pas = 1;
+        const AxiomMask all = (AxiomMask{1} << model.axioms().size()) - 1;
+        for (int size = vm ? 4 : 2; size <= (vm ? 5 : 4); ++size) {
+            synth::SkeletonOptions skeleton =
+                synth::engine_skeleton_options(model, all, options, size);
+            skeleton.require_wpte = false;
+            skeleton.require_rmw = false;
+            skeleton.require_shared_walk = false;
+            synth::for_each_skeleton(skeleton, [&](const elt::Program& p) {
+                synth::for_each_execution(p, vm, [&](const Execution& x) {
+                    visit(x, vm);
+                    return true;
+                });
+                return true;
+            });
+        }
+    }
+}
+
+TEST(RelaxDeletes, ExactlyTheRemovalGroupButWalksStillInUse)
+{
+    RelaxScratch scratch;
+    int relaxations = 0;
+    int walks_kept = 0;
+    int rmw_dropped = 0;
+    for_each_zoo_execution([&](const Execution& x, bool vm) {
+        for (const Relaxation& r : applicable_relaxations(x.program)) {
+            ++relaxations;
+            rmw_dropped += r.kind == Relaxation::Kind::kDropRmw;
+            walks_kept += expect_keeps_exactly(x, r, vm, &scratch);
+        }
+    });
+    // The sweep reaches both exceptions to "the group goes".
+    EXPECT_GT(relaxations, 0);
+    EXPECT_GT(walks_kept, 0);
+    EXPECT_GT(rmw_dropped, 0);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 /// \file
-/// Unit tests for the CDCL SAT solver, DIMACS I/O and model enumeration.
+/// Unit tests for the CDCL SAT solver and model enumeration.
 #include <gtest/gtest.h>
 
-#include "sat/dimacs.h"
 #include "sat/enumerator.h"
 #include "sat/solver.h"
 
@@ -220,38 +219,6 @@ TEST(Enumerator, MaxModelsStopsEarly)
         /*max_models=*/2);
     EXPECT_EQ(count, 2);
     EXPECT_FALSE(stats.exhausted);
-}
-
-TEST(Dimacs, RoundTrip)
-{
-    const std::string text = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n";
-    CnfFormula formula;
-    ASSERT_TRUE(parse_dimacs_string(text, &formula));
-    EXPECT_EQ(formula.num_vars, 3);
-    ASSERT_EQ(formula.clauses.size(), 2u);
-    EXPECT_EQ(formula.clauses[0].size(), 2u);
-    const std::string emitted = to_dimacs(formula);
-    CnfFormula again;
-    ASSERT_TRUE(parse_dimacs_string(emitted, &again));
-    EXPECT_EQ(again.clauses, formula.clauses);
-}
-
-TEST(Dimacs, RejectsMalformed)
-{
-    CnfFormula formula;
-    EXPECT_FALSE(parse_dimacs_string("1 2 0\n", &formula));       // no header
-    EXPECT_FALSE(parse_dimacs_string("p cnf 1 1\n5 0\n", &formula));  // var > n
-    EXPECT_FALSE(parse_dimacs_string("p cnf 1 1\n1\n", &formula));    // no 0
-}
-
-TEST(Dimacs, LoadIntoSolver)
-{
-    CnfFormula formula;
-    ASSERT_TRUE(parse_dimacs_string("p cnf 2 2\n1 0\n-1 2 0\n", &formula));
-    Solver s;
-    ASSERT_TRUE(load_into_solver(formula, &s));
-    EXPECT_EQ(s.solve(), SolveResult::kSat);
-    EXPECT_EQ(s.model_value(1), LBool::kTrue);
 }
 
 /// Random 3-SAT instances cross-checked against brute force.
